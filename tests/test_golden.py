@@ -1,0 +1,103 @@
+"""Behaviour lock: CLI output and PRB tables against committed golden files.
+
+Each golden output is the verbatim stdout of one `mecoffload` command, and
+its `.sha256` companion holds one digest of (decision.a, assoc.c) per CSV
+row, in row order. Decisions, PRB tables and integer columns must match
+exactly; float columns must agree within 1e-12 relative.
+
+Regenerate only for an intended behaviour change, and say why in
+CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import math
+import os
+
+import numpy as np
+import pytest
+
+from mecoffload import cli
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+REL_TOL = 1e-12
+
+OUTPUTS = {
+    "sweep_cells.csv": [
+        "sweep", "--scheme", "all", "--vary", "cells",
+        "--values", "3,9,40", "--seeds", "0..19",
+    ],
+    "sweep_lambda.csv": [
+        "sweep", "--scheme", "all", "--vary", "lambda",
+        "--values", "1,2,3", "--seeds", "0..19",
+    ],
+    "run_detail.txt": ["run", "--seed", "0", "--scheme", "all", "--detail"],
+}
+
+
+def _table_digest(outcome) -> str:
+    a = np.asarray(outcome.decision.a, dtype=np.int64)
+    c = np.ascontiguousarray(outcome.assoc.c, dtype=np.int64)
+    return hashlib.sha256(a.tobytes() + c.tobytes()).hexdigest()
+
+
+def capture(argv) -> tuple[str, list[str]]:
+    """stdout of `mecoffload argv` and the table digest of every row."""
+    digests = []
+    run_scheme = cli.run_scheme
+
+    def recording(name, s, gains):
+        outcome = run_scheme(name, s, gains)
+        digests.append(_table_digest(outcome))
+        return outcome
+
+    out = io.StringIO()
+    cli.run_scheme = recording
+    try:
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+    finally:
+        cli.run_scheme = run_scheme
+    assert code == 0
+    return out.getvalue(), digests
+
+
+def _same_field(got: str, want: str) -> bool:
+    if got == want:
+        return True
+    try:
+        g, w = float(got), float(want)
+    except ValueError:
+        return False
+    return math.isclose(g, w, rel_tol=REL_TOL, abs_tol=0.0)
+
+
+def _read(name: str) -> str:
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUTS))
+def test_output_matches_golden(name):
+    text, digests = capture(OUTPUTS[name])
+    got, want = text.splitlines(), _read(name).splitlines()
+    assert len(got) == len(want)
+    for lineno, (g, w) in enumerate(zip(got, want), start=1):
+        gf, wf = g.split(","), w.split(",")
+        assert len(gf) == len(wf), f"{name}:{lineno}: {g!r} != {w!r}"
+        for a, b in zip(gf, wf):
+            assert _same_field(a, b), f"{name}:{lineno}: {a} != {b}"
+    assert digests == _read(name + ".sha256").split()
+
+
+if __name__ == "__main__":
+    os.makedirs(GOLDEN, exist_ok=True)
+    for name, argv in OUTPUTS.items():
+        text, digests = capture(argv)
+        with open(os.path.join(GOLDEN, name), "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with open(os.path.join(GOLDEN, name + ".sha256"), "w", encoding="utf-8") as fh:
+            fh.write("".join(d + "\n" for d in digests))
