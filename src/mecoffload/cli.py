@@ -13,9 +13,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
-from .decision_engine import SCHEME_NAMES, AllocationOutcome, run_scheme
+from .decision_engine import (
+    SCHEME_NAMES,
+    SCHEME_OBJECTIVE,
+    AllocationOutcome,
+    run_scheme,
+)
 from .errors import InvalidConfig
 from .scenario import ScenarioConfig, build_scenario, channel_gains, load_config
 
@@ -24,46 +28,7 @@ CSV_HEADER = (
     "mean_rate_bps,sum_cpu_assigned_hz,prb_slots_assigned,wall_time_ms"
 )
 
-# the server-split rule each scheme runs with, as printed in the CSV
-_SCHEME_OBJECTIVE = {
-    "proposed_minmax": "minmax",
-    "proposed_minsum": "minsum",
-    "all_local": "none",
-    "all_offload_orth": "equal",
-    "equal_cpu": "equal",
-}
-
 _VARY_KEYS = {"cells": "n_cells", "lambda": "reuse_lambda", "mec_ghz": "mec_ghz"}
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    seed: int
-    n_cells: int
-    scheme: str
-    reuse_lambda: float
-    objective: str
-    system_overhead: float
-    n_offload: int
-    mean_rate_bps: float
-    sum_cpu_assigned_hz: float
-    prb_slots_assigned: int
-    wall_time_ms: float | int
-
-    def to_row(self) -> list[str]:
-        return [
-            str(self.seed),
-            str(self.n_cells),
-            self.scheme,
-            _fmt(self.reuse_lambda),
-            self.objective,
-            _fmt(self.system_overhead),
-            str(self.n_offload),
-            _fmt(self.mean_rate_bps),
-            _fmt(self.sum_cpu_assigned_hz),
-            str(self.prb_slots_assigned),
-            _fmt(self.wall_time_ms),
-        ]
 
 
 def _fmt(x) -> str:
@@ -74,33 +39,25 @@ def _fmt(x) -> str:
     return str(float(x))
 
 
-def _record(seed: int, scheme: str, cfg, outcome: AllocationOutcome, wall_ms) -> RunRecord:
+def _row(seed: int, scheme: str, cfg, outcome: AllocationOutcome, wall_ms) -> list[str]:
+    """The CSV fields of one run, in CSV_HEADER order."""
     offs = outcome.decision.offload_set
     mean_rate = (
         float(sum(outcome.rates_bps[i] for i in offs) / len(offs)) if offs else 0.0
     )
-    return RunRecord(
-        seed=seed,
-        n_cells=cfg.n_cells,
-        scheme=scheme,
-        reuse_lambda=float(cfg.reuse_lambda),
-        objective=_SCHEME_OBJECTIVE[scheme],
-        system_overhead=outcome.system_overhead,
-        n_offload=outcome.decision.n_offload,
-        mean_rate_bps=mean_rate,
-        sum_cpu_assigned_hz=outcome.cpu.total_hz if outcome.cpu is not None else 0.0,
-        prb_slots_assigned=int(outcome.assoc.m.sum()),
-        wall_time_ms=wall_ms,
-    )
-
-
-def _run_one(cfg: ScenarioConfig, seed: int, scheme: str, timing: bool):
-    s = build_scenario(cfg, seed=seed)
-    g = channel_gains(s)
-    t0 = time.perf_counter()
-    outcome = run_scheme(scheme, s, g)
-    wall_ms = (time.perf_counter() - t0) * 1e3 if timing else 0
-    return _record(seed, scheme, cfg, outcome, wall_ms), outcome
+    return [
+        str(seed),
+        str(cfg.n_cells),
+        scheme,
+        _fmt(float(cfg.reuse_lambda)),
+        SCHEME_OBJECTIVE[scheme],
+        _fmt(outcome.system_overhead),
+        str(outcome.decision.n_offload),
+        _fmt(mean_rate),
+        _fmt(outcome.cpu.total_hz if outcome.cpu is not None else 0.0),
+        str(int(outcome.assoc.m.sum())),
+        _fmt(wall_ms),
+    ]
 
 
 def _detail_lines(seed: int, scheme: str, outcome: AllocationOutcome) -> list[str]:
@@ -166,9 +123,7 @@ def _parse_values(vary: str, text: str) -> list:
 
 def _load_cfg(path: str | None) -> ScenarioConfig:
     if path is None:
-        cfg = ScenarioConfig()
-        cfg.validate()
-        return cfg
+        return ScenarioConfig()
     return load_config(path)
 
 
@@ -180,27 +135,36 @@ def _emit(rows: list[list[str]], output: str | None, extra: list[str]) -> None:
 
     if output is None:
         write(sys.stdout)
-        for line in extra:
-            print(line)
     else:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             write(fh)
-        for line in extra:
-            print(line)
+    for line in extra:
+        print(line)
+
+
+def _run_cells(args, schemes, configs, seeds, detail: bool) -> int:
+    """Every scheme on every (config, seed) cell, rows in loop order."""
+    rows, extra = [], []
+    for cfg in configs:
+        for seed in seeds:
+            s = build_scenario(cfg, seed=seed)
+            g = channel_gains(s)
+            for scheme in sorted(schemes):
+                t0 = time.perf_counter()
+                outcome = run_scheme(scheme, s, g)
+                wall_ms = (time.perf_counter() - t0) * 1e3 if args.timing else 0
+                rows.append(_row(seed, scheme, cfg, outcome, wall_ms))
+                if detail:
+                    extra.extend(_detail_lines(seed, scheme, outcome))
+    _emit(rows, args.output, extra)
+    return 0
 
 
 def cmd_run(args) -> int:
     cfg = _load_cfg(args.config)
     schemes = _resolve_schemes(args.scheme, args.objective)
     seed = args.seed if args.seed is not None else cfg.seed
-    rows, extra = [], []
-    for scheme in schemes:
-        record, outcome = _run_one(cfg, seed, scheme, args.timing)
-        rows.append(record.to_row())
-        if args.detail:
-            extra.extend(_detail_lines(seed, scheme, outcome))
-    _emit(rows, args.output, extra)
-    return 0
+    return _run_cells(args, schemes, [cfg], [seed], args.detail)
 
 
 def cmd_sweep(args) -> int:
@@ -211,20 +175,8 @@ def cmd_sweep(args) -> int:
         raise _UsageError("empty seed range")
     values = _parse_values(args.vary, args.values)
     key = _VARY_KEYS[args.vary]
-    rows = []
-    for value in sorted(values):
-        run_cfg = cfg.with_overrides(**{key: value})
-        run_cfg.validate()
-        for seed in sorted(seeds):
-            s = build_scenario(run_cfg, seed=seed)
-            g = channel_gains(s)
-            for scheme in sorted(schemes):
-                t0 = time.perf_counter()
-                outcome = run_scheme(scheme, s, g)
-                wall_ms = (time.perf_counter() - t0) * 1e3 if args.timing else 0
-                rows.append(_record(seed, scheme, run_cfg, outcome, wall_ms).to_row())
-    _emit(rows, args.output, [])
-    return 0
+    configs = [cfg.with_overrides(**{key: value}) for value in sorted(values)]
+    return _run_cells(args, schemes, configs, sorted(seeds), detail=False)
 
 
 def build_parser() -> _Parser:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .compute_model import offload_overhead
 from .cpu_allocation import (
     CpuAllocation,
     CpuRequest,
@@ -24,14 +25,20 @@ from .cpu_allocation import (
     allocate_minsum,
 )
 from .errors import EmptyOffloadSet, InfeasibleAllocation
-from .load_estimation import LoadEstimate, estimate_loads
+from .load_estimation import LoadEstimate, estimate_loads, prb_rate
 from .prb_coloring import (
     build_interference_graph,
     color,
     normalize_prbs,
     realized_rates,
 )
-from .radio import InterferenceTable, OffloadDecision, PrbAssociation, interference_table
+from .radio import (
+    InterferenceTable,
+    OffloadDecision,
+    PrbAssociation,
+    held_rate,
+    interference_table,
+)
 from .scenario import ChannelGains, Scenario, tx_powers
 
 _CPU_SOLVERS = {
@@ -40,13 +47,18 @@ _CPU_SOLVERS = {
     "equal": allocate_equal,
 }
 
-SCHEME_NAMES = (
-    "proposed_minmax",
-    "proposed_minsum",
-    "all_local",
-    "all_offload_orth",
-    "equal_cpu",
-)
+# scheme name -> the server-split rule it runs with, as printed in the CSV's
+# objective column; every scheme but the two baselines runs the pipeline
+SCHEME_OBJECTIVE = {
+    "proposed_minmax": "minmax",
+    "proposed_minsum": "minsum",
+    "all_local": "none",
+    "all_offload_orth": "equal",
+    "equal_cpu": "equal",
+}
+_BASELINES = ("all_local", "all_offload_orth")
+
+SCHEME_NAMES = tuple(SCHEME_OBJECTIVE)
 
 
 @dataclass(frozen=True)
@@ -96,22 +108,17 @@ def orthogonal_estimate(
     by_ue = {est.ue: est for est in estimates}
     total_w = sum(by_ue[i].w for i in members)
     k = s.radio.num_prbs
-    bpp = s.radio.prb_bandwidth_hz
-    noise = s.radio.noise_per_prb_w
+    f_even = s.mec_capacity_hz / s.n_cells
     orth: dict[int, OrthogonalEstimate] = {}
     for i in members:
         ue = s.ues[i]
         m_tilde = k * by_ue[i].w / total_w
-        snr = ue.tx_power_w * float(gains.h[i, i]) / (m_tilde * noise)
-        rate = m_tilde * bpp * math.log2(1.0 + snr)
-        t_off = ue.task.input_bits / rate
-        e_off = ue.tx_power_w * ue.task.input_bits / rate
-        t_exe = by_ue[i].t_exe_est_s
-        t_total = t_off + t_exe
+        rate = prb_rate(m_tilde, float(gains.h[i, i]), s.radio, ue.tx_power_w)
+        cost = offload_overhead(ue, rate, f_even)
         orth[i] = OrthogonalEstimate(
-            ue=i, m_tilde=m_tilde, rate_bps=rate, t_off_s=t_off,
-            e_off_j=e_off, t_exe_s=t_exe, t_total_s=t_total,
-            overhead=ue.weight_time * t_total + ue.weight_energy * e_off,
+            ue=i, m_tilde=m_tilde, rate_bps=rate, t_off_s=cost.t_off_s,
+            e_off_j=cost.e_off_j, t_exe_s=cost.t_exe_s,
+            t_total_s=cost.t_total_s, overhead=cost.overhead,
         )
     return EstimationReport(
         estimates=tuple(estimates), members=members, orthogonal=orth
@@ -158,22 +165,28 @@ class AllocationOutcome:
         return math.isfinite(self.system_overhead)
 
 
-def _all_local_outcome(
-    decision: OffloadDecision, s: Scenario, estimates: list[LoadEstimate]
+def _unallocated(
+    decision: OffloadDecision,
+    s: Scenario,
+    estimates: list[LoadEstimate],
+    objective_kind: str = "none",
 ) -> AllocationOutcome:
+    """Outcome with no PRB handed out: local UEs pay their local cost, and
+    offloaders, if any, have no uplink and price the decision at +inf."""
     n, k = len(s.ues), s.radio.num_prbs
-    per_ue = np.array([est.local.overhead for est in estimates])
+    offloading = np.array(decision.a) == 1
+    per_ue = np.where(offloading, math.inf, [est.local.overhead for est in estimates])
     return AllocationOutcome(
         decision=decision,
         assoc=PrbAssociation.empty(n, k),
         table=InterferenceTable(o=np.zeros((n, k))),
         rates_bps=np.zeros(n),
-        t_off_s=np.zeros(n),
-        e_off_j=np.zeros(n),
+        t_off_s=np.where(offloading, math.inf, 0.0),
+        e_off_j=np.where(offloading, math.inf, 0.0),
         cpu=None,
         per_ue_overhead=per_ue,
         system_overhead=float(per_ue.sum()),
-        objective_kind="none",
+        objective_kind=objective_kind,
     )
 
 
@@ -226,9 +239,7 @@ def _finish(
         elif cpu is None:
             per_ue[i] = math.inf
         else:
-            ue = s.ues[i]
-            t_total = t_off[i] + ue.task.cycles / cpu.f[i]
-            per_ue[i] = ue.weight_time * t_total + ue.weight_energy * e_off[i]
+            per_ue[i] = offload_overhead(s.ues[i], float(rates[i]), cpu.f[i]).overhead
     return AllocationOutcome(
         decision=decision,
         assoc=assoc,
@@ -257,28 +268,11 @@ def evaluate(
         estimates = estimate_loads(s, gains)
     offs = decision.offload_set
     if not offs:
-        return _all_local_outcome(decision, s, estimates)
-    n, k = len(s.ues), s.radio.num_prbs
+        return _unallocated(decision, s, estimates)
     if any(not estimates[i].offloadable for i in offs):
         # a decision no sane caller builds; price it out instead of crashing
-        per_ue = np.array(
-            [
-                estimates[i].local.overhead if decision.a[i] == 0 else math.inf
-                for i in range(n)
-            ]
-        )
-        return AllocationOutcome(
-            decision=decision,
-            assoc=PrbAssociation.empty(n, k),
-            table=InterferenceTable(o=np.zeros((n, k))),
-            rates_bps=np.zeros(n),
-            t_off_s=np.zeros(n),
-            e_off_j=np.zeros(n),
-            cpu=None,
-            per_ue_overhead=per_ue,
-            system_overhead=math.inf,
-            objective_kind=cpu_mode,
-        )
+        return _unallocated(decision, s, estimates, cpu_mode)
+    n, k = len(s.ues), s.radio.num_prbs
     demands = [0] * n
     for i in offs:
         demands[i] = estimates[i].w
@@ -341,28 +335,23 @@ def run_proposed(s: Scenario, gains: ChannelGains, cpu_mode: str) -> AllocationO
     estimates = estimate_loads(s, gains)
     candidates = [est.ue for est in estimates if est.offloadable]
     if not candidates:
-        return _all_local_outcome(OffloadDecision.all_local(len(s.ues)), s, estimates)
+        return _unallocated(OffloadDecision.all_local(len(s.ues)), s, estimates)
     report = orthogonal_estimate(estimates, candidates, s, gains)
     a0 = initial_decision(estimates, report)
     return greedy_reallocate(a0, s, gains, cpu_mode, estimates=estimates, report=report)
 
 
 def run_baseline(kind: str, s: Scenario, gains: ChannelGains) -> AllocationOutcome:
-    """Reference schemes: everyone local, everyone offloading over an
-    orthogonal band split with an even server split, or the full pipeline
-    with the server split forced even."""
+    """Reference schemes: everyone local, or everyone offloading over an
+    orthogonal band split with an even server split."""
     estimates = estimate_loads(s, gains)
     n, k = len(s.ues), s.radio.num_prbs
-    if kind == "all_local":
-        return _all_local_outcome(OffloadDecision.all_local(n), s, estimates)
-    if kind == "equal_cpu":
-        return run_proposed(s, gains, "equal")
-    if kind != "all_offload_orth":
+    if kind not in _BASELINES:
         raise ValueError(f"unknown baseline {kind!r}")
-
     candidates = [est.ue for est in estimates if est.offloadable]
-    if not candidates:
-        return _all_local_outcome(OffloadDecision.all_local(n), s, estimates)
+    if kind == "all_local" or not candidates:
+        return _unallocated(OffloadDecision.all_local(n), s, estimates)
+
     decision = OffloadDecision.from_set(candidates, n)
     total_w = sum(estimates[i].w for i in candidates)
     quota = {
@@ -370,24 +359,7 @@ def run_baseline(kind: str, s: Scenario, gains: ChannelGains) -> AllocationOutco
     }
     if sum(quota.values()) > k:
         # band too small to stay orthogonal: price the scheme out
-        per_ue = np.array(
-            [
-                estimates[i].local.overhead if decision.a[i] == 0 else math.inf
-                for i in range(n)
-            ]
-        )
-        return AllocationOutcome(
-            decision=decision,
-            assoc=PrbAssociation.empty(n, k),
-            table=InterferenceTable(o=np.zeros((n, k))),
-            rates_bps=np.zeros(n),
-            t_off_s=np.where(np.array(decision.a) == 1, math.inf, 0.0),
-            e_off_j=np.where(np.array(decision.a) == 1, math.inf, 0.0),
-            cpu=None,
-            per_ue_overhead=per_ue,
-            system_overhead=math.inf,
-            objective_kind="equal",
-        )
+        return _unallocated(decision, s, estimates, "equal")
     c = np.zeros((n, k), dtype=np.int64)
     next_free = 0
     for i in candidates:
@@ -396,20 +368,17 @@ def run_baseline(kind: str, s: Scenario, gains: ChannelGains) -> AllocationOutco
     assoc = PrbAssociation.from_matrix(c)
     powers = tx_powers(s)
     table = interference_table(assoc, gains, powers)
-    bpp = s.radio.prb_bandwidth_hz
-    noise = s.radio.noise_per_prb_w
     rates = np.zeros(n)
     for i in candidates:
-        snr = (powers[i] / quota[i]) * gains.h[i, i] / (noise + table.o[i])
-        rates[i] = float((c[i] * bpp * np.log2(1.0 + snr)).sum())
+        p_prb = powers[i] / quota[i]
+        rates[i] = held_rate(c[i], p_prb, gains.h[i, i], table.o[i], s.radio)
     return _finish(decision, s, estimates, assoc, table, rates, "equal")
 
 
 def run_scheme(name: str, s: Scenario, gains: ChannelGains) -> AllocationOutcome:
-    if name == "proposed_minmax":
-        return run_proposed(s, gains, "minmax")
-    if name == "proposed_minsum":
-        return run_proposed(s, gains, "minsum")
-    if name in ("all_local", "all_offload_orth", "equal_cpu"):
+    """Run one scheme of SCHEME_OBJECTIVE on a scenario."""
+    if name in _BASELINES:
         return run_baseline(name, s, gains)
-    raise ValueError(f"unknown scheme {name!r}")
+    if name not in SCHEME_OBJECTIVE:
+        raise ValueError(f"unknown scheme {name!r}")
+    return run_proposed(s, gains, SCHEME_OBJECTIVE[name])

@@ -17,9 +17,5 @@ class EmptyOffloadSet(ValueError):
     """An operation over the offloading set received an empty set."""
 
 
-# decision_engine raises the same condition under this name
-EmptySet = EmptyOffloadSet
-
-
 class InfeasibleAllocation(ValueError):
     """CPU demand lower bounds cannot be met within the server capacity."""

@@ -61,7 +61,7 @@ def min_rate_requirement(ue: Ue, mec_capacity_hz: float, n_total: int):
     return t_exe_est, ue.task.input_bits / slack
 
 
-def prb_rate(w: int, serving_gain: float, radio: RadioParams, tx_power_w: float) -> float:
+def prb_rate(w: float, serving_gain: float, radio: RadioParams, tx_power_w: float) -> float:
     """Interference-free rate on w PRBs with power split as P/(w sigma^2)."""
     snr = tx_power_w * serving_gain / (w * radio.noise_per_prb_w)
     return w * radio.prb_bandwidth_hz * math.log2(1.0 + snr)
@@ -123,11 +123,3 @@ def estimate_loads(s: Scenario, gains: ChannelGains) -> list[LoadEstimate]:
                 )
             )
     return out
-
-
-def demand_vector(estimates: list[LoadEstimate]) -> list[int | None]:
-    """PRB demands aligned by UE index; None where not offloadable."""
-    w = [None] * len(estimates)
-    for est in estimates:
-        w[est.ue] = est.w
-    return w

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyOffloadSet
-from .radio import InterferenceTable, PrbAssociation
+from .radio import InterferenceTable, PrbAssociation, held_rate
 from .scenario import ChannelGains, RadioParams
 
 
@@ -43,8 +43,7 @@ class InterferenceGraph:
     noticeably into b's serving cell (gain ratio above the threshold)."""
 
     nodes: tuple[int, ...]
-    adj: np.ndarray  # bool N x N, adj[a, b] marks edge a -> b
-    weight: np.ndarray  # per-PRB received interference power on edges, else 0
+    weight: np.ndarray  # per-PRB received interference power on edge a -> b, else 0
     in_weight: np.ndarray  # column sums of weight, the coloring-order key
 
 
@@ -59,7 +58,6 @@ def build_interference_graph(
     if not ids:
         raise EmptyOffloadSet("no offloading UEs, nothing to allocate")
     n = gains.h.shape[0]
-    adj = np.zeros((n, n), dtype=bool)
     weight = np.zeros((n, n))
     h = gains.h
     for a in ids:
@@ -67,10 +65,9 @@ def build_interference_graph(
             if a == b:
                 continue
             if h[a, b] / h[b, b] > theta:
-                adj[a, b] = True
                 weight[a, b] = (powers[a] / m[a]) * h[a, b]
     return InterferenceGraph(
-        nodes=tuple(ids), adj=adj, weight=weight, in_weight=weight.sum(axis=0)
+        nodes=tuple(ids), weight=weight, in_weight=weight.sum(axis=0)
     )
 
 
@@ -89,7 +86,6 @@ class ColoringState:
     assoc: PrbAssociation
     table: InterferenceTable
     order: tuple[int, ...]  # nodes in the sequence they were colored
-    color_sets: dict[int, tuple[int, ...]]
     steps: tuple[ColorStep, ...] | None = None
 
 
@@ -127,7 +123,6 @@ def color(
     c = np.zeros((n_ues, k), dtype=np.int64)
     o = np.zeros((n_ues, k))
     colored: list[int] = []
-    color_sets: dict[int, tuple[int, ...]] = {}
     steps: list[ColorStep] = []
 
     for node in order:
@@ -147,12 +142,11 @@ def color(
         others = np.arange(n_ues) != node
         o[np.ix_(others, take)] += p[node] * h[node, others][:, None]
         colored.append(int(node))
-        color_sets[int(node)] = tuple(int(j) for j in np.sort(take))
         if record_steps:
             steps.append(
                 ColorStep(
                     node=int(node),
-                    colors=color_sets[int(node)],
+                    colors=tuple(int(j) for j in np.sort(take)),
                     scores=tuple(float(x) for x in scores),
                     table_after=o.copy(),
                 )
@@ -162,7 +156,6 @@ def color(
         assoc=PrbAssociation.from_matrix(c),
         table=InterferenceTable(o),
         order=tuple(int(x) for x in order),
-        color_sets=color_sets,
         steps=tuple(steps) if record_steps else None,
     )
 
@@ -183,10 +176,7 @@ def realized_rates(
     h = gains.h
     c = state.assoc.c
     o = state.table.o
-    bpp = radio.prb_bandwidth_hz
-    noise = radio.noise_per_prb_w
     rates = np.zeros(h.shape[0])
     for n in state.order:
-        snr = (powers[n] / m[n]) * h[n, n] / (noise + o[n])
-        rates[n] = float((c[n] * bpp * np.log2(1.0 + snr)).sum())
+        rates[n] = held_rate(c[n], powers[n] / m[n], h[n, n], o[n], radio)
     return rates

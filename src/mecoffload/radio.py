@@ -107,6 +107,16 @@ def _check_consistent(a: OffloadDecision, c: PrbAssociation) -> None:
             raise InconsistentTables(f"offloading UE {n} holds no PRB")
 
 
+def held_rate(c_row, p_prb, gain, interference, radio: RadioParams) -> float:
+    """Shannon rate (bit/s) summed over the PRBs flagged in c_row.
+
+    p_prb is the per-PRB transmit power, gain the serving gain and
+    interference the co-channel power on every PRB of the row.
+    """
+    snr = p_prb * gain / (radio.noise_per_prb_w + interference)
+    return float((c_row * radio.prb_bandwidth_hz * np.log2(1 + snr)).sum())
+
+
 def uplink_rate(
     n: int,
     a: OffloadDecision,
@@ -119,21 +129,15 @@ def uplink_rate(
 
     Transmit power splits evenly over the held PRBs; every other offloading
     UE sharing a PRB raises the noise floor by its per-PRB power times the
-    cross gain. Local UEs upload nothing and rate 0.
+    cross gain. Local UEs upload nothing and rate 0. The interference row
+    is rebuilt from scratch rather than read from a maintained table.
     """
     _check_consistent(a, c)
     if a.a[n] == 0:
         return 0.0
-    powers = np.asarray(powers, dtype=float)
     p_prb = per_prb_power(c, powers)
     active = np.array(a.a, dtype=bool)
-    bpp = r.prb_bandwidth_hz
-    sig = p_prb[n] * g.h[n, n]
-
-    held = np.flatnonzero(c.c[n])
-    # co-channel power on each held PRB from every other active transmitter
-    contrib = (c.c[:, held] * (active * p_prb)[:, None]) * g.h[:, n][:, None]
-    contrib[n, :] = 0.0
-    interf = contrib.sum(axis=0)
-    snr = sig / (r.noise_per_prb_w + interf)
-    return float(bpp * np.log2(1.0 + snr).sum())
+    # co-channel power on every PRB from every other active transmitter
+    contrib = c.c * ((active * p_prb) * g.h[:, n])[:, None]
+    contrib[n] = 0.0
+    return held_rate(c.c[n], p_prb[n], g.h[n, n], contrib.sum(axis=0), r)

@@ -7,6 +7,8 @@ produces the same Scenario and the same gain matrix, bit for bit.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -147,12 +149,23 @@ class ScenarioConfig:
     energy_coeff_j_per_cycle: float | None = None
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.name == "energy_coeff_j_per_cycle":
+                continue
+            # bool is an int subclass, but true is no cell count
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
+                raise InvalidConfig(f"{f.name} must be a finite number, got {value!r}")
         if self.n_cells < 1:
             raise InvalidConfig("n_cells must be >= 1")
         positive = (
             "area_m", "ue_radius_m", "bandwidth_hz", "num_prbs",
             "tx_power_mw", "input_kb", "task_megacycles", "local_ghz",
-            "mec_ghz", "edge_threshold", "bytes_per_kb",
+            "mec_ghz", "edge_threshold", "bytes_per_kb", "pl_exponent",
         )
         for name in positive:
             if getattr(self, name) <= 0:

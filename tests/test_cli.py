@@ -1,11 +1,14 @@
 """Command-line behaviour: CSV shape, determinism, exit codes."""
 
 import json
+import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import mecoffload
 from mecoffload.cli import CSV_HEADER, main
 
 ALL_SORTED = [
@@ -196,6 +199,30 @@ class TestExitCodes:
         )
         assert code == 2  # lambda below 1 fails validation, not usage
 
+    @pytest.mark.parametrize(
+        "overrides, argv",
+        [
+            ({"mec_ghz": math.nan}, ["run"]),
+            ({"noise_dbm": math.nan}, ["run"]),
+            ({"tx_power_mw": math.inf}, ["run"]),
+            ({"reuse_lambda": math.nan}, ["run"]),
+            ({"n_cells": True}, ["run"]),
+            ({"pl_exponent": -5}, ["run"]),
+            (None, ["sweep", "--vary", "lambda", "--values", "nan", "--seeds", "0"]),
+        ],
+    )
+    def test_non_finite_or_mistyped_value_is_config_error(
+        self, capsys, tmp_path, overrides, argv
+    ):
+        argv = [*argv, "--scheme", "all"]
+        if overrides is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(overrides))  # NaN / Infinity literals
+            argv += ["--config", str(path)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and "config error" in err
+        assert out == ""
+
     def test_scheme_objective_conflict(self, capsys):
         code, _, err = run_cli(
             capsys, ["run", "--scheme", "all_local", "--objective", "minmax"]
@@ -235,11 +262,15 @@ class TestExitCodes:
 
 
 def test_module_entry_point():
+    # the child imports the same package as this test, installed or not
+    src = os.path.dirname(os.path.dirname(mecoffload.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "mecoffload", "run", "--seed", "0", "--scheme", "all_local"],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == CSV_HEADER

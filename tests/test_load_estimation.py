@@ -8,7 +8,6 @@ import pytest
 from mecoffload.load_estimation import (
     FORCED_LOCAL,
     INFEASIBLE,
-    demand_vector,
     estimate_loads,
     min_prbs,
     min_rate_requirement,
@@ -95,7 +94,7 @@ class TestEstimateLoads:
     def test_default_scenario_all_offloadable(self):
         s = build_scenario(ScenarioConfig(), seed=0)
         ests = estimate_loads(s, channel_gains(s))
-        assert len(ests) == 9
+        assert [est.ue for est in ests] == list(range(9))  # indexable by UE id
         for est in ests:
             assert est.offloadable
             assert est.w >= 1
@@ -120,11 +119,3 @@ class TestEstimateLoads:
         assert all(est.infeasible for est in ests)
         for est in ests:
             assert est.w is None and not est.forced_local
-
-    def test_demand_vector_alignment(self):
-        s = build_scenario(ScenarioConfig(), seed=1)
-        ests = estimate_loads(s, channel_gains(s))
-        w = demand_vector(ests)
-        assert len(w) == 9
-        for est in ests:
-            assert w[est.ue] == est.w
