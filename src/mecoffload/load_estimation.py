@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .compute_model import LocalOverhead, local_overhead
 from .scenario import ChannelGains, RadioParams, Scenario, Ue
 
