@@ -13,8 +13,6 @@ from .cpu_allocation import (
 from .decision_engine import (
     SCHEME_NAMES,
     AllocationOutcome,
-    EstimationReport,
-    OrthogonalEstimate,
     evaluate,
     greedy_reallocate,
     initial_decision,
@@ -31,8 +29,6 @@ from .errors import (
     ZeroRate,
 )
 from .load_estimation import (
-    FORCED_LOCAL,
-    INFEASIBLE,
     LoadEstimate,
     estimate_loads,
     min_prbs,

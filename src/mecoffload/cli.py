@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 import time
@@ -74,7 +73,7 @@ def _detail_lines(seed: int, scheme: str, outcome: AllocationOutcome) -> list[st
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems exit 3; config problems exit 2 (handled in main)
+    # usage problems exit 3; config and output problems exit 2 (handled in main)
     def error(self, message):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
@@ -227,8 +226,9 @@ def main(argv=None) -> int:
     except InvalidConfig as exc:
         print(f"mecoffload: config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"mecoffload: config error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        # load_config turns read failures into InvalidConfig: this is the CSV write
+        print(f"mecoffload: output error: {exc}", file=sys.stderr)
         return 2
 
 

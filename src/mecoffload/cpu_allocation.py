@@ -3,9 +3,10 @@
 Two exact solvers over the same constraint set (shares sum to the full
 budget, each share large enough to finish before the UE's residual
 deadline): equalize the worst execution time, or minimize the summed
-execution time. Both are solved by pinning deadline-bound UEs to their
-minimum share and re-solving on the rest, which converges in at most one
-round per UE. An even split is provided for baseline comparisons.
+execution time. Both run one loop that pins deadline-bound UEs to their
+minimum share and re-solves the rule's own closed-form split on the rest,
+which converges in at most one round per UE. An even split is provided
+for baseline comparisons.
 """
 
 from __future__ import annotations
@@ -51,11 +52,38 @@ def feasible(requests: list[CpuRequest], capacity_hz: float) -> bool:
     return sum(r.min_share_hz for r in requests) <= capacity_hz
 
 
-def _check_feasible(requests: list[CpuRequest], capacity_hz: float) -> None:
+def _pin_and_split(requests: list[CpuRequest], capacity_hz: float, split) -> dict[int, float]:
+    """Shares from `split(active, budget)`, one per active request, except
+    that every UE the split leaves below its minimum share is pinned there;
+    the pinned shares leave the budget and the rest is split again."""
     if not feasible(requests, capacity_hz):
         raise InfeasibleAllocation(
             "deadline caps cannot all be met within the server budget"
         )
+    active = list(requests)
+    shares: dict[int, float] = {}
+    budget = capacity_hz
+    while active:
+        free = split(active, budget)
+        bound = [r for r, f in zip(active, free) if f < r.min_share_hz]
+        if not bound:
+            shares.update((r.ue, f) for r, f in zip(active, free))
+            break
+        for r in bound:
+            shares[r.ue] = r.min_share_hz
+            budget -= r.min_share_hz
+        active = [r for r in active if r.ue not in shares]
+    return shares
+
+
+def _proportional(active: list[CpuRequest], budget: float) -> list[float]:
+    tau = sum(r.cycles for r in active) / budget
+    return [r.cycles / tau for r in active]
+
+
+def _sqrt_proportional(active: list[CpuRequest], budget: float) -> list[float]:
+    t = budget / sum(math.sqrt(r.cycles) for r in active)
+    return [t * math.sqrt(r.cycles) for r in active]
 
 
 def allocate_minmax(requests: list[CpuRequest], capacity_hz: float) -> CpuAllocation:
@@ -68,21 +96,7 @@ def allocate_minmax(requests: list[CpuRequest], capacity_hz: float) -> CpuAlloca
     raises tau monotonically, and feasibility keeps at least one UE
     unpinned, so tau over the survivors is the objective.
     """
-    _check_feasible(requests, capacity_hz)
-    active = list(requests)
-    shares: dict[int, float] = {}
-    budget = capacity_hz
-    while active:
-        tau = sum(r.cycles for r in active) / budget
-        bound = [r for r in active if tau > r.t_cap_s]
-        if not bound:
-            for r in active:
-                shares[r.ue] = r.cycles / tau
-            break
-        for r in bound:
-            shares[r.ue] = r.min_share_hz
-            budget -= r.min_share_hz
-        active = [r for r in active if r.ue not in shares]
+    shares = _pin_and_split(requests, capacity_hz, _proportional)
     objective = max(r.cycles / shares[r.ue] for r in requests)
     return CpuAllocation(f=shares, objective=objective)
 
@@ -95,21 +109,7 @@ def allocate_minsum(requests: list[CpuRequest], capacity_hz: float) -> CpuAlloca
     share, the share is pinned there and the scale recomputed over the
     rest. t only shrinks as pinning proceeds, so no pin is ever undone.
     """
-    _check_feasible(requests, capacity_hz)
-    active = list(requests)
-    shares: dict[int, float] = {}
-    budget = capacity_hz
-    while active:
-        t = budget / sum(math.sqrt(r.cycles) for r in active)
-        bound = [r for r in active if t * math.sqrt(r.cycles) < r.min_share_hz]
-        if not bound:
-            for r in active:
-                shares[r.ue] = t * math.sqrt(r.cycles)
-            break
-        for r in bound:
-            shares[r.ue] = r.min_share_hz
-            budget -= r.min_share_hz
-        active = [r for r in active if r.ue not in shares]
+    shares = _pin_and_split(requests, capacity_hz, _sqrt_proportional)
     objective = sum(r.cycles / shares[r.ue] for r in requests)
     return CpuAllocation(f=shares, objective=objective)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compute_model import offload_overhead
+from .compute_model import OffloadOverhead, offload_overhead
 from .cpu_allocation import (
     CpuAllocation,
     CpuRequest,
@@ -33,7 +33,6 @@ from .prb_coloring import (
     realized_rates,
 )
 from .radio import (
-    InterferenceTable,
     OffloadDecision,
     PrbAssociation,
     held_rate,
@@ -61,81 +60,44 @@ _BASELINES = ("all_local", "all_offload_orth")
 SCHEME_NAMES = tuple(SCHEME_OBJECTIVE)
 
 
-@dataclass(frozen=True)
-class OrthogonalEstimate:
-    """Interference-free offload cost of one UE under a hypothesized set."""
-
-    ue: int
-    m_tilde: float  # real-valued PRB share
-    rate_bps: float
-    t_off_s: float
-    e_off_j: float
-    t_exe_s: float
-    t_total_s: float
-    overhead: float
-
-
-@dataclass(frozen=True)
-class EstimationReport:
-    estimates: tuple[LoadEstimate, ...]
-    members: tuple[int, ...]  # the hypothesized offload set
-    orthogonal: dict[int, OrthogonalEstimate]
-
-    def system_overhead(self) -> float:
-        """Estimated total: local cost outside the set, offload cost inside."""
-        total = 0.0
-        for est in self.estimates:
-            hypo = self.orthogonal.get(est.ue)
-            total += est.local.overhead if hypo is None else hypo.overhead
-        return total
-
-
 def orthogonal_estimate(
     estimates: list[LoadEstimate],
     offload_set,
     s: Scenario,
     gains: ChannelGains,
-) -> EstimationReport:
+) -> dict[int, OffloadOverhead]:
     """Price every member of the set as if the band were split orthogonally.
 
     Real-valued PRB shares proportional to demand, no co-channel
     interference, and an even server split. Deliberately optimistic; used
     only to rank candidates, never as the acceptance metric.
     """
-    members = tuple(sorted(offload_set))
+    members = sorted(offload_set)
     if not members:
         raise EmptyOffloadSet("cannot estimate over an empty offload set")
-    by_ue = {est.ue: est for est in estimates}
-    total_w = sum(by_ue[i].w for i in members)
+    total_w = sum(estimates[i].w for i in members)
     k = s.radio.num_prbs
     f_even = s.mec_capacity_hz / s.n_cells
-    orth: dict[int, OrthogonalEstimate] = {}
+    orth: dict[int, OffloadOverhead] = {}
     for i in members:
         ue = s.ues[i]
-        m_tilde = k * by_ue[i].w / total_w
+        m_tilde = k * estimates[i].w / total_w  # real-valued PRB share
         rate = prb_rate(m_tilde, float(gains.h[i, i]), s.radio, ue.tx_power_w)
-        cost = offload_overhead(ue, rate, f_even)
-        orth[i] = OrthogonalEstimate(
-            ue=i, m_tilde=m_tilde, rate_bps=rate, t_off_s=cost.t_off_s,
-            e_off_j=cost.e_off_j, t_exe_s=cost.t_exe_s,
-            t_total_s=cost.t_total_s, overhead=cost.overhead,
-        )
-    return EstimationReport(
-        estimates=tuple(estimates), members=members, orthogonal=orth
-    )
+        orth[i] = offload_overhead(ue, rate, f_even)
+    return orth
 
 
 def initial_decision(
-    estimates: list[LoadEstimate], report: EstimationReport
+    estimates: list[LoadEstimate], report: dict[int, OffloadOverhead]
 ) -> OffloadDecision:
     """Offload exactly the UEs whose estimated offload cost beats local.
 
-    Ties stay local. UEs outside the report's set (forced local or
+    Ties stay local. UEs the report does not price (forced local or
     infeasible) stay local regardless.
     """
     a = [0] * len(estimates)
     for est in estimates:
-        hypo = report.orthogonal.get(est.ue)
+        hypo = report.get(est.ue)
         if hypo is not None and est.local.overhead > hypo.overhead:
             a[est.ue] = 1
     return OffloadDecision(a=tuple(a))
@@ -151,7 +113,6 @@ class AllocationOutcome:
 
     decision: OffloadDecision
     assoc: PrbAssociation
-    table: InterferenceTable
     rates_bps: np.ndarray
     t_off_s: np.ndarray  # 0 for local UEs, +inf for a dead uplink
     e_off_j: np.ndarray
@@ -179,7 +140,6 @@ def _unallocated(
     return AllocationOutcome(
         decision=decision,
         assoc=PrbAssociation.empty(n, k),
-        table=InterferenceTable(o=np.zeros((n, k))),
         rates_bps=np.zeros(n),
         t_off_s=np.where(offloading, math.inf, 0.0),
         e_off_j=np.where(offloading, math.inf, 0.0),
@@ -195,7 +155,6 @@ def _finish(
     s: Scenario,
     estimates: list[LoadEstimate],
     assoc: PrbAssociation,
-    table: InterferenceTable,
     rates: np.ndarray,
     cpu_mode: str,
 ) -> AllocationOutcome:
@@ -243,7 +202,6 @@ def _finish(
     return AllocationOutcome(
         decision=decision,
         assoc=assoc,
-        table=table,
         rates_bps=rates,
         t_off_s=t_off,
         e_off_j=e_off,
@@ -258,14 +216,12 @@ def evaluate(
     decision: OffloadDecision,
     s: Scenario,
     gains: ChannelGains,
-    cpu_mode: str = "minsum",
-    estimates: list[LoadEstimate] | None = None,
+    cpu_mode: str,
+    estimates: list[LoadEstimate],
 ) -> AllocationOutcome:
     """Full pipeline for one decision: quotas, coloring, rates, server
     split, system overhead. Decisions with no offloaders cost the plain
     sum of local overheads."""
-    if estimates is None:
-        estimates = estimate_loads(s, gains)
     offs = decision.offload_set
     if not offs:
         return _unallocated(decision, s, estimates)
@@ -281,16 +237,16 @@ def evaluate(
     graph = build_interference_graph(gains, m, powers, offs, s.edge_threshold)
     state = color(graph, m, gains, powers, s.radio)
     rates = realized_rates(state, m, gains, powers, s.radio)
-    return _finish(decision, s, estimates, state.assoc, state.table, rates, cpu_mode)
+    return _finish(decision, s, estimates, state.assoc, rates, cpu_mode)
 
 
 def greedy_reallocate(
     a_init: OffloadDecision,
     s: Scenario,
     gains: ChannelGains,
-    cpu_mode: str = "minsum",
-    estimates: list[LoadEstimate] | None = None,
-    report: EstimationReport | None = None,
+    cpu_mode: str,
+    estimates: list[LoadEstimate],
+    report: dict[int, OffloadOverhead],
 ) -> AllocationOutcome:
     """Grow the offload set one UE at a time, cheapest estimate first,
     keeping a flip only when the fully re-evaluated system overhead
@@ -299,13 +255,8 @@ def greedy_reallocate(
     An infeasible starting decision is first repaired by reverting the
     offloaders with the largest minimum server demand until the pipeline
     prices finite. The outcome never costs more than the starting point.
+    `report` is the orthogonal estimate of every offloadable UE.
     """
-    if estimates is None:
-        estimates = estimate_loads(s, gains)
-    candidates = [est.ue for est in estimates if est.offloadable]
-    if report is None and candidates:
-        report = orthogonal_estimate(estimates, candidates, s, gains)
-
     decision = a_init
     best = evaluate(decision, s, gains, cpu_mode, estimates)
 
@@ -319,9 +270,8 @@ def greedy_reallocate(
         decision = decision.flip_off(drop)
         best = evaluate(decision, s, gains, cpu_mode, estimates)
 
-    unchecked = [i for i in candidates if decision.a[i] == 0]
-    unchecked.sort(key=lambda i: report.orthogonal[i].overhead)
-    for i in unchecked:
+    unchecked = [i for i in report if decision.a[i] == 0]
+    for i in sorted(unchecked, key=lambda i: report[i].overhead):
         trial = decision.flip_on(i)
         candidate = evaluate(trial, s, gains, cpu_mode, estimates)
         if candidate.system_overhead < best.system_overhead:
@@ -338,7 +288,7 @@ def run_proposed(s: Scenario, gains: ChannelGains, cpu_mode: str) -> AllocationO
         return _unallocated(OffloadDecision.all_local(len(s.ues)), s, estimates)
     report = orthogonal_estimate(estimates, candidates, s, gains)
     a0 = initial_decision(estimates, report)
-    return greedy_reallocate(a0, s, gains, cpu_mode, estimates=estimates, report=report)
+    return greedy_reallocate(a0, s, gains, cpu_mode, estimates, report)
 
 
 def run_baseline(kind: str, s: Scenario, gains: ChannelGains) -> AllocationOutcome:
@@ -367,12 +317,12 @@ def run_baseline(kind: str, s: Scenario, gains: ChannelGains) -> AllocationOutco
         next_free += quota[i]
     assoc = PrbAssociation.from_matrix(c)
     powers = tx_powers(s)
-    table = interference_table(assoc, gains, powers)
+    o = interference_table(assoc, gains, powers).o
     rates = np.zeros(n)
     for i in candidates:
         p_prb = powers[i] / quota[i]
-        rates[i] = held_rate(c[i], p_prb, gains.h[i, i], table.o[i], s.radio)
-    return _finish(decision, s, estimates, assoc, table, rates, "equal")
+        rates[i] = held_rate(c[i], p_prb, gains.h[i, i], o[i], s.radio)
+    return _finish(decision, s, estimates, assoc, rates, "equal")
 
 
 def run_scheme(name: str, s: Scenario, gains: ChannelGains) -> AllocationOutcome:

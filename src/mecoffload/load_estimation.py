@@ -17,20 +17,6 @@ from .compute_model import LocalOverhead, local_overhead
 from .scenario import ChannelGains, RadioParams, Scenario, Ue
 
 
-class _Marker:
-    __slots__ = ("_name",)
-
-    def __init__(self, name: str):
-        self._name = name
-
-    def __repr__(self):
-        return self._name
-
-
-FORCED_LOCAL = _Marker("FORCED_LOCAL")
-INFEASIBLE = _Marker("INFEASIBLE")
-
-
 @dataclass(frozen=True)
 class LoadEstimate:
     ue: int
@@ -49,13 +35,13 @@ class LoadEstimate:
 def min_rate_requirement(ue: Ue, mec_capacity_hz: float, n_total: int):
     """Rate needed for offloading to beat local execution time.
 
-    Returns (estimated server execution time, minimum rate) or FORCED_LOCAL
-    when the even-split server time already exceeds the local time.
+    Returns (estimated server execution time, minimum rate), or None when
+    the even-split server time already reaches the local time.
     """
     t_exe_est = ue.task.cycles / (mec_capacity_hz / n_total)
     slack = ue.task.cycles / ue.local_speed_hz - t_exe_est
     if slack <= 0:
-        return FORCED_LOCAL
+        return None
     return t_exe_est, ue.task.input_bits / slack
 
 
@@ -66,7 +52,7 @@ def prb_rate(w: float, serving_gain: float, radio: RadioParams, tx_power_w: floa
 
 
 def min_prbs(ue: Ue, serving_gain: float, radio: RadioParams, min_rate_bps: float):
-    """Smallest PRB count meeting the rate target, or INFEASIBLE.
+    """Smallest PRB count meeting the rate target, or None if none does.
 
     The rate w*(B/K)*log2(1 + c/w) grows monotonically in w but saturates
     at c*B/(K ln 2), so the target can be out of reach even at w = K;
@@ -74,7 +60,7 @@ def min_prbs(ue: Ue, serving_gain: float, radio: RadioParams, min_rate_bps: floa
     """
     k = radio.num_prbs
     if prb_rate(k, serving_gain, radio, ue.tx_power_w) < min_rate_bps:
-        return INFEASIBLE
+        return None
     lo, hi = 1, k
     while lo < hi:
         mid = (lo + hi) // 2
@@ -90,34 +76,17 @@ def estimate_loads(s: Scenario, gains: ChannelGains) -> list[LoadEstimate]:
     out = []
     n = s.n_cells
     for ue in s.ues:
-        local = local_overhead(ue)
         req = min_rate_requirement(ue, s.mec_capacity_hz, n)
-        if req is FORCED_LOCAL:
-            out.append(
-                LoadEstimate(
-                    ue=ue.id, local=local,
-                    t_exe_est_s=ue.task.cycles / (s.mec_capacity_hz / n),
-                    min_rate_bps=math.inf, w=None,
-                    forced_local=True, infeasible=False,
-                )
-            )
-            continue
-        t_exe_est, rate = req
-        w = min_prbs(ue, float(gains.h[ue.id, ue.id]), s.radio, rate)
-        if w is INFEASIBLE:
-            out.append(
-                LoadEstimate(
-                    ue=ue.id, local=local, t_exe_est_s=t_exe_est,
-                    min_rate_bps=rate, w=None,
-                    forced_local=False, infeasible=True,
-                )
-            )
+        if req is None:
+            t_exe_est, rate, w = ue.task.cycles / (s.mec_capacity_hz / n), math.inf, None
         else:
-            out.append(
-                LoadEstimate(
-                    ue=ue.id, local=local, t_exe_est_s=t_exe_est,
-                    min_rate_bps=rate, w=int(w),
-                    forced_local=False, infeasible=False,
-                )
+            t_exe_est, rate = req
+            w = min_prbs(ue, float(gains.h[ue.id, ue.id]), s.radio, rate)
+        out.append(
+            LoadEstimate(
+                ue=ue.id, local=local_overhead(ue), t_exe_est_s=t_exe_est,
+                min_rate_bps=rate, w=w,
+                forced_local=req is None, infeasible=req is not None and w is None,
             )
+        )
     return out

@@ -44,10 +44,6 @@ class OffloadDecision:
         return tuple(i for i, v in enumerate(self.a) if v == 1)
 
     @property
-    def local_set(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.a) if v == 0)
-
-    @property
     def n_offload(self) -> int:
         return sum(self.a)
 

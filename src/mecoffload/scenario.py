@@ -178,6 +178,24 @@ class ScenarioConfig:
             raise InvalidConfig("shadowing_db must be >= 0")
         if self.energy_coeff_j_per_cycle is not None and self.energy_coeff_j_per_cycle <= 0:
             raise InvalidConfig("energy_coeff_j_per_cycle must be positive")
+        # finite inputs can still overflow or underflow once scaled to SI units
+        try:
+            derived = {
+                "input_bits": self.input_bits,
+                "noise_per_prb_w": self.noise_per_prb_w,
+                "energy_coeff": self.energy_coeff,
+                "tx_power_w": self.tx_power_mw / 1000.0,
+                "task cycles": self.task_megacycles * 1e6,
+                "local_speed_hz": self.local_ghz * 1e9,
+                "mec_capacity_hz": self.mec_ghz * 1e9,
+                "ue_radius_m**2": self.ue_radius_m**2,
+                "reuse_lambda * num_prbs": self.reuse_lambda * self.num_prbs,
+            }
+        except OverflowError as exc:
+            raise InvalidConfig(f"a derived value overflows: {exc}") from exc
+        for name, value in derived.items():
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidConfig(f"{name} must be finite and positive, got {value!r}")
 
     @property
     def input_bits(self) -> float:

@@ -209,6 +209,12 @@ class TestExitCodes:
             ({"n_cells": True}, ["run"]),
             ({"pl_exponent": -5}, ["run"]),
             (None, ["sweep", "--vary", "lambda", "--values", "nan", "--seeds", "0"]),
+            # finite, but out of range once scaled to SI units
+            ({"noise_dbm": 1e308}, ["run"]),
+            ({"local_ghz": 1e300}, ["run"]),
+            ({"mec_ghz": 1e300}, ["run"]),
+            ({"ue_radius_m": 1e200}, ["run"]),
+            ({"reuse_lambda": 1e308}, ["run"]),
         ],
     )
     def test_non_finite_or_mistyped_value_is_config_error(
@@ -222,6 +228,12 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and "config error" in err
         assert out == ""
+
+    def test_unwritable_output_is_output_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli(capsys, ["run", "--output", str(target)])
+        assert code == 2 and "output error" in err
+        assert out == "" and not target.exists()
 
     def test_scheme_objective_conflict(self, capsys):
         code, _, err = run_cli(

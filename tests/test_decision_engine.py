@@ -7,11 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mecoffload.compute_model import LocalOverhead, local_overhead, offload_overhead
+from mecoffload.compute_model import (
+    LocalOverhead,
+    OffloadOverhead,
+    local_overhead,
+    offload_overhead,
+)
 from mecoffload.decision_engine import (
     SCHEME_NAMES,
-    EstimationReport,
-    OrthogonalEstimate,
     evaluate,
     greedy_reallocate,
     initial_decision,
@@ -21,9 +24,15 @@ from mecoffload.decision_engine import (
     run_scheme,
 )
 from mecoffload.errors import EmptyOffloadSet
-from mecoffload.load_estimation import LoadEstimate, estimate_loads
-from mecoffload.radio import OffloadDecision
-from mecoffload.scenario import ChannelGains, ScenarioConfig, build_scenario, channel_gains
+from mecoffload.load_estimation import LoadEstimate, estimate_loads, prb_rate
+from mecoffload.radio import OffloadDecision, interference_table
+from mecoffload.scenario import (
+    ChannelGains,
+    ScenarioConfig,
+    build_scenario,
+    channel_gains,
+    tx_powers,
+)
 
 from test_scenario import manual_scenario
 
@@ -54,15 +63,19 @@ class TestOrthogonalEstimate:
         gains = ChannelGains(h=np.diag([1e-10] * 4))
         estimates = [fake_estimate(i, w=3) for i in range(4)]
         report = orthogonal_estimate(estimates, [0, 1, 2, 3], s, gains)
-        for hypo in report.orthogonal.values():
-            assert hypo.m_tilde == pytest.approx(25.0, rel=1e-12)
+        assert sorted(report) == [0, 1, 2, 3]
+        for i, hypo in report.items():
+            # a quarter of the 100-PRB band each
+            want = prb_rate(25.0, 1e-10, s.radio, s.ues[i].tx_power_w)
+            assert hypo.rate_bps == pytest.approx(want, rel=1e-12)
 
     def test_single_user_full_band_rate(self):
         s = manual_scenario([(0.0, 0.0)], [(0.0, 0.0)])
         gains = ChannelGains(h=np.array([[1e-12]]))
         report = orthogonal_estimate([fake_estimate(0, w=5)], [0], s, gains)
-        hypo = report.orthogonal[0]
-        assert hypo.m_tilde == pytest.approx(100.0)
+        hypo = report[0]
+        want = prb_rate(100.0, 1e-12, s.radio, s.ues[0].tx_power_w)  # whole band
+        assert hypo.rate_bps == pytest.approx(want, rel=1e-12)
         assert hypo.rate_bps == pytest.approx(FULL_BAND_RATE, rel=1e-12)
         # composition identities
         bits = s.ues[0].task.input_bits
@@ -78,8 +91,7 @@ class TestOrthogonalEstimate:
         ue = replace(s.ues[0], weight_time=1.0, weight_energy=0.0)
         s = replace(s, ues=(ue,))
         gains = ChannelGains(h=np.array([[1e-10]]))
-        report = orthogonal_estimate([fake_estimate(0)], [0], s, gains)
-        hypo = report.orthogonal[0]
+        hypo = orthogonal_estimate([fake_estimate(0)], [0], s, gains)[0]
         assert hypo.overhead == pytest.approx(hypo.t_total_s, rel=1e-12)
 
     def test_empty_set_rejected(self):
@@ -88,36 +100,19 @@ class TestOrthogonalEstimate:
         with pytest.raises(EmptyOffloadSet):
             orthogonal_estimate([fake_estimate(0)], [], s, gains)
 
-    def test_system_overhead_mixes_local_and_offload(self):
-        local_cheap = LocalOverhead(time_s=1.0, energy_j=0.1, overhead=0.3)
-        estimates = [fake_estimate(0), fake_estimate(1, local=local_cheap)]
-        hypo = OrthogonalEstimate(
-            ue=0, m_tilde=50.0, rate_bps=1e6, t_off_s=1.0, e_off_j=0.1,
-            t_exe_s=0.01, t_total_s=1.01, overhead=0.4,
-        )
-        report = EstimationReport(
-            estimates=tuple(estimates), members=(0,), orthogonal={0: hypo}
-        )
-        # member 0 priced at its offload estimate, UE 1 at its local cost
-        assert report.system_overhead() == pytest.approx(0.4 + 0.3, rel=1e-12)
-
 
 class TestInitialDecision:
     def test_strict_improvement_offloads_tie_stays_local(self):
         local = LocalOverhead(time_s=1.0, energy_j=0.1, overhead=0.55)
         estimates = [fake_estimate(i, local=local) for i in range(3)]
 
-        def hypo(i, z):
-            return OrthogonalEstimate(
-                ue=i, m_tilde=10.0, rate_bps=1e6, t_off_s=1.0, e_off_j=0.1,
+        def hypo(z):
+            return OffloadOverhead(
+                rate_bps=1e6, t_off_s=1.0, e_off_j=0.1,
                 t_exe_s=0.01, t_total_s=1.01, overhead=z,
             )
 
-        report = EstimationReport(
-            estimates=tuple(estimates),
-            members=(0, 1),
-            orthogonal={0: hypo(0, 0.54), 1: hypo(1, 0.55)},
-        )
+        report = {0: hypo(0.54), 1: hypo(0.55)}
         decision = initial_decision(estimates, report)
         assert decision.a == (1, 0, 0)  # strict win, exact tie, not a member
 
@@ -126,7 +121,7 @@ class TestEvaluate:
     def test_all_local_costs_sum_of_local_overheads(self):
         s, gains = built()
         estimates = estimate_loads(s, gains)
-        out = evaluate(OffloadDecision.all_local(9), s, gains)
+        out = evaluate(OffloadDecision.all_local(9), s, gains, "minsum", estimates)
         assert out.system_overhead == pytest.approx(
             sum(est.local.overhead for est in estimates), rel=1e-12
         )
@@ -143,7 +138,8 @@ class TestEvaluate:
     def test_single_offloader_hand_composition(self):
         s = manual_scenario([(0.0, 0.0)], [(100.0, 0.0)])
         gains = channel_gains(s)
-        out = evaluate(OffloadDecision.from_set([0], 1), s, gains)
+        estimates = estimate_loads(s, gains)
+        out = evaluate(OffloadDecision.from_set([0], 1), s, gains, "minsum", estimates)
 
         # demand doubles under the reuse factor and clamps to the full band
         assert out.assoc.m[0] == 100
@@ -168,7 +164,7 @@ class TestEvaluate:
         gains = channel_gains(s)
         estimates = estimate_loads(s, gains)
         assert all(est.offloadable for est in estimates)
-        out = evaluate(OffloadDecision.from_set([0, 1], 2), s, gains)
+        out = evaluate(OffloadDecision.from_set([0, 1], 2), s, gains, "minsum", estimates)
         assert out.rates_bps[1] > 0  # alive but hopeless
         assert out.t_off_s[1] > estimates[1].local.time_s
         assert out.cpu is None
@@ -180,7 +176,7 @@ class TestEvaluate:
         s, gains = built(mec_ghz=1.0)
         estimates = estimate_loads(s, gains)
         assert not any(est.offloadable for est in estimates)
-        out = evaluate(OffloadDecision.from_set([0], 9), s, gains)
+        out = evaluate(OffloadDecision.from_set([0], 9), s, gains, "minsum", estimates)
         assert math.isinf(out.system_overhead)
         assert out.cpu is None
 
@@ -193,18 +189,18 @@ class TestGreedy:
             candidates = [e.ue for e in estimates if e.offloadable]
             report = orthogonal_estimate(estimates, candidates, s, gains)
             a0 = initial_decision(estimates, report)
-            start = evaluate(a0, s, gains, estimates=estimates)
-            out = greedy_reallocate(
-                a0, s, gains, estimates=estimates, report=report
-            )
+            start = evaluate(a0, s, gains, "minsum", estimates)
+            out = greedy_reallocate(a0, s, gains, "minsum", estimates, report)
             assert out.system_overhead <= start.system_overhead
 
     def test_repairs_hopeless_start_back_to_local(self):
         s, gains = built(mec_ghz=1.0)  # nobody can offload
-        out = greedy_reallocate(OffloadDecision.from_set(range(9), 9), s, gains)
+        estimates = estimate_loads(s, gains)
+        a_init = OffloadDecision.from_set(range(9), 9)
+        # no offloadable UE, so the orthogonal estimate prices nobody
+        out = greedy_reallocate(a_init, s, gains, "minsum", estimates, {})
         assert out.feasible
         assert out.decision.n_offload == 0
-        estimates = estimate_loads(s, gains)
         assert out.system_overhead == pytest.approx(
             sum(est.local.overhead for est in estimates), rel=1e-12
         )
@@ -251,7 +247,7 @@ class TestBaselines:
         assert orth.decision.a == (1,)
         assert orth.objective_kind == "equal"
         assert orth.assoc.m[0] == 100
-        assert not orth.table.o.any()
+        assert not interference_table(orth.assoc, gains, tx_powers(s)).o.any()
         assert orth.system_overhead == pytest.approx(
             prop.system_overhead, rel=1e-12
         )

@@ -1,4 +1,5 @@
-"""Per-UE demand sizing: rate targets, minimum PRB counts, sentinels."""
+"""Per-UE demand sizing: rate targets, minimum PRB counts, and the None
+verdicts for forced-local and infeasible UEs."""
 
 import math
 
@@ -6,8 +7,6 @@ import numpy as np
 import pytest
 
 from mecoffload.load_estimation import (
-    FORCED_LOCAL,
-    INFEASIBLE,
     estimate_loads,
     min_prbs,
     min_rate_requirement,
@@ -30,7 +29,7 @@ class TestMinRateRequirement:
     def test_reference_values(self):
         # 1e9 cycles, even split of 100 GHz over 9 cells: 0.09 s on the server
         got = min_rate_requirement(make_ue(), mec_capacity_hz=1e11, n_total=9)
-        assert got is not FORCED_LOCAL
+        assert got is not None
         t_exe, rate = got
         assert t_exe == pytest.approx(0.09, rel=1e-12)
         assert rate == pytest.approx(2570382.070437567, rel=1e-12)
@@ -38,12 +37,12 @@ class TestMinRateRequirement:
     def test_forced_local_when_server_slower_than_handset(self):
         # handset at 10 GHz beats a 1e10/9 Hz server share
         ue = make_ue(speed=1e10)
-        assert min_rate_requirement(ue, 1e10, 9) is FORCED_LOCAL
+        assert min_rate_requirement(ue, 1e10, 9) is None
 
     def test_forced_local_at_exact_tie(self):
         # server share exactly equals the handset speed: zero slack
         ue = make_ue(speed=0.7e9)
-        assert min_rate_requirement(ue, 0.7e9 * 9, 9) is FORCED_LOCAL
+        assert min_rate_requirement(ue, 0.7e9 * 9, 9) is None
 
 
 class TestMinPrbs:
@@ -71,7 +70,7 @@ class TestMinPrbs:
     def test_infeasible_beyond_band(self):
         # rate saturates near P*H/noise * B/(K ln 2); ask for more
         cap = 0.1 * 1e-10 / 1e-13 * (20e6 / 100) / math.log(2)
-        assert min_prbs(make_ue(), 1e-10, RADIO, cap * 1.01) is INFEASIBLE
+        assert min_prbs(make_ue(), 1e-10, RADIO, cap * 1.01) is None
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(123)
@@ -85,7 +84,7 @@ class TestMinPrbs:
             want = scan_min_prbs(snr, k, radio.prb_bandwidth_hz, target)
             got = min_prbs(make_ue(), gain, radio, target)
             if want is None:
-                assert got is INFEASIBLE
+                assert got is None
             else:
                 assert got == want
 

@@ -29,7 +29,6 @@ class TestOffloadDecision:
         d = OffloadDecision.from_set([0, 2], 4)
         assert d.a == (1, 0, 1, 0)
         assert d.offload_set == (0, 2)
-        assert d.local_set == (1, 3)
         assert d.n_offload == 2
         assert d.flip_on(1).a == (1, 1, 1, 0)
         assert d.flip_off(0).a == (0, 0, 1, 0)
