@@ -35,6 +35,16 @@ OUTPUTS = {
         "--values", "1,2,3", "--seeds", "0..19",
     ],
     "run_detail.txt": ["run", "--seed", "0", "--scheme", "all", "--detail"],
+    # at 5 GHz every UE is forced local, so every scheme has no candidate
+    "sweep_mec.csv": [
+        "sweep", "--scheme", "all", "--vary", "mec_ghz",
+        "--values", "5,10,100", "--seeds", "0..9",
+    ],
+    # three PRBs: all_offload_orth no longer fits at 9 cells and prices out
+    "sweep_narrow_band.csv": [
+        "sweep", "--config", os.path.join(GOLDEN, "narrow_band.json"),
+        "--scheme", "all", "--vary", "cells", "--values", "1,3,9", "--seeds", "0..9",
+    ],
 }
 
 
