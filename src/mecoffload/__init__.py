@@ -44,7 +44,6 @@ from .prb_coloring import (
     realized_rates,
 )
 from .radio import (
-    InterferenceTable,
     OffloadDecision,
     PrbAssociation,
     interference_table,

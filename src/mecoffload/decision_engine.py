@@ -108,7 +108,9 @@ class AllocationOutcome:
     """Everything the pipeline produced for one offloading decision.
 
     system_overhead is +inf for rejected candidates (an offloader with no
-    usable rate, or deadlines the server budget cannot cover).
+    usable rate, or deadlines the server budget cannot cover). The server
+    split rule is the scheme's SCHEME_OBJECTIVE entry; cpu is None when no
+    split was made.
     """
 
     decision: OffloadDecision
@@ -119,35 +121,10 @@ class AllocationOutcome:
     cpu: CpuAllocation | None
     per_ue_overhead: np.ndarray
     system_overhead: float
-    objective_kind: str  # server-split rule: minmax | minsum | equal | none
 
     @property
     def feasible(self) -> bool:
         return math.isfinite(self.system_overhead)
-
-
-def _unallocated(
-    decision: OffloadDecision,
-    s: Scenario,
-    estimates: list[LoadEstimate],
-    objective_kind: str = "none",
-) -> AllocationOutcome:
-    """Outcome with no PRB handed out: local UEs pay their local cost, and
-    offloaders, if any, have no uplink and price the decision at +inf."""
-    n, k = len(s.ues), s.radio.num_prbs
-    offloading = np.array(decision.a) == 1
-    per_ue = np.where(offloading, math.inf, [est.local.overhead for est in estimates])
-    return AllocationOutcome(
-        decision=decision,
-        assoc=PrbAssociation.empty(n, k),
-        rates_bps=np.zeros(n),
-        t_off_s=np.where(offloading, math.inf, 0.0),
-        e_off_j=np.where(offloading, math.inf, 0.0),
-        cpu=None,
-        per_ue_overhead=per_ue,
-        system_overhead=float(per_ue.sum()),
-        objective_kind=objective_kind,
-    )
 
 
 def _finish(
@@ -159,7 +136,13 @@ def _finish(
     cpu_mode: str,
 ) -> AllocationOutcome:
     """Turn an uplink allocation into the final costed outcome: transfer
-    time/energy, the server split, and per-UE overheads."""
+    time/energy, the server split, and per-UE overheads.
+
+    Local UEs pay their local cost. An offloader without a usable rate is a
+    dead uplink that prices the decision at +inf; so is a server split that
+    misses a deadline. The CPU rule runs only when there are offloaders and
+    each has a rate.
+    """
     n = len(s.ues)
     offs = decision.offload_set
     t_off = np.zeros(n)
@@ -172,12 +155,11 @@ def _finish(
             t_off[i] = ue.task.input_bits / r
             e_off[i] = ue.tx_power_w * ue.task.input_bits / r
         else:
-            t_off[i] = math.inf
-            e_off[i] = math.inf
+            t_off[i] = e_off[i] = math.inf
             dead_uplink = True
 
     cpu = None
-    if not dead_uplink:
+    if offs and not dead_uplink:
         requests = [
             CpuRequest(
                 ue=i,
@@ -208,7 +190,6 @@ def _finish(
         cpu=cpu,
         per_ue_overhead=per_ue,
         system_overhead=float(per_ue.sum()),
-        objective_kind=cpu_mode,
     )
 
 
@@ -223,12 +204,12 @@ def evaluate(
     split, system overhead. Decisions with no offloaders cost the plain
     sum of local overheads."""
     offs = decision.offload_set
-    if not offs:
-        return _unallocated(decision, s, estimates)
-    if any(not estimates[i].offloadable for i in offs):
-        # a decision no sane caller builds; price it out instead of crashing
-        return _unallocated(decision, s, estimates, cpu_mode)
     n, k = len(s.ues), s.radio.num_prbs
+    if not offs or not all(estimates[i].offloadable for i in offs):
+        # nothing to colour, or a non-candidate offloads (a decision no sane
+        # caller builds): no uplink, so any offloader prices out
+        empty = PrbAssociation.empty(n, k)
+        return _finish(decision, s, estimates, empty, np.zeros(n), cpu_mode)
     demands = [0] * n
     for i in offs:
         demands[i] = estimates[i].w
@@ -285,7 +266,10 @@ def run_proposed(s: Scenario, gains: ChannelGains, cpu_mode: str) -> AllocationO
     estimates = estimate_loads(s, gains)
     candidates = [est.ue for est in estimates if est.offloadable]
     if not candidates:
-        return _unallocated(OffloadDecision.all_local(len(s.ues)), s, estimates)
+        n, k = len(s.ues), s.radio.num_prbs
+        all_local = OffloadDecision.all_local(n)
+        empty = PrbAssociation.empty(n, k)
+        return _finish(all_local, s, estimates, empty, np.zeros(n), cpu_mode)
     report = orthogonal_estimate(estimates, candidates, s, gains)
     a0 = initial_decision(estimates, report)
     return greedy_reallocate(a0, s, gains, cpu_mode, estimates, report)
@@ -298,30 +282,28 @@ def run_baseline(kind: str, s: Scenario, gains: ChannelGains) -> AllocationOutco
     n, k = len(s.ues), s.radio.num_prbs
     if kind not in _BASELINES:
         raise ValueError(f"unknown baseline {kind!r}")
-    candidates = [est.ue for est in estimates if est.offloadable]
-    if kind == "all_local" or not candidates:
-        return _unallocated(OffloadDecision.all_local(n), s, estimates)
-
+    candidates = [] if kind == "all_local" else [
+        est.ue for est in estimates if est.offloadable
+    ]
     decision = OffloadDecision.from_set(candidates, n)
+    assoc, rates = PrbAssociation.empty(n, k), np.zeros(n)
     total_w = sum(estimates[i].w for i in candidates)
     quota = {
         i: max(math.floor(k * estimates[i].w / total_w), 1) for i in candidates
     }
-    if sum(quota.values()) > k:
-        # band too small to stay orthogonal: price the scheme out
-        return _unallocated(decision, s, estimates, "equal")
-    c = np.zeros((n, k), dtype=np.int64)
-    next_free = 0
-    for i in candidates:
-        c[i, next_free : next_free + quota[i]] = 1
-        next_free += quota[i]
-    assoc = PrbAssociation.from_matrix(c)
-    powers = tx_powers(s)
-    o = interference_table(assoc, gains, powers).o
-    rates = np.zeros(n)
-    for i in candidates:
-        p_prb = powers[i] / quota[i]
-        rates[i] = held_rate(c[i], p_prb, gains.h[i, i], o[i], s.radio)
+    # a band too small to stay orthogonal leaves every uplink dead: priced out
+    if candidates and sum(quota.values()) <= k:
+        c = np.zeros((n, k), dtype=np.int64)
+        next_free = 0
+        for i in candidates:
+            c[i, next_free : next_free + quota[i]] = 1
+            next_free += quota[i]
+        assoc = PrbAssociation.from_matrix(c)
+        powers = tx_powers(s)
+        o = interference_table(assoc, gains, powers)
+        for i in candidates:
+            p_prb = powers[i] / quota[i]
+            rates[i] = held_rate(c[i], p_prb, gains.h[i, i], o[i], s.radio)
     return _finish(decision, s, estimates, assoc, rates, "equal")
 
 

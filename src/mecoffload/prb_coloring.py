@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyOffloadSet
-from .radio import InterferenceTable, PrbAssociation, held_rate
+from .radio import PrbAssociation, held_rate
 from .scenario import ChannelGains, RadioParams
 
 
@@ -54,20 +54,19 @@ def build_interference_graph(
     offload_ids,
     theta: float,
 ) -> InterferenceGraph:
-    ids = sorted(offload_ids)
-    if not ids:
+    nodes = tuple(sorted(offload_ids))
+    if not nodes:
         raise EmptyOffloadSet("no offloading UEs, nothing to allocate")
-    n = gains.h.shape[0]
-    weight = np.zeros((n, n))
     h = gains.h
-    for a in ids:
-        for b in ids:
-            if a == b:
-                continue
-            if h[a, b] / h[b, b] > theta:
-                weight[a, b] = (powers[a] / m[a]) * h[a, b]
+    ids = np.array(nodes)
+    ratio = h[ids][:, ids] / h[ids, ids]  # h[a, b] / h[b, b]
+    np.fill_diagonal(ratio, 0.0)
+    rows, cols = np.nonzero(ratio > theta)
+    a, b = ids[rows], ids[cols]
+    weight = np.zeros(h.shape)
+    weight[a, b] = powers[a] / m[a] * h[a, b]
     return InterferenceGraph(
-        nodes=tuple(ids), weight=weight, in_weight=weight.sum(axis=0)
+        nodes=nodes, weight=weight, in_weight=weight.sum(axis=0)
     )
 
 
@@ -77,14 +76,13 @@ class ColorStep:
 
     node: int
     colors: tuple[int, ...]
-    scores: tuple[float, ...]  # hypothetical sum rate per candidate color
     table_after: np.ndarray  # interference table right after the assignment
 
 
 @dataclass(frozen=True)
 class ColoringState:
     assoc: PrbAssociation
-    table: InterferenceTable
+    o: np.ndarray  # interference table, see radio.interference_table
     order: tuple[int, ...]  # nodes in the sequence they were colored
     steps: tuple[ColorStep, ...] | None = None
 
@@ -116,9 +114,9 @@ def color(
     # order key is static: in-edge weights over the whole offload set
     order = sorted(graph.nodes, key=lambda i: (-graph.in_weight[i], m[i], i))
 
+    nodes = np.array(graph.nodes, dtype=np.int64)
     p = np.zeros(n_ues)
-    for i in graph.nodes:
-        p[i] = powers[i] / m[i]
+    p[nodes] = powers[nodes] / m[nodes]
 
     c = np.zeros((n_ues, k), dtype=np.int64)
     o = np.zeros((n_ues, k))
@@ -139,22 +137,22 @@ def color(
             scores = own
         take = np.argsort(-scores, kind="stable")[: int(m[node])]
         c[node, take] = 1
-        others = np.arange(n_ues) != node
-        o[np.ix_(others, take)] += p[node] * h[node, others][:, None]
+        leak = p[node] * h[node]
+        leak[node] = 0.0  # a cell does not interfere with itself
+        o[:, take] += leak[:, None]
         colored.append(int(node))
         if record_steps:
             steps.append(
                 ColorStep(
                     node=int(node),
                     colors=tuple(int(j) for j in np.sort(take)),
-                    scores=tuple(float(x) for x in scores),
                     table_after=o.copy(),
                 )
             )
 
     return ColoringState(
         assoc=PrbAssociation.from_matrix(c),
-        table=InterferenceTable(o),
+        o=o,
         order=tuple(int(x) for x in order),
         steps=tuple(steps) if record_steps else None,
     )
@@ -175,7 +173,7 @@ def realized_rates(
     """
     h = gains.h
     c = state.assoc.c
-    o = state.table.o
+    o = state.o
     rates = np.zeros(h.shape[0])
     for n in state.order:
         rates[n] = held_rate(c[n], powers[n] / m[n], h[n, n], o[n], radio)

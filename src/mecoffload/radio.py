@@ -65,13 +65,6 @@ class PrbAssociation:
         return cls.from_matrix(np.zeros((n, k), dtype=np.int64))
 
 
-@dataclass(frozen=True)
-class InterferenceTable:
-    """o[n, k]: aggregate interference power (W) at SeNB n on PRB k."""
-
-    o: np.ndarray
-
-
 def per_prb_power(c: PrbAssociation, powers) -> np.ndarray:
     """P_n / M_n for cells holding PRBs, 0 for idle rows."""
     m = c.m
@@ -81,8 +74,8 @@ def per_prb_power(c: PrbAssociation, powers) -> np.ndarray:
     return out
 
 
-def interference_table(c: PrbAssociation, g: ChannelGains, powers) -> InterferenceTable:
-    """Received co-channel power at every SeNB on every PRB.
+def interference_table(c: PrbAssociation, g: ChannelGains, powers) -> np.ndarray:
+    """o[n, k]: received co-channel power (W) at SeNB n on PRB k.
 
     Each transmitting UE m spreads P_m evenly over its M_m PRBs; a SeNB's
     own UE never counts toward its row. The self term is excluded before
@@ -92,7 +85,7 @@ def interference_table(c: PrbAssociation, g: ChannelGains, powers) -> Interferen
     w = c.c * per_prb_power(c, powers)[:, None]  # W per (UE, PRB)
     h_cross = g.h.copy()
     np.fill_diagonal(h_cross, 0.0)
-    return InterferenceTable(o=h_cross.T @ w)
+    return h_cross.T @ w
 
 
 def _check_consistent(a: OffloadDecision, c: PrbAssociation) -> None:

@@ -311,17 +311,22 @@ def channel_gains(s: Scenario) -> ChannelGains:
     """Linear gain matrix h[m, n] from UE m to SeNB n.
 
     Shadowing (when enabled) uses its own generator derived from the
-    scenario seed so the geometry draw stays untouched.
+    scenario seed so the geometry draw stays untouched. A gain may
+    underflow to 0 (no link), but no received SNR may overflow.
     """
     ue_xy = np.array([u.position for u in s.ues])
     cell_xy = np.array([c.position for c in s.cells])
     diff = ue_xy[:, None, :] - cell_xy[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
     pl = path_loss_db(dist, s.pl0_db, s.pl_exponent)
-    if s.shadowing_db > 0:
-        rng = np.random.default_rng([s.seed, 1])
-        pl = pl + rng.normal(0.0, s.shadowing_db, size=pl.shape)
-    h = 10.0 ** (-pl / 10.0)
+    with np.errstate(over="ignore"):
+        if s.shadowing_db > 0:
+            rng = np.random.default_rng([s.seed, 1])
+            pl = pl + rng.normal(0.0, s.shadowing_db, size=pl.shape)
+        h = 10.0 ** (-pl / 10.0)
+        snr = tx_powers(s)[:, None] * h / s.radio.noise_per_prb_w
+    if not np.isfinite(snr).all():
+        raise InvalidConfig("a received SNR overflows: check tx_power_mw, pl0_db, shadowing_db")
     return ChannelGains(h=h)
 
 

@@ -60,6 +60,16 @@ def scan_min_prbs(snr_product, num_prbs, prb_bandwidth_hz, min_rate_bps):
     return None
 
 
+def loop_interference_weight(h, m, powers, ids, theta) -> np.ndarray:
+    """Edge weights of the interference graph, one ordered pair at a time."""
+    weight = np.zeros(h.shape)
+    for a in ids:
+        for b in ids:
+            if a != b and h[a, b] / h[b, b] > theta:
+                weight[a, b] = (powers[a] / m[a]) * h[a, b]
+    return weight
+
+
 def replay_coloring(state, graph_nodes, m, h, powers, bandwidth_hz, num_prbs,
                     noise_w, theta, interference_table_fn, rtol=1e-12):
     """Re-derive the whole coloring trajectory from scratch.

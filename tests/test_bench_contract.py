@@ -1,0 +1,100 @@
+"""The names and call pattern the benchmark in bench/ relies on.
+
+bench/tracer.py wraps functions where decision_engine looks them up and
+reads some of their arguments by name; bench/checks.py checks every row
+through the package API. This test loads both files as they are (without
+writing into bench/), traces every scheme on a few small cells and asserts
+the tracer's own self-tests, so a renamed function or argument fails here
+rather than only in a benchmark run.
+"""
+
+import importlib.util
+import os
+import sys
+
+import pytest
+
+import mecoffload
+from mecoffload import ScenarioConfig
+from mecoffload.decision_engine import SCHEME_NAMES
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+# (overrides, seeds): the paper's sizes, a server too slow for any
+# candidate, and a band too narrow for the orthogonal split
+CELLS = [
+    ({"n_cells": 3}, range(3)),
+    ({"n_cells": 9}, range(3)),
+    ({"n_cells": 9, "mec_ghz": 5.0}, range(2)),
+    ({"n_cells": 9, "num_prbs": 3}, range(2)),
+]
+
+
+def load(name):
+    path = os.path.join(BENCH, f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+@pytest.fixture(scope="module")
+def traced():
+    """(tracer, snapshot, cells) after running every scheme on CELLS."""
+    tracer = load("tracer").Tracer(mecoffload)
+    cells = []
+    tracer.install()
+    try:
+        for overrides, seeds in CELLS:
+            cfg = ScenarioConfig().with_overrides(**overrides)
+            for seed in seeds:
+                tracer.start_cell()
+                s = mecoffload.scenario.build_scenario(cfg, seed=seed)
+                g = mecoffload.scenario.channel_gains(s)
+                run = mecoffload.decision_engine.run_scheme
+                cells.append((s, g, {name: run(name, s, g) for name in SCHEME_NAMES}))
+    finally:
+        tracer.uninstall()
+    return tracer, tracer.snapshot(), cells
+
+
+def test_no_site_left_wrapped(traced):
+    tracer, _, _ = traced
+    assert tracer.wrapped() == []
+    # the tracer labels each CPU span by the solver's function name
+    solvers = mecoffload.decision_engine._CPU_SOLVERS
+    assert solvers == {
+        "minmax": mecoffload.allocate_minmax,
+        "minsum": mecoffload.allocate_minsum,
+        "equal": mecoffload.allocate_equal,
+    }
+
+
+def test_uplink_layers_run_once_per_colorable_evaluate(traced):
+    _, snap, _ = traced
+    colorable = snap["evaluate.colorable"]
+    assert colorable > 0
+    for label in ("color", "normalize_prbs", "build_interference_graph", "realized_rates"):
+        assert snap[f"prb_coloring.{label}.calls"] == colorable, label
+
+
+def test_every_evaluate_is_a_greedy_step(traced):
+    _, snap, _ = traced
+    assert snap["decision_engine.evaluate.calls"] == snap["greedy.evaluations"]
+    for key in ("evaluate.outside_greedy", "evaluate.no_estimates", "greedy.other",
+                "greedy.mismatch"):
+        assert snap.get(key, 0) == 0, key
+
+
+def test_checks_find_no_problem(traced):
+    _, _, cells = traced
+    check_cell = load("checks").check_cell
+    for s, g, outcomes in cells:
+        found = check_cell(mecoffload, s, g, outcomes)
+        assert set(found) == set(SCHEME_NAMES)
+        assert all(not problems for problems in found.values()), found

@@ -215,6 +215,10 @@ class TestExitCodes:
             ({"mec_ghz": 1e300}, ["run"]),
             ({"ue_radius_m": 1e200}, ["run"]),
             ({"reuse_lambda": 1e308}, ["run"]),
+            # the received SNR overflows and rates would come out nan
+            ({"tx_power_mw": 1e308}, ["run"]),
+            ({"pl0_db": -1e308}, ["run"]),
+            ({"shadowing_db": 1e308}, ["run"]),
         ],
     )
     def test_non_finite_or_mistyped_value_is_config_error(

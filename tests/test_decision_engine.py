@@ -13,8 +13,15 @@ from mecoffload.compute_model import (
     local_overhead,
     offload_overhead,
 )
+from mecoffload.cpu_allocation import (
+    CpuRequest,
+    allocate_equal,
+    allocate_minmax,
+    allocate_minsum,
+)
 from mecoffload.decision_engine import (
     SCHEME_NAMES,
+    SCHEME_OBJECTIVE,
     evaluate,
     greedy_reallocate,
     initial_decision,
@@ -125,7 +132,6 @@ class TestEvaluate:
         assert out.system_overhead == pytest.approx(
             sum(est.local.overhead for est in estimates), rel=1e-12
         )
-        assert out.objective_kind == "none"
         assert out.cpu is None
         assert not out.rates_bps.any()
         assert not out.assoc.m.any()
@@ -232,7 +238,7 @@ class TestBaselines:
         out = run_baseline("all_local", s, gains)
         estimates = estimate_loads(s, gains)
         assert out.decision.n_offload == 0
-        assert out.objective_kind == "none"
+        assert out.cpu is None
         assert out.system_overhead == pytest.approx(
             sum(est.local.overhead for est in estimates), rel=1e-12
         )
@@ -245,9 +251,8 @@ class TestBaselines:
         orth = run_baseline("all_offload_orth", s, gains)
         prop = run_proposed(s, gains, "minsum")
         assert orth.decision.a == (1,)
-        assert orth.objective_kind == "equal"
         assert orth.assoc.m[0] == 100
-        assert not interference_table(orth.assoc, gains, tx_powers(s)).o.any()
+        assert not interference_table(orth.assoc, gains, tx_powers(s)).any()
         assert orth.system_overhead == pytest.approx(
             prop.system_overhead, rel=1e-12
         )
@@ -266,7 +271,6 @@ class TestBaselines:
     def test_equal_cpu_splits_server_evenly(self):
         s, gains = built()
         out = run_scheme("equal_cpu", s, gains)
-        assert out.objective_kind == "equal"
         if out.decision.n_offload:
             shares = set(out.cpu.f.values())
             assert max(shares) == pytest.approx(min(shares), rel=1e-12)
@@ -274,16 +278,36 @@ class TestBaselines:
 
 class TestRunScheme:
     def test_objective_kind_per_scheme(self):
-        s, gains = built()
-        kinds = {
+        # SCHEME_OBJECTIVE names the server split each scheme applies
+        solvers = {
+            "minmax": allocate_minmax,
+            "minsum": allocate_minsum,
+            "equal": allocate_equal,
+        }
+        assert SCHEME_OBJECTIVE == {
             "proposed_minmax": "minmax",
             "proposed_minsum": "minsum",
             "all_local": "none",
             "all_offload_orth": "equal",
             "equal_cpu": "equal",
         }
+        s, gains = built()
+        estimates = estimate_loads(s, gains)
         for name in SCHEME_NAMES:
-            assert run_scheme(name, s, gains).objective_kind == kinds[name]
+            out = run_scheme(name, s, gains)
+            rule = SCHEME_OBJECTIVE[name]
+            if rule == "none":
+                assert out.cpu is None
+                continue
+            requests = [
+                CpuRequest(
+                    ue=i,
+                    cycles=s.ues[i].task.cycles,
+                    t_cap_s=estimates[i].local.time_s - out.t_off_s[i],
+                )
+                for i in out.decision.offload_set
+            ]
+            assert out.cpu.f == solvers[rule](requests, s.mec_capacity_hz).f
 
     def test_unknown_scheme_rejected(self):
         s, gains = built(n=3)

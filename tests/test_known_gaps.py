@@ -1,0 +1,101 @@
+"""Known behaviour gaps of the proposed scheme, pinned with their reproducers.
+
+Each test states today's behaviour, not the desired one. A fix that changes
+it is a behaviour change: it updates the expectation here together with a
+golden regeneration (see tests/test_golden.py) and says why in CHANGES.md.
+"""
+
+import pytest
+
+from mecoffload import (
+    ScenarioConfig,
+    build_scenario,
+    channel_gains,
+    estimate_loads,
+    evaluate,
+    initial_decision,
+    orthogonal_estimate,
+    run_scheme,
+)
+
+
+def cell(n_cells, seed):
+    s = build_scenario(ScenarioConfig(n_cells=n_cells), seed)
+    return s, channel_gains(s)
+
+
+def cost(scheme, n_cells, seed):
+    return run_scheme(scheme, *cell(n_cells, seed)).system_overhead
+
+
+def test_reuse_loses_to_orthogonal_split_at_three_cells():
+    """At 3 cells proposed_minsum costs more than all_offload_orth on 7 of
+    50 seeds: reuse at lambda=2 hurts when the cells sit close together,
+    and the greedy search never tries an orthogonal layout.
+
+    A fix (pricing lambda=1 too, or starting from the orthogonal layout)
+    updates this expectation together with a golden regeneration.
+    """
+    worse = [
+        seed for seed in range(50)
+        if cost("proposed_minsum", 3, seed) > cost("all_offload_orth", 3, seed)
+    ]
+    assert worse == [14, 20, 24, 25, 34, 45, 48]
+
+
+def test_cpu_rules_tie_at_nine_cells():
+    """At 9 cells minsum, minmax and the even split give exactly equal
+    system overheads on 27 of 50 seeds: every UE runs the same task, so the
+    CPU rules often cannot be told apart by the acceptance checks.
+
+    A fix (opt-in per-UE task sizes) updates this expectation together with
+    a golden regeneration.
+    """
+    schemes = ("proposed_minsum", "proposed_minmax", "equal_cpu")
+    ties = [
+        seed for seed in range(50)
+        if len({cost(name, 9, seed) for name in schemes}) == 1
+    ]
+    assert ties == [
+        1, 2, 4, 5, 6, 7, 12, 13, 14, 17, 18, 19, 20, 22, 24, 29, 32, 36, 37,
+        39, 40, 41, 42, 46, 47, 48, 49,
+    ]
+
+
+def test_greedy_never_drops_a_feasible_start():
+    """At 40 cells, seed 8, equal_cpu ends with 39 offloaders at 17.2169 and
+    both proposed schemes with 40 at 17.8063, 3.3% worse. All three start
+    from the same 40-UE decision. Under the even split that start is
+    infeasible and the repair drops one UE; under min-sum or min-max it is
+    feasible, and greedy_reallocate only ever adds UEs, so the cheaper
+    39-UE set is never priced with their rule.
+
+    A fix (letting the greedy search also try removals) updates this
+    expectation together with a golden regeneration.
+    """
+    s, gains = cell(40, 8)
+    outs = {
+        name: run_scheme(name, s, gains)
+        for name in ("equal_cpu", "proposed_minsum", "proposed_minmax")
+    }
+    assert outs["equal_cpu"].decision.n_offload == 39
+    assert outs["equal_cpu"].system_overhead == pytest.approx(17.2169, abs=1e-4)
+    for name in ("proposed_minsum", "proposed_minmax"):
+        assert outs[name].decision.n_offload == 40
+        assert outs[name].system_overhead == pytest.approx(17.8063, abs=1e-4)
+
+    estimates = estimate_loads(s, gains)
+    candidates = [e.ue for e in estimates if e.offloadable]
+    report = orthogonal_estimate(estimates, candidates, s, gains)
+    start = initial_decision(estimates, report)
+    assert start.n_offload == 40
+    assert not evaluate(start, s, gains, "equal", estimates).feasible
+    assert evaluate(start, s, gains, "minsum", estimates).feasible
+    assert evaluate(start, s, gains, "minmax", estimates).feasible
+
+    # the equal_cpu set, priced with min-sum, beats the proposed outcome
+    dropped = outs["equal_cpu"].decision
+    assert set(dropped.offload_set) < set(start.offload_set)
+    repriced = evaluate(dropped, s, gains, "minsum", estimates).system_overhead
+    assert repriced == pytest.approx(17.2169, abs=1e-4)
+    assert repriced < outs["proposed_minsum"].system_overhead

@@ -20,7 +20,7 @@ from mecoffload.radio import (
 )
 from mecoffload.scenario import ChannelGains, RadioParams
 
-from _oracles import replay_coloring
+from _oracles import loop_interference_weight, replay_coloring
 
 
 def radio(k, bandwidth=20e6, noise=1e-13):
@@ -92,6 +92,18 @@ class TestInterferenceGraph:
         assert g.weight[0, 1] == pytest.approx((0.1 / 2) * 2e-11, rel=1e-12)
         assert g.in_weight[1] == pytest.approx(g.weight[0, 1])
 
+    def test_weight_equals_pair_loop(self):
+        # same elementwise arithmetic as the per-pair loop, so bit-identical
+        rng = np.random.default_rng(21)
+        for n in (1, 2, 5, 12):
+            h, powers, m, ids = random_setup(rng, n, 10, 2.0)
+            sub = ids[::2] if n > 2 else ids
+            for theta in (0.0, 1e-3, 0.1):
+                g = build_interference_graph(ChannelGains(h=h), m, powers, sub, theta)
+                want = loop_interference_weight(h, m, powers, sub, theta)
+                assert np.array_equal(g.weight, want)
+                assert g.nodes == tuple(sub)
+
     def test_non_offloaders_excluded(self):
         h = np.full((3, 3), 1e-10)
         g = build_interference_graph(
@@ -149,7 +161,7 @@ class TestColor:
             state, [0, 1, 2], m, h, powers, 20e6, 3, 1e-13, 0.1,
             lambda c: interference_table(
                 PrbAssociation.from_matrix(c), ChannelGains(h=h), powers
-            ).o,
+            ),
         )
 
     def test_row_sums_equal_quotas(self):
@@ -173,8 +185,8 @@ class TestColor:
         h, powers, m, ids = random_setup(rng, 5, 8, 2.0)
         g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.1)
         state = color(g, m, ChannelGains(h=h), powers, radio(8))
-        rebuilt = interference_table(state.assoc, ChannelGains(h=h), powers).o
-        np.testing.assert_allclose(state.table.o, rebuilt, rtol=1e-12, atol=1e-300)
+        rebuilt = interference_table(state.assoc, ChannelGains(h=h), powers)
+        np.testing.assert_allclose(state.o, rebuilt, rtol=1e-12, atol=1e-300)
 
     def test_deterministic(self):
         rng = np.random.default_rng(15)
@@ -183,7 +195,7 @@ class TestColor:
         a = color(g, m, ChannelGains(h=h), powers, radio(10))
         b = color(g, m, ChannelGains(h=h), powers, radio(10))
         assert np.array_equal(a.assoc.c, b.assoc.c)
-        assert np.array_equal(a.table.o, b.table.o)
+        assert np.array_equal(a.o, b.o)
 
 
 class TestRealizedRates:

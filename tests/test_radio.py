@@ -6,7 +6,6 @@ import pytest
 
 from mecoffload.errors import InconsistentTables
 from mecoffload.radio import (
-    InterferenceTable,
     OffloadDecision,
     PrbAssociation,
     interference_table,
@@ -47,7 +46,7 @@ class TestInterferenceTable:
     def test_all_zero_association(self):
         c = PrbAssociation.empty(3, 4)
         g = ChannelGains(h=np.full((3, 3), 1e-10))
-        o = interference_table(c, g, [0.1] * 3).o
+        o = interference_table(c, g, [0.1] * 3)
         assert np.array_equal(o, np.zeros((3, 4)))
 
     def test_two_ue_shared_prb_values(self):
@@ -55,7 +54,7 @@ class TestInterferenceTable:
         # recorded on every PRB it transmits on, held by cell 1 or not
         c = PrbAssociation.from_matrix([[1, 1], [1, 0]])
         h = np.array([[1e-10, 1e-12], [1e-12, 1e-10]])
-        o = interference_table(c, ChannelGains(h=h), [0.1, 0.1]).o
+        o = interference_table(c, ChannelGains(h=h), [0.1, 0.1])
         assert o[1, 0] == pytest.approx(5e-14, rel=1e-12)
         assert o[1, 1] == pytest.approx(5e-14, rel=1e-12)
         # UE1 holds one PRB at full power
@@ -71,7 +70,7 @@ class TestInterferenceTable:
             powers = rng.uniform(0.01, 0.5, size=n)
             got = interference_table(
                 PrbAssociation.from_matrix(c_mat), ChannelGains(h=h), powers
-            ).o
+            )
             want = brute_interference(c_mat, h, powers)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
 
