@@ -45,6 +45,19 @@ OUTPUTS = {
         "sweep", "--config", os.path.join(GOLDEN, "narrow_band.json"),
         "--scheme", "all", "--vary", "cells", "--values", "1,3,9", "--seeds", "0..9",
     ],
+    # 80 cells, server scaled to them: the repair loop drops UEs (seed 0:
+    # 2 per pipeline scheme; equal_cpu also on seeds 3 and 4)
+    "sweep_repair.csv": [
+        "sweep", "--config", os.path.join(GOLDEN, "cells80.json"),
+        "--scheme", "all", "--vary", "mec_ghz", "--values", "888.8888888888889",
+        "--seeds", "0..4",
+    ],
+    # 160 cells: hundreds of colourings with up to about 40 nodes each
+    "sweep_dense.csv": [
+        "sweep", "--config", os.path.join(GOLDEN, "cells160.json"),
+        "--scheme", "all", "--vary", "mec_ghz", "--values", "1777.7777777777778",
+        "--seeds", "0..0",
+    ],
 }
 
 
