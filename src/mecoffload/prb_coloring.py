@@ -120,32 +120,49 @@ def color(
 
     c = np.zeros((n_ues, k), dtype=np.int64)
     o = np.zeros((n_ues, k))
-    colored: list[int] = []
     steps: list[ColorStep] = []
 
-    for node in order:
+    # Held (step, UE, PRB) entries of the colored nodes, in coloring order
+    # and ascending PRB within a node: a score moves only through these.
+    # bincount adds each PRB's deltas in the order the dense axis-0 sum over
+    # colored rows did, and hb (base on held entries, 0 elsewhere) gives the
+    # constant term by the same contiguous sum, so both match bit for bit.
+    size = int(m[nodes].sum())
+    held_step = np.empty(size, dtype=np.int64)
+    held_ue = np.empty(size, dtype=np.int64)
+    held_prb = np.empty(size, dtype=np.int64)
+    held_snr = np.empty(size)  # per-PRB power times serving gain
+    hb = np.zeros((len(nodes), k))
+    n_held = 0
+
+    for t, node in enumerate(order):
         own = bpp * np.log2(1.0 + p[node] * h[node, node] / (noise + o[node]))
-        if colored:
-            rows = np.asarray(colored)
-            snr_num = (p[rows] * h[rows, rows])[:, None]
-            base = bpp * np.log2(1.0 + snr_num / (noise + o[rows]))
-            bump = (p[node] * h[node, rows])[:, None]
-            pert = bpp * np.log2(1.0 + snr_num / (noise + o[rows] + bump))
-            held = c[rows].astype(np.float64)
-            scores = own + (held * base).sum() + (held * (pert - base)).sum(axis=0)
+        if t:
+            ue, prb, snr = held_ue[:n_held], held_prb[:n_held], held_snr[:n_held]
+            den = noise + o[ue, prb]
+            base = bpp * np.log2(1.0 + snr / den)
+            pert = bpp * np.log2(1.0 + snr / (den + p[node] * h[node, ue]))
+            hb[held_step[:n_held], prb] = base
+            delta = np.bincount(prb, pert - base, minlength=k)
+            scores = own + hb[:t].sum() + delta
         else:
             scores = own
-        take = np.argsort(-scores, kind="stable")[: int(m[node])]
+        take = np.sort(np.argsort(-scores, kind="stable")[: int(m[node])])
         c[node, take] = 1
         leak = p[node] * h[node]
         leak[node] = 0.0  # a cell does not interfere with itself
         o[:, take] += leak[:, None]
-        colored.append(int(node))
+        end = n_held + take.size
+        held_step[n_held:end] = t
+        held_ue[n_held:end] = node
+        held_prb[n_held:end] = take
+        held_snr[n_held:end] = p[node] * h[node, node]
+        n_held = end
         if record_steps:
             steps.append(
                 ColorStep(
                     node=int(node),
-                    colors=tuple(int(j) for j in np.sort(take)),
+                    colors=tuple(int(j) for j in take),
                     table_after=o.copy(),
                 )
             )
@@ -172,9 +189,13 @@ def realized_rates(
     consistency check on the incremental updates.
     """
     h = gains.h
-    c = state.assoc.c
-    o = state.o
+    ids = np.array(state.order, dtype=np.int64)
     rates = np.zeros(h.shape[0])
-    for n in state.order:
-        rates[n] = held_rate(c[n], powers[n] / m[n], h[n, n], o[n], radio)
+    rates[ids] = held_rate(
+        state.assoc.c[ids],
+        (powers[ids] / m[ids])[:, None],
+        h[ids, ids][:, None],
+        state.o[ids],
+        radio,
+    )
     return rates

@@ -96,14 +96,18 @@ def _check_consistent(a: OffloadDecision, c: PrbAssociation) -> None:
             raise InconsistentTables(f"offloading UE {n} holds no PRB")
 
 
-def held_rate(c_row, p_prb, gain, interference, radio: RadioParams) -> float:
+def held_rate(c_row, p_prb, gain, interference, radio: RadioParams) -> float | np.ndarray:
     """Shannon rate (bit/s) summed over the PRBs flagged in c_row.
 
     p_prb is the per-PRB transmit power, gain the serving gain and
-    interference the co-channel power on every PRB of the row.
+    interference the co-channel power on every PRB of the row. The sum runs
+    over the last axis: one row gives a float, a (rows, K) table gives one
+    rate per row (pass p_prb and gain as (rows, 1) columns), each row summed
+    exactly as it would be alone.
     """
     snr = p_prb * gain / (radio.noise_per_prb_w + interference)
-    return float((c_row * radio.prb_bandwidth_hz * np.log2(1 + snr)).sum())
+    rate = (c_row * radio.prb_bandwidth_hz * np.log2(1 + snr)).sum(axis=-1)
+    return rate if rate.ndim else float(rate)
 
 
 def uplink_rate(

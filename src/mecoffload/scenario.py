@@ -15,6 +15,10 @@ import numpy as np
 
 from .errors import InvalidConfig
 
+# Largest n_cells * num_prbs or n_cells**2 a config may ask for: 80 MB per
+# float64 table, and a run holds several (gains, PRB and interference tables).
+MAX_TABLE_ENTRIES = 10**7
+
 
 @dataclass(frozen=True)
 class RadioParams:
@@ -174,6 +178,10 @@ class ScenarioConfig:
             raise InvalidConfig("gamma_t and gamma_e must lie in [0,1]")
         if self.reuse_lambda < 1:
             raise InvalidConfig("reuse_lambda must be >= 1")
+        if max(self.n_cells * self.num_prbs, self.n_cells**2) > MAX_TABLE_ENTRIES:
+            raise InvalidConfig(
+                f"n_cells * num_prbs and n_cells**2 must not exceed {MAX_TABLE_ENTRIES}"
+            )
         if self.shadowing_db < 0:
             raise InvalidConfig("shadowing_db must be >= 0")
         if self.energy_coeff_j_per_cycle is not None and self.energy_coeff_j_per_cycle <= 0:
@@ -189,6 +197,8 @@ class ScenarioConfig:
                 "local_speed_hz": self.local_ghz * 1e9,
                 "mec_capacity_hz": self.mec_ghz * 1e9,
                 "ue_radius_m**2": self.ue_radius_m**2,
+                # bounds every squared UE-to-SeNB distance
+                "2 * (area_m + ue_radius_m)**2": 2 * (self.area_m + self.ue_radius_m) ** 2,
                 "reuse_lambda * num_prbs": self.reuse_lambda * self.num_prbs,
             }
         except OverflowError as exc:
@@ -312,7 +322,9 @@ def channel_gains(s: Scenario) -> ChannelGains:
 
     Shadowing (when enabled) uses its own generator derived from the
     scenario seed so the geometry draw stays untouched. A gain may
-    underflow to 0 (no link), but no received SNR may overflow.
+    underflow to 0 (no link), but no received SNR may overflow, and neither
+    may n_cells * bandwidth_hz * log2(1 + max SNR), which bounds every
+    uplink rate and their sum.
     """
     ue_xy = np.array([u.position for u in s.ues])
     cell_xy = np.array([c.position for c in s.cells])
@@ -325,8 +337,11 @@ def channel_gains(s: Scenario) -> ChannelGains:
             pl = pl + rng.normal(0.0, s.shadowing_db, size=pl.shape)
         h = 10.0 ** (-pl / 10.0)
         snr = tx_powers(s)[:, None] * h / s.radio.noise_per_prb_w
+        rate_bound = s.n_cells * s.radio.bandwidth_hz * np.log2(1.0 + snr.max())
     if not np.isfinite(snr).all():
         raise InvalidConfig("a received SNR overflows: check tx_power_mw, pl0_db, shadowing_db")
+    if not np.isfinite(rate_bound):
+        raise InvalidConfig("the sum of uplink rates overflows: check bandwidth_hz")
     return ChannelGains(h=h)
 
 

@@ -70,6 +70,51 @@ def loop_interference_weight(h, m, powers, ids, theta) -> np.ndarray:
     return weight
 
 
+def dense_color(graph, m, h, powers, radio):
+    """The greedy coloring, scoring every colored row on every PRB.
+
+    The same arithmetic as prb_coloring.color, but each step recomputes the
+    base and perturbed rates of all colored rows on all K PRBs and masks
+    them with the held flags, so it should agree with color bit for bit.
+    Returns (c, o, order, steps), steps a list of (node, colors,
+    table_after) per colored node.
+    """
+    n_ues = h.shape[0]
+    k = radio.num_prbs
+    bpp = radio.prb_bandwidth_hz
+    noise = radio.noise_per_prb_w
+    order = sorted(graph.nodes, key=lambda i: (-graph.in_weight[i], m[i], i))
+
+    nodes = np.array(graph.nodes, dtype=np.int64)
+    p = np.zeros(n_ues)
+    p[nodes] = powers[nodes] / m[nodes]
+
+    c = np.zeros((n_ues, k), dtype=np.int64)
+    o = np.zeros((n_ues, k))
+    colored: list[int] = []
+    steps = []
+    for node in order:
+        own = bpp * np.log2(1.0 + p[node] * h[node, node] / (noise + o[node]))
+        if colored:
+            rows = np.asarray(colored)
+            snr_num = (p[rows] * h[rows, rows])[:, None]
+            base = bpp * np.log2(1.0 + snr_num / (noise + o[rows]))
+            bump = (p[node] * h[node, rows])[:, None]
+            pert = bpp * np.log2(1.0 + snr_num / (noise + o[rows] + bump))
+            held = c[rows].astype(np.float64)
+            scores = own + (held * base).sum() + (held * (pert - base)).sum(axis=0)
+        else:
+            scores = own
+        take = np.argsort(-scores, kind="stable")[: int(m[node])]
+        c[node, take] = 1
+        leak = p[node] * h[node]
+        leak[node] = 0.0
+        o[:, take] += leak[:, None]
+        colored.append(int(node))
+        steps.append((int(node), tuple(int(j) for j in np.sort(take)), o.copy()))
+    return c, o, tuple(int(x) for x in order), steps
+
+
 def replay_coloring(state, graph_nodes, m, h, powers, bandwidth_hz, num_prbs,
                     noise_w, theta, interference_table_fn, rtol=1e-12):
     """Re-derive the whole coloring trajectory from scratch.

@@ -219,6 +219,12 @@ class TestExitCodes:
             ({"tx_power_mw": 1e308}, ["run"]),
             ({"pl0_db": -1e308}, ["run"]),
             ({"shadowing_db": 1e308}, ["run"]),
+            # tables too large to allocate: rejected before any is built
+            ({"num_prbs": 100000000}, ["run"]),
+            ({"n_cells": 100000}, ["run"]),
+            # squared distances or the rate sum overflow
+            ({"area_m": 1e300}, ["run"]),
+            ({"bandwidth_hz": 1e308}, ["run"]),
         ],
     )
     def test_non_finite_or_mistyped_value_is_config_error(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mecoffload.errors import EmptyOffloadSet
 from mecoffload.prb_coloring import (
@@ -15,12 +17,13 @@ from mecoffload.prb_coloring import (
 from mecoffload.radio import (
     OffloadDecision,
     PrbAssociation,
+    held_rate,
     interference_table,
     uplink_rate,
 )
 from mecoffload.scenario import ChannelGains, RadioParams
 
-from _oracles import loop_interference_weight, replay_coloring
+from _oracles import dense_color, loop_interference_weight, replay_coloring
 
 
 def radio(k, bandwidth=20e6, noise=1e-13):
@@ -235,3 +238,70 @@ class TestRealizedRates:
                     i, decision, state.assoc, ChannelGains(h=h), powers, r
                 )
                 assert rates[i] == pytest.approx(direct, rel=1e-12)
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+@st.composite
+def coloring_inputs(draw):
+    """An offload set of 1-30 nodes on 1-120 PRBs, lambda 1-3, quotas capped
+    at K. Tied cases draw gains from a three-value palette, so scores and
+    order keys tie exactly; both kinds include zero cross gains."""
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(1, 120))
+    lam = draw(st.floats(1.0, 3.0))
+    demands = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    local = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    theta = draw(st.sampled_from([0.0, 0.1, math.inf]))
+    tied = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if tied:
+        h = rng.choice([0.0, 1e-12, 1e-11], size=(n, n))
+        serving = rng.choice([1e-10, 1e-9], size=n)
+    else:
+        h = 10.0 ** rng.uniform(-12.5, -8.5, size=(n, n))
+        h[rng.random((n, n)) < 0.3] = 0.0
+        serving = 10.0 ** rng.uniform(-10.0, -9.0, size=n)
+    h[np.arange(n), np.arange(n)] = serving
+    powers = np.full(n, 0.1)
+    ids = [i for i in range(n) if i not in local]
+    m = normalize_prbs(demands, ids, k, lam)
+    gains = ChannelGains(h=h)
+    graph = build_interference_graph(gains, m, powers, ids, theta)
+    return graph, m, gains, powers, radio(k)
+
+
+_oracle_settings = settings(
+    max_examples=150, derandomize=True, database=None, deadline=None
+)
+
+
+@_oracle_settings
+@given(coloring_inputs())
+def test_color_matches_dense_oracle_bit_for_bit(inputs):
+    graph, m, gains, powers, r = inputs
+    c, o, order, steps = dense_color(graph, m, gains.h, powers, r)
+    plain = color(graph, m, gains, powers, r)
+    recorded = color(graph, m, gains, powers, r, record_steps=True)
+    for state in (plain, recorded):
+        assert state.order == order
+        assert np.array_equal(state.assoc.c, c)
+        assert _bits(state.o) == _bits(o)
+    assert len(recorded.steps) == len(steps)
+    for got, (node, colors, table_after) in zip(recorded.steps, steps):
+        assert (got.node, got.colors) == (node, colors)
+        assert _bits(got.table_after) == _bits(table_after)
+
+
+@_oracle_settings
+@given(coloring_inputs())
+def test_realized_rates_equal_per_row_held_rate(inputs):
+    graph, m, gains, powers, r = inputs
+    h = gains.h
+    state = color(graph, m, gains, powers, r)
+    want = np.zeros(h.shape[0])
+    for i in state.order:
+        want[i] = held_rate(state.assoc.c[i], powers[i] / m[i], h[i, i], state.o[i], r)
+    assert _bits(realized_rates(state, m, gains, powers, r)) == _bits(want)
