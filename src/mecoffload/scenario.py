@@ -90,7 +90,6 @@ class Scenario:
     reuse_lambda: float
     edge_threshold: float
     seed: int
-    area_m: float
     pl0_db: float
     pl_exponent: float
     shadowing_db: float
@@ -152,6 +151,9 @@ class ScenarioConfig:
     bytes_per_kb: int = 1024
     energy_coeff_j_per_cycle: float | None = None
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
@@ -164,6 +166,8 @@ class ScenarioConfig:
                 or not math.isfinite(value)
             ):
                 raise InvalidConfig(f"{f.name} must be a finite number, got {value!r}")
+            if f.type == "int" and not isinstance(value, int):
+                raise InvalidConfig(f"{f.name} must be an integer, got {value!r}")
         if self.n_cells < 1:
             raise InvalidConfig("n_cells must be >= 1")
         positive = (
@@ -186,24 +190,39 @@ class ScenarioConfig:
             raise InvalidConfig("shadowing_db must be >= 0")
         if self.energy_coeff_j_per_cycle is not None and self.energy_coeff_j_per_cycle <= 0:
             raise InvalidConfig("energy_coeff_j_per_cycle must be positive")
-        # finite inputs can still overflow or underflow once scaled to SI units
-        try:
-            derived = {
-                "input_bits": self.input_bits,
-                "noise_per_prb_w": self.noise_per_prb_w,
-                "energy_coeff": self.energy_coeff,
-                "tx_power_w": self.tx_power_mw / 1000.0,
-                "task cycles": self.task_megacycles * 1e6,
-                "local_speed_hz": self.local_ghz * 1e9,
-                "mec_capacity_hz": self.mec_ghz * 1e9,
-                "ue_radius_m**2": self.ue_radius_m**2,
-                # bounds every squared UE-to-SeNB distance
-                "2 * (area_m + ue_radius_m)**2": 2 * (self.area_m + self.ue_radius_m) ** 2,
-                "reuse_lambda * num_prbs": self.reuse_lambda * self.num_prbs,
-            }
-        except OverflowError as exc:
-            raise InvalidConfig(f"a derived value overflows: {exc}") from exc
-        for name, value in derived.items():
+        # finite inputs can still overflow or underflow once scaled to SI
+        # units, or once combined into a bound the simulation relies on
+        derived = (
+            ("input_bits", lambda: self.input_bits),
+            ("noise_per_prb_w", lambda: self.noise_per_prb_w),
+            ("energy_coeff", lambda: self.energy_coeff),
+            ("tx_power_w", lambda: self.tx_power_w),
+            ("task_cycles", lambda: self.task_cycles),
+            ("local_speed_hz", lambda: self.local_speed_hz),
+            ("mec_capacity_hz", lambda: self.mec_capacity_hz),
+            ("ue_radius_m**2", lambda: self.ue_radius_m**2),
+            # bounds every squared UE-to-SeNB distance
+            ("2 * (area_m + ue_radius_m)**2", lambda: 2 * (self.area_m + self.ue_radius_m) ** 2),
+            ("reuse_lambda * num_prbs", lambda: self.reuse_lambda * self.num_prbs),
+            # the path-loss slope; inf times log10(1 m) would be a nan path loss
+            ("10 * pl_exponent", lambda: 10 * self.pl_exponent),
+            # times log2(1 + max SNR) it bounds every rate sum; inf times a
+            # zero SNR would make that bound nan
+            ("n_cells * bandwidth_hz", lambda: self.n_cells * self.bandwidth_hz),
+            # bounds the all-local system overhead, since both weights are <= 1
+            (
+                "n_cells * (task_cycles / local_speed_hz + energy_coeff * task_cycles)",
+                lambda: self.n_cells * (
+                    self.task_cycles / self.local_speed_hz
+                    + self.energy_coeff * self.task_cycles
+                ),
+            ),
+        )
+        for name, compute in derived:
+            try:
+                value = compute()
+            except OverflowError:
+                raise InvalidConfig(f"{name} overflows") from None
             if not (math.isfinite(value) and value > 0):
                 raise InvalidConfig(f"{name} must be finite and positive, got {value!r}")
 
@@ -212,8 +231,24 @@ class ScenarioConfig:
         return self.input_kb * self.bytes_per_kb * 8
 
     @property
+    def task_cycles(self) -> float:
+        return self.task_megacycles * 1e6
+
+    @property
+    def tx_power_w(self) -> float:
+        return self.tx_power_mw / 1000.0
+
+    @property
     def noise_per_prb_w(self) -> float:
         return 10 ** (self.noise_dbm / 10) * 1e-3
+
+    @property
+    def local_speed_hz(self) -> float:
+        return self.local_ghz * 1e9
+
+    @property
+    def mec_capacity_hz(self) -> float:
+        return self.mec_ghz * 1e9
 
     @property
     def energy_coeff(self) -> float:
@@ -222,9 +257,7 @@ class ScenarioConfig:
         return 1e-11 * self.local_ghz**2
 
     def with_overrides(self, **kwargs) -> "ScenarioConfig":
-        cfg = replace(self, **kwargs)
-        cfg.validate()
-        return cfg
+        return replace(self, **kwargs)
 
 
 _CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)}
@@ -237,14 +270,9 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     if unknown:
         raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
     try:
-        cfg = ScenarioConfig(**data)
+        return ScenarioConfig(**data)
     except TypeError as exc:
         raise InvalidConfig(str(exc)) from exc
-    for name in ("n_cells", "num_prbs", "seed", "bytes_per_kb"):
-        if not isinstance(getattr(cfg, name), int):
-            raise InvalidConfig(f"{name} must be an integer")
-    cfg.validate()
-    return cfg
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -264,9 +292,10 @@ def build_scenario(config: ScenarioConfig, seed: int | None = None) -> Scenario:
     serving SeNB. All draws come from one PCG64 generator seeded by `seed`
     (falling back to config.seed), so equal inputs give equal scenarios.
     """
-    config.validate()
     if seed is None:
         seed = config.seed
+    if seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
     n = config.n_cells
     rng = np.random.default_rng(seed)
 
@@ -281,15 +310,15 @@ def build_scenario(config: ScenarioConfig, seed: int | None = None) -> Scenario:
         num_prbs=config.num_prbs,
         noise_per_prb_w=config.noise_per_prb_w,
     )
-    task = Task(input_bits=config.input_bits, cycles=config.task_megacycles * 1e6)
+    task = Task(input_bits=config.input_bits, cycles=config.task_cycles)
     cells = tuple(SmallCell(i, (float(cell_xy[i, 0]), float(cell_xy[i, 1]))) for i in range(n))
     ues = tuple(
         Ue(
             id=i,
             position=(float(ue_xy[i, 0]), float(ue_xy[i, 1])),
-            tx_power_w=config.tx_power_mw / 1000.0,
+            tx_power_w=config.tx_power_w,
             task=task,
-            local_speed_hz=config.local_ghz * 1e9,
+            local_speed_hz=config.local_speed_hz,
             weight_time=config.gamma_t,
             weight_energy=config.gamma_e,
             energy_coeff_j_per_cycle=config.energy_coeff,
@@ -300,11 +329,10 @@ def build_scenario(config: ScenarioConfig, seed: int | None = None) -> Scenario:
         cells=cells,
         ues=ues,
         radio=radio,
-        mec_capacity_hz=config.mec_ghz * 1e9,
+        mec_capacity_hz=config.mec_capacity_hz,
         reuse_lambda=config.reuse_lambda,
         edge_threshold=config.edge_threshold,
         seed=seed,
-        area_m=config.area_m,
         pl0_db=config.pl0_db,
         pl_exponent=config.pl_exponent,
         shadowing_db=config.shadowing_db,
@@ -321,17 +349,19 @@ def channel_gains(s: Scenario) -> ChannelGains:
     """Linear gain matrix h[m, n] from UE m to SeNB n.
 
     Shadowing (when enabled) uses its own generator derived from the
-    scenario seed so the geometry draw stays untouched. A gain may
-    underflow to 0 (no link), but no received SNR may overflow, and neither
-    may n_cells * bandwidth_hz * log2(1 + max SNR), which bounds every
-    uplink rate and their sum.
+    scenario seed so the geometry draw stays untouched. A path loss may
+    overflow to inf and a gain underflow to 0 (no link), but no received
+    SNR may overflow, and neither may n_cells * bandwidth_hz *
+    log2(1 + max SNR), which bounds every uplink rate and their sum.
     """
     ue_xy = np.array([u.position for u in s.ues])
     cell_xy = np.array([c.position for c in s.cells])
     diff = ue_xy[:, None, :] - cell_xy[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
-    pl = path_loss_db(dist, s.pl0_db, s.pl_exponent)
-    with np.errstate(over="ignore"):
+    # inf - inf (an overflowed path loss plus an overflowed shadowing draw)
+    # is a nan SNR, rejected below like an infinite one
+    with np.errstate(over="ignore", invalid="ignore"):
+        pl = path_loss_db(dist, s.pl0_db, s.pl_exponent)
         if s.shadowing_db > 0:
             rng = np.random.default_rng([s.seed, 1])
             pl = pl + rng.normal(0.0, s.shadowing_db, size=pl.shape)
@@ -339,9 +369,14 @@ def channel_gains(s: Scenario) -> ChannelGains:
         snr = tx_powers(s)[:, None] * h / s.radio.noise_per_prb_w
         rate_bound = s.n_cells * s.radio.bandwidth_hz * np.log2(1.0 + snr.max())
     if not np.isfinite(snr).all():
-        raise InvalidConfig("a received SNR overflows: check tx_power_mw, pl0_db, shadowing_db")
+        raise InvalidConfig(
+            "a received SNR tx_power_w * h / noise_per_prb_w is not finite: "
+            "check tx_power_mw, pl0_db, pl_exponent, shadowing_db"
+        )
     if not np.isfinite(rate_bound):
-        raise InvalidConfig("the sum of uplink rates overflows: check bandwidth_hz")
+        raise InvalidConfig(
+            "n_cells * bandwidth_hz * log2(1 + max SNR) overflows: check bandwidth_hz"
+        )
     return ChannelGains(h=h)
 
 

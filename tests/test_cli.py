@@ -3,13 +3,17 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import mecoffload
 from mecoffload.cli import CSV_HEADER, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 ALL_SORTED = [
     "all_local",
@@ -225,6 +229,18 @@ class TestExitCodes:
             # squared distances or the rate sum overflow
             ({"area_m": 1e300}, ["run"]),
             ({"bandwidth_hz": 1e308}, ["run"]),
+            # a negative seed, from the config or from either seed flag
+            ({"seed": -1}, ["run"]),
+            (None, ["run", "--seed", "-1"]),
+            (None, ["sweep", "--seeds=-3..-1", "--vary", "cells", "--values", "3"]),
+            # the all-local overhead sum overflows
+            ({"energy_coeff_j_per_cycle": 1e308}, ["run"]),
+            ({"energy_coeff_j_per_cycle": 100, "local_ghz": 1e-308, "bandwidth_hz": 0.5}, ["run"]),
+            # inf * 0 in the path loss or in the rate bound
+            ({"pl_exponent": 1e308, "ue_radius_m": 0.5}, ["run"]),
+            ({"bandwidth_hz": 1e308, "pl0_db": 100000.0}, ["run"]),
+            # an infinite path loss plus an infinite shadowing draw
+            ({"pl_exponent": 1e307, "shadowing_db": 1e308}, ["run"]),
         ],
     )
     def test_non_finite_or_mistyped_value_is_config_error(
@@ -238,6 +254,23 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and "config error" in err
         assert out == ""
+
+    def test_negative_config_seed_overridden_by_seeds_is_legal(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": -1}))
+        argv = ["sweep", "--config", str(path), "--vary", "cells", "--values", "3", "--seeds", "0"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and len(csv_lines(out)) == 2
+
+    def test_readme_exit_code_examples_are_config_errors(self, capsys, tmp_path):
+        section = README.read_text(encoding="utf-8").split("## Exit codes")[1].split("\n## ")[0]
+        examples = re.findall(r"`(\{.*?\})`", section, flags=re.S)
+        assert len(examples) >= 15
+        path = tmp_path / "cfg.json"
+        for example in examples:
+            path.write_text(example)
+            code, out, err = run_cli(capsys, ["run", "--config", str(path), "--scheme", "all"])
+            assert code == 2 and "config error" in err and out == "", example
 
     def test_unwritable_output_is_output_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.csv"

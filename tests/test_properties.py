@@ -1,8 +1,13 @@
 """Invariants over generated inputs: the CPU solvers on requests large
-enough to pin over several rounds, and the proposed pipeline on random
-configurations. Examples are derandomized, so every run checks the same
-cases."""
+enough to pin over several rounds, the proposed pipeline on random
+configurations, and the exit code of `run` on arbitrary config files.
+Examples are derandomized, so every run checks the same cases."""
 
+import contextlib
+import csv
+import dataclasses
+import io
+import json
 import math
 
 import numpy as np
@@ -10,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mecoffload.cli import main
 from mecoffload.cpu_allocation import CpuRequest, allocate_minmax, allocate_minsum
 from mecoffload.decision_engine import (
     evaluate,
@@ -105,3 +111,52 @@ def test_proposed_pipeline_invariants(n_cells, reuse_lambda, mec_ghz, seed):
         assert (again.cpu is None) == (out.cpu is None)
         if out.cpu is not None:
             assert again.cpu.f == out.cpu.f
+
+
+_EXTREMES = (5e-324, -5e-324, 1e-308, -1e-308, 1e300, -1e300, 1e308, -1e308, 0, 1, -1)
+_NOT_A_NUMBER = (math.nan, math.inf, -math.inf, True, False, "1", "", None)
+# cell and block counts stay small so that ~500 whole runs fit in a few
+# seconds; every other field may take any value, huge integers included
+_COUNT_CAP = {"n_cells": 12, "num_prbs": 200}
+
+
+def _normal(f):
+    """Valid values: a positive integer, or within a factor of two of the default."""
+    if f.name in _COUNT_CAP:
+        return st.integers(1, _COUNT_CAP[f.name])
+    if f.type == "int":
+        return st.integers(min_value=1)
+    default = f.default if f.default is not None else 1e-11
+    return st.floats(0.5, 2).map(lambda x: x * default)
+
+
+_FIELDS = dataclasses.fields(ScenarioConfig)
+_NAMES = st.sampled_from([f.name for f in _FIELDS])
+# any subset of fields at ordinary values, up to three of them at finite
+# extremes, and at most one that is no finite number at all
+_CONFIGS = st.builds(
+    lambda normal, extreme, odd: {**normal, **extreme, **odd},
+    st.fixed_dictionaries({}, optional={f.name: _normal(f) for f in _FIELDS}),
+    st.dictionaries(_NAMES, st.sampled_from(_EXTREMES), max_size=3),
+    st.dictionaries(_NAMES, st.sampled_from(_NOT_A_NUMBER), max_size=1),
+)
+
+
+@_settings(500)
+@given(data=_CONFIGS)
+def test_any_config_gives_rows_or_a_documented_exit(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(data))  # NaN / Infinity literals
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(path), "--scheme", "all"])
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert out.getvalue() == "" and "config error" in err.getvalue()
+    rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+    for row in rows:
+        for key, value in row.items():
+            assert value != "nan", (key, row)
+            if value == "inf":
+                assert (key, row["scheme"]) == ("system_overhead", "all_offload_orth"), row
+    assert (code == 0) == bool(rows)

@@ -38,7 +38,7 @@ def manual_scenario(cell_positions, ue_positions, **overrides):
     params = dict(
         radio=RadioParams(bandwidth_hz=20e6, num_prbs=100, noise_per_prb_w=1e-13),
         mec_capacity_hz=1e11, reuse_lambda=2.0, edge_threshold=0.1, seed=0,
-        area_m=120.0, pl0_db=30.0, pl_exponent=3.7, shadowing_db=0.0,
+        pl0_db=30.0, pl_exponent=3.7, shadowing_db=0.0,
     )
     params.update(overrides)
     cells = tuple(SmallCell(i, p) for i, p in enumerate(cell_positions))
@@ -106,6 +106,41 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             ScenarioConfig().with_overrides(n_cells=-3)
 
+    def test_construction_validates(self):
+        with pytest.raises(InvalidConfig, match="n_cells must be >= 1"):
+            ScenarioConfig(n_cells=0)
+
+    @pytest.mark.parametrize("name", ["n_cells", "num_prbs", "seed", "bytes_per_kb"])
+    def test_integer_fields_reject_floats(self, name):
+        with pytest.raises(InvalidConfig, match=f"{name} must be an integer"):
+            ScenarioConfig().with_overrides(**{name: 2.5})
+
+    @pytest.mark.parametrize(
+        "overrides, name",
+        [
+            ({"input_kb": 1e308}, "input_bits"),
+            ({"noise_dbm": 1e308}, "noise_per_prb_w"),
+            ({"local_ghz": 1e200}, "energy_coeff"),
+            ({"tx_power_mw": 5e-324}, "tx_power_w"),
+            ({"task_megacycles": 1e303}, "task_cycles"),
+            ({"local_ghz": 1e300, "energy_coeff_j_per_cycle": 1.0}, "local_speed_hz"),
+            ({"mec_ghz": 1e300}, "mec_capacity_hz"),
+            ({"ue_radius_m": 1e200}, "ue_radius_m**2"),
+            ({"area_m": 1e300}, "2 * (area_m + ue_radius_m)**2"),
+            ({"reuse_lambda": 1e308}, "reuse_lambda * num_prbs"),
+            ({"pl_exponent": 1e308}, "10 * pl_exponent"),
+            ({"bandwidth_hz": 1e308}, "n_cells * bandwidth_hz"),
+            (
+                {"energy_coeff_j_per_cycle": 1e308},
+                "n_cells * (task_cycles / local_speed_hz + energy_coeff * task_cycles)",
+            ),
+        ],
+    )
+    def test_derived_value_is_named(self, overrides, name):
+        with pytest.raises(InvalidConfig) as exc:
+            ScenarioConfig(**overrides)
+        assert str(exc.value).startswith(f"{name} ")
+
 
 class TestBuild:
     def test_same_seed_same_scenario(self):
@@ -120,6 +155,10 @@ class TestBuild:
         a = build_scenario(cfg, seed=0)
         b = build_scenario(cfg, seed=1)
         assert [u.position for u in a.ues] != [u.position for u in b.ues]
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidConfig, match="seed must be >= 0"):
+            build_scenario(ScenarioConfig(), seed=-1)
 
     def test_seed_falls_back_to_config(self):
         cfg = ScenarioConfig(seed=11)
@@ -186,6 +225,11 @@ class TestGains:
         assert g.h.shape == (6, 6)
         assert (g.h > 0).all()
         assert g.n == 6
+
+    def test_overflowing_path_loss_is_no_link(self):
+        # 10 * pl_exponent is finite, its product with log10(distance) is not
+        s = build_scenario(ScenarioConfig(pl_exponent=1e307), seed=0)
+        assert (channel_gains(s).h == 0).all()
 
     def test_serving_link_usually_strongest(self):
         # each UE sits within 20 m of its serving cell, but 9 cells share a
