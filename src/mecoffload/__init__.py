@@ -36,7 +36,6 @@ from .load_estimation import (
 )
 from .prb_coloring import (
     ColoringState,
-    ColorStep,
     InterferenceGraph,
     build_interference_graph,
     color,

@@ -95,18 +95,15 @@ class _UsageError(Exception):
     pass
 
 
-def _parse_seeds(text: str) -> list[int]:
-    if ".." in text:
-        first, _, last = text.partition("..")
-        try:
-            lo, hi = int(first), int(last)
-        except ValueError:
-            raise _UsageError(f"bad seed range {text!r}") from None
-        return list(range(lo, hi + 1))
+def _parse_seeds(text: str) -> range:
+    """N or A..B (inclusive), as an ascending range that is never listed."""
+    first, dots, last = text.partition("..")
     try:
-        return [int(text)]
+        lo = int(first)
+        hi = int(last) if dots else lo
     except ValueError:
-        raise _UsageError(f"bad seed list {text!r}") from None
+        raise _UsageError(f"bad seed {'range' if dots else 'list'} {text!r}") from None
+    return range(lo, hi + 1)
 
 
 def _parse_values(vary: str, text: str) -> list:
@@ -175,7 +172,7 @@ def cmd_sweep(args) -> int:
     values = _parse_values(args.vary, args.values)
     key = _VARY_KEYS[args.vary]
     configs = [cfg.with_overrides(**{key: value}) for value in sorted(values)]
-    return _run_cells(args, schemes, configs, sorted(seeds), detail=False)
+    return _run_cells(args, schemes, configs, seeds, detail=False)
 
 
 def build_parser() -> _Parser:

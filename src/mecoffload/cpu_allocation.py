@@ -64,6 +64,10 @@ def _pin_and_split(requests: list[CpuRequest], capacity_hz: float, split) -> dic
     shares: dict[int, float] = {}
     budget = capacity_hz
     while active:
+        if budget <= 0:
+            # the pins took the whole budget (feasible's sum may round to it)
+            # and the UEs left would get no share at all
+            raise InfeasibleAllocation("pinned shares use up the server budget")
         free = split(active, budget)
         bound = [r for r, f in zip(active, free) if f < r.min_share_hz]
         if not bound:

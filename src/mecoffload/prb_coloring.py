@@ -71,20 +71,10 @@ def build_interference_graph(
 
 
 @dataclass(frozen=True)
-class ColorStep:
-    """Snapshot of one coloring iteration, for replay-style verification."""
-
-    node: int
-    colors: tuple[int, ...]
-    table_after: np.ndarray  # interference table right after the assignment
-
-
-@dataclass(frozen=True)
 class ColoringState:
     assoc: PrbAssociation
     o: np.ndarray  # interference table, see radio.interference_table
     order: tuple[int, ...]  # nodes in the sequence they were colored
-    steps: tuple[ColorStep, ...] | None = None
 
 
 def color(
@@ -93,8 +83,6 @@ def color(
     gains: ChannelGains,
     powers: np.ndarray,
     radio: RadioParams,
-    *,
-    record_steps: bool = False,
 ) -> ColoringState:
     """Greedy coloring: most-interfered node first, batch-assign the quota
     of colors with the best hypothetical system sum rate.
@@ -120,7 +108,6 @@ def color(
 
     c = np.zeros((n_ues, k), dtype=np.int64)
     o = np.zeros((n_ues, k))
-    steps: list[ColorStep] = []
 
     # Held (step, UE, PRB) entries of the colored nodes, in coloring order
     # and ascending PRB within a node: a score moves only through these.
@@ -158,20 +145,11 @@ def color(
         held_prb[n_held:end] = take
         held_snr[n_held:end] = p[node] * h[node, node]
         n_held = end
-        if record_steps:
-            steps.append(
-                ColorStep(
-                    node=int(node),
-                    colors=tuple(int(j) for j in take),
-                    table_after=o.copy(),
-                )
-            )
 
     return ColoringState(
         assoc=PrbAssociation.from_matrix(c),
         o=o,
         order=tuple(int(x) for x in order),
-        steps=tuple(steps) if record_steps else None,
     )
 
 

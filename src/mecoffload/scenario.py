@@ -115,10 +115,6 @@ class ChannelGains:
 
     h: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.h.shape[0]
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -280,7 +276,9 @@ def load_config(path: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and ints
+        # past the digit limit; RecursionError is nesting too deep to parse
         raise InvalidConfig(f"cannot read config {path}: {exc}") from exc
     return config_from_dict(data)
 

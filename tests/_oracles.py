@@ -115,16 +115,30 @@ def dense_color(graph, m, h, powers, radio):
     return c, o, tuple(int(x) for x in order), steps
 
 
-def replay_coloring(state, graph_nodes, m, h, powers, bandwidth_hz, num_prbs,
-                    noise_w, theta, interference_table_fn, rtol=1e-12):
-    """Re-derive the whole coloring trajectory from scratch.
+def assert_matches_dense_color(state, graph, m, h, powers, radio):
+    """Assert that a ColoringState equals dense_color's bit for bit.
 
-    Checks, step by step: the node order (static in-edge-weight key with
-    smallest-quota then lowest-index ties), that each node's colors are
-    exactly the top-quota set of the recomputed hypothetical sum rate
-    (ties to the lowest color), and that the maintained interference table
-    matches a from-scratch rebuild after every step. Raises AssertionError
-    on the first disagreement.
+    Compares the order, the association and the final interference table,
+    and returns dense_color's (order, steps) for replay_coloring.
+    """
+    c, o, order, steps = dense_color(graph, m, h, powers, radio)
+    assert state.order == order, "coloring order differs from dense_color"
+    assert np.array_equal(state.assoc.c, c), "colors differ from dense_color"
+    assert state.o.tobytes() == o.tobytes(), "table differs from dense_color"
+    return order, steps
+
+
+def replay_coloring(order, steps, graph_nodes, m, h, powers, bandwidth_hz,
+                    num_prbs, noise_w, theta, interference_table_fn, rtol=1e-12):
+    """Re-derive a coloring trajectory from scratch.
+
+    order and steps are what dense_color returns: steps holds one
+    (node, colors, table_after) per colored node. Checks, step by step: the
+    node order (static in-edge-weight key with smallest-quota then
+    lowest-index ties), that each node's colors are exactly the top-quota
+    set of the recomputed hypothetical sum rate (ties to the lowest color),
+    and that the table after each step matches a from-scratch rebuild.
+    Raises AssertionError on the first disagreement.
     """
     bpp = bandwidth_hz / num_prbs
     nodes = sorted(graph_nodes)
@@ -140,8 +154,7 @@ def replay_coloring(state, graph_nodes, m, h, powers, bandwidth_hz, num_prbs,
                 total += (powers[mm] / m[mm]) * h[mm, n]
         in_weight[n] = total
     expected_order = sorted(nodes, key=lambda i: (-in_weight[i], m[i], i))
-    assert list(state.order) == expected_order, "coloring order mismatch"
-    assert state.steps is not None, "replay needs recorded steps"
+    assert list(order) == expected_order, "coloring order mismatch"
 
     held: dict[int, list[int]] = {n: [] for n in nodes}
 
@@ -158,8 +171,7 @@ def replay_coloring(state, graph_nodes, m, h, powers, bandwidth_hz, num_prbs,
             o += (powers[extra_from] / m[extra_from]) * h[extra_from, n]
         return bpp * math.log2(1.0 + (powers[n] / m[n]) * h[n, n] / (noise_w + o))
 
-    for step in state.steps:
-        nb = step.node
+    for nb, colors, table_after in steps:
         base_terms = {
             n: [rate(n, q) for q in held[n]] for n in nodes if n != nb
         }
@@ -174,10 +186,10 @@ def replay_coloring(state, graph_nodes, m, h, powers, bandwidth_hz, num_prbs,
                 s += rate(n, j, extra_from=nb) - base_terms[n][held[n].index(j)]
             scores.append(s)
         want = sorted(range(num_prbs), key=lambda j: (-scores[j], j))[: m[nb]]
-        assert set(want) == set(step.colors), (
-            f"node {nb}: colors {sorted(step.colors)} != expected {sorted(want)}"
+        assert set(want) == set(colors), (
+            f"node {nb}: colors {sorted(colors)} != expected {sorted(want)}"
         )
-        held[nb] = list(step.colors)
+        held[nb] = list(colors)
 
         # table consistency against a full rebuild from the partial matrix
         c_partial = np.zeros((h.shape[0], num_prbs), dtype=np.int64)
@@ -185,7 +197,7 @@ def replay_coloring(state, graph_nodes, m, h, powers, bandwidth_hz, num_prbs,
             c_partial[n, held[n]] = 1
         rebuilt = interference_table_fn(c_partial)
         np.testing.assert_allclose(
-            step.table_after, rebuilt, rtol=rtol, atol=1e-300,
+            table_after, rebuilt, rtol=rtol, atol=1e-300,
             err_msg=f"interference table inconsistent after node {nb}",
         )
 

@@ -43,7 +43,12 @@ from mecoffload.scenario import (
     tx_powers,
 )
 
-from _oracles import grid_cpu_oracle, replay_coloring, scan_min_prbs
+from _oracles import (
+    assert_matches_dense_color,
+    grid_cpu_oracle,
+    replay_coloring,
+    scan_min_prbs,
+)
 from test_cpu_allocation import random_instance
 from test_scenario import make_ue
 
@@ -142,9 +147,12 @@ def test_criterion_04_coloring_replays_from_scratch(capsys):
                 graph = build_interference_graph(
                     gains, m, powers, offs, s.edge_threshold
                 )
-                state = color(graph, m, gains, powers, s.radio, record_steps=True)
+                state = color(graph, m, gains, powers, s.radio)
+                order, steps = assert_matches_dense_color(
+                    state, graph, m, gains.h, powers, s.radio
+                )
                 replay_coloring(
-                    state, offs, m, gains.h, powers,
+                    order, steps, offs, m, gains.h, powers,
                     s.radio.bandwidth_hz, s.radio.num_prbs,
                     s.radio.noise_per_prb_w, s.edge_threshold,
                     lambda c: interference_table(

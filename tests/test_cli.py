@@ -187,6 +187,22 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, ["run", "--config", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"\xff\xfe{}",
+            b"[" * 100000 + b"]" * 100000,
+            b'{"n_cells": ' + b"9" * 5000 + b"}",
+        ],
+        ids=["not-utf8", "nested-too-deep", "int-too-long"],
+    )
+    def test_unreadable_config_is_config_error(self, capsys, tmp_path, raw):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(raw)
+        code, out, err = run_cli(capsys, ["run", "--config", str(path)])
+        assert code == 2 and "config error" in err
+        assert out == ""
+
     def test_unknown_config_key(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"cells": 9}))
@@ -241,6 +257,12 @@ class TestExitCodes:
             ({"bandwidth_hz": 1e308, "pl0_db": 100000.0}, ["run"]),
             # an infinite path loss plus an infinite shadowing draw
             ({"pl_exponent": 1e307, "shadowing_db": 1e308}, ["run"]),
+            # a seed range too long for a list, ahead of an invalid value
+            (
+                None,
+                ["sweep", "--seeds", "0..10000000000000000000", "--vary", "cells",
+                 "--values", "0"],
+            ),
         ],
     )
     def test_non_finite_or_mistyped_value_is_config_error(

@@ -152,6 +152,17 @@ class TestSharedInvariants:
             sum_under_minmax = sum(r.cycles / minmax.f[r.ue] for r in requests)
             assert minsum.objective <= sum_under_minmax * (1 + 1e-12)
 
+    @pytest.mark.parametrize("solver", [allocate_minmax, allocate_minsum])
+    @pytest.mark.parametrize("loose_cap", [1e20, LOOSE])
+    def test_pins_that_use_up_the_budget_are_infeasible(self, solver, loose_cap):
+        # the minimum shares sum to the budget (1.0 + 1e-20 rounds to 1.0),
+        # so feasible passes; the first pin then takes the whole budget
+        # while the second request is still active
+        requests = reqs([1.0, 1.0], [1.0, loose_cap])
+        assert feasible(requests, 1.0)
+        with pytest.raises(InfeasibleAllocation):
+            solver(requests, 1.0)
+
     @pytest.mark.parametrize("kind,solver", [("minmax", allocate_minmax), ("minsum", allocate_minsum)])
     def test_grid_oracle_agreement_small(self, kind, solver):
         rng = np.random.default_rng(400 if kind == "minmax" else 500)

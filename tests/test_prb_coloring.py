@@ -23,7 +23,11 @@ from mecoffload.radio import (
 )
 from mecoffload.scenario import ChannelGains, RadioParams
 
-from _oracles import dense_color, loop_interference_weight, replay_coloring
+from _oracles import (
+    assert_matches_dense_color,
+    loop_interference_weight,
+    replay_coloring,
+)
 
 
 def radio(k, bandwidth=20e6, noise=1e-13):
@@ -157,11 +161,10 @@ class TestColor:
         m = np.array([1, 1, 1])
         r = radio(3)
         g = build_interference_graph(ChannelGains(h=h), m, powers, [0, 1, 2], 0.1)
-        state = color(
-            g, m, ChannelGains(h=h), powers, r, record_steps=True
-        )
+        state = color(g, m, ChannelGains(h=h), powers, r)
+        order, steps = assert_matches_dense_color(state, g, m, h, powers, r)
         replay_coloring(
-            state, [0, 1, 2], m, h, powers, 20e6, 3, 1e-13, 0.1,
+            order, steps, [0, 1, 2], m, h, powers, 20e6, 3, 1e-13, 0.1,
             lambda c: interference_table(
                 PrbAssociation.from_matrix(c), ChannelGains(h=h), powers
             ),
@@ -273,29 +276,15 @@ def coloring_inputs(draw):
     return graph, m, gains, powers, radio(k)
 
 
-_oracle_settings = settings(
-    max_examples=150, derandomize=True, database=None, deadline=None
-)
-
-
-@_oracle_settings
+@settings(max_examples=150)
 @given(coloring_inputs())
 def test_color_matches_dense_oracle_bit_for_bit(inputs):
     graph, m, gains, powers, r = inputs
-    c, o, order, steps = dense_color(graph, m, gains.h, powers, r)
-    plain = color(graph, m, gains, powers, r)
-    recorded = color(graph, m, gains, powers, r, record_steps=True)
-    for state in (plain, recorded):
-        assert state.order == order
-        assert np.array_equal(state.assoc.c, c)
-        assert _bits(state.o) == _bits(o)
-    assert len(recorded.steps) == len(steps)
-    for got, (node, colors, table_after) in zip(recorded.steps, steps):
-        assert (got.node, got.colors) == (node, colors)
-        assert _bits(got.table_after) == _bits(table_after)
+    state = color(graph, m, gains, powers, r)
+    assert_matches_dense_color(state, graph, m, gains.h, powers, r)
 
 
-@_oracle_settings
+@settings(max_examples=150)
 @given(coloring_inputs())
 def test_realized_rates_equal_per_row_held_rate(inputs):
     graph, m, gains, powers, r = inputs

@@ -30,10 +30,6 @@ from mecoffload.scenario import ScenarioConfig, build_scenario, channel_gains, t
 REL = 1e-9
 
 
-def _settings(n):
-    return settings(max_examples=n, derandomize=True, database=None, deadline=None)
-
-
 @st.composite
 def cpu_instances(draw):
     """Feasible requests: the minimum shares take a drawn fraction of the
@@ -54,7 +50,7 @@ def cpu_instances(draw):
     return requests, budget
 
 
-@_settings(150)
+@settings(max_examples=150)
 @given(cpu_instances())
 def test_cpu_splits_fill_the_budget_and_meet_every_deadline(instance):
     requests, budget = instance
@@ -81,7 +77,7 @@ def _start(s, gains, estimates, cpu_mode):
     return evaluate(a0, s, gains, cpu_mode, estimates)
 
 
-@_settings(60)
+@settings(max_examples=60)
 @given(
     n_cells=st.integers(1, 12),
     reuse_lambda=st.floats(1.0, 3.0),
@@ -142,7 +138,7 @@ _CONFIGS = st.builds(
 )
 
 
-@_settings(500)
+@settings(max_examples=500)
 @given(data=_CONFIGS)
 def test_any_config_gives_rows_or_a_documented_exit(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz.json"

@@ -216,7 +216,6 @@ class TestGains:
         g = channel_gains(s)
         assert g.h.shape == (6, 6)
         assert (g.h > 0).all()
-        assert g.n == 6
 
     def test_overflowing_path_loss_is_no_link(self):
         # 10 * pl_exponent is finite, its product with log10(distance) is not
