@@ -4,8 +4,11 @@ Colors are PRBs, vertices are the offloading UEs' serving cells. Demands
 are scaled into quotas that may oversubscribe the band (reuse), a directed
 interference graph decides the coloring order, and each node grabs the
 quota-many colors that maximize the hypothetical system sum rate given
-everything assigned so far. The interference table is maintained
-incrementally and must stay consistent with the association matrix.
+everything assigned so far: its own rate plus the change in the colored
+nodes' rates. Their current rates, the same for every color, are left out,
+since adding them only rounds away differences between colors. The
+interference table is maintained incrementally and must stay consistent
+with the association matrix.
 """
 
 from __future__ import annotations
@@ -88,10 +91,13 @@ def color(
     of colors with the best hypothetical system sum rate.
 
     Scoring a color j for node nb: nb's single-PRB rate on j under the
-    current interference, plus every already-colored node's rate with nb's
-    leakage added on j only. Colors held by others are fair game (reuse);
-    ties go to the lowest color index. After the batch the table rows of
-    all other nodes gain nb's per-PRB leakage on the taken colors.
+    current interference, plus the change in every already-colored node's
+    rate when nb's leakage is added on j only. The colored nodes' current
+    rates are left out: they add the same constant to every color, and
+    adding it only rounds away differences between colors. Colors held by
+    others are fair game (reuse); ties go to the lowest color index. After
+    the batch the table rows of all other nodes gain nb's per-PRB leakage
+    on the taken colors.
     """
     h = gains.h
     n_ues = h.shape[0]
@@ -109,42 +115,32 @@ def color(
     c = np.zeros((n_ues, k), dtype=np.int64)
     o = np.zeros((n_ues, k))
 
-    # Held (step, UE, PRB) entries of the colored nodes, in coloring order
-    # and ascending PRB within a node: a score moves only through these.
-    # bincount adds each PRB's deltas in the order the dense axis-0 sum over
-    # colored rows did, and hb (base on held entries, 0 elsewhere) gives the
-    # constant term by the same contiguous sum, so both match bit for bit.
+    # Held (UE, PRB) entries of the colored nodes, in coloring order and
+    # ascending PRB within a node: a score moves only through these, and
+    # bincount adds each PRB's deltas in the order of a dense axis-0 sum
+    # over the colored rows.
+    snr_self = p * np.diagonal(h)  # per-PRB power times serving gain
     size = int(m[nodes].sum())
-    held_step = np.empty(size, dtype=np.int64)
     held_ue = np.empty(size, dtype=np.int64)
     held_prb = np.empty(size, dtype=np.int64)
-    held_snr = np.empty(size)  # per-PRB power times serving gain
-    hb = np.zeros((len(nodes), k))
     n_held = 0
 
-    for t, node in enumerate(order):
-        own = bpp * np.log2(1.0 + p[node] * h[node, node] / (noise + o[node]))
-        if t:
-            ue, prb, snr = held_ue[:n_held], held_prb[:n_held], held_snr[:n_held]
-            den = noise + o[ue, prb]
-            base = bpp * np.log2(1.0 + snr / den)
-            pert = bpp * np.log2(1.0 + snr / (den + p[node] * h[node, ue]))
-            hb[held_step[:n_held], prb] = base
-            delta = np.bincount(prb, pert - base, minlength=k)
-            scores = own + hb[:t].sum() + delta
-        else:
-            scores = own
+    for node in order:
+        leak = p[node] * h[node]
+        own = bpp * np.log2(1.0 + snr_self[node] / (noise + o[node]))
+        ue, prb = held_ue[:n_held], held_prb[:n_held]
+        snr = snr_self[ue]
+        den = noise + o[ue, prb]
+        base = bpp * np.log2(1.0 + snr / den)
+        pert = bpp * np.log2(1.0 + snr / (den + leak[ue]))
+        scores = own + np.bincount(prb, pert - base, minlength=k)
         take = np.sort(np.argsort(-scores, kind="stable")[: int(m[node])])
         c[node, take] = 1
-        leak = p[node] * h[node]
         leak[node] = 0.0  # a cell does not interfere with itself
         o[:, take] += leak[:, None]
-        end = n_held + take.size
-        held_step[n_held:end] = t
-        held_ue[n_held:end] = node
-        held_prb[n_held:end] = take
-        held_snr[n_held:end] = p[node] * h[node, node]
-        n_held = end
+        held_ue[n_held:n_held + take.size] = node
+        held_prb[n_held:n_held + take.size] = take
+        n_held += take.size
 
     return ColoringState(
         assoc=PrbAssociation.from_matrix(c),

@@ -76,6 +76,9 @@ def dense_color(graph, m, h, powers, radio):
     The same arithmetic as prb_coloring.color, but each step recomputes the
     base and perturbed rates of all colored rows on all K PRBs and masks
     them with the held flags, so it should agree with color bit for bit.
+    A score is the node's own rate plus the change in the colored rows'
+    rates: their current rates are the same for every color, so the sum of
+    them is left out.
     Returns (c, o, order, steps), steps a list of (node, colors,
     table_after) per colored node.
     """
@@ -102,7 +105,7 @@ def dense_color(graph, m, h, powers, radio):
             bump = (p[node] * h[node, rows])[:, None]
             pert = bpp * np.log2(1.0 + snr_num / (noise + o[rows] + bump))
             held = c[rows].astype(np.float64)
-            scores = own + (held * base).sum() + (held * (pert - base)).sum(axis=0)
+            scores = own + (held * (pert - base)).sum(axis=0)
         else:
             scores = own
         take = np.argsort(-scores, kind="stable")[: int(m[node])]
@@ -137,7 +140,10 @@ def replay_coloring(order, steps, graph_nodes, m, h, powers, bandwidth_hz,
     node order (static in-edge-weight key with smallest-quota then
     lowest-index ties), that each node's colors are exactly the top-quota
     set of the recomputed hypothetical sum rate (ties to the lowest color),
-    and that the table after each step matches a from-scratch rebuild.
+    and that the table after each step matches a from-scratch rebuild. The
+    score is the node's own rate plus the change in the colored nodes'
+    rates: their current rates are the same for every color, so they are
+    left out.
     Raises AssertionError on the first disagreement.
     """
     bpp = bandwidth_hz / num_prbs
@@ -175,11 +181,9 @@ def replay_coloring(order, steps, graph_nodes, m, h, powers, bandwidth_hz,
         base_terms = {
             n: [rate(n, q) for q in held[n]] for n in nodes if n != nb
         }
-        total_base = sum(sum(v) for v in base_terms.values())
         scores = []
         for j in range(num_prbs):
             s = rate(nb, j)
-            s += total_base
             for n in nodes:
                 if n == nb or j not in held[n]:
                     continue

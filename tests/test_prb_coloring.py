@@ -1,6 +1,7 @@
 """Quota normalization, interference graph, and the greedy coloring loop."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -170,6 +171,45 @@ class TestColor:
             ),
         )
 
+    def test_near_tie_goes_to_the_larger_exact_score(self):
+        # Palette gains nudged by a few ulps: PRB 1 beats PRB 0 for node 1
+        # by 3.7e-9 bit/s, a difference that adding the colored nodes'
+        # current rates (about 1.3e8 bit/s) to both scores would round away.
+        rng = np.random.default_rng(67)
+        n, k = int(rng.integers(2, 9)), int(rng.integers(1, 9))
+        h = rng.choice([0.0, 1e-12, 1e-11], (n, n)) * (
+            1 + rng.integers(-3, 4, (n, n)) * 2.0**-52
+        )
+        h[np.arange(n), np.arange(n)] = rng.choice([1e-10, 1e-9], n) * (
+            1 + rng.integers(-3, 4, n) * 2.0**-52
+        )
+        powers = np.full(n, 0.1)
+        ids = list(range(n))
+        m = normalize_prbs([1] * n, ids, k, 1.0)
+        r = radio(k)
+        g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.0)
+        state = color(g, m, ChannelGains(h=h), powers, r)
+        order, steps = assert_matches_dense_color(state, g, m, h, powers, r)
+        assert (n, k, order) == (7, 4, (6, 2, 3, 4, 1, 0, 5))
+        assert tuple(np.flatnonzero(state.assoc.c[1])) == (1,)
+
+        t = order.index(1)
+        o = steps[t - 1][2]  # the table before node 1 is colored
+        p = powers / m
+        bpp, noise = r.prb_bandwidth_hz, r.noise_per_prb_w
+
+        def exact_score(j):
+            total = Fraction(bpp * np.log2(1.0 + p[1] * h[1, 1] / (noise + o[1, j])))
+            for ue, colors, _ in steps[:t]:
+                if j in colors:
+                    snr, den = p[ue] * h[ue, ue], noise + o[ue, j]
+                    base = bpp * np.log2(1.0 + snr / den)
+                    pert = bpp * np.log2(1.0 + snr / (den + p[1] * h[1, ue]))
+                    total += Fraction(pert - base)
+            return total
+
+        assert exact_score(1) > exact_score(0)
+
     def test_row_sums_equal_quotas(self):
         rng = np.random.default_rng(3)
         for lam in (1.0, 2.0):
@@ -184,7 +224,7 @@ class TestColor:
         g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.1)
         state = color(g, m, ChannelGains(h=h), powers, radio(10))
         keys = [g.in_weight[n] for n in state.order]
-        assert all(a >= b - 1e-30 for a, b in zip(keys, keys[1:]))
+        assert all(a >= b for a, b in zip(keys, keys[1:]))
 
     def test_final_table_consistent(self):
         rng = np.random.default_rng(9)
@@ -251,19 +291,28 @@ def _bits(a) -> bytes:
 def coloring_inputs(draw):
     """An offload set of 1-30 nodes on 1-120 PRBs, lambda 1-3, quotas capped
     at K. Tied cases draw gains from a three-value palette, so scores and
-    order keys tie exactly; both kinds include zero cross gains."""
+    order keys tie exactly; near cases nudge the palette by up to 3 ulps,
+    so two colors' scores can differ by less than an ulp of the system sum
+    rate; every kind includes zero cross gains."""
     n = draw(st.integers(1, 30))
     k = draw(st.integers(1, 120))
     lam = draw(st.floats(1.0, 3.0))
     demands = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
     local = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
     theta = draw(st.sampled_from([0.0, 0.1, math.inf]))
-    tied = draw(st.booleans())
+    kind = draw(st.sampled_from(["tied", "near", "continuous"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if tied:
+    if kind == "continuous":
+        h = 10.0 ** rng.uniform(-12.5, -8.5, size=(n, n))
+        h[rng.random((n, n)) < 0.3] = 0.0
+        serving = 10.0 ** rng.uniform(-10.0, -9.0, size=n)
+    else:
         h = rng.choice([0.0, 1e-12, 1e-11], size=(n, n))
         serving = rng.choice([1e-10, 1e-9], size=n)
-    else:
+    if kind == "near":
+        h *= 1 + rng.integers(-3, 4, size=(n, n)) * 2.0**-52
+        serving *= 1 + rng.integers(-3, 4, size=n) * 2.0**-52
+
         h = 10.0 ** rng.uniform(-12.5, -8.5, size=(n, n))
         h[rng.random((n, n)) < 0.3] = 0.0
         serving = 10.0 ** rng.uniform(-10.0, -9.0, size=n)
