@@ -312,10 +312,6 @@ def coloring_inputs(draw):
     if kind == "near":
         h *= 1 + rng.integers(-3, 4, size=(n, n)) * 2.0**-52
         serving *= 1 + rng.integers(-3, 4, size=n) * 2.0**-52
-
-        h = 10.0 ** rng.uniform(-12.5, -8.5, size=(n, n))
-        h[rng.random((n, n)) < 0.3] = 0.0
-        serving = 10.0 ** rng.uniform(-10.0, -9.0, size=n)
     h[np.arange(n), np.arange(n)] = serving
     powers = np.full(n, 0.1)
     ids = [i for i in range(n) if i not in local]
