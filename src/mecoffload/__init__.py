@@ -1,7 +1,7 @@
 """Deterministic small-cell MEC simulator: joint computation offloading,
 graph-coloring PRB allocation, and convex server CPU partitioning."""
 
-from .compute_model import LocalOverhead, OffloadOverhead, local_overhead, offload_overhead
+from .compute_model import LocalOverhead, OffloadOverhead, offload_overhead
 from .cpu_allocation import (
     CpuAllocation,
     CpuRequest,
@@ -30,9 +30,9 @@ from .errors import (
 )
 from .load_estimation import (
     LoadEstimate,
+    Loads,
     estimate_loads,
     min_prbs,
-    min_rate_requirement,
 )
 from .prb_coloring import (
     ColoringState,

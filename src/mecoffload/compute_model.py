@@ -2,7 +2,8 @@
 
 Overheads scalarize seconds and joules with the UE's two weights; no
 renormalization is applied, so the scalar is only meaningful for
-comparisons, which is all the decision logic ever does.
+comparisons, which is all the decision logic ever does. The local cost
+LocalOverhead records is computed by load_estimation.estimate_loads.
 """
 
 from __future__ import annotations
@@ -29,17 +30,6 @@ class OffloadOverhead:
     t_exe_s: float
     t_total_s: float
     overhead: float
-
-
-def local_overhead(ue: Ue) -> LocalOverhead:
-    """Time D/F_l, energy v*D, weighted scalar cost."""
-    t = ue.task.cycles / ue.local_speed_hz
-    e = ue.energy_coeff_j_per_cycle * ue.task.cycles
-    return LocalOverhead(
-        time_s=t,
-        energy_j=e,
-        overhead=ue.weight_time * t + ue.weight_energy * e,
-    )
 
 
 def offload_overhead(ue: Ue, rate_bps: float, f_assigned_hz: float) -> OffloadOverhead:

@@ -25,7 +25,7 @@ from .cpu_allocation import (
     allocate_minsum,
 )
 from .errors import EmptyOffloadSet, InfeasibleAllocation
-from .load_estimation import LoadEstimate, estimate_loads, prb_rate
+from .load_estimation import Loads, estimate_loads, prb_rate
 from .prb_coloring import (
     build_interference_graph,
     color,
@@ -61,7 +61,7 @@ SCHEME_NAMES = tuple(SCHEME_OBJECTIVE)
 
 
 def orthogonal_estimate(
-    estimates: list[LoadEstimate],
+    estimates: Loads,
     offload_set,
     s: Scenario,
     gains: ChannelGains,
@@ -70,25 +70,30 @@ def orthogonal_estimate(
 
     Real-valued PRB shares proportional to demand, no co-channel
     interference, and an even server split. Deliberately optimistic; used
-    only to rank candidates, never as the acceptance metric.
+    only to rank candidates, never as the acceptance metric. Every member
+    must be offloadable: the others have no PRB demand to share by.
     """
     members = sorted(offload_set)
     if not members:
         raise EmptyOffloadSet("cannot estimate over an empty offload set")
-    total_w = sum(estimates[i].w for i in members)
+    for i in members:
+        if not estimates.offloadable[i]:
+            raise ValueError(f"UE {i} is not offloadable and has no PRB demand")
+    w = estimates.w.tolist()
+    total_w = sum(w[i] for i in members)
     k = s.radio.num_prbs
     f_even = s.mec_capacity_hz / s.n_cells
     orth: dict[int, OffloadOverhead] = {}
     for i in members:
         ue = s.ues[i]
-        m_tilde = k * estimates[i].w / total_w  # real-valued PRB share
+        m_tilde = k * w[i] / total_w  # real-valued PRB share
         rate = prb_rate(m_tilde, float(gains.h[i, i]), s.radio, ue.tx_power_w)
         orth[i] = offload_overhead(ue, rate, f_even)
     return orth
 
 
 def initial_decision(
-    estimates: list[LoadEstimate], report: dict[int, OffloadOverhead]
+    estimates: Loads, report: dict[int, OffloadOverhead]
 ) -> OffloadDecision:
     """Offload exactly the UEs whose estimated offload cost beats local.
 
@@ -96,10 +101,9 @@ def initial_decision(
     infeasible) stay local regardless.
     """
     a = [0] * len(estimates)
-    for est in estimates:
-        hypo = report.get(est.ue)
-        if hypo is not None and est.local.overhead > hypo.overhead:
-            a[est.ue] = 1
+    for i, hypo in report.items():
+        if estimates.local_overhead[i] > hypo.overhead:
+            a[i] = 1
     return OffloadDecision(a=tuple(a))
 
 
@@ -130,7 +134,7 @@ class AllocationOutcome:
 def _finish(
     decision: OffloadDecision,
     s: Scenario,
-    estimates: list[LoadEstimate],
+    estimates: Loads,
     assoc: PrbAssociation,
     rates: np.ndarray,
     cpu_mode: str,
@@ -164,7 +168,7 @@ def _finish(
             CpuRequest(
                 ue=i,
                 cycles=s.ues[i].task.cycles,
-                t_cap_s=estimates[i].local.time_s - t_off[i],
+                t_cap_s=estimates.local_time_s[i] - t_off[i],
             )
             for i in offs
         ]
@@ -173,11 +177,9 @@ def _finish(
         except InfeasibleAllocation:
             cpu = None
 
-    per_ue = np.empty(n)
-    for i in range(n):
-        if decision.a[i] == 0:
-            per_ue[i] = estimates[i].local.overhead
-        elif cpu is None:
+    per_ue = estimates.local_overhead.copy()
+    for i in offs:
+        if cpu is None:
             per_ue[i] = math.inf
         else:
             per_ue[i] = offload_overhead(s.ues[i], float(rates[i]), cpu.f[i]).overhead
@@ -198,23 +200,20 @@ def evaluate(
     s: Scenario,
     gains: ChannelGains,
     cpu_mode: str,
-    estimates: list[LoadEstimate],
+    estimates: Loads,
 ) -> AllocationOutcome:
     """Full pipeline for one decision: quotas, coloring, rates, server
     split, system overhead. Decisions with no offloaders cost the plain
     sum of local overheads."""
     offs = decision.offload_set
     n, k = len(s.ues), s.radio.num_prbs
-    if not offs or not all(estimates[i].offloadable for i in offs):
+    if not offs or not all(estimates.offloadable[i] for i in offs):
         # nothing to colour, or a non-candidate offloads (a decision no sane
         # caller builds): no uplink, so any offloader prices out
         empty = PrbAssociation.empty(n, k)
         return _finish(decision, s, estimates, empty, np.zeros(n), cpu_mode)
-    demands = [0] * n
-    for i in offs:
-        demands[i] = estimates[i].w
     powers = tx_powers(s)
-    m = normalize_prbs(demands, offs, k, s.reuse_lambda)
+    m = normalize_prbs(estimates.w, offs, k, s.reuse_lambda)
     graph = build_interference_graph(gains, m, powers, offs, s.edge_threshold)
     state = color(graph, m, gains, powers, s.radio)
     rates = realized_rates(state, m, gains, powers, s.radio)
@@ -226,7 +225,7 @@ def greedy_reallocate(
     s: Scenario,
     gains: ChannelGains,
     cpu_mode: str,
-    estimates: list[LoadEstimate],
+    estimates: Loads,
     report: dict[int, OffloadOverhead],
 ) -> AllocationOutcome:
     """Grow the offload set one UE at a time, cheapest estimate first,
@@ -244,7 +243,7 @@ def greedy_reallocate(
     while not best.feasible and decision.offload_set:
         ranked = []
         for i in decision.offload_set:
-            t_cap = estimates[i].local.time_s - best.t_off_s[i]
+            t_cap = estimates.local_time_s[i] - best.t_off_s[i]
             bound = math.inf if t_cap <= 0 else s.ues[i].task.cycles / t_cap
             ranked.append((-bound, i))
         drop = min(ranked)[1]
@@ -264,7 +263,7 @@ def greedy_reallocate(
 def run_proposed(s: Scenario, gains: ChannelGains, cpu_mode: str) -> AllocationOutcome:
     """Estimate, make the initial offload guess, then greedily refine it."""
     estimates = estimate_loads(s, gains)
-    candidates = [est.ue for est in estimates if est.offloadable]
+    candidates = estimates.offloadable.nonzero()[0].tolist()
     if not candidates:
         n, k = len(s.ues), s.radio.num_prbs
         all_local = OffloadDecision.all_local(n)
@@ -282,15 +281,13 @@ def run_baseline(kind: str, s: Scenario, gains: ChannelGains) -> AllocationOutco
     n, k = len(s.ues), s.radio.num_prbs
     if kind not in _BASELINES:
         raise ValueError(f"unknown baseline {kind!r}")
-    candidates = [] if kind == "all_local" else [
-        est.ue for est in estimates if est.offloadable
-    ]
+    offloadable = estimates.offloadable.nonzero()[0].tolist()
+    candidates = [] if kind == "all_local" else offloadable
     decision = OffloadDecision.from_set(candidates, n)
     assoc, rates = PrbAssociation.empty(n, k), np.zeros(n)
-    total_w = sum(estimates[i].w for i in candidates)
-    quota = {
-        i: max(math.floor(k * estimates[i].w / total_w), 1) for i in candidates
-    }
+    w = estimates.w.tolist()
+    total_w = sum(w[i] for i in candidates)
+    quota = {i: max(math.floor(k * w[i] / total_w), 1) for i in candidates}
     # a band too small to stay orthogonal leaves every uplink dead: priced out
     if candidates and sum(quota.values()) <= k:
         c = np.zeros((n, k), dtype=np.int64)

@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .compute_model import LocalOverhead, local_overhead
+import numpy as np
+
+from .compute_model import LocalOverhead
 from .scenario import ChannelGains, RadioParams, Scenario, Ue
 
 
@@ -32,17 +34,49 @@ class LoadEstimate:
         return not (self.forced_local or self.infeasible)
 
 
-def min_rate_requirement(ue: Ue, mec_capacity_hz: float, n_total: int):
-    """Rate needed for offloading to beat local execution time.
+@dataclass(frozen=True, eq=False)
+class Loads:
+    """The sizing pass for every UE: read-only arrays indexed by UE id.
 
-    Returns (estimated server execution time, minimum rate), or None when
-    the even-split server time already reaches the local time.
+    `loads[i]` and iteration build LoadEstimate records on access; the
+    pipeline reads the arrays.
     """
-    t_exe_est = ue.task.cycles / (mec_capacity_hz / n_total)
-    slack = ue.task.cycles / ue.local_speed_hz - t_exe_est
-    if slack <= 0:
-        return None
-    return t_exe_est, ue.task.input_bits / slack
+
+    local_time_s: np.ndarray  # D/F_l
+    local_energy_j: np.ndarray  # v*D
+    local_overhead: np.ndarray  # weighted local cost
+    t_exe_est_s: np.ndarray  # server time at an even F/N split
+    min_rate_bps: np.ndarray  # inf when forced local
+    w: np.ndarray  # minimum PRB count, 0 unless offloadable
+    forced_local: np.ndarray
+    infeasible: np.ndarray
+    offloadable: np.ndarray
+
+    def __post_init__(self):
+        for column in vars(self).values():
+            column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.w)
+
+    def __getitem__(self, i: int) -> LoadEstimate:
+        ue = range(len(self))[i]
+        return LoadEstimate(
+            ue=ue,
+            local=LocalOverhead(
+                time_s=float(self.local_time_s[ue]),
+                energy_j=float(self.local_energy_j[ue]),
+                overhead=float(self.local_overhead[ue]),
+            ),
+            t_exe_est_s=float(self.t_exe_est_s[ue]),
+            min_rate_bps=float(self.min_rate_bps[ue]),
+            w=int(self.w[ue]) if self.offloadable[ue] else None,
+            forced_local=bool(self.forced_local[ue]),
+            infeasible=bool(self.infeasible[ue]),
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 def prb_rate(w: float, serving_gain: float, radio: RadioParams, tx_power_w: float) -> float:
@@ -71,22 +105,34 @@ def min_prbs(ue: Ue, serving_gain: float, radio: RadioParams, min_rate_bps: floa
     return lo
 
 
-def estimate_loads(s: Scenario, gains: ChannelGains) -> list[LoadEstimate]:
-    """Run the per-UE sizing pass for every UE in the scenario."""
-    out = []
-    n = s.n_cells
-    for ue in s.ues:
-        req = min_rate_requirement(ue, s.mec_capacity_hz, n)
-        if req is None:
-            t_exe_est, rate, w = ue.task.cycles / (s.mec_capacity_hz / n), math.inf, None
-        else:
-            t_exe_est, rate = req
-            w = min_prbs(ue, float(gains.h[ue.id, ue.id]), s.radio, rate)
-        out.append(
-            LoadEstimate(
-                ue=ue.id, local=local_overhead(ue), t_exe_est_s=t_exe_est,
-                min_rate_bps=rate, w=w,
-                forced_local=req is None, infeasible=req is not None and w is None,
-            )
-        )
-    return out
+def estimate_loads(s: Scenario, gains: ChannelGains) -> Loads:
+    """Run the per-UE sizing pass for every UE in the scenario.
+
+    Local cost: time D/F_l, energy v*D, weighted sum. Offloading must beat
+    the local time at an even server split, so the rate target is the
+    input size over the slack D/F_l - D/(F/N); no slack pins the UE local.
+    """
+    rows = [(u.task.cycles, u.local_speed_hz, u.task.input_bits, u.energy_coeff_j_per_cycle,
+             u.weight_time, u.weight_energy) for u in s.ues]
+    cycles, speed, bits, coeff, wt, we = np.array(rows, dtype=float).reshape(-1, 6).T
+    # a Python float division overflows to inf without a warning; so do these
+    with np.errstate(over="ignore"):
+        local_time = cycles / speed
+        local_energy = coeff * cycles
+        t_exe_est = cycles / (s.mec_capacity_hz / s.n_cells)
+        slack = local_time - t_exe_est
+        forced = slack <= 0
+        sized = ~forced
+        rate = np.divide(bits, slack, out=np.full(len(rows), math.inf), where=sized)
+        local_overhead = wt * local_time + we * local_energy
+    w = np.zeros(len(rows), dtype=np.int64)
+    for i in sized.nonzero()[0].tolist():
+        w[i] = min_prbs(s.ues[i], float(gains.h[i, i]), s.radio, float(rate[i])) or 0
+    # min_prbs finds at least one PRB or none, and only sized UEs have a w
+    offloadable = w > 0
+    return Loads(
+        local_time_s=local_time, local_energy_j=local_energy,
+        local_overhead=local_overhead, t_exe_est_s=t_exe_est, min_rate_bps=rate,
+        w=w, forced_local=forced, infeasible=sized ^ offloadable,
+        offloadable=offloadable,
+    )

@@ -62,7 +62,7 @@ class PrbAssociation:
 
     @classmethod
     def empty(cls, n: int, k: int) -> "PrbAssociation":
-        return cls.from_matrix(np.zeros((n, k), dtype=np.int64))
+        return cls(c=np.zeros((n, k), dtype=np.int64), m=np.zeros(n, dtype=np.int64))
 
 
 def per_prb_power(c: PrbAssociation, powers) -> np.ndarray:

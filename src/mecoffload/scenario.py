@@ -354,8 +354,9 @@ def channel_gains(s: Scenario) -> ChannelGains:
     """
     ue_xy = np.array([u.position for u in s.ues])
     cell_xy = np.array([c.position for c in s.cells])
-    diff = ue_xy[:, None, :] - cell_xy[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
+    dx = ue_xy[:, 0, None] - cell_xy[None, :, 0]
+    dy = ue_xy[:, 1, None] - cell_xy[None, :, 1]
+    dist = np.sqrt(dx * dx + dy * dy)
     # inf - inf (an overflowed path loss plus an overflowed shadowing draw)
     # is a nan SNR, rejected below like an infinite one
     with np.errstate(over="ignore", invalid="ignore"):

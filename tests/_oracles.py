@@ -11,6 +11,9 @@ import math
 
 import numpy as np
 
+from mecoffload.compute_model import LocalOverhead
+from mecoffload.load_estimation import LoadEstimate
+
 
 def brute_interference(c: np.ndarray, h: np.ndarray, powers) -> np.ndarray:
     """o[n, k] = sum over m != n of c[m,k] * (P_m / M_m) * h[m, n]."""
@@ -58,6 +61,47 @@ def scan_min_prbs(snr_product, num_prbs, prb_bandwidth_hz, min_rate_bps):
         if rate >= min_rate_bps:
             return w
     return None
+
+
+def scalar_loads(s, gains) -> list[LoadEstimate]:
+    """The sizing pass one UE at a time, from the defining formulas.
+
+    Local cost: time D/F_l, energy v*D, weighted by the UE's two weights.
+    The server time is D over an even F/N share, and the rate target is the
+    input size over the slack D/F_l - D/(F/N); with no slack the UE is
+    forced local. w is the first PRB count, by linear scan, whose
+    interference-free rate with the power split evenly meets the target;
+    with none the UE is infeasible. The arithmetic of each value is that of
+    estimate_loads, so the two agree bit for bit.
+    """
+    n = len(s.ues)
+    radio = s.radio
+    out = []
+    for ue in s.ues:
+        d = ue.task.cycles
+        t_local = d / ue.local_speed_hz
+        e_local = ue.energy_coeff_j_per_cycle * d
+        local = LocalOverhead(
+            time_s=t_local,
+            energy_j=e_local,
+            overhead=ue.weight_time * t_local + ue.weight_energy * e_local,
+        )
+        t_exe = d / (s.mec_capacity_hz / n)
+        slack = t_local - t_exe
+        rate, w = math.inf, None
+        if slack > 0:
+            rate = ue.task.input_bits / slack
+            gain = float(gains.h[ue.id, ue.id])
+            for prbs in range(1, radio.num_prbs + 1):
+                snr = ue.tx_power_w * gain / (prbs * radio.noise_per_prb_w)
+                if prbs * radio.prb_bandwidth_hz * math.log2(1.0 + snr) >= rate:
+                    w = prbs
+                    break
+        out.append(LoadEstimate(
+            ue=ue.id, local=local, t_exe_est_s=t_exe, min_rate_bps=rate, w=w,
+            forced_local=slack <= 0, infeasible=slack > 0 and w is None,
+        ))
+    return out
 
 
 def loop_interference_weight(h, m, powers, ids, theta) -> np.ndarray:

@@ -1,26 +1,28 @@
-"""Per-UE cost arithmetic against hand-computed values."""
+"""Per-UE cost arithmetic against hand-computed values. The local cost
+comes from load_estimation.estimate_loads, which prices every UE at once."""
 
 import math
 
 import pytest
 
-from mecoffload.compute_model import local_overhead, offload_overhead
+from mecoffload.compute_model import offload_overhead
 from mecoffload.errors import ZeroRate
 
+from test_load_estimation import sized
 from test_scenario import make_ue
 
 
 class TestLocalOverhead:
     def test_reference_values(self):
         # 1e9 cycles at 0.7 GHz, 4.9e-12 J/cycle, equal weights
-        out = local_overhead(make_ue())
+        out = sized()[0].local
         assert out.time_s == pytest.approx(1.4285714285714286, rel=1e-12)
         assert out.energy_j == pytest.approx(0.0049, rel=1e-12)
         assert out.overhead == pytest.approx(0.7167357142857143, rel=1e-12)
 
     def test_weights_scale_linearly(self):
-        time_only = local_overhead(make_ue(wt=1.0, we=0.0))
-        energy_only = local_overhead(make_ue(wt=0.0, we=1.0))
+        time_only = sized(wt=1.0, we=0.0)[0].local
+        energy_only = sized(wt=0.0, we=1.0)[0].local
         assert time_only.overhead == pytest.approx(time_only.time_s)
         assert energy_only.overhead == pytest.approx(energy_only.energy_j)
 

@@ -7,12 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mecoffload.compute_model import (
-    LocalOverhead,
-    OffloadOverhead,
-    local_overhead,
-    offload_overhead,
-)
+from mecoffload import load_estimation
+from mecoffload.compute_model import OffloadOverhead, offload_overhead
 from mecoffload.cpu_allocation import (
     CpuRequest,
     allocate_equal,
@@ -31,7 +27,7 @@ from mecoffload.decision_engine import (
     run_scheme,
 )
 from mecoffload.errors import EmptyOffloadSet
-from mecoffload.load_estimation import LoadEstimate, estimate_loads, prb_rate
+from mecoffload.load_estimation import Loads, estimate_loads, prb_rate
 from mecoffload.radio import OffloadDecision, interference_table
 from mecoffload.scenario import (
     ChannelGains,
@@ -56,19 +52,25 @@ def built(n=9, seed=0, **overrides):
     return s, channel_gains(s)
 
 
-def fake_estimate(ue, w=1, local=None, t_exe=0.01):
-    local = local or LocalOverhead(time_s=1.0, energy_j=0.1, overhead=0.55)
-    return LoadEstimate(
-        ue=ue, local=local, t_exe_est_s=t_exe, min_rate_bps=1e6, w=w,
-        forced_local=False, infeasible=False,
+def fake_loads(n, w=1, **columns):
+    """Loads for n offloadable UEs: w PRBs each, local cost 1 s, 0.1 J,
+    0.55; keyword arrays replace columns."""
+    arrays = dict(
+        local_time_s=np.full(n, 1.0), local_energy_j=np.full(n, 0.1),
+        local_overhead=np.full(n, 0.55), t_exe_est_s=np.full(n, 0.01),
+        min_rate_bps=np.full(n, 1e6), w=np.full(n, w, dtype=np.int64),
+        forced_local=np.zeros(n, dtype=bool), infeasible=np.zeros(n, dtype=bool),
+        offloadable=np.ones(n, dtype=bool),
     )
+    arrays.update(columns)
+    return Loads(**arrays)
 
 
 class TestOrthogonalEstimate:
     def test_equal_demand_splits_band_evenly(self):
         s = manual_scenario([(0.0, 0.0)] * 4, [(0.0, 0.0)] * 4)
         gains = ChannelGains(h=np.diag([1e-10] * 4))
-        estimates = [fake_estimate(i, w=3) for i in range(4)]
+        estimates = fake_loads(4, w=3)
         report = orthogonal_estimate(estimates, [0, 1, 2, 3], s, gains)
         assert sorted(report) == [0, 1, 2, 3]
         for i, hypo in report.items():
@@ -79,7 +81,7 @@ class TestOrthogonalEstimate:
     def test_single_user_full_band_rate(self):
         s = manual_scenario([(0.0, 0.0)], [(0.0, 0.0)])
         gains = ChannelGains(h=np.array([[1e-12]]))
-        report = orthogonal_estimate([fake_estimate(0, w=5)], [0], s, gains)
+        report = orthogonal_estimate(fake_loads(1, w=5), [0], s, gains)
         hypo = report[0]
         want = prb_rate(100.0, 1e-12, s.radio, s.ues[0].tx_power_w)  # whole band
         assert hypo.rate_bps == pytest.approx(want, rel=1e-12)
@@ -98,20 +100,30 @@ class TestOrthogonalEstimate:
         ue = replace(s.ues[0], weight_time=1.0, weight_energy=0.0)
         s = replace(s, ues=(ue,))
         gains = ChannelGains(h=np.array([[1e-10]]))
-        hypo = orthogonal_estimate([fake_estimate(0)], [0], s, gains)[0]
+        hypo = orthogonal_estimate(fake_loads(1), [0], s, gains)[0]
         assert hypo.overhead == pytest.approx(hypo.t_total_s, rel=1e-12)
 
     def test_empty_set_rejected(self):
         s = manual_scenario([(0.0, 0.0)], [(0.0, 0.0)])
         gains = ChannelGains(h=np.array([[1e-10]]))
         with pytest.raises(EmptyOffloadSet):
-            orthogonal_estimate([fake_estimate(0)], [], s, gains)
+            orthogonal_estimate(fake_loads(1), [], s, gains)
+
+    def test_non_offloadable_member_rejected(self):
+        # UE 1 is forced local: it has no PRB demand to share the band by
+        s = manual_scenario([(0.0, 0.0)] * 2, [(0.0, 0.0)] * 2)
+        gains = ChannelGains(h=np.diag([1e-10] * 2))
+        estimates = fake_loads(
+            2, w=np.array([3, 0]), forced_local=np.array([False, True]),
+            offloadable=np.array([True, False]),
+        )
+        with pytest.raises(ValueError, match="UE 1 "):
+            orthogonal_estimate(estimates, [0, 1], s, gains)
 
 
 class TestInitialDecision:
     def test_strict_improvement_offloads_tie_stays_local(self):
-        local = LocalOverhead(time_s=1.0, energy_j=0.1, overhead=0.55)
-        estimates = [fake_estimate(i, local=local) for i in range(3)]
+        estimates = fake_loads(3)  # local cost 0.55 each
 
         def hypo(z):
             return OffloadOverhead(
@@ -229,7 +241,7 @@ class TestGreedy:
         gains = channel_gains(s)
         out = run_proposed(s, gains, "minsum")
         assert out.decision.n_offload == 1
-        assert out.system_overhead < local_overhead(s.ues[0]).overhead
+        assert out.system_overhead < estimate_loads(s, gains).local_overhead[0]
 
 
 class TestBaselines:
@@ -308,6 +320,26 @@ class TestRunScheme:
                 for i in out.decision.offload_set
             ]
             assert out.cpu.f == solvers[rule](requests, s.mec_capacity_hz).f
+
+    def test_schemes_build_no_load_records(self, monkeypatch):
+        # the pipeline reads the Loads arrays; LoadEstimate records are
+        # built only when a caller indexes or iterates
+        records = []
+        record = load_estimation.LoadEstimate
+
+        def counted(*args, **kwargs):
+            records.append(kwargs["ue"])
+            return record(*args, **kwargs)
+
+        monkeypatch.setattr(load_estimation, "LoadEstimate", counted)
+        saturated = built(n=160, mec_ghz=25.0)  # every UE forced local
+        assert estimate_loads(*saturated)[3].forced_local
+        assert records == [3]
+        records.clear()
+        for s, gains in (saturated, built(), built(n=40, mec_ghz=100 * 40 / 9)):
+            for name in SCHEME_NAMES:
+                run_scheme(name, s, gains)
+        assert records == []
 
     def test_unknown_scheme_rejected(self):
         s, gains = built(n=3)

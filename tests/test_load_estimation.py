@@ -1,15 +1,19 @@
-"""Per-UE demand sizing: rate targets, minimum PRB counts, and the None
-verdicts for forced-local and infeasible UEs."""
+"""Per-UE demand sizing: rate targets, minimum PRB counts, the forced-local
+and infeasible verdicts, and the Loads arrays against a per-UE loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mecoffload.load_estimation import (
+    LoadEstimate,
+    Loads,
     estimate_loads,
     min_prbs,
-    min_rate_requirement,
     prb_rate,
 )
 from mecoffload.scenario import (
@@ -19,30 +23,42 @@ from mecoffload.scenario import (
     channel_gains,
 )
 
-from _oracles import scan_min_prbs
-from test_scenario import make_ue
+from _oracles import scalar_loads, scan_min_prbs
+from test_scenario import make_ue, manual_scenario
 
 RADIO = RadioParams(bandwidth_hz=20e6, num_prbs=100, noise_per_prb_w=1e-13)
+
+
+def sized(n=1, mec_hz=1e11, **ue_args) -> Loads:
+    """estimate_loads on n copies of make_ue(**ue_args), each 10 m from its cell."""
+    s = manual_scenario([(0.0, 0.0)] * n, [(10.0, 0.0)] * n, mec_capacity_hz=mec_hz)
+    ues = tuple(make_ue(i, position=(10.0, 0.0), **ue_args) for i in range(n))
+    s = replace(s, ues=ues)
+    return estimate_loads(s, channel_gains(s))
 
 
 class TestMinRateRequirement:
     def test_reference_values(self):
         # 1e9 cycles, even split of 100 GHz over 9 cells: 0.09 s on the server
-        got = min_rate_requirement(make_ue(), mec_capacity_hz=1e11, n_total=9)
-        assert got is not None
-        t_exe, rate = got
-        assert t_exe == pytest.approx(0.09, rel=1e-12)
-        assert rate == pytest.approx(2570382.070437567, rel=1e-12)
+        loads = sized(n=9, mec_hz=1e11)
+        assert not loads.forced_local.any()
+        for t_exe, rate in zip(loads.t_exe_est_s, loads.min_rate_bps):
+            assert t_exe == pytest.approx(0.09, rel=1e-12)
+            assert rate == pytest.approx(2570382.070437567, rel=1e-12)
 
     def test_forced_local_when_server_slower_than_handset(self):
         # handset at 10 GHz beats a 1e10/9 Hz server share
-        ue = make_ue(speed=1e10)
-        assert min_rate_requirement(ue, 1e10, 9) is None
+        loads = sized(n=9, mec_hz=1e10, speed=1e10)
+        assert loads.forced_local.all()
+        assert np.isinf(loads.min_rate_bps).all()
+        assert not loads.w.any()
 
     def test_forced_local_at_exact_tie(self):
         # server share exactly equals the handset speed: zero slack
-        ue = make_ue(speed=0.7e9)
-        assert min_rate_requirement(ue, 0.7e9 * 9, 9) is None
+        loads = sized(n=9, mec_hz=0.7e9 * 9, speed=0.7e9)
+        assert (loads.local_time_s - loads.t_exe_est_s == 0.0).all()
+        assert loads.forced_local.all()
+        assert not loads.offloadable.any()
 
 
 class TestMinPrbs:
@@ -126,5 +142,89 @@ class TestEstimateLoads:
         w = [est.w for est in ests]
         assert len(w) == 9
         for est in ests:
-            assert ests[est.ue] is est
+            assert ests[est.ue] == est
             assert w[est.ue] == est.w
+
+    @pytest.mark.parametrize("overrides, column", [
+        # the even-split server time, 1e9 cycles over 1e-314/9 Hz
+        ({"mec_ghz": 1e-323}, "t_exe_est_s"),
+        # the rate target, 8e303 bits over a 1e-7 s slack
+        ({"n_cells": 1, "mec_ghz": 1.0000001, "local_ghz": 1.0, "input_kb": 1e300},
+         "min_rate_bps"),
+    ])
+    def test_overflow_is_inf_without_a_warning(self, overrides, column):
+        # plain float division overflows to inf silently, and warnings
+        # are errors here
+        s = build_scenario(ScenarioConfig().with_overrides(**overrides), seed=0)
+        gains = channel_gains(s)
+        loads = estimate_loads(s, gains)
+        assert np.isinf(getattr(loads, column)).all()
+        assert not loads.offloadable.any()
+        assert list(loads) == scalar_loads(s, gains)
+
+    def test_arrays_are_read_only(self):
+        s = build_scenario(ScenarioConfig(), seed=0)
+        loads = estimate_loads(s, channel_gains(s))
+        with pytest.raises(ValueError, match="read-only"):
+            loads.w[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            loads.local_overhead[:] = 0.0
+        assert loads.w[0] >= 1
+
+
+# the regimes the property draws, as the even server share over the handset
+# speed: below 1 every UE is forced local, at the exact tie the slack is 0 up
+# to rounding, and above 2 UEs offload unless one narrow PRB makes every
+# rate target unreachable
+REGIMES = ("forced", "tie", "infeasible", "offloadable")
+
+
+@settings(max_examples=120)
+@given(
+    regime=st.sampled_from(REGIMES),
+    n_cells=st.integers(1, 12),
+    local_ghz=st.floats(0.1, 3.0),
+    ratio=st.floats(0.05, 0.95),
+    gamma_t=st.floats(0.0, 1.0),
+    shadowing_db=st.sampled_from([0.0, 8.0]),
+    seed=st.integers(0, 10_000),
+)
+def test_loads_match_scalar_loop(
+    regime, n_cells, local_ghz, ratio, gamma_t, shadowing_db, seed
+):
+    share = {"forced": ratio, "tie": 1.0}.get(regime, 2.0 + 20.0 * ratio)
+    cfg = ScenarioConfig(
+        n_cells=n_cells, local_ghz=local_ghz, mec_ghz=share * local_ghz * n_cells,
+        gamma_t=gamma_t, gamma_e=1.0 - gamma_t, shadowing_db=shadowing_db,
+    )
+    if regime == "infeasible":
+        cfg = replace(cfg, num_prbs=1, bandwidth_hz=2e3)
+    s = build_scenario(cfg, seed=seed)
+    gains = channel_gains(s)
+    loads = estimate_loads(s, gains)
+    want = scalar_loads(s, gains)
+    if regime == "forced":
+        assert loads.forced_local.all()
+    elif regime == "infeasible":
+        assert loads.infeasible.all()
+    elif regime == "offloadable":
+        assert loads.offloadable.any()
+
+    columns = {
+        "local_time_s": [e.local.time_s for e in want],
+        "local_energy_j": [e.local.energy_j for e in want],
+        "local_overhead": [e.local.overhead for e in want],
+        "t_exe_est_s": [e.t_exe_est_s for e in want],
+        "min_rate_bps": [e.min_rate_bps for e in want],
+        "w": [e.w or 0 for e in want],
+        "forced_local": [e.forced_local for e in want],
+        "infeasible": [e.infeasible for e in want],
+        "offloadable": [e.offloadable for e in want],
+    }
+    for name, column in columns.items():
+        assert getattr(loads, name).tolist() == column, name
+    assert len(loads) == len(want)
+    for i, record in enumerate(want):
+        assert isinstance(loads[i], LoadEstimate)
+        assert loads[i] == record
+    assert list(loads) == want
