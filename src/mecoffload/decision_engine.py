@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compute_model import OffloadOverhead, offload_overhead
+from .compute_model import (
+    OffloadOverhead, cost_inputs, execution_cost, offload_overhead, upload_cost
+)
 from .cpu_allocation import (
     CpuAllocation,
     CpuRequest,
@@ -32,12 +34,7 @@ from .prb_coloring import (
     normalize_prbs,
     realized_rates,
 )
-from .radio import (
-    OffloadDecision,
-    PrbAssociation,
-    held_rate,
-    interference_table,
-)
+from .radio import OffloadDecision, PrbAssociation, held_rate, interference_table
 from .scenario import ChannelGains, Scenario, tx_powers
 
 _CPU_SOLVERS = {
@@ -133,6 +130,7 @@ class AllocationOutcome:
 
 def _finish(
     decision: OffloadDecision,
+    offs: tuple[int, ...],
     s: Scenario,
     estimates: Loads,
     assoc: PrbAssociation,
@@ -142,47 +140,38 @@ def _finish(
     """Turn an uplink allocation into the final costed outcome: transfer
     time/energy, the server split, and per-UE overheads.
 
-    Local UEs pay their local cost. An offloader without a usable rate is a
-    dead uplink that prices the decision at +inf; so is a server split that
-    misses a deadline. The CPU rule runs only when there are offloaders and
-    each has a rate.
+    offs is decision.offload_set. Local UEs pay their local cost. An
+    offloader without a usable rate is a dead uplink that prices the
+    decision at +inf; so is a server split that misses a deadline. The CPU
+    rule runs only when there are offloaders and each has a rate.
     """
     n = len(s.ues)
-    offs = decision.offload_set
     t_off = np.zeros(n)
     e_off = np.zeros(n)
-    dead_uplink = False
-    for i in offs:
-        ue = s.ues[i]
-        r = float(rates[i])
-        if r > 0 and math.isfinite(r):
-            t_off[i] = ue.task.input_bits / r
-            e_off[i] = ue.tx_power_w * ue.task.input_bits / r
-        else:
-            t_off[i] = e_off[i] = math.inf
-            dead_uplink = True
-
-    cpu = None
-    if offs and not dead_uplink:
-        requests = [
-            CpuRequest(
-                ue=i,
-                cycles=s.ues[i].task.cycles,
-                t_cap_s=estimates.local_time_s[i] - t_off[i],
-            )
-            for i in offs
-        ]
-        try:
-            cpu = _CPU_SOLVERS[cpu_mode](requests, s.mec_capacity_hz)
-        except InfeasibleAllocation:
-            cpu = None
-
     per_ue = estimates.local_overhead.copy()
-    for i in offs:
-        if cpu is None:
-            per_ue[i] = math.inf
+    cpu = None
+    if offs:
+        ids = np.array(offs)
+        ues = [s.ues[i] for i in offs]
+        bits, power, cycles, wt, we = np.array([cost_inputs(ue) for ue in ues]).T
+        r = rates[ids]
+        per_ue[ids] = math.inf  # until priced
+        if all(0 < x < math.inf for x in r.tolist()):  # no dead uplink, no nan
+            t, e = upload_cost(bits, power, r)
+            t_off[ids], e_off[ids] = t, e
+            caps = estimates.local_time_s[ids] - t
+            requests = [CpuRequest(i, u.task.cycles, c) for i, u, c in zip(offs, ues, caps)]
+            try:
+                cpu = _CPU_SOLVERS[cpu_mode](requests, s.mec_capacity_hz)
+            except InfeasibleAllocation:
+                pass
+            else:
+                f = np.array([cpu.f[i] for i in offs])
+                per_ue[ids] = execution_cost(cycles, wt, we, t, e, f)[2]
         else:
-            per_ue[i] = offload_overhead(s.ues[i], float(rates[i]), cpu.f[i]).overhead
+            t_off[ids] = e_off[ids] = math.inf
+            up = (r > 0) & np.isfinite(r)
+            t_off[ids[up]], e_off[ids[up]] = upload_cost(bits[up], power[up], r[up])
     return AllocationOutcome(
         decision=decision,
         assoc=assoc,
@@ -211,13 +200,13 @@ def evaluate(
         # nothing to colour, or a non-candidate offloads (a decision no sane
         # caller builds): no uplink, so any offloader prices out
         empty = PrbAssociation.empty(n, k)
-        return _finish(decision, s, estimates, empty, np.zeros(n), cpu_mode)
+        return _finish(decision, offs, s, estimates, empty, np.zeros(n), cpu_mode)
     powers = tx_powers(s)
     m = normalize_prbs(estimates.w, offs, k, s.reuse_lambda)
     graph = build_interference_graph(gains, m, powers, offs, s.edge_threshold)
     state = color(graph, m, gains, powers, s.radio)
     rates = realized_rates(state, m, gains, powers, s.radio)
-    return _finish(decision, s, estimates, state.assoc, rates, cpu_mode)
+    return _finish(decision, offs, s, estimates, state.assoc, rates, cpu_mode)
 
 
 def greedy_reallocate(
@@ -268,7 +257,7 @@ def run_proposed(s: Scenario, gains: ChannelGains, cpu_mode: str) -> AllocationO
         n, k = len(s.ues), s.radio.num_prbs
         all_local = OffloadDecision.all_local(n)
         empty = PrbAssociation.empty(n, k)
-        return _finish(all_local, s, estimates, empty, np.zeros(n), cpu_mode)
+        return _finish(all_local, (), s, estimates, empty, np.zeros(n), cpu_mode)
     report = orthogonal_estimate(estimates, candidates, s, gains)
     a0 = initial_decision(estimates, report)
     return greedy_reallocate(a0, s, gains, cpu_mode, estimates, report)
@@ -301,7 +290,7 @@ def run_baseline(kind: str, s: Scenario, gains: ChannelGains) -> AllocationOutco
         for i in candidates:
             p_prb = powers[i] / quota[i]
             rates[i] = held_rate(c[i], p_prb, gains.h[i, i], o[i], s.radio)
-    return _finish(decision, s, estimates, assoc, rates, "equal")
+    return _finish(decision, decision.offload_set, s, estimates, assoc, rates, "equal")
 
 
 def run_scheme(name: str, s: Scenario, gains: ChannelGains) -> AllocationOutcome:

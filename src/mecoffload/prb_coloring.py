@@ -32,12 +32,14 @@ def normalize_prbs(demands, offload_ids, num_prbs: int, reuse_lambda: float) -> 
     ids = sorted(offload_ids)
     if not ids:
         raise EmptyOffloadSet("no offloading UEs, nothing to allocate")
-    total = sum(int(demands[i]) for i in ids)
-    m = np.zeros(len(demands), dtype=np.int64)
-    for i in ids:
-        share = num_prbs * int(demands[i]) / total
+    w = np.asarray(demands).tolist()  # one read, not one numpy scalar per UE
+    d = [int(w[i]) for i in ids]
+    total = sum(d)
+    m = [0] * len(w)
+    for i, x in zip(ids, d):
+        share = num_prbs * x / total
         m[i] = min(max(round(reuse_lambda * share), 1), num_prbs)
-    return m
+    return np.array(m, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -112,40 +114,50 @@ def color(
     p = np.zeros(n_ues)
     p[nodes] = powers[nodes] / m[nodes]
 
-    c = np.zeros((n_ues, k), dtype=np.int64)
-    o = np.zeros((n_ues, k))
+    ot = np.zeros((k, n_ues))  # the table PRB-major: a step adds whole rows
 
-    # Held (UE, PRB) entries of the colored nodes, in coloring order and
-    # ascending PRB within a node: a score moves only through these, and
-    # bincount adds each PRB's deltas in the order of a dense axis-0 sum
-    # over the colored rows.
+    # Held (UE, PRB) entries of the colored nodes and their serving SNRs,
+    # in coloring order and ascending PRB within a node: a score moves
+    # only through these, and bincount adds each PRB's deltas in the order
+    # of a dense axis-0 sum over the colored rows.
     snr_self = p * np.diagonal(h)  # per-PRB power times serving gain
     size = int(m[nodes].sum())
     held_ue = np.empty(size, dtype=np.int64)
     held_prb = np.empty(size, dtype=np.int64)
+    held_snr = np.empty(size)
+    x = np.empty(k + 2 * size)  # one step's SNRs, then its rates
     n_held = 0
 
     for node in order:
         leak = p[node] * h[node]
-        own = bpp * np.log2(1.0 + snr_self[node] / (noise + o[node]))
-        ue, prb = held_ue[:n_held], held_prb[:n_held]
-        snr = snr_self[ue]
-        den = noise + o[ue, prb]
-        base = bpp * np.log2(1.0 + snr / den)
-        pert = bpp * np.log2(1.0 + snr / (den + leak[ue]))
+        ue, prb, snr = held_ue[:n_held], held_prb[:n_held], held_snr[:n_held]
+        # own on every color, base and pert on the held entries: one log2 pass
+        own, base, pert = x[:k], x[k:k + n_held], x[k + n_held:k + 2 * n_held]
+        np.divide(snr_self[node], noise + ot[:, node], out=own)
+        den = noise + ot[prb, ue]
+        np.divide(snr, den, out=base)
+        den += leak[ue]
+        np.divide(snr, den, out=pert)
+        rates = x[:k + 2 * n_held]  # bpp * log2(1 + snr), op for op
+        rates += 1.0
+        np.log2(rates, out=rates)
+        rates *= bpp
         scores = own + np.bincount(prb, pert - base, minlength=k)
-        take = np.sort(np.argsort(-scores, kind="stable")[: int(m[node])])
-        c[node, take] = 1
+        take = (-scores).argsort(kind="stable")[: int(m[node])]
+        take.sort()
         leak[node] = 0.0  # a cell does not interfere with itself
-        o[:, take] += leak[:, None]
+        ot[take] += leak
         held_ue[n_held:n_held + take.size] = node
         held_prb[n_held:n_held + take.size] = take
+        held_snr[n_held:n_held + take.size] = snr_self[node]
         n_held += take.size
 
+    c = np.zeros((n_ues, k), dtype=np.int64)
+    c[held_ue[:n_held], held_prb[:n_held]] = 1
     return ColoringState(
         assoc=PrbAssociation.from_matrix(c),
-        o=o,
-        order=tuple(int(x) for x in order),
+        o=np.ascontiguousarray(ot.T),
+        order=tuple(int(i) for i in order),
     )
 
 

@@ -104,6 +104,22 @@ def scalar_loads(s, gains) -> list[LoadEstimate]:
     return out
 
 
+def loop_quotas(demands, offload_ids, num_prbs, reuse_lambda) -> np.ndarray:
+    """PRB quotas one UE at a time, reading demands per element.
+
+    round-half-even(lambda * K * w_n / sum w) capped at K and floored at
+    1, 0 outside the offload set: the loop normalize_prbs ran before it
+    read its demands in one pass.
+    """
+    ids = sorted(offload_ids)
+    total = sum(int(demands[i]) for i in ids)
+    m = np.zeros(len(demands), dtype=np.int64)
+    for i in ids:
+        share = num_prbs * int(demands[i]) / total
+        m[i] = min(max(round(reuse_lambda * share), 1), num_prbs)
+    return m
+
+
 def loop_interference_weight(h, m, powers, ids, theta) -> np.ndarray:
     """Edge weights of the interference graph, one ordered pair at a time."""
     weight = np.zeros(h.shape)

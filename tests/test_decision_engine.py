@@ -170,8 +170,8 @@ class TestEvaluate:
         assert out.cpu.f[0] == pytest.approx(1e11, rel=1e-12)
 
         ref = offload_overhead(s.ues[0], float(out.rates_bps[0]), 1e11)
-        assert out.per_ue_overhead[0] == pytest.approx(ref.overhead, rel=1e-12)
-        assert out.system_overhead == pytest.approx(ref.overhead, rel=1e-12)
+        assert out.per_ue_overhead[0] == ref.overhead
+        assert out.system_overhead == ref.overhead
         assert out.feasible
 
     def test_starved_uplink_blows_deadline_and_prices_infinite(self):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mecoffload.errors import EmptyOffloadSet
@@ -27,6 +27,7 @@ from mecoffload.scenario import ChannelGains, RadioParams
 from _oracles import (
     assert_matches_dense_color,
     loop_interference_weight,
+    loop_quotas,
     replay_coloring,
 )
 
@@ -71,6 +72,42 @@ class TestNormalizePrbs:
     def test_empty_set_rejected(self):
         with pytest.raises(EmptyOffloadSet):
             normalize_prbs([1, 2], [], 10, 1.0)
+
+
+@st.composite
+def quota_inputs(draw):
+    """Demands, an offload set, K and lambda. Half-way cases make the
+    demands sum to 2K at lambda 1, so that every odd demand's share is
+    exactly x.5 and round-half-even decides it; the others draw lambda up
+    to 3, which caps large shares at K, and small K or many UEs, which
+    floor small shares at 1. Demands come as a list or an int64 array."""
+    n = draw(st.integers(1, 40))
+    demands = draw(st.lists(st.integers(1, 100), min_size=n, max_size=n))
+    ids = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    if len(ids) > 1 and draw(st.booleans()):
+        demands[ids[0]] |= 1  # an odd demand, whose share is x.5
+        if sum(demands[i] for i in ids) % 2:
+            demands[ids[-1]] += 1  # an even total
+        k, lam = sum(demands[i] for i in ids) // 2, 1.0
+    else:
+        k, lam = draw(st.integers(1, 120)), draw(st.floats(1.0, 3.0))
+    if draw(st.booleans()):
+        demands = np.array(demands, dtype=np.int64)
+    return demands, ids, k, lam
+
+
+@settings(max_examples=300)
+@given(quota_inputs())
+@example(([1, 3], [0, 1], 2, 1.0))  # 0.5 rounds to 0, floored at 1; 1.5 to 2
+@example(([1, 1, 1], [0, 1, 2], 3, 1.5))  # 1.5 each, rounded to 2
+@example((np.array([5, 1, 30]), [0, 2], 10, 3.0))  # 25.7 capped at 10
+@example(([1, 50, 50], [0, 1, 2], 4, 1.0))  # 0.04 floored at 1
+def test_quotas_equal_the_per_element_loop(inputs):
+    demands, ids, k, lam = inputs
+    got = normalize_prbs(demands, ids, k, lam)
+    want = loop_quotas(demands, ids, k, lam)
+    assert got.dtype == want.dtype == np.int64
+    assert _bits(got) == _bits(want)
 
 
 class TestInterferenceGraph:
@@ -231,6 +268,21 @@ class TestColor:
         h, powers, m, ids = random_setup(rng, 5, 8, 2.0)
         g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.1)
         state = color(g, m, ChannelGains(h=h), powers, radio(8))
+        rebuilt = interference_table(state.assoc, ChannelGains(h=h), powers)
+        np.testing.assert_allclose(state.o, rebuilt, rtol=1e-12, atol=1e-300)
+
+    def test_table_is_ue_major_and_c_contiguous(self):
+        # 7 UEs on 12 PRBs, UEs 1 and 4 local: the kernel works PRB-major
+        # and hands back o[ue, prb]
+        rng = np.random.default_rng(21)
+        h, powers, _, _ = random_setup(rng, 7, 12, 2.0)
+        ids = [0, 2, 3, 5, 6]
+        m = normalize_prbs(np.arange(1, 8), ids, 12, 2.0)
+        g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.1)
+        state = color(g, m, ChannelGains(h=h), powers, radio(12))
+        assert state.o.shape == (7, 12)
+        assert state.o.dtype == np.float64
+        assert state.o.flags.c_contiguous
         rebuilt = interference_table(state.assoc, ChannelGains(h=h), powers)
         np.testing.assert_allclose(state.o, rebuilt, rtol=1e-12, atol=1e-300)
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecoffload.cli import main
+from mecoffload.compute_model import offload_overhead
 from mecoffload.cpu_allocation import CpuRequest, allocate_minmax, allocate_minsum
 from mecoffload.decision_engine import (
     evaluate,
@@ -98,6 +99,13 @@ def test_proposed_pipeline_invariants(n_cells, reuse_lambda, mec_ghz, seed):
             if out.assoc.m[i]:
                 want = uplink_rate(i, out.decision, out.assoc, gains, powers, s.radio)
                 assert out.rates_bps[i] == pytest.approx(want, rel=1e-12)
+            if out.cpu is not None:
+                # the array pricing is the one-UE formula, element for element
+                ref = offload_overhead(s.ues[i], float(out.rates_bps[i]), out.cpu.f[i])
+                assert out.t_off_s[i] == ref.t_off_s
+                assert out.e_off_j[i] == ref.e_off_j
+                assert out.per_ue_overhead[i] == ref.overhead
+        assert out.system_overhead == float(out.per_ue_overhead.sum())
         again = run_proposed(s, gains, cpu_mode)
         assert again.decision == out.decision
         assert np.array_equal(again.assoc.c, out.assoc.c)
