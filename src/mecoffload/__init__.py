@@ -1,7 +1,6 @@
 """Deterministic small-cell MEC simulator: joint computation offloading,
 graph-coloring PRB allocation, and convex server CPU partitioning."""
 
-from .compute_model import LocalOverhead, OffloadOverhead, offload_overhead
 from .cpu_allocation import (
     CpuAllocation,
     CpuRequest,

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compute_model import (
-    OffloadOverhead, cost_inputs, execution_cost, offload_overhead, upload_cost
-)
+from .compute_model import cost_inputs, execution_cost, upload_cost
 from .cpu_allocation import (
     CpuAllocation,
     CpuRequest,
@@ -62,13 +60,14 @@ def orthogonal_estimate(
     offload_set,
     s: Scenario,
     gains: ChannelGains,
-) -> dict[int, OffloadOverhead]:
-    """Price every member of the set as if the band were split orthogonally.
+) -> dict[int, float]:
+    """Each member's overhead if the band were split orthogonally.
 
     Real-valued PRB shares proportional to demand, no co-channel
-    interference, and an even server split. Deliberately optimistic; used
-    only to rank candidates, never as the acceptance metric. Every member
-    must be offloadable: the others have no PRB demand to share by.
+    interference, and an even server split, priced by the same array calls
+    as _finish. Deliberately optimistic; used only to rank candidates,
+    never as the acceptance metric. Every member must be offloadable: the
+    others have no PRB demand to share by.
     """
     members = sorted(offload_set)
     if not members:
@@ -79,27 +78,25 @@ def orthogonal_estimate(
     w = estimates.w.tolist()
     total_w = sum(w[i] for i in members)
     k = s.radio.num_prbs
-    f_even = s.mec_capacity_hz / s.n_cells
-    orth: dict[int, OffloadOverhead] = {}
-    for i in members:
-        ue = s.ues[i]
-        m_tilde = k * w[i] / total_w  # real-valued PRB share
-        rate = prb_rate(m_tilde, float(gains.h[i, i]), s.radio, ue.tx_power_w)
-        orth[i] = offload_overhead(ue, rate, f_even)
-    return orth
+    bits, power, cycles, wt, we = cost_inputs([s.ues[i] for i in members])
+    rates = [
+        prb_rate(k * w[i] / total_w, float(gains.h[i, i]), s.radio, p)  # real-valued share
+        for i, p in zip(members, power.tolist())
+    ]
+    t, e = upload_cost(bits, power, np.array(rates))
+    f_even = np.full(len(members), s.mec_capacity_hz / s.n_cells)
+    return dict(zip(members, execution_cost(cycles, wt, we, t, e, f_even)[2].tolist()))
 
 
-def initial_decision(
-    estimates: Loads, report: dict[int, OffloadOverhead]
-) -> OffloadDecision:
+def initial_decision(estimates: Loads, report: dict[int, float]) -> OffloadDecision:
     """Offload exactly the UEs whose estimated offload cost beats local.
 
     Ties stay local. UEs the report does not price (forced local or
     infeasible) stay local regardless.
     """
     a = [0] * len(estimates)
-    for i, hypo in report.items():
-        if estimates.local_overhead[i] > hypo.overhead:
+    for i, overhead in report.items():
+        if estimates.local_overhead[i] > overhead:
             a[i] = 1
     return OffloadDecision(a=tuple(a))
 
@@ -153,7 +150,7 @@ def _finish(
     if offs:
         ids = np.array(offs)
         ues = [s.ues[i] for i in offs]
-        bits, power, cycles, wt, we = np.array([cost_inputs(ue) for ue in ues]).T
+        bits, power, cycles, wt, we = cost_inputs(ues)
         r = rates[ids]
         per_ue[ids] = math.inf  # until priced
         if all(0 < x < math.inf for x in r.tolist()):  # no dead uplink, no nan
@@ -215,7 +212,7 @@ def greedy_reallocate(
     gains: ChannelGains,
     cpu_mode: str,
     estimates: Loads,
-    report: dict[int, OffloadOverhead],
+    report: dict[int, float],
 ) -> AllocationOutcome:
     """Grow the offload set one UE at a time, cheapest estimate first,
     keeping a flip only when the fully re-evaluated system overhead
@@ -240,7 +237,7 @@ def greedy_reallocate(
         best = evaluate(decision, s, gains, cpu_mode, estimates)
 
     unchecked = [i for i in report if decision.a[i] == 0]
-    for i in sorted(unchecked, key=lambda i: report[i].overhead):
+    for i in sorted(unchecked, key=report.__getitem__):
         trial = decision.flip_on(i)
         candidate = evaluate(trial, s, gains, cpu_mode, estimates)
         if candidate.system_overhead < best.system_overhead:
@@ -250,15 +247,11 @@ def greedy_reallocate(
 
 
 def run_proposed(s: Scenario, gains: ChannelGains, cpu_mode: str) -> AllocationOutcome:
-    """Estimate, make the initial offload guess, then greedily refine it."""
+    """Estimate, make the initial offload guess, then greedily refine it.
+    With no candidate the report is empty and the guess stays all local."""
     estimates = estimate_loads(s, gains)
     candidates = estimates.offloadable.nonzero()[0].tolist()
-    if not candidates:
-        n, k = len(s.ues), s.radio.num_prbs
-        all_local = OffloadDecision.all_local(n)
-        empty = PrbAssociation.empty(n, k)
-        return _finish(all_local, (), s, estimates, empty, np.zeros(n), cpu_mode)
-    report = orthogonal_estimate(estimates, candidates, s, gains)
+    report = orthogonal_estimate(estimates, candidates, s, gains) if candidates else {}
     a0 = initial_decision(estimates, report)
     return greedy_reallocate(a0, s, gains, cpu_mode, estimates, report)
 

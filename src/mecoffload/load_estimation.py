@@ -15,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compute_model import LocalOverhead
-from .scenario import ChannelGains, RadioParams, Scenario, Ue
+from .scenario import ChannelGains, RadioParams, Scenario
 
 
 @dataclass(frozen=True)
 class LoadEstimate:
     ue: int
-    local: LocalOverhead
     t_exe_est_s: float
     min_rate_bps: float  # inf when forced local
     w: int | None  # None unless offloadable
@@ -63,11 +61,6 @@ class Loads:
         ue = range(len(self))[i]
         return LoadEstimate(
             ue=ue,
-            local=LocalOverhead(
-                time_s=float(self.local_time_s[ue]),
-                energy_j=float(self.local_energy_j[ue]),
-                overhead=float(self.local_overhead[ue]),
-            ),
             t_exe_est_s=float(self.t_exe_est_s[ue]),
             min_rate_bps=float(self.min_rate_bps[ue]),
             w=int(self.w[ue]) if self.offloadable[ue] else None,
@@ -85,7 +78,7 @@ def prb_rate(w: float, serving_gain: float, radio: RadioParams, tx_power_w: floa
     return w * radio.prb_bandwidth_hz * math.log2(1.0 + snr)
 
 
-def min_prbs(ue: Ue, serving_gain: float, radio: RadioParams, min_rate_bps: float):
+def min_prbs(tx_power_w: float, serving_gain: float, radio: RadioParams, min_rate_bps: float):
     """Smallest PRB count meeting the rate target, or None if none does.
 
     The rate w*(B/K)*log2(1 + c/w) grows monotonically in w but saturates
@@ -93,12 +86,12 @@ def min_prbs(ue: Ue, serving_gain: float, radio: RadioParams, min_rate_bps: floa
     monotonicity makes a binary search over integers exact.
     """
     k = radio.num_prbs
-    if prb_rate(k, serving_gain, radio, ue.tx_power_w) < min_rate_bps:
+    if prb_rate(k, serving_gain, radio, tx_power_w) < min_rate_bps:
         return None
     lo, hi = 1, k
     while lo < hi:
         mid = (lo + hi) // 2
-        if prb_rate(mid, serving_gain, radio, ue.tx_power_w) >= min_rate_bps:
+        if prb_rate(mid, serving_gain, radio, tx_power_w) >= min_rate_bps:
             hi = mid
         else:
             lo = mid + 1
@@ -113,8 +106,8 @@ def estimate_loads(s: Scenario, gains: ChannelGains) -> Loads:
     input size over the slack D/F_l - D/(F/N); no slack pins the UE local.
     """
     rows = [(u.task.cycles, u.local_speed_hz, u.task.input_bits, u.energy_coeff_j_per_cycle,
-             u.weight_time, u.weight_energy) for u in s.ues]
-    cycles, speed, bits, coeff, wt, we = np.array(rows, dtype=float).reshape(-1, 6).T
+             u.weight_time, u.weight_energy, u.tx_power_w) for u in s.ues]
+    cycles, speed, bits, coeff, wt, we, power = np.array(rows, dtype=float).reshape(-1, 7).T
     # a Python float division overflows to inf without a warning; so do these
     with np.errstate(over="ignore"):
         local_time = cycles / speed
@@ -127,7 +120,7 @@ def estimate_loads(s: Scenario, gains: ChannelGains) -> Loads:
         local_overhead = wt * local_time + we * local_energy
     w = np.zeros(len(rows), dtype=np.int64)
     for i in sized.nonzero()[0].tolist():
-        w[i] = min_prbs(s.ues[i], float(gains.h[i, i]), s.radio, float(rate[i])) or 0
+        w[i] = min_prbs(float(power[i]), float(gains.h[i, i]), s.radio, float(rate[i])) or 0
     # min_prbs finds at least one PRB or none, and only sized UEs have a w
     offloadable = w > 0
     return Loads(

@@ -17,7 +17,8 @@ class OffloadDecision:
     a: tuple[int, ...]
 
     def __post_init__(self):
-        if any(v not in (0, 1) for v in self.a):
+        # tuple.count compares like `in`, without hashing an entry
+        if self.a.count(0) + self.a.count(1) != len(self.a):
             raise ValueError("decision entries must be 0 or 1")
 
     @classmethod

@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 
-from mecoffload.compute_model import LocalOverhead
 from mecoffload.load_estimation import LoadEstimate
 
 
@@ -63,29 +62,51 @@ def scan_min_prbs(snr_product, num_prbs, prb_bandwidth_hz, min_rate_bps):
     return None
 
 
+def offload_cost(bits, power, cycles, wt, we, rate, f):
+    """One UE's offload priced from the defining formulas, on Python floats.
+
+    Upload time D/r and energy P*D/r at rate r, server time C/f at speed f,
+    and the overhead w_t*(t_off + C/f) + w_e*e_off. The arithmetic of each
+    value is that of compute_model, so the two agree bit for bit. Returns
+    (t_off, e_off, t_exe, overhead).
+    """
+    t_off = bits / rate
+    e_off = power * bits / rate
+    t_exe = cycles / f
+    return t_off, e_off, t_exe, wt * (t_off + t_exe) + we * e_off
+
+
+def ue_offload_cost(ue, rate, f):
+    """offload_cost on the inputs of one Ue record."""
+    return offload_cost(ue.task.input_bits, ue.tx_power_w, ue.task.cycles,
+                        ue.weight_time, ue.weight_energy, rate, f)
+
+
+def scalar_local(ue):
+    """One UE's local cost: time D/F_l, energy v*D, and the two weighted
+    by the UE's weights, as (time, energy, overhead)."""
+    t_local = ue.task.cycles / ue.local_speed_hz
+    e_local = ue.energy_coeff_j_per_cycle * ue.task.cycles
+    return t_local, e_local, ue.weight_time * t_local + ue.weight_energy * e_local
+
+
 def scalar_loads(s, gains) -> list[LoadEstimate]:
     """The sizing pass one UE at a time, from the defining formulas.
 
-    Local cost: time D/F_l, energy v*D, weighted by the UE's two weights.
     The server time is D over an even F/N share, and the rate target is the
-    input size over the slack D/F_l - D/(F/N); with no slack the UE is
-    forced local. w is the first PRB count, by linear scan, whose
-    interference-free rate with the power split evenly meets the target;
-    with none the UE is infeasible. The arithmetic of each value is that of
-    estimate_loads, so the two agree bit for bit.
+    input size over the slack D/F_l - D/(F/N) against the local time of
+    scalar_local; with no slack the UE is forced local. w is the first PRB
+    count, by linear scan, whose interference-free rate with the power
+    split evenly meets the target; with none the UE is infeasible. The
+    arithmetic of each value is that of estimate_loads, so the two agree
+    bit for bit.
     """
     n = len(s.ues)
     radio = s.radio
     out = []
     for ue in s.ues:
         d = ue.task.cycles
-        t_local = d / ue.local_speed_hz
-        e_local = ue.energy_coeff_j_per_cycle * d
-        local = LocalOverhead(
-            time_s=t_local,
-            energy_j=e_local,
-            overhead=ue.weight_time * t_local + ue.weight_energy * e_local,
-        )
+        t_local = scalar_local(ue)[0]
         t_exe = d / (s.mec_capacity_hz / n)
         slack = t_local - t_exe
         rate, w = math.inf, None
@@ -98,7 +119,7 @@ def scalar_loads(s, gains) -> list[LoadEstimate]:
                     w = prbs
                     break
         out.append(LoadEstimate(
-            ue=ue.id, local=local, t_exe_est_s=t_exe, min_rate_bps=rate, w=w,
+            ue=ue.id, t_exe_est_s=t_exe, min_rate_bps=rate, w=w,
             forced_local=slack <= 0, infeasible=slack > 0 and w is None,
         ))
     return out

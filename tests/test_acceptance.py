@@ -91,7 +91,7 @@ def test_criterion_01_min_prb_search_matches_linear_scan(capsys):
             snr = ue.tx_power_w * gain / noise
             cap = k * radio.prb_bandwidth_hz * math.log2(1.0 + snr / k)
             target = float(rng.uniform(1e-3, 1.3)) * cap
-            got = min_prbs(ue, gain, radio, target)
+            got = min_prbs(ue.tx_power_w, gain, radio, target)
             want = scan_min_prbs(snr, k, radio.prb_bandwidth_hz, target)
             if want is None:
                 assert got is None

@@ -98,3 +98,31 @@ def test_checks_find_no_problem(traced):
         found = check_cell(mecoffload, s, g, outcomes)
         assert set(found) == set(SCHEME_NAMES)
         assert all(not problems for problems in found.values()), found
+
+
+def test_no_candidate_cell_makes_one_evaluate_inside_greedy():
+    # mec_ghz 5 forces every UE local: each pipeline scheme still runs its
+    # one path, pricing the all-local guess once inside greedy_reallocate
+    cfg = ScenarioConfig().with_overrides(n_cells=9, mec_ghz=5.0)
+    s = mecoffload.scenario.build_scenario(cfg, seed=0)
+    g = mecoffload.scenario.channel_gains(s)
+    assert not mecoffload.estimate_loads(s, g).offloadable.any()
+    pipeline = [n for n in SCHEME_NAMES if n not in mecoffload.decision_engine._BASELINES]
+    assert pipeline == ["proposed_minmax", "proposed_minsum", "equal_cpu"]
+    for name in pipeline:
+        tracer = load("tracer").Tracer(mecoffload)
+        tracer.install()
+        try:
+            tracer.start_cell()
+            out = mecoffload.decision_engine.run_scheme(name, s, g)
+        finally:
+            tracer.uninstall()
+        snap = tracer.snapshot()
+        assert out.decision.n_offload == 0 and out.feasible, name
+        assert snap["decision_engine.run_proposed.calls"] == 1, name
+        assert snap["decision_engine.greedy_reallocate.calls"] == 1, name
+        assert snap["decision_engine.evaluate.calls"] == 1, name
+        assert snap["greedy.evaluations"] == 1, name
+        assert snap.get("evaluate.outside_greedy", 0) == 0, name
+        assert snap.get("decision_engine.orthogonal_estimate.calls", 0) == 0, name
+        assert snap.get("prb_coloring.color.calls", 0) == 0, name

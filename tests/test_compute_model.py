@@ -1,77 +1,80 @@
-"""Per-UE cost arithmetic against hand-computed values. The local cost
-comes from load_estimation.estimate_loads, which prices every UE at once."""
+"""Offload cost arithmetic against hand-computed values and the one-UE
+formula of _oracles.offload_cost. The local cost comes from
+load_estimation.estimate_loads, which prices every UE at once."""
 
 import math
 
 import numpy as np
 import pytest
 
-from mecoffload.compute_model import (
-    cost_inputs,
-    execution_cost,
-    offload_overhead,
-    upload_cost,
-)
+from mecoffload.compute_model import cost_inputs, execution_cost, upload_cost
 from mecoffload.errors import ZeroRate
 
+from _oracles import ue_offload_cost
 from test_load_estimation import sized
 from test_scenario import make_ue
+
+
+def priced(ues, rates, speeds):
+    """The array pricing of the UEs: (t_off, e_off, t_exe, t_total, overhead)."""
+    bits, power, cycles, wt, we = cost_inputs(ues)
+    t_off, e_off = upload_cost(bits, power, np.asarray(rates, dtype=float))
+    return (t_off, e_off,
+            *execution_cost(cycles, wt, we, t_off, e_off, np.asarray(speeds, dtype=float)))
 
 
 class TestLocalOverhead:
     def test_reference_values(self):
         # 1e9 cycles at 0.7 GHz, 4.9e-12 J/cycle, equal weights
-        out = sized()[0].local
-        assert out.time_s == pytest.approx(1.4285714285714286, rel=1e-12)
-        assert out.energy_j == pytest.approx(0.0049, rel=1e-12)
-        assert out.overhead == pytest.approx(0.7167357142857143, rel=1e-12)
+        loads = sized()
+        assert loads.local_time_s[0] == pytest.approx(1.4285714285714286, rel=1e-12)
+        assert loads.local_energy_j[0] == pytest.approx(0.0049, rel=1e-12)
+        assert loads.local_overhead[0] == pytest.approx(0.7167357142857143, rel=1e-12)
 
     def test_weights_scale_linearly(self):
-        time_only = sized(wt=1.0, we=0.0)[0].local
-        energy_only = sized(wt=0.0, we=1.0)[0].local
-        assert time_only.overhead == pytest.approx(time_only.time_s)
-        assert energy_only.overhead == pytest.approx(energy_only.energy_j)
+        time_only = sized(wt=1.0, we=0.0)
+        energy_only = sized(wt=0.0, we=1.0)
+        assert time_only.local_overhead[0] == pytest.approx(time_only.local_time_s[0])
+        assert energy_only.local_overhead[0] == pytest.approx(energy_only.local_energy_j[0])
 
 
 class TestOffloadOverhead:
     def test_hand_composition(self):
         # rate 1e6 bit/s, full server: 3.44064 s upload, 1 s execution
-        out = offload_overhead(make_ue(), rate_bps=1e6, f_assigned_hz=1e9)
-        assert out.t_off_s == pytest.approx(3.44064, rel=1e-12)
-        assert out.e_off_j == pytest.approx(0.344064, rel=1e-12)
-        assert out.t_exe_s == pytest.approx(1.0, rel=1e-12)
-        assert out.t_total_s == pytest.approx(4.44064, rel=1e-12)
-        assert out.overhead == pytest.approx(
-            0.5 * 4.44064 + 0.5 * 0.344064, rel=1e-12
+        t_off, e_off, t_exe, t_total, overhead = (
+            float(x[0]) for x in priced([make_ue()], [1e6], [1e9])
         )
+        assert t_off == pytest.approx(3.44064, rel=1e-12)
+        assert e_off == pytest.approx(0.344064, rel=1e-12)
+        assert t_exe == pytest.approx(1.0, rel=1e-12)
+        assert t_total == pytest.approx(4.44064, rel=1e-12)
+        assert overhead == pytest.approx(0.5 * 4.44064 + 0.5 * 0.344064, rel=1e-12)
+        assert (t_off, e_off, t_exe, overhead) == ue_offload_cost(make_ue(), 1e6, 1e9)
 
     def test_higher_rate_never_costs_more(self):
-        slow = offload_overhead(make_ue(), 1e6, 1e9)
-        fast = offload_overhead(make_ue(), 2e6, 1e9)
-        assert fast.overhead < slow.overhead
-
-    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan])
-    def test_bad_rate_rejected(self, rate):
-        with pytest.raises(ZeroRate):
-            offload_overhead(make_ue(), rate, 1e9)
-
-    def test_bad_cpu_rejected(self):
-        with pytest.raises(ZeroRate):
-            offload_overhead(make_ue(), 1e6, 0.0)
+        slow, fast = priced([make_ue()] * 2, [1e6, 2e6], [1e9, 1e9])[4]
+        assert fast < slow
 
     def test_array_form_prices_each_ue_as_the_scalar_form(self):
         ues = [make_ue(i, power=0.1 + 0.01 * i, bits=1e6 * (i + 1), cycles=3e8 * (i + 1),
                        wt=0.1 * i, we=1 - 0.1 * i) for i in range(5)]
         rates = np.array([1e6, 3.3e5, 7e7, 2.2e6, 9.1e5])
         speeds = np.array([1e9, 2.5e9, 3.3e8, 7.7e9, 1.1e9])
-        bits, power, cycles, wt, we = np.array([cost_inputs(u) for u in ues]).T
-        t_off, e_off = upload_cost(bits, power, rates)
-        t_exe, t_total, overhead = execution_cost(cycles, wt, we, t_off, e_off, speeds)
+        t_off, e_off, t_exe, t_total, overhead = priced(ues, rates, speeds)
         for j, ue in enumerate(ues):
-            one = offload_overhead(ue, float(rates[j]), float(speeds[j]))
-            assert t_off[j] == one.t_off_s and e_off[j] == one.e_off_j
-            assert t_exe[j] == one.t_exe_s and t_total[j] == one.t_total_s
-            assert overhead[j] == one.overhead
+            one = ue_offload_cost(ue, float(rates[j]), float(speeds[j]))
+            assert t_off[j] == one[0] and e_off[j] == one[1]
+            assert t_exe[j] == one[2] and t_total[j] == one[0] + one[2]
+            assert overhead[j] == one[3]
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan])
+    def test_bad_rate_rejected(self, rate):
+        with pytest.raises(ZeroRate):
+            priced([make_ue()], [rate], [1e9])
+
+    def test_bad_cpu_rejected(self):
+        with pytest.raises(ZeroRate):
+            priced([make_ue()], [1e6], [0.0])
 
     @pytest.mark.parametrize("rate", [0.0, math.nan])
     def test_array_form_rejects_a_bad_rate(self, rate):

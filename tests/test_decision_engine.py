@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from mecoffload import load_estimation
-from mecoffload.compute_model import OffloadOverhead, offload_overhead
 from mecoffload.cpu_allocation import (
     CpuRequest,
     allocate_equal,
@@ -37,6 +36,7 @@ from mecoffload.scenario import (
     tx_powers,
 )
 
+from _oracles import ue_offload_cost
 from test_scenario import manual_scenario
 
 # single full-band user: 100 PRBs at 200 kHz each, P*h/noise = 0.01 per PRB
@@ -73,35 +73,36 @@ class TestOrthogonalEstimate:
         estimates = fake_loads(4, w=3)
         report = orthogonal_estimate(estimates, [0, 1, 2, 3], s, gains)
         assert sorted(report) == [0, 1, 2, 3]
-        for i, hypo in report.items():
-            # a quarter of the 100-PRB band each
-            want = prb_rate(25.0, 1e-10, s.radio, s.ues[i].tx_power_w)
-            assert hypo.rate_bps == pytest.approx(want, rel=1e-12)
+        for i, overhead in report.items():
+            # a quarter of the 100-PRB band each, the whole server per cell
+            rate = prb_rate(25.0, 1e-10, s.radio, s.ues[i].tx_power_w)
+            assert overhead == ue_offload_cost(s.ues[i], rate, 1e11 / 4)[3]
 
     def test_single_user_full_band_rate(self):
         s = manual_scenario([(0.0, 0.0)], [(0.0, 0.0)])
         gains = ChannelGains(h=np.array([[1e-12]]))
         report = orthogonal_estimate(fake_loads(1, w=5), [0], s, gains)
-        hypo = report[0]
-        want = prb_rate(100.0, 1e-12, s.radio, s.ues[0].tx_power_w)  # whole band
-        assert hypo.rate_bps == pytest.approx(want, rel=1e-12)
-        assert hypo.rate_bps == pytest.approx(FULL_BAND_RATE, rel=1e-12)
+        rate = prb_rate(100.0, 1e-12, s.radio, s.ues[0].tx_power_w)  # whole band
+        assert rate == pytest.approx(FULL_BAND_RATE, rel=1e-12)
+        t_off, e_off, t_exe, overhead = ue_offload_cost(s.ues[0], rate, 1e11)
+        assert report == {0: overhead}
         # composition identities
         bits = s.ues[0].task.input_bits
-        assert hypo.t_off_s == pytest.approx(bits / hypo.rate_bps, rel=1e-12)
-        assert hypo.e_off_j == pytest.approx(0.1 * bits / hypo.rate_bps, rel=1e-12)
-        assert hypo.t_total_s == pytest.approx(hypo.t_off_s + 0.01, rel=1e-12)
-        assert hypo.overhead == pytest.approx(
-            0.5 * hypo.t_total_s + 0.5 * hypo.e_off_j, rel=1e-12
-        )
+        assert t_off == pytest.approx(bits / FULL_BAND_RATE, rel=1e-12)
+        assert e_off == pytest.approx(0.1 * bits / FULL_BAND_RATE, rel=1e-12)
+        assert t_exe == pytest.approx(0.01, rel=1e-12)
+        assert overhead == pytest.approx(0.5 * (t_off + 0.01) + 0.5 * e_off, rel=1e-12)
 
     def test_time_only_weights_drop_energy_term(self):
         s = manual_scenario([(0.0, 0.0)], [(0.0, 0.0)])
         ue = replace(s.ues[0], weight_time=1.0, weight_energy=0.0)
         s = replace(s, ues=(ue,))
         gains = ChannelGains(h=np.array([[1e-10]]))
-        hypo = orthogonal_estimate(fake_loads(1), [0], s, gains)[0]
-        assert hypo.overhead == pytest.approx(hypo.t_total_s, rel=1e-12)
+        overhead = orthogonal_estimate(fake_loads(1), [0], s, gains)[0]
+        rate = prb_rate(100.0, 1e-10, s.radio, ue.tx_power_w)
+        t_off, _, t_exe, want = ue_offload_cost(ue, rate, 1e11)
+        assert overhead == want
+        assert overhead == pytest.approx(t_off + t_exe, rel=1e-12)
 
     def test_empty_set_rejected(self):
         s = manual_scenario([(0.0, 0.0)], [(0.0, 0.0)])
@@ -124,14 +125,7 @@ class TestOrthogonalEstimate:
 class TestInitialDecision:
     def test_strict_improvement_offloads_tie_stays_local(self):
         estimates = fake_loads(3)  # local cost 0.55 each
-
-        def hypo(z):
-            return OffloadOverhead(
-                rate_bps=1e6, t_off_s=1.0, e_off_j=0.1,
-                t_exe_s=0.01, t_total_s=1.01, overhead=z,
-            )
-
-        report = {0: hypo(0.54), 1: hypo(0.55)}
+        report = {0: 0.54, 1: 0.55}
         decision = initial_decision(estimates, report)
         assert decision.a == (1, 0, 0)  # strict win, exact tie, not a member
 
@@ -142,14 +136,14 @@ class TestEvaluate:
         estimates = estimate_loads(s, gains)
         out = evaluate(OffloadDecision.all_local(9), s, gains, "minsum", estimates)
         assert out.system_overhead == pytest.approx(
-            sum(est.local.overhead for est in estimates), rel=1e-12
+            sum(estimates.local_overhead), rel=1e-12
         )
         assert out.cpu is None
         assert not out.rates_bps.any()
         assert not out.assoc.m.any()
         np.testing.assert_allclose(
             out.per_ue_overhead,
-            [est.local.overhead for est in estimates],
+            estimates.local_overhead,
             rtol=1e-12,
         )
 
@@ -169,9 +163,11 @@ class TestEvaluate:
         assert out.e_off_j[0] == pytest.approx(0.1 * bits / rate, rel=1e-9)
         assert out.cpu.f[0] == pytest.approx(1e11, rel=1e-12)
 
-        ref = offload_overhead(s.ues[0], float(out.rates_bps[0]), 1e11)
-        assert out.per_ue_overhead[0] == ref.overhead
-        assert out.system_overhead == ref.overhead
+        ref = ue_offload_cost(s.ues[0], float(out.rates_bps[0]), 1e11)
+        assert out.t_off_s[0] == ref[0]
+        assert out.e_off_j[0] == ref[1]
+        assert out.per_ue_overhead[0] == ref[3]
+        assert out.system_overhead == ref[3]
         assert out.feasible
 
     def test_starved_uplink_blows_deadline_and_prices_infinite(self):
@@ -184,7 +180,7 @@ class TestEvaluate:
         assert all(est.offloadable for est in estimates)
         out = evaluate(OffloadDecision.from_set([0, 1], 2), s, gains, "minsum", estimates)
         assert out.rates_bps[1] > 0  # alive but hopeless
-        assert out.t_off_s[1] > estimates[1].local.time_s
+        assert out.t_off_s[1] > estimates.local_time_s[1]
         assert out.cpu is None
         assert math.isinf(out.system_overhead)
         assert not out.feasible
@@ -220,7 +216,7 @@ class TestGreedy:
         assert out.feasible
         assert out.decision.n_offload == 0
         assert out.system_overhead == pytest.approx(
-            sum(est.local.overhead for est in estimates), rel=1e-12
+            sum(estimates.local_overhead), rel=1e-12
         )
 
     def test_rejects_flip_that_does_not_pay(self):
@@ -233,7 +229,7 @@ class TestGreedy:
         out = run_proposed(s, gains, "minsum")
         assert out.decision.n_offload == 0
         assert out.system_overhead == pytest.approx(
-            estimates[0].local.overhead, rel=1e-12
+            estimates.local_overhead[0], rel=1e-12
         )
 
     def test_keeps_flip_that_pays(self):
@@ -252,7 +248,7 @@ class TestBaselines:
         assert out.decision.n_offload == 0
         assert out.cpu is None
         assert out.system_overhead == pytest.approx(
-            sum(est.local.overhead for est in estimates), rel=1e-12
+            sum(estimates.local_overhead), rel=1e-12
         )
 
     def test_orthogonal_single_user_matches_proposed(self):
@@ -315,7 +311,7 @@ class TestRunScheme:
                 CpuRequest(
                     ue=i,
                     cycles=s.ues[i].task.cycles,
-                    t_cap_s=estimates[i].local.time_s - out.t_off_s[i],
+                    t_cap_s=estimates.local_time_s[i] - out.t_off_s[i],
                 )
                 for i in out.decision.offload_set
             ]

@@ -23,7 +23,7 @@ from mecoffload.scenario import (
     channel_gains,
 )
 
-from _oracles import scalar_loads, scan_min_prbs
+from _oracles import scalar_loads, scalar_local, scan_min_prbs
 from test_scenario import make_ue, manual_scenario
 
 RADIO = RadioParams(bandwidth_hz=20e6, num_prbs=100, noise_per_prb_w=1e-13)
@@ -73,20 +73,20 @@ class TestMinPrbs:
         assert prb_rate(3, 1e-10, RADIO, 0.1) == pytest.approx(
             3060922.8158772374, rel=1e-12
         )
-        assert min_prbs(make_ue(), 1e-10, RADIO, 2.5e6) == 3
+        assert min_prbs(0.1, 1e-10, RADIO, 2.5e6) == 3
 
     def test_boundary_inclusive(self):
         target = prb_rate(3, 1e-10, RADIO, 0.1)
-        assert min_prbs(make_ue(), 1e-10, RADIO, target) == 3
-        assert min_prbs(make_ue(), 1e-10, RADIO, math.nextafter(target, math.inf)) == 4
+        assert min_prbs(0.1, 1e-10, RADIO, target) == 3
+        assert min_prbs(0.1, 1e-10, RADIO, math.nextafter(target, math.inf)) == 4
 
     def test_single_prb_suffices(self):
-        assert min_prbs(make_ue(), 1e-10, RADIO, 1e5) == 1
+        assert min_prbs(0.1, 1e-10, RADIO, 1e5) == 1
 
     def test_infeasible_beyond_band(self):
         # rate saturates near P*H/noise * B/(K ln 2); ask for more
         cap = 0.1 * 1e-10 / 1e-13 * (20e6 / 100) / math.log(2)
-        assert min_prbs(make_ue(), 1e-10, RADIO, cap * 1.01) is None
+        assert min_prbs(0.1, 1e-10, RADIO, cap * 1.01) is None
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(123)
@@ -98,7 +98,7 @@ class TestMinPrbs:
             cap_rate = k * radio.prb_bandwidth_hz * math.log2(1 + snr / k)
             target = rng.uniform(0, 1.3) * cap_rate
             want = scan_min_prbs(snr, k, radio.prb_bandwidth_hz, target)
-            got = min_prbs(make_ue(), gain, radio, target)
+            got = min_prbs(0.1, gain, radio, target)
             if want is None:
                 assert got is None
             else:
@@ -115,7 +115,8 @@ class TestEstimateLoads:
             assert est.w >= 1
             assert est.t_exe_est_s == pytest.approx(0.09, rel=1e-12)
             assert est.min_rate_bps == pytest.approx(2570382.070437567, rel=1e-12)
-            assert est.local.overhead == pytest.approx(0.7167357142857143, rel=1e-12)
+        for overhead in ests.local_overhead:
+            assert overhead == pytest.approx(0.7167357142857143, rel=1e-12)
 
     def test_forced_local_marked(self):
         # tiny server: even split loses to the handset everywhere
@@ -210,10 +211,11 @@ def test_loads_match_scalar_loop(
     elif regime == "offloadable":
         assert loads.offloadable.any()
 
+    local_time, local_energy, local_overhead = zip(*map(scalar_local, s.ues))
     columns = {
-        "local_time_s": [e.local.time_s for e in want],
-        "local_energy_j": [e.local.energy_j for e in want],
-        "local_overhead": [e.local.overhead for e in want],
+        "local_time_s": list(local_time),
+        "local_energy_j": list(local_energy),
+        "local_overhead": list(local_overhead),
         "t_exe_est_s": [e.t_exe_est_s for e in want],
         "min_rate_bps": [e.min_rate_bps for e in want],
         "w": [e.w or 0 for e in want],

@@ -1,6 +1,7 @@
 """Invariants over generated inputs: the CPU solvers on requests large
-enough to pin over several rounds, the proposed pipeline on random
-configurations, and the exit code of `run` on arbitrary config files.
+enough to pin over several rounds, the proposed pipeline and the
+orthogonal estimate on random configurations, and the exit code of `run`
+on arbitrary config files.
 Examples are derandomized, so every run checks the same cases."""
 
 import contextlib
@@ -16,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecoffload.cli import main
-from mecoffload.compute_model import offload_overhead
 from mecoffload.cpu_allocation import CpuRequest, allocate_minmax, allocate_minsum
 from mecoffload.decision_engine import (
     evaluate,
@@ -24,9 +24,11 @@ from mecoffload.decision_engine import (
     orthogonal_estimate,
     run_proposed,
 )
-from mecoffload.load_estimation import estimate_loads
+from mecoffload.load_estimation import estimate_loads, prb_rate
 from mecoffload.radio import OffloadDecision, uplink_rate
 from mecoffload.scenario import ScenarioConfig, build_scenario, channel_gains, tx_powers
+
+from _oracles import ue_offload_cost
 
 REL = 1e-9
 
@@ -101,10 +103,10 @@ def test_proposed_pipeline_invariants(n_cells, reuse_lambda, mec_ghz, seed):
                 assert out.rates_bps[i] == pytest.approx(want, rel=1e-12)
             if out.cpu is not None:
                 # the array pricing is the one-UE formula, element for element
-                ref = offload_overhead(s.ues[i], float(out.rates_bps[i]), out.cpu.f[i])
-                assert out.t_off_s[i] == ref.t_off_s
-                assert out.e_off_j[i] == ref.e_off_j
-                assert out.per_ue_overhead[i] == ref.overhead
+                ref = ue_offload_cost(s.ues[i], float(out.rates_bps[i]), out.cpu.f[i])
+                assert out.t_off_s[i] == ref[0]
+                assert out.e_off_j[i] == ref[1]
+                assert out.per_ue_overhead[i] == ref[3]
         assert out.system_overhead == float(out.per_ue_overhead.sum())
         again = run_proposed(s, gains, cpu_mode)
         assert again.decision == out.decision
@@ -115,6 +117,36 @@ def test_proposed_pipeline_invariants(n_cells, reuse_lambda, mec_ghz, seed):
         assert (again.cpu is None) == (out.cpu is None)
         if out.cpu is not None:
             assert again.cpu.f == out.cpu.f
+
+
+@settings(max_examples=60)
+@given(
+    n_cells=st.integers(1, 12),
+    num_prbs=st.integers(1, 100),
+    mec_ghz=st.floats(5.0, 300.0),
+    gamma_t=st.floats(0.0, 1.0),
+    seed=st.integers(0, 10_000),
+)
+def test_orthogonal_estimate_prices_each_member_as_the_oracle(
+    n_cells, num_prbs, mec_ghz, gamma_t, seed
+):
+    cfg = ScenarioConfig(n_cells=n_cells, num_prbs=num_prbs, mec_ghz=mec_ghz,
+                         gamma_t=gamma_t, gamma_e=1.0 - gamma_t)
+    s = build_scenario(cfg, seed=seed)
+    gains = channel_gains(s)
+    estimates = estimate_loads(s, gains)
+    members = estimates.offloadable.nonzero()[0].tolist()
+    if not members:
+        return
+    report = orthogonal_estimate(estimates, members, s, gains)
+    assert sorted(report) == members
+    total_w = sum(int(estimates.w[i]) for i in members)
+    f_even = s.mec_capacity_hz / n_cells
+    for i in members:
+        ue = s.ues[i]
+        share = num_prbs * int(estimates.w[i]) / total_w
+        rate = prb_rate(share, float(gains.h[i, i]), s.radio, ue.tx_power_w)
+        assert report[i] == ue_offload_cost(ue, rate, f_even)[3]
 
 
 _EXTREMES = (5e-324, -5e-324, 1e-308, -1e-308, 1e300, -1e300, 1e308, -1e308, 0, 1, -1)

@@ -24,6 +24,13 @@ class TestOffloadDecision:
         with pytest.raises(ValueError):
             OffloadDecision(a=(0, 2, 1))
 
+    @pytest.mark.parametrize("bad", [-1, 0.5, float("nan"), "1", None, [1], (0,)])
+    def test_any_entry_but_0_or_1_rejected(self, bad):
+        # unhashable entries too, and wherever the entry sits
+        for a in ((bad,), (0, 1, bad), (bad, 1, 0)):
+            with pytest.raises(ValueError):
+                OffloadDecision(a=a)
+
     def test_helpers(self):
         d = OffloadDecision.from_set([0, 2], 4)
         assert d.a == (1, 0, 1, 0)
