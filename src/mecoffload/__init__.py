@@ -53,9 +53,6 @@ from .scenario import (
     RadioParams,
     Scenario,
     ScenarioConfig,
-    SmallCell,
-    Task,
-    Ue,
     build_scenario,
     channel_gains,
     config_from_dict,

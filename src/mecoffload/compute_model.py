@@ -8,20 +8,13 @@ computed by load_estimation.estimate_loads.
 
 from __future__ import annotations
 
-from operator import attrgetter
-
-import numpy as np
-
 from .errors import ZeroRate
 
-_COST_FIELDS = attrgetter(
-    "task.input_bits", "tx_power_w", "task.cycles", "weight_time", "weight_energy"
-)
 
-
-def cost_inputs(ues):
-    """What the offload cost reads of each UE: the arrays (D, P, C, w_t, w_e)."""
-    return np.array([_COST_FIELDS(ue) for ue in ues], dtype=float).reshape(-1, 5).T
+def cost_inputs(s, ids):
+    """What the offload cost reads of UEs `ids` of scenario s: the arrays
+    (D, P, C, w_t, w_e)."""
+    return s.input_bits[ids], s.tx_power_w[ids], s.cycles[ids], s.w_t[ids], s.w_e[ids]
 
 
 def upload_cost(bits, power_w, rate_bps):

@@ -78,7 +78,7 @@ def orthogonal_estimate(
     w = estimates.w.tolist()
     total_w = sum(w[i] for i in members)
     k = s.radio.num_prbs
-    bits, power, cycles, wt, we = cost_inputs([s.ues[i] for i in members])
+    bits, power, cycles, wt, we = cost_inputs(s, members)
     rates = [
         prb_rate(k * w[i] / total_w, float(gains.h[i, i]), s.radio, p)  # real-valued share
         for i, p in zip(members, power.tolist())
@@ -142,22 +142,21 @@ def _finish(
     decision at +inf; so is a server split that misses a deadline. The CPU
     rule runs only when there are offloaders and each has a rate.
     """
-    n = len(s.ues)
+    n = s.n_cells
     t_off = np.zeros(n)
     e_off = np.zeros(n)
     per_ue = estimates.local_overhead.copy()
     cpu = None
     if offs:
         ids = np.array(offs)
-        ues = [s.ues[i] for i in offs]
-        bits, power, cycles, wt, we = cost_inputs(ues)
+        bits, power, cycles, wt, we = cost_inputs(s, ids)
         r = rates[ids]
         per_ue[ids] = math.inf  # until priced
         if all(0 < x < math.inf for x in r.tolist()):  # no dead uplink, no nan
             t, e = upload_cost(bits, power, r)
             t_off[ids], e_off[ids] = t, e
             caps = estimates.local_time_s[ids] - t
-            requests = [CpuRequest(i, u.task.cycles, c) for i, u, c in zip(offs, ues, caps)]
+            requests = [CpuRequest(i, c, cap) for i, c, cap in zip(offs, cycles.tolist(), caps)]
             try:
                 cpu = _CPU_SOLVERS[cpu_mode](requests, s.mec_capacity_hz)
             except InfeasibleAllocation:
@@ -192,7 +191,7 @@ def evaluate(
     split, system overhead. Decisions with no offloaders cost the plain
     sum of local overheads."""
     offs = decision.offload_set
-    n, k = len(s.ues), s.radio.num_prbs
+    n, k = s.n_cells, s.radio.num_prbs
     if not offs or not all(estimates.offloadable[i] for i in offs):
         # nothing to colour, or a non-candidate offloads (a decision no sane
         # caller builds): no uplink, so any offloader prices out
@@ -230,7 +229,7 @@ def greedy_reallocate(
         ranked = []
         for i in decision.offload_set:
             t_cap = estimates.local_time_s[i] - best.t_off_s[i]
-            bound = math.inf if t_cap <= 0 else s.ues[i].task.cycles / t_cap
+            bound = math.inf if t_cap <= 0 else s.cycles[i] / t_cap
             ranked.append((-bound, i))
         drop = min(ranked)[1]
         decision = decision.flip_off(drop)
@@ -260,7 +259,7 @@ def run_baseline(kind: str, s: Scenario, gains: ChannelGains) -> AllocationOutco
     """Reference schemes: everyone local, or everyone offloading over an
     orthogonal band split with an even server split."""
     estimates = estimate_loads(s, gains)
-    n, k = len(s.ues), s.radio.num_prbs
+    n, k = s.n_cells, s.radio.num_prbs
     if kind not in _BASELINES:
         raise ValueError(f"unknown baseline {kind!r}")
     offloadable = estimates.offloadable.nonzero()[0].tolist()

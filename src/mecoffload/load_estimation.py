@@ -105,20 +105,18 @@ def estimate_loads(s: Scenario, gains: ChannelGains) -> Loads:
     the local time at an even server split, so the rate target is the
     input size over the slack D/F_l - D/(F/N); no slack pins the UE local.
     """
-    rows = [(u.task.cycles, u.local_speed_hz, u.task.input_bits, u.energy_coeff_j_per_cycle,
-             u.weight_time, u.weight_energy, u.tx_power_w) for u in s.ues]
-    cycles, speed, bits, coeff, wt, we, power = np.array(rows, dtype=float).reshape(-1, 7).T
+    cycles, power = s.cycles, s.tx_power_w
     # a Python float division overflows to inf without a warning; so do these
     with np.errstate(over="ignore"):
-        local_time = cycles / speed
-        local_energy = coeff * cycles
+        local_time = cycles / s.local_speed_hz
+        local_energy = s.energy_coeff * cycles
         t_exe_est = cycles / (s.mec_capacity_hz / s.n_cells)
         slack = local_time - t_exe_est
         forced = slack <= 0
         sized = ~forced
-        rate = np.divide(bits, slack, out=np.full(len(rows), math.inf), where=sized)
-        local_overhead = wt * local_time + we * local_energy
-    w = np.zeros(len(rows), dtype=np.int64)
+        rate = np.divide(s.input_bits, slack, out=np.full(len(cycles), math.inf), where=sized)
+        local_overhead = s.w_t * local_time + s.w_e * local_energy
+    w = np.zeros(len(cycles), dtype=np.int64)
     for i in sized.nonzero()[0].tolist():
         w[i] = min_prbs(float(power[i]), float(gains.h[i, i]), s.radio, float(rate[i])) or 0
     # min_prbs finds at least one PRB or none, and only sized UEs have a w

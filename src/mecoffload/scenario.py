@@ -48,10 +48,6 @@ class Task:
     input_bits: float
     cycles: float
 
-    def __post_init__(self):
-        if self.input_bits <= 0 or self.cycles <= 0:
-            raise InvalidConfig("task input_bits and cycles must be positive")
-
 
 @dataclass(frozen=True)
 class Ue:
@@ -64,27 +60,26 @@ class Ue:
     weight_energy: float  # in [0,1]
     energy_coeff_j_per_cycle: float
 
-    def __post_init__(self):
-        if self.tx_power_w <= 0 or self.local_speed_hz <= 0:
-            raise InvalidConfig("UE power and CPU speed must be positive")
-        if not (0 <= self.weight_time <= 1 and 0 <= self.weight_energy <= 1):
-            raise InvalidConfig("UE weights must lie in [0,1]")
-        if self.energy_coeff_j_per_cycle <= 0:
-            raise InvalidConfig("energy coefficient must be positive")
+
+# Scenario's per-UE columns: finite and positive, and the weights in [0,1]
+_POSITIVE = ("tx_power_w", "input_bits", "cycles", "local_speed_hz", "energy_coeff")
+_WEIGHTS = ("w_t", "w_e")
 
 
-@dataclass(frozen=True)
-class SmallCell:
-    id: int
-    position: tuple[float, float]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """Immutable snapshot of one deployment: cells, UEs, radio, server."""
+    """Immutable snapshot of one deployment: UE n is served by cell n, and
+    the UE inputs are read-only numpy columns indexed by UE id."""
 
-    cells: tuple[SmallCell, ...]
-    ues: tuple[Ue, ...]
+    cell_xy: np.ndarray  # (N, 2) SeNB positions, m
+    ue_xy: np.ndarray  # (N, 2) UE positions, m
+    tx_power_w: np.ndarray
+    input_bits: np.ndarray
+    cycles: np.ndarray
+    local_speed_hz: np.ndarray  # cycles/s on the handset
+    w_t: np.ndarray  # time weight
+    w_e: np.ndarray  # energy weight
+    energy_coeff: np.ndarray  # J/cycle on the handset
     radio: RadioParams
     mec_capacity_hz: float
     reuse_lambda: float
@@ -95,8 +90,18 @@ class Scenario:
     shadowing_db: float
 
     def __post_init__(self):
-        if len(self.cells) != len(self.ues):
-            raise InvalidConfig("one UE per cell required")
+        n = np.shape(self.cell_xy)[:1]  # one UE per cell
+        for name in ("cell_xy", "ue_xy", *_POSITIVE, *_WEIGHTS):
+            column = np.array(getattr(self, name), dtype=float)
+            shape = n + (2,) if name.endswith("_xy") else n
+            if column.shape != shape:
+                raise InvalidConfig(f"{name} has shape {column.shape}, expected {shape}")
+            if name in _POSITIVE and not ((column > 0) & (column < math.inf)).all():
+                raise InvalidConfig(f"UE {name} must be finite and positive")
+            if name in _WEIGHTS and not ((column >= 0) & (column <= 1)).all():
+                raise InvalidConfig(f"UE weight {name} must lie in [0,1]")
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
         if self.mec_capacity_hz <= 0:
             raise InvalidConfig("mec_capacity_hz must be positive")
         if self.reuse_lambda < 1:
@@ -106,7 +111,19 @@ class Scenario:
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return len(self.cycles)
+
+    @property
+    def ues(self) -> tuple[Ue, ...]:
+        """Every UE as a Ue record, built from the columns on each access:
+        for checks and tests outside the pipeline, which reads the columns."""
+        rows = zip(self.ue_xy.tolist(), self.tx_power_w.tolist(), self.input_bits.tolist(),
+                   self.cycles.tolist(), self.local_speed_hz.tolist(), self.w_t.tolist(),
+                   self.w_e.tolist(), self.energy_coeff.tolist())
+        return tuple(
+            Ue(i, tuple(xy), p, Task(d, c), f, wt, we, v)
+            for i, (xy, p, d, c, f, wt, we, v) in enumerate(rows)
+        )
 
 
 @dataclass(frozen=True)
@@ -308,24 +325,16 @@ def build_scenario(config: ScenarioConfig, seed: int | None = None) -> Scenario:
         num_prbs=config.num_prbs,
         noise_per_prb_w=config.noise_per_prb_w,
     )
-    task = Task(input_bits=config.input_bits, cycles=config.task_cycles)
-    cells = tuple(SmallCell(i, (float(cell_xy[i, 0]), float(cell_xy[i, 1]))) for i in range(n))
-    ues = tuple(
-        Ue(
-            id=i,
-            position=(float(ue_xy[i, 0]), float(ue_xy[i, 1])),
-            tx_power_w=config.tx_power_w,
-            task=task,
-            local_speed_hz=config.local_speed_hz,
-            weight_time=config.gamma_t,
-            weight_energy=config.gamma_e,
-            energy_coeff_j_per_cycle=config.energy_coeff,
-        )
-        for i in range(n)
-    )
     return Scenario(
-        cells=cells,
-        ues=ues,
+        cell_xy=cell_xy,
+        ue_xy=ue_xy,
+        tx_power_w=np.full(n, config.tx_power_w, dtype=float),
+        input_bits=np.full(n, config.input_bits, dtype=float),
+        cycles=np.full(n, config.task_cycles, dtype=float),
+        local_speed_hz=np.full(n, config.local_speed_hz, dtype=float),
+        w_t=np.full(n, config.gamma_t, dtype=float),
+        w_e=np.full(n, config.gamma_e, dtype=float),
+        energy_coeff=np.full(n, config.energy_coeff, dtype=float),
         radio=radio,
         mec_capacity_hz=config.mec_capacity_hz,
         reuse_lambda=config.reuse_lambda,
@@ -352,10 +361,8 @@ def channel_gains(s: Scenario) -> ChannelGains:
     SNR may overflow, and neither may n_cells * bandwidth_hz *
     log2(1 + max SNR), which bounds every uplink rate and their sum.
     """
-    ue_xy = np.array([u.position for u in s.ues])
-    cell_xy = np.array([c.position for c in s.cells])
-    dx = ue_xy[:, 0, None] - cell_xy[None, :, 0]
-    dy = ue_xy[:, 1, None] - cell_xy[None, :, 1]
+    dx = s.ue_xy[:, 0, None] - s.cell_xy[None, :, 0]
+    dy = s.ue_xy[:, 1, None] - s.cell_xy[None, :, 1]
     dist = np.sqrt(dx * dx + dy * dy)
     # inf - inf (an overflowed path loss plus an overflowed shadowing draw)
     # is a nan SNR, rejected below like an infinite one
@@ -365,7 +372,7 @@ def channel_gains(s: Scenario) -> ChannelGains:
             rng = np.random.default_rng([s.seed, 1])
             pl = pl + rng.normal(0.0, s.shadowing_db, size=pl.shape)
         h = 10.0 ** (-pl / 10.0)
-        snr = tx_powers(s)[:, None] * h / s.radio.noise_per_prb_w
+        snr = s.tx_power_w[:, None] * h / s.radio.noise_per_prb_w
         rate_bound = s.n_cells * s.radio.bandwidth_hz * np.log2(1.0 + snr.max())
     if not np.isfinite(snr).all():
         raise InvalidConfig(
@@ -380,4 +387,5 @@ def channel_gains(s: Scenario) -> ChannelGains:
 
 
 def tx_powers(s: Scenario) -> np.ndarray:
-    return np.array([u.tx_power_w for u in s.ues])
+    """Every UE's transmit power: the scenario's read-only column."""
+    return s.tx_power_w

@@ -7,11 +7,17 @@ shipped code, so agreement is meaningful.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from mecoffload.load_estimation import LoadEstimate
+from mecoffload.decision_engine import evaluate
+from mecoffload.load_estimation import LoadEstimate, estimate_loads
+from mecoffload.radio import OffloadDecision
+
+# largest candidate count best_offload_set searches: 2**11 evaluations
+MAX_EXHAUSTIVE_CANDIDATES = 11
 
 
 def brute_interference(c: np.ndarray, h: np.ndarray, powers) -> np.ndarray:
@@ -123,6 +129,28 @@ def scalar_loads(s, gains) -> list[LoadEstimate]:
             forced_local=slack <= 0, infeasible=slack > 0 and w is None,
         ))
     return out
+
+
+def best_offload_set(s, gains, cpu_mode):
+    """The cheapest offload set by exhaustive search, as (set, cost).
+
+    Every subset of the offloadable UEs, the empty one included, is priced
+    with evaluate under the CPU rule cpu_mode; ties go to the first subset
+    in (size, lexicographic) order. Raises ValueError past
+    MAX_EXHAUSTIVE_CANDIDATES offloadable UEs.
+    """
+    estimates = estimate_loads(s, gains)
+    candidates = estimates.offloadable.nonzero()[0].tolist()
+    if len(candidates) > MAX_EXHAUSTIVE_CANDIDATES:
+        raise ValueError(f"{len(candidates)} candidates, more than {MAX_EXHAUSTIVE_CANDIDATES}")
+    best = None
+    for size in range(len(candidates) + 1):
+        for subset in itertools.combinations(candidates, size):
+            decision = OffloadDecision.from_set(subset, s.n_cells)
+            cost = evaluate(decision, s, gains, cpu_mode, estimates).system_overhead
+            if best is None or cost < best[1]:
+                best = (subset, cost)
+    return best
 
 
 def loop_quotas(demands, offload_ids, num_prbs, reuse_lambda) -> np.ndarray:

@@ -82,16 +82,16 @@ def _loads_and_quotas(s, gains):
 def test_criterion_01_min_prb_search_matches_linear_scan(capsys):
     with verdict(capsys, 1, "smallest sufficient PRB count equals a linear scan"):
         rng = np.random.default_rng(1001)
-        ue = make_ue()
+        power = make_ue()["tx_power_w"]
         noise = 1e-13
         for _ in range(1000):
             k = int(rng.choice([10, 50, 100]))
             radio = RadioParams(bandwidth_hz=20e6, num_prbs=k, noise_per_prb_w=noise)
-            gain = float(np.exp(rng.uniform(0.0, math.log(1e4)))) * noise / ue.tx_power_w
-            snr = ue.tx_power_w * gain / noise
+            gain = float(np.exp(rng.uniform(0.0, math.log(1e4)))) * noise / power
+            snr = power * gain / noise
             cap = k * radio.prb_bandwidth_hz * math.log2(1.0 + snr / k)
             target = float(rng.uniform(1e-3, 1.3)) * cap
-            got = min_prbs(ue.tx_power_w, gain, radio, target)
+            got = min_prbs(power, gain, radio, target)
             want = scan_min_prbs(snr, k, radio.prb_bandwidth_hz, target)
             if want is None:
                 assert got is None

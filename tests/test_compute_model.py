@@ -12,12 +12,18 @@ from mecoffload.errors import ZeroRate
 
 from _oracles import ue_offload_cost
 from test_load_estimation import sized
-from test_scenario import make_ue
+from test_scenario import make_ue, manual_scenario
+
+
+def scenario_of(ues):
+    """A scenario holding the make_ue entries `ues`, each at its own cell."""
+    return manual_scenario([(0.0, 0.0)] * len(ues), ues=ues)
 
 
 def priced(ues, rates, speeds):
-    """The array pricing of the UEs: (t_off, e_off, t_exe, t_total, overhead)."""
-    bits, power, cycles, wt, we = cost_inputs(ues)
+    """The array pricing of the make_ue entries `ues`, gathered from a
+    scenario's columns: (t_off, e_off, t_exe, t_total, overhead)."""
+    bits, power, cycles, wt, we = cost_inputs(scenario_of(ues), np.arange(len(ues)))
     t_off, e_off = upload_cost(bits, power, np.asarray(rates, dtype=float))
     return (t_off, e_off,
             *execution_cost(cycles, wt, we, t_off, e_off, np.asarray(speeds, dtype=float)))
@@ -49,19 +55,20 @@ class TestOffloadOverhead:
         assert t_exe == pytest.approx(1.0, rel=1e-12)
         assert t_total == pytest.approx(4.44064, rel=1e-12)
         assert overhead == pytest.approx(0.5 * 4.44064 + 0.5 * 0.344064, rel=1e-12)
-        assert (t_off, e_off, t_exe, overhead) == ue_offload_cost(make_ue(), 1e6, 1e9)
+        ue = scenario_of([make_ue()]).ues[0]
+        assert (t_off, e_off, t_exe, overhead) == ue_offload_cost(ue, 1e6, 1e9)
 
     def test_higher_rate_never_costs_more(self):
         slow, fast = priced([make_ue()] * 2, [1e6, 2e6], [1e9, 1e9])[4]
         assert fast < slow
 
     def test_array_form_prices_each_ue_as_the_scalar_form(self):
-        ues = [make_ue(i, power=0.1 + 0.01 * i, bits=1e6 * (i + 1), cycles=3e8 * (i + 1),
+        ues = [make_ue(power=0.1 + 0.01 * i, bits=1e6 * (i + 1), cycles=3e8 * (i + 1),
                        wt=0.1 * i, we=1 - 0.1 * i) for i in range(5)]
         rates = np.array([1e6, 3.3e5, 7e7, 2.2e6, 9.1e5])
         speeds = np.array([1e9, 2.5e9, 3.3e8, 7.7e9, 1.1e9])
         t_off, e_off, t_exe, t_total, overhead = priced(ues, rates, speeds)
-        for j, ue in enumerate(ues):
+        for j, ue in enumerate(scenario_of(ues).ues):
             one = ue_offload_cost(ue, float(rates[j]), float(speeds[j]))
             assert t_off[j] == one[0] and e_off[j] == one[1]
             assert t_exe[j] == one[2] and t_total[j] == one[0] + one[2]

@@ -2,12 +2,11 @@
 greedy refinement, and the reference schemes."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mecoffload import load_estimation
+from mecoffload import load_estimation, scenario
 from mecoffload.cpu_allocation import (
     CpuRequest,
     allocate_equal,
@@ -37,7 +36,7 @@ from mecoffload.scenario import (
 )
 
 from _oracles import ue_offload_cost
-from test_scenario import manual_scenario
+from test_scenario import make_ue, manual_scenario
 
 # single full-band user: 100 PRBs at 200 kHz each, P*h/noise = 0.01 per PRB
 FULL_BAND_RATE = 287105.8595414008
@@ -94,9 +93,8 @@ class TestOrthogonalEstimate:
         assert overhead == pytest.approx(0.5 * (t_off + 0.01) + 0.5 * e_off, rel=1e-12)
 
     def test_time_only_weights_drop_energy_term(self):
-        s = manual_scenario([(0.0, 0.0)], [(0.0, 0.0)])
-        ue = replace(s.ues[0], weight_time=1.0, weight_energy=0.0)
-        s = replace(s, ues=(ue,))
+        s = manual_scenario([(0.0, 0.0)], ues=[make_ue(wt=1.0, we=0.0)])
+        ue = s.ues[0]
         gains = ChannelGains(h=np.array([[1e-10]]))
         overhead = orthogonal_estimate(fake_loads(1), [0], s, gains)[0]
         rate = prb_rate(100.0, 1e-10, s.radio, ue.tx_power_w)
@@ -336,6 +334,23 @@ class TestRunScheme:
             for name in SCHEME_NAMES:
                 run_scheme(name, s, gains)
         assert records == []
+
+    def test_pipeline_builds_no_ue_records(self, monkeypatch):
+        # the scenario draw, the gains and every scheme read the scenario's
+        # columns and the Loads arrays: building a per-UE record fails here
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-UE record was built")
+
+        for module, name in (
+            (scenario, "Ue"), (scenario, "Task"), (load_estimation, "LoadEstimate"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        for n, mec_ghz in ((9, 100.0), (160, 50.0)):
+            s, gains = built(n=n, mec_ghz=mec_ghz)
+            for name in SCHEME_NAMES:
+                run_scheme(name, s, gains)
+        with pytest.raises(AssertionError, match="per-UE record"):
+            s.ues  # the records are still built on access
 
     def test_unknown_scheme_rejected(self):
         s, gains = built(n=3)

@@ -18,6 +18,8 @@ from mecoffload import (
     run_scheme,
 )
 
+from _oracles import best_offload_set
+
 
 def cell(n_cells, seed):
     s = build_scenario(ScenarioConfig(n_cells=n_cells), seed)
@@ -99,3 +101,36 @@ def test_greedy_never_drops_a_feasible_start():
     repriced = evaluate(dropped, s, gains, "minsum", estimates).system_overhead
     assert repriced == pytest.approx(17.2169, abs=1e-4)
     assert repriced < outs["proposed_minsum"].system_overhead
+
+
+def test_greedy_never_removes_an_offloader():
+    """At 9 cells, reuse_lambda=3, seed 4, all three pipeline rules keep all
+    9 UEs offloading at 2.0523, while the cheapest offload set drops UE 7
+    and costs 1.4399: the greedy is 42.5% above it. After its repair loop
+    the greedy only adds UEs, so it never tries the removal. That is the
+    missing half of the either-way best-response update of Chen et al.,
+    "Efficient Multi-User Computation Offloading for Mobile-Edge Cloud
+    Computing", IEEE/ACM ToN 2016.
+
+    A fix (removal moves in greedy_reallocate) updates this expectation
+    together with a golden regeneration.
+    """
+    s = build_scenario(ScenarioConfig(n_cells=9, reuse_lambda=3.0), 4)
+    gains = channel_gains(s)
+    for scheme, rule in (
+        ("proposed_minsum", "minsum"), ("proposed_minmax", "minmax"), ("equal_cpu", "equal"),
+    ):
+        out = run_scheme(scheme, s, gains)
+        assert out.decision.offload_set == tuple(range(9)), scheme
+        assert out.system_overhead == 2.0523070562254735, scheme
+        best, cost = best_offload_set(s, gains, rule)
+        assert best == (0, 1, 2, 3, 4, 5, 6, 8), rule
+        assert cost == 1.4398697063386778, rule
+
+
+def test_best_offload_set_refuses_a_large_search():
+    s = build_scenario(ScenarioConfig(n_cells=12), 0)
+    gains = channel_gains(s)
+    assert estimate_loads(s, gains).offloadable.sum() == 12
+    with pytest.raises(ValueError, match="12 candidates"):
+        best_offload_set(s, gains, "minsum")

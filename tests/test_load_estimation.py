@@ -31,9 +31,8 @@ RADIO = RadioParams(bandwidth_hz=20e6, num_prbs=100, noise_per_prb_w=1e-13)
 
 def sized(n=1, mec_hz=1e11, **ue_args) -> Loads:
     """estimate_loads on n copies of make_ue(**ue_args), each 10 m from its cell."""
-    s = manual_scenario([(0.0, 0.0)] * n, [(10.0, 0.0)] * n, mec_capacity_hz=mec_hz)
-    ues = tuple(make_ue(i, position=(10.0, 0.0), **ue_args) for i in range(n))
-    s = replace(s, ues=ues)
+    ues = [make_ue(position=(10.0, 0.0), **ue_args)] * n
+    s = manual_scenario([(0.0, 0.0)] * n, ues=ues, mec_capacity_hz=mec_hz)
     return estimate_loads(s, channel_gains(s))
 
 

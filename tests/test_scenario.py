@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,6 @@ from mecoffload.scenario import (
     RadioParams,
     Scenario,
     ScenarioConfig,
-    SmallCell,
-    Task,
-    Ue,
     build_scenario,
     channel_gains,
     config_from_dict,
@@ -24,26 +22,36 @@ from mecoffload.scenario import (
 )
 
 
-def make_ue(i=0, position=(0.0, 0.0), power=0.1, bits=3440640.0, cycles=1e9,
+# every per-UE column of a Scenario
+COLUMNS = (
+    "cell_xy", "ue_xy", "tx_power_w", "input_bits", "cycles", "local_speed_hz",
+    "w_t", "w_e", "energy_coeff",
+)
+
+
+def make_ue(position=(0.0, 0.0), power=0.1, bits=3440640.0, cycles=1e9,
             speed=0.7e9, wt=0.5, we=0.5, v=4.9e-12):
-    return Ue(
-        id=i, position=position, tx_power_w=power,
-        task=Task(input_bits=bits, cycles=cycles), local_speed_hz=speed,
-        weight_time=wt, weight_energy=we, energy_coeff_j_per_cycle=v,
-    )
+    """One UE's entry in each per-UE column of a Scenario."""
+    return dict(ue_xy=position, tx_power_w=power, input_bits=bits, cycles=cycles,
+                local_speed_hz=speed, w_t=wt, w_e=we, energy_coeff=v)
 
 
-def manual_scenario(cell_positions, ue_positions, **overrides):
-    """Hand-placed deployment for tests that need exact geometry."""
+def manual_scenario(cell_positions, ue_positions=(), ues=None, **overrides):
+    """Hand-placed deployment for tests that need exact geometry.
+
+    UE n is served by cell n. `ues` holds one make_ue entry per UE, which
+    may differ; by default each UE is make_ue at its entry of ue_positions.
+    """
     params = dict(
         radio=RadioParams(bandwidth_hz=20e6, num_prbs=100, noise_per_prb_w=1e-13),
         mec_capacity_hz=1e11, reuse_lambda=2.0, edge_threshold=0.1, seed=0,
         pl0_db=30.0, pl_exponent=3.7, shadowing_db=0.0,
     )
     params.update(overrides)
-    cells = tuple(SmallCell(i, p) for i, p in enumerate(cell_positions))
-    ues = tuple(make_ue(i, position=p) for i, p in enumerate(ue_positions))
-    return Scenario(cells=cells, ues=ues, **params)
+    if ues is None:
+        ues = [make_ue(position=p) for p in ue_positions]
+    columns = {name: [ue[name] for ue in ues] for name in make_ue()}
+    return Scenario(cell_xy=cell_positions, **columns, **params)
 
 
 class TestConfig:
@@ -143,20 +151,20 @@ class TestBuild:
         cfg = ScenarioConfig()
         a = build_scenario(cfg, seed=7)
         b = build_scenario(cfg, seed=7)
-        assert [u.position for u in a.ues] == [u.position for u in b.ues]
-        assert [c.position for c in a.cells] == [c.position for c in b.cells]
+        for name in COLUMNS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_different_seed_differs(self):
         cfg = ScenarioConfig()
         a = build_scenario(cfg, seed=0)
         b = build_scenario(cfg, seed=1)
-        assert [u.position for u in a.ues] != [u.position for u in b.ues]
+        assert not np.array_equal(a.ue_xy, b.ue_xy)
 
     def test_seed_falls_back_to_config(self):
         cfg = ScenarioConfig(seed=11)
         a = build_scenario(cfg)
         b = build_scenario(cfg, seed=11)
-        assert [u.position for u in a.ues] == [u.position for u in b.ues]
+        assert np.array_equal(a.ue_xy, b.ue_xy)
 
     def test_counts_and_parameters(self):
         cfg = ScenarioConfig(n_cells=5)
@@ -170,13 +178,36 @@ class TestBuild:
     def test_ue_within_serving_radius(self):
         cfg = ScenarioConfig(n_cells=30, ue_radius_m=20.0)
         s = build_scenario(cfg, seed=3)
-        for cell, ue in zip(s.cells, s.ues):
-            d = math.dist(cell.position, ue.position)
+        for cell, ue in zip(s.cell_xy, s.ue_xy):
+            d = math.dist(cell, ue)
             assert 1.0 - 1e-9 <= d <= 20.0 + 1e-9
 
     def test_tx_powers_vector(self):
         s = build_scenario(ScenarioConfig(n_cells=4), seed=0)
         assert np.allclose(tx_powers(s), 0.1)
+
+    def test_tx_powers_and_every_column_are_read_only(self):
+        s = build_scenario(ScenarioConfig(n_cells=4), seed=0)
+        assert tx_powers(s) is s.tx_power_w
+        with pytest.raises(ValueError):
+            tx_powers(s)[0] = 1.0
+        for name in COLUMNS:
+            with pytest.raises(ValueError):
+                getattr(s, name)[0] = 1.0
+
+    def test_records_read_the_columns(self):
+        s = manual_scenario([(0.0, 0.0)] * 2, ues=[
+            make_ue(position=(3.0, 4.0)),
+            make_ue(position=(5.0, 6.0), power=0.2, bits=1e6, cycles=2e9, speed=1e9,
+                    wt=0.25, we=0.75, v=1e-12),
+        ])
+        ue = s.ues[1]
+        assert (ue.id, ue.position, ue.tx_power_w) == (1, (5.0, 6.0), 0.2)
+        assert (ue.task.input_bits, ue.task.cycles, ue.local_speed_hz) == (1e6, 2e9, 1e9)
+        assert (ue.weight_time, ue.weight_energy, ue.energy_coeff_j_per_cycle) == (
+            0.25, 0.75, 1e-12
+        )
+        assert s.ues[0].position == (3.0, 4.0) and s.ues[0].tx_power_w == 0.1
 
 
 class TestGains:
@@ -208,7 +239,7 @@ class TestGains:
     def test_shadowing_changes_gains_not_geometry(self):
         plain = build_scenario(ScenarioConfig(), seed=5)
         shadowed = build_scenario(ScenarioConfig(shadowing_db=8.0), seed=5)
-        assert [u.position for u in plain.ues] == [u.position for u in shadowed.ues]
+        assert np.array_equal(plain.ue_xy, shadowed.ue_xy)
         assert not np.array_equal(channel_gains(plain).h, channel_gains(shadowed).h)
 
     def test_gain_matrix_shape_and_positivity(self):
@@ -242,10 +273,23 @@ class TestInvariantChecks:
         with pytest.raises(InvalidConfig):
             RadioParams(bandwidth_hz=20e6, num_prbs=0, noise_per_prb_w=1e-13)
 
+    def test_mismatched_column_rejected(self):
+        s = manual_scenario([(0.0, 0.0)] * 2, [(1.0, 0.0)] * 2)
+        with pytest.raises(InvalidConfig, match="cycles"):
+            replace(s, cycles=[1e9])
+
     def test_bad_task_rejected(self):
         with pytest.raises(InvalidConfig):
-            Task(input_bits=0.0, cycles=1e9)
+            manual_scenario([(0.0, 0.0)], ues=[make_ue(bits=0.0)])
 
     def test_bad_ue_weights_rejected(self):
         with pytest.raises(InvalidConfig):
-            make_ue(wt=1.2)
+            manual_scenario([(0.0, 0.0)], ues=[make_ue(wt=1.2)])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["power", "bits", "cycles", "speed", "v", "wt", "we"])
+    def test_non_finite_ue_input_rejected(self, field, value):
+        # a later UE, so the check must cover every entry of the column
+        ues = [make_ue(), make_ue(**{field: value})]
+        with pytest.raises(InvalidConfig):
+            manual_scenario([(0.0, 0.0)] * 2, ues=ues)
