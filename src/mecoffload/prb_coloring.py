@@ -29,17 +29,13 @@ def normalize_prbs(demands, offload_ids, num_prbs: int, reuse_lambda: float) -> 
     floored at 1; entries outside the offload set stay 0. lambda > 1
     oversubscribes the band on purpose so that colors get reused.
     """
-    ids = sorted(offload_ids)
-    if not ids:
+    ids = np.array(sorted(offload_ids), dtype=np.int64)
+    if not ids.size:
         raise EmptyOffloadSet("no offloading UEs, nothing to allocate")
-    w = np.asarray(demands).tolist()  # one read, not one numpy scalar per UE
-    d = [int(w[i]) for i in ids]
-    total = sum(d)
-    m = [0] * len(w)
-    for i, x in zip(ids, d):
-        share = num_prbs * x / total
-        m[i] = min(max(round(reuse_lambda * share), 1), num_prbs)
-    return np.array(m, dtype=np.int64)
+    d = np.asarray(demands)[ids]
+    m = np.zeros(len(demands), dtype=np.int64)
+    m[ids] = np.clip(np.rint(reuse_lambda * (num_prbs * d / d.sum())), 1, num_prbs)
+    return m
 
 
 @dataclass(frozen=True)
@@ -48,8 +44,7 @@ class InterferenceGraph:
     noticeably into b's serving cell (gain ratio above the threshold)."""
 
     nodes: tuple[int, ...]
-    weight: np.ndarray  # per-PRB received interference power on edge a -> b, else 0
-    in_weight: np.ndarray  # column sums of weight, the coloring-order key
+    in_weight: np.ndarray  # per UE, per-PRB power over in-edges; 0 off the nodes
 
 
 def build_interference_graph(
@@ -62,23 +57,21 @@ def build_interference_graph(
     nodes = tuple(sorted(offload_ids))
     if not nodes:
         raise EmptyOffloadSet("no offloading UEs, nothing to allocate")
-    h = gains.h
     ids = np.array(nodes)
-    ratio = h[ids][:, ids] / h[ids, ids]  # h[a, b] / h[b, b]
+    h = gains.h[ids[:, None], ids]
+    ratio = h / np.diagonal(h)  # h[a, b] / h[b, b]
     np.fill_diagonal(ratio, 0.0)
-    rows, cols = np.nonzero(ratio > theta)
-    a, b = ids[rows], ids[cols]
-    weight = np.zeros(h.shape)
-    weight[a, b] = powers[a] / m[a] * h[a, b]
-    return InterferenceGraph(
-        nodes=nodes, weight=weight, in_weight=weight.sum(axis=0)
-    )
+    # per-PRB received interference power on edge a -> b, else 0
+    weight = np.where(ratio > theta, (powers[ids] / m[ids])[:, None] * h, 0.0)
+    in_weight = np.zeros(gains.h.shape[0])
+    in_weight[ids] = weight.sum(axis=0)
+    return InterferenceGraph(nodes=nodes, in_weight=in_weight)
 
 
 @dataclass(frozen=True)
 class ColoringState:
     assoc: PrbAssociation
-    o: np.ndarray  # interference table, see radio.interference_table
+    o: np.ndarray  # interference table (radio.interference_table), rows in order
     order: tuple[int, ...]  # nodes in the sequence they were colored
 
 
@@ -101,8 +94,6 @@ def color(
     the batch the table rows of all other nodes gain nb's per-PRB leakage
     on the taken colors.
     """
-    h = gains.h
-    n_ues = h.shape[0]
     k = radio.num_prbs
     bpp = radio.prb_bandwidth_hz
     noise = radio.noise_per_prb_w
@@ -110,54 +101,55 @@ def color(
     # order key is static: in-edge weights over the whole offload set
     order = sorted(graph.nodes, key=lambda i: (-graph.in_weight[i], m[i], i))
 
-    nodes = np.array(graph.nodes, dtype=np.int64)
-    p = np.zeros(n_ues)
-    p[nodes] = powers[nodes] / m[nodes]
+    # From here on a node is its coloring step t, the UE order[t].
+    ids = np.array(order, dtype=np.int64)
+    quota = m[ids].tolist()
+    # leak[t, u]: the per-PRB power node t puts into node u's serving cell
+    leak = (powers[ids] / m[ids])[:, None] * gains.h[ids[:, None], ids]
+    snr_self = leak.diagonal().copy()  # per-PRB power times serving gain
+    np.fill_diagonal(leak, 0.0)  # a cell does not interfere with itself
 
-    ot = np.zeros((k, n_ues))  # the table PRB-major: a step adds whole rows
+    ot = np.zeros((k, ids.size))  # the table PRB-major: a step adds whole rows
 
-    # Held (UE, PRB) entries of the colored nodes and their serving SNRs,
+    # Held (step, PRB) entries of the colored nodes and their serving SNRs,
     # in coloring order and ascending PRB within a node: a score moves
     # only through these, and bincount adds each PRB's deltas in the order
     # of a dense axis-0 sum over the colored rows.
-    snr_self = p * np.diagonal(h)  # per-PRB power times serving gain
-    size = int(m[nodes].sum())
-    held_ue = np.empty(size, dtype=np.int64)
+    size = sum(quota)
+    held_step = np.empty(size, dtype=np.int64)
     held_prb = np.empty(size, dtype=np.int64)
     held_snr = np.empty(size)
     x = np.empty(k + 2 * size)  # one step's SNRs, then its rates
     n_held = 0
 
-    for node in order:
-        leak = p[node] * h[node]
-        ue, prb, snr = held_ue[:n_held], held_prb[:n_held], held_snr[:n_held]
+    for t in range(ids.size):
+        step, prb, snr = held_step[:n_held], held_prb[:n_held], held_snr[:n_held]
         # own on every color, base and pert on the held entries: one log2 pass
         own, base, pert = x[:k], x[k:k + n_held], x[k + n_held:k + 2 * n_held]
-        np.divide(snr_self[node], noise + ot[:, node], out=own)
-        den = noise + ot[prb, ue]
+        np.divide(snr_self[t], noise + ot[:, t], out=own)
+        den = noise + ot[prb, step]
         np.divide(snr, den, out=base)
-        den += leak[ue]
+        den += leak[t, step]
         np.divide(snr, den, out=pert)
         rates = x[:k + 2 * n_held]  # bpp * log2(1 + snr), op for op
         rates += 1.0
         np.log2(rates, out=rates)
         rates *= bpp
         scores = own + np.bincount(prb, pert - base, minlength=k)
-        take = (-scores).argsort(kind="stable")[: int(m[node])]
+        take = (-scores).argsort(kind="stable")[: quota[t]]
         take.sort()
-        leak[node] = 0.0  # a cell does not interfere with itself
-        ot[take] += leak
-        held_ue[n_held:n_held + take.size] = node
+        ot[take] += leak[t]
+        held_step[n_held:n_held + take.size] = t
         held_prb[n_held:n_held + take.size] = take
-        held_snr[n_held:n_held + take.size] = snr_self[node]
+        held_snr[n_held:n_held + take.size] = snr_self[t]
         n_held += take.size
 
-    c = np.zeros((n_ues, k), dtype=np.int64)
-    c[held_ue[:n_held], held_prb[:n_held]] = 1
+    c = np.zeros((gains.h.shape[0], k), dtype=np.int64)
+    c[ids[held_step[:n_held]], held_prb[:n_held]] = 1
     return ColoringState(
         assoc=PrbAssociation.from_matrix(c),
         o=np.ascontiguousarray(ot.T),
-        order=tuple(int(i) for i in order),
+        order=tuple(ids.tolist()),
     )
 
 
@@ -181,7 +173,7 @@ def realized_rates(
         state.assoc.c[ids],
         (powers[ids] / m[ids])[:, None],
         h[ids, ids][:, None],
-        state.o[ids],
+        state.o,
         radio,
     )
     return rates

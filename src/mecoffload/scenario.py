@@ -96,6 +96,8 @@ class Scenario:
             shape = n + (2,) if name.endswith("_xy") else n
             if column.shape != shape:
                 raise InvalidConfig(f"{name} has shape {column.shape}, expected {shape}")
+            if name.endswith("_xy") and not np.isfinite(column).all():
+                raise InvalidConfig(f"{name} must be finite")
             if name in _POSITIVE and not ((column > 0) & (column < math.inf)).all():
                 raise InvalidConfig(f"UE {name} must be finite and positive")
             if name in _WEIGHTS and not ((column >= 0) & (column <= 1)).all():

@@ -230,13 +230,14 @@ def dense_color(graph, m, h, powers, radio):
 def assert_matches_dense_color(state, graph, m, h, powers, radio):
     """Assert that a ColoringState equals dense_color's bit for bit.
 
-    Compares the order, the association and the final interference table,
-    and returns dense_color's (order, steps) for replay_coloring.
+    Compares the order, the association and the final interference table
+    (dense_color's rows of the colored nodes, in coloring order), and
+    returns dense_color's (order, steps) for replay_coloring.
     """
     c, o, order, steps = dense_color(graph, m, h, powers, radio)
     assert state.order == order, "coloring order differs from dense_color"
     assert np.array_equal(state.assoc.c, c), "colors differ from dense_color"
-    assert state.o.tobytes() == o.tobytes(), "table differs from dense_color"
+    assert state.o.tobytes() == o[list(order)].tobytes(), "table differs from dense_color"
     return order, steps
 
 

@@ -8,6 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mecoffload import (
+    ScenarioConfig,
+    build_scenario,
+    channel_gains,
+    estimate_loads,
+    run_scheme,
+)
 from mecoffload.errors import EmptyOffloadSet
 from mecoffload.prb_coloring import (
     build_interference_graph,
@@ -116,26 +123,25 @@ class TestInterferenceGraph:
         g = build_interference_graph(
             ChannelGains(h=h), np.array([1, 1, 1]), np.full(3, 0.1), [0, 1, 2], 0.0
         )
-        assert (g.weight > 0).sum() == 6  # all ordered pairs
+        w = 0.1 / 1 * 1e-10  # every ordered pair is an edge
+        assert g.in_weight.tolist() == [w + w] * 3
 
     def test_infinite_threshold_empty(self):
         h = np.full((3, 3), 1e-10)
         g = build_interference_graph(
             ChannelGains(h=h), np.array([1, 1, 1]), np.full(3, 0.1), [0, 1, 2], math.inf
         )
-        assert not g.weight.any()
         assert (g.in_weight == 0).all()
 
     def test_ratio_rule_and_weight(self):
-        # cross/serving = 0.2 > 0.1: edge with per-PRB leakage (P/M)*H
+        # cross/serving = 0.2 > 0.1: edge 0 -> 1 with per-PRB leakage (P/M)*H;
+        # 0.001 < 0.1: no edge 1 -> 0
         h = np.array([[1e-10, 2e-11], [1e-13, 1e-10]])
         m = np.array([2, 1])
         g = build_interference_graph(
             ChannelGains(h=h), m, np.full(2, 0.1), [0, 1], 0.1
         )
-        assert g.weight[0, 1] > 0 and g.weight[1, 0] == 0
-        assert g.weight[0, 1] == pytest.approx((0.1 / 2) * 2e-11, rel=1e-12)
-        assert g.in_weight[1] == pytest.approx(g.weight[0, 1])
+        assert g.in_weight.tolist() == [0.0, (0.1 / 2) * 2e-11]
 
     def test_weight_equals_pair_loop(self):
         # same elementwise arithmetic as the per-pair loop, so bit-identical
@@ -146,7 +152,7 @@ class TestInterferenceGraph:
             for theta in (0.0, 1e-3, 0.1):
                 g = build_interference_graph(ChannelGains(h=h), m, powers, sub, theta)
                 want = loop_interference_weight(h, m, powers, sub, theta)
-                assert np.array_equal(g.weight, want)
+                assert _bits(g.in_weight) == _bits(want.sum(axis=0))
                 assert g.nodes == tuple(sub)
 
     def test_non_offloaders_excluded(self):
@@ -154,7 +160,7 @@ class TestInterferenceGraph:
         g = build_interference_graph(
             ChannelGains(h=h), np.array([1, 0, 1]), np.full(3, 0.1), [0, 2], 0.0
         )
-        assert not g.weight[1].any() and not g.weight[:, 1].any()
+        assert g.in_weight.tolist() == [0.1 / 1 * 1e-10, 0.0, 0.1 / 1 * 1e-10]
 
 
 class TestColor:
@@ -269,22 +275,27 @@ class TestColor:
         g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.1)
         state = color(g, m, ChannelGains(h=h), powers, radio(8))
         rebuilt = interference_table(state.assoc, ChannelGains(h=h), powers)
-        np.testing.assert_allclose(state.o, rebuilt, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(
+            state.o, rebuilt[list(state.order)], rtol=1e-12, atol=1e-300
+        )
 
     def test_table_is_ue_major_and_c_contiguous(self):
         # 7 UEs on 12 PRBs, UEs 1 and 4 local: the kernel works PRB-major
-        # and hands back o[ue, prb]
+        # and hands back o[t, prb], one row per colored UE in coloring order
         rng = np.random.default_rng(21)
         h, powers, _, _ = random_setup(rng, 7, 12, 2.0)
         ids = [0, 2, 3, 5, 6]
         m = normalize_prbs(np.arange(1, 8), ids, 12, 2.0)
         g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.1)
         state = color(g, m, ChannelGains(h=h), powers, radio(12))
-        assert state.o.shape == (7, 12)
+        assert sorted(state.order) == ids
+        assert state.o.shape == (5, 12)
         assert state.o.dtype == np.float64
         assert state.o.flags.c_contiguous
         rebuilt = interference_table(state.assoc, ChannelGains(h=h), powers)
-        np.testing.assert_allclose(state.o, rebuilt, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(
+            state.o, rebuilt[list(state.order)], rtol=1e-12, atol=1e-300
+        )
 
     def test_deterministic(self):
         rng = np.random.default_rng(15)
@@ -294,6 +305,33 @@ class TestColor:
         b = color(g, m, ChannelGains(h=h), powers, radio(10))
         assert np.array_equal(a.assoc.c, b.assoc.c)
         assert np.array_equal(a.o, b.o)
+
+    def test_local_cells_do_not_move_the_coloring(self):
+        # The 160-cell cell with the server scaled to it, colored for the
+        # offload set proposed_minsum picks, where most UEs stay local:
+        # scaling the gains to and from the local UEs changes neither the
+        # graph nor the coloring, and the table holds only the colored
+        # nodes' rows.
+        s = build_scenario(ScenarioConfig(n_cells=160, mec_ghz=1777.7777777777778), 0)
+        gains = channel_gains(s)
+        estimates = estimate_loads(s, gains)
+        ids = list(run_scheme("proposed_minsum", s, gains).decision.offload_set)
+        local = np.setdiff1d(np.arange(s.n_cells), ids)
+        assert 0 < len(ids) < len(local)
+        m = normalize_prbs(estimates.w, ids, s.radio.num_prbs, s.reuse_lambda)
+        h = gains.h.copy()
+        h[local] *= 3.0
+        h[:, local] *= 7.0
+        states = []
+        for g in (gains, ChannelGains(h=h)):
+            graph = build_interference_graph(g, m, s.tx_power_w, ids, s.edge_threshold)
+            states.append(color(graph, m, g, s.tx_power_w, s.radio))
+        a, b = states
+        assert a.order == b.order
+        assert a.assoc.c.tobytes() == b.assoc.c.tobytes()
+        assert a.o.tobytes() == b.o.tobytes()
+        assert a.o.shape == (len(ids), s.radio.num_prbs)
+        assert a.o.dtype == np.float64 and a.o.flags.c_contiguous
 
 
 class TestRealizedRates:
@@ -388,6 +426,6 @@ def test_realized_rates_equal_per_row_held_rate(inputs):
     h = gains.h
     state = color(graph, m, gains, powers, r)
     want = np.zeros(h.shape[0])
-    for i in state.order:
-        want[i] = held_rate(state.assoc.c[i], powers[i] / m[i], h[i, i], state.o[i], r)
+    for t, i in enumerate(state.order):
+        want[i] = held_rate(state.assoc.c[i], powers[i] / m[i], h[i, i], state.o[t], r)
     assert _bits(realized_rates(state, m, gains, powers, r)) == _bits(want)

@@ -293,3 +293,15 @@ class TestInvariantChecks:
         ues = [make_ue(), make_ue(**{field: value})]
         with pytest.raises(InvalidConfig):
             manual_scenario([(0.0, 0.0)] * 2, ues=ues)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", ["cell_xy", "ue_xy"])
+    def test_non_finite_position_rejected(self, column, value):
+        # the second entry of the column, so the check must cover every row;
+        # unchecked, a nan is blamed on the link budget in channel_gains and
+        # an inf gives a silent zero gain row
+        cells, ues = [(0.0, 0.0), (50.0, 0.0)], [(5.0, 0.0), (55.0, 0.0)]
+        positions = {"cell_xy": cells, "ue_xy": ues}[column]
+        positions[1] = (value, 0.0)
+        with pytest.raises(InvalidConfig, match=f"{column} must be finite"):
+            manual_scenario(cells, ue_positions=ues)
