@@ -28,16 +28,24 @@ class OffloadDecision:
     @classmethod
     def from_set(cls, offload, n: int) -> "OffloadDecision":
         members = set(offload)
-        return cls(a=tuple(1 if i in members else 0 for i in range(n)))
+        a = tuple(1 if i in members else 0 for i in range(n))
+        if a.count(1) != len(members):
+            outside = sorted(members.difference(range(n)))
+            raise ValueError(f"UE ids {outside} lie outside 0..{n - 1}")
+        return cls(a=a)
 
     def flip_on(self, n: int) -> "OffloadDecision":
-        a = list(self.a)
-        a[n] = 1
-        return OffloadDecision(a=tuple(a))
+        return self._flip(n, 1)
 
     def flip_off(self, n: int) -> "OffloadDecision":
+        return self._flip(n, 0)
+
+    def _flip(self, n: int, flag: int) -> "OffloadDecision":
+        # a negative n would index from the end and flip another UE
+        if not 0 <= n < len(self.a):
+            raise ValueError(f"UE id {n} lies outside 0..{len(self.a) - 1}")
         a = list(self.a)
-        a[n] = 0
+        a[n] = flag
         return OffloadDecision(a=tuple(a))
 
     @property

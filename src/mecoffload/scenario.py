@@ -10,6 +10,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,7 @@ class Ue:
 # Scenario's per-UE columns: finite and positive, and the weights in [0,1]
 _POSITIVE = ("tx_power_w", "input_bits", "cycles", "local_speed_hz", "energy_coeff")
 _WEIGHTS = ("w_t", "w_e")
+_COLUMNS = _POSITIVE + _WEIGHTS
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,19 +93,33 @@ class Scenario:
 
     def __post_init__(self):
         n = np.shape(self.cell_xy)[:1]  # one UE per cell
-        for name in ("cell_xy", "ue_xy", *_POSITIVE, *_WEIGHTS):
-            column = np.array(getattr(self, name), dtype=float)
-            shape = n + (2,) if name.endswith("_xy") else n
-            if column.shape != shape:
-                raise InvalidConfig(f"{name} has shape {column.shape}, expected {shape}")
-            if name.endswith("_xy") and not np.isfinite(column).all():
+        for name in ("cell_xy", "ue_xy"):
+            # column-major, so each coordinate is a contiguous column
+            xy = np.array(getattr(self, name), dtype=float, order="F")
+            if xy.shape != n + (2,):
+                raise InvalidConfig(f"{name} has shape {xy.shape}, expected {n + (2,)}")
+            if not np.isfinite(xy).all():
                 raise InvalidConfig(f"{name} must be finite")
-            if name in _POSITIVE and not ((column > 0) & (column < math.inf)).all():
-                raise InvalidConfig(f"UE {name} must be finite and positive")
-            if name in _WEIGHTS and not ((column >= 0) & (column <= 1)).all():
-                raise InvalidConfig(f"UE weight {name} must lie in [0,1]")
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
+            xy.setflags(write=False)
+            object.__setattr__(self, name, xy)
+        # the per-UE columns are the rows of one table, checked a pass per rule
+        table = np.empty((len(_COLUMNS),) + n)
+        for row, name in zip(table, _COLUMNS):
+            column = np.asarray(getattr(self, name), dtype=float)
+            if column.shape != n:
+                raise InvalidConfig(f"{name} has shape {column.shape}, expected {n}")
+            row[...] = column
+        positive = table[: len(_POSITIVE)]
+        bad = ~((positive > 0) & (positive < math.inf)).all(axis=1)
+        if bad.any():
+            raise InvalidConfig(f"UE {_POSITIVE[bad.argmax()]} must be finite and positive")
+        weights = table[len(_POSITIVE):]
+        bad = ~((weights >= 0) & (weights <= 1)).all(axis=1)
+        if bad.any():
+            raise InvalidConfig(f"UE weight {_WEIGHTS[bad.argmax()]} must lie in [0,1]")
+        table.setflags(write=False)
+        for row, name in zip(table, _COLUMNS):
+            object.__setattr__(self, name, row)
         if self.mec_capacity_hz <= 0:
             raise InvalidConfig("mec_capacity_hz must be positive")
         if self.reuse_lambda < 1:
@@ -115,10 +131,11 @@ class Scenario:
     def n_cells(self) -> int:
         return len(self.cycles)
 
-    @property
+    @cached_property
     def ues(self) -> tuple[Ue, ...]:
-        """Every UE as a Ue record, built from the columns on each access:
-        for checks and tests outside the pipeline, which reads the columns."""
+        """Every UE as a Ue record, built from the columns on first access:
+        for checks and tests outside the pipeline, which reads the columns.
+        The columns are read-only, so the records cannot go stale."""
         rows = zip(self.ue_xy.tolist(), self.tx_power_w.tolist(), self.input_bits.tolist(),
                    self.cycles.tolist(), self.local_speed_hz.tolist(), self.w_t.tolist(),
                    self.w_e.tolist(), self.energy_coeff.tolist())
@@ -359,22 +376,48 @@ def channel_gains(s: Scenario) -> ChannelGains:
 
     Shadowing (when enabled) uses its own generator derived from the
     scenario seed so the geometry draw stays untouched. A path loss may
-    overflow to inf and a gain underflow to 0 (no link), but no received
-    SNR may overflow, and neither may n_cells * bandwidth_hz *
-    log2(1 + max SNR), which bounds every uplink rate and their sum.
+    overflow to inf and a gain underflow to 0 (no link), but every
+    received SNR and the rate bound must be finite (_check_link_budget).
+
+    The gains are computed in place over two N x N buffers, with the IEEE
+    operations of 10 ** (-path_loss_db(dist) / 10) in their order, so h is
+    that expression bit for bit.
     """
-    dx = s.ue_xy[:, 0, None] - s.cell_xy[None, :, 0]
-    dy = s.ue_xy[:, 1, None] - s.cell_xy[None, :, 1]
-    dist = np.sqrt(dx * dx + dy * dy)
+    h = np.subtract(s.ue_xy[:, 0, None], s.cell_xy[None, :, 0])
+    dy = np.subtract(s.ue_xy[:, 1, None], s.cell_xy[None, :, 1])
+    np.multiply(h, h, out=h)
+    np.multiply(dy, dy, out=dy)
+    np.add(h, dy, out=h)
+    del dy  # freed before the shadowing draw takes its own N x N array
+    np.sqrt(h, out=h)
+    np.maximum(h, 1.0, out=h)  # path_loss_db's 1 m clamp
     # inf - inf (an overflowed path loss plus an overflowed shadowing draw)
-    # is a nan SNR, rejected below like an infinite one
+    # is a nan gain, rejected below like an infinite one
     with np.errstate(over="ignore", invalid="ignore"):
-        pl = path_loss_db(dist, s.pl0_db, s.pl_exponent)
+        np.log10(h, out=h)
+        h *= 10.0 * s.pl_exponent
+        h += s.pl0_db
         if s.shadowing_db > 0:
             rng = np.random.default_rng([s.seed, 1])
-            pl = pl + rng.normal(0.0, s.shadowing_db, size=pl.shape)
-        h = 10.0 ** (-pl / 10.0)
-        snr = s.tx_power_w[:, None] * h / s.radio.noise_per_prb_w
+            h += rng.normal(0.0, s.shadowing_db, size=h.shape)
+        np.negative(h, out=h)
+        h /= 10.0
+        np.power(10.0, h, out=h)
+    _check_link_budget(s, h)
+    return ChannelGains(h=h)
+
+
+def _check_link_budget(s: Scenario, h: np.ndarray) -> None:
+    """Raise InvalidConfig unless every received SNR tx_power_w * h /
+    noise_per_prb_w is finite, and so is n_cells * bandwidth_hz *
+    log2(1 + max SNR), which bounds every uplink rate and their sum.
+
+    Only each UE's largest gain is priced: fl(P * x / noise) is monotone in
+    x for finite P > 0 and noise > 0, so it gives the row's largest SNR bit
+    for bit, and a nan gain makes the row's maximum nan.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        snr = s.tx_power_w * h.max(axis=1) / s.radio.noise_per_prb_w
         rate_bound = s.n_cells * s.radio.bandwidth_hz * np.log2(1.0 + snr.max())
     if not np.isfinite(snr).all():
         raise InvalidConfig(
@@ -385,7 +428,6 @@ def channel_gains(s: Scenario) -> ChannelGains:
         raise InvalidConfig(
             "n_cells * bandwidth_hz * log2(1 + max SNR) overflows: check bandwidth_hz"
         )
-    return ChannelGains(h=h)
 
 
 def tx_powers(s: Scenario) -> np.ndarray:

@@ -15,9 +15,27 @@ import numpy as np
 from mecoffload.decision_engine import evaluate
 from mecoffload.load_estimation import LoadEstimate, estimate_loads
 from mecoffload.radio import OffloadDecision
+from mecoffload.scenario import path_loss_db
 
 # largest candidate count best_offload_set searches: 2**11 evaluations
 MAX_EXHAUSTIVE_CANDIDATES = 11
+
+
+def expression_gains(s) -> np.ndarray:
+    """The gain matrix as one array expression, each step a new N x N array:
+    the form channel_gains had before it ran in place over two buffers, so
+    the two must agree bit for bit. Returns h without checking the link
+    budget; overflows and inf - inf give inf and nan entries silently.
+    """
+    dx = s.ue_xy[:, 0, None] - s.cell_xy[None, :, 0]
+    dy = s.ue_xy[:, 1, None] - s.cell_xy[None, :, 1]
+    dist = np.sqrt(dx * dx + dy * dy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pl = path_loss_db(dist, s.pl0_db, s.pl_exponent)
+        if s.shadowing_db > 0:
+            rng = np.random.default_rng([s.seed, 1])
+            pl = pl + rng.normal(0.0, s.shadowing_db, size=pl.shape)
+        return 10.0 ** (-pl / 10.0)
 
 
 def brute_interference(c: np.ndarray, h: np.ndarray, powers) -> np.ndarray:

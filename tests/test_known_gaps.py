@@ -21,6 +21,10 @@ from mecoffload import (
 from _oracles import best_offload_set
 
 
+# each pipeline scheme with the CPU rule it prices under
+RULES = (("proposed_minsum", "minsum"), ("proposed_minmax", "minmax"), ("equal_cpu", "equal"))
+
+
 def cell(n_cells, seed):
     s = build_scenario(ScenarioConfig(n_cells=n_cells), seed)
     return s, channel_gains(s)
@@ -117,9 +121,7 @@ def test_greedy_never_removes_an_offloader():
     """
     s = build_scenario(ScenarioConfig(n_cells=9, reuse_lambda=3.0), 4)
     gains = channel_gains(s)
-    for scheme, rule in (
-        ("proposed_minsum", "minsum"), ("proposed_minmax", "minmax"), ("equal_cpu", "equal"),
-    ):
+    for scheme, rule in RULES:
         out = run_scheme(scheme, s, gains)
         assert out.decision.offload_set == tuple(range(9)), scheme
         assert out.system_overhead == 2.0523070562254735, scheme
@@ -149,6 +151,31 @@ def test_greedy_misses_the_best_set_once_in_twenty_cells():
     assert misses == {
         (3.0, 4): (2.0523070562254735, (0, 1, 2, 3, 4, 5, 6, 8), 1.4398697063386778),
     }
+
+
+def test_every_rule_finds_the_best_set_at_other_sizes_and_budgets():
+    """At 5 and 7 cells (seeds 0-9) and at 9 cells with mec_ghz 20 and 50
+    (seeds 0-4), every UE is offloadable, and each pipeline rule equals
+    the exhaustive best offload set under its own CPU rule on all 40 cells.
+    The one miss found so far stays the lambda=3, seed 4 cell pinned above.
+
+    A miss that shows up here is a new known gap: pin it with its
+    reproducer and gap, as the removal case above is pinned.
+    """
+    cells = [(n, 100.0, seed) for n in (5, 7) for seed in range(10)]
+    cells += [(9, mec_ghz, seed) for mec_ghz in (20.0, 50.0) for seed in range(5)]
+    misses = {}
+    for n_cells, mec_ghz, seed in cells:
+        s = build_scenario(ScenarioConfig(n_cells=n_cells, mec_ghz=mec_ghz), seed)
+        gains = channel_gains(s)
+        assert estimate_loads(s, gains).offloadable.all(), (n_cells, mec_ghz, seed)
+        for scheme, rule in RULES:
+            got = run_scheme(scheme, s, gains).system_overhead
+            best, cost = best_offload_set(s, gains, rule)
+            assert got >= cost, (n_cells, mec_ghz, seed, scheme)
+            if got != cost:
+                misses[n_cells, mec_ghz, seed, scheme] = (got, best, cost)
+    assert misses == {}
 
 
 def test_best_offload_set_refuses_a_large_search():

@@ -40,6 +40,21 @@ class TestOffloadDecision:
         assert d.flip_off(0).a == (0, 0, 1, 0)
         assert OffloadDecision.all_local(3).a == (0, 0, 0)
 
+    def test_from_set_rejects_ids_outside_the_cells(self):
+        # an id past the cells is a caller's bug, never a UE left local
+        with pytest.raises(ValueError, match=r"UE ids \[-1, 7\] lie outside 0\.\.2"):
+            OffloadDecision.from_set([1, 7, -1], 3)
+        with pytest.raises(ValueError, match=r"\[3\]"):
+            OffloadDecision.from_set(range(4), 3)
+
+    @pytest.mark.parametrize("flip", ["flip_on", "flip_off"])
+    @pytest.mark.parametrize("ue", [-1, -3, 3])
+    def test_flips_reject_ids_outside_the_cells(self, flip, ue):
+        # a negative id must not index from the end and flip another UE
+        d = OffloadDecision(a=(0, 1, 0))
+        with pytest.raises(ValueError, match=rf"UE id {ue} lies outside 0\.\.2"):
+            getattr(d, flip)(ue)
+
 
 class TestPerPrbPower:
     def test_split_and_idle(self):

@@ -2,10 +2,13 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mecoffload.errors import InvalidConfig
 from mecoffload.scenario import (
@@ -13,6 +16,7 @@ from mecoffload.scenario import (
     RadioParams,
     Scenario,
     ScenarioConfig,
+    _check_link_budget,
     build_scenario,
     channel_gains,
     config_from_dict,
@@ -20,6 +24,8 @@ from mecoffload.scenario import (
     path_loss_db,
     tx_powers,
 )
+
+from _oracles import expression_gains
 
 
 # every per-UE column of a Scenario
@@ -195,6 +201,27 @@ class TestBuild:
             with pytest.raises(ValueError):
                 getattr(s, name)[0] = 1.0
 
+    def test_columns_are_read_only_rows_of_one_table_and_callers_keep_theirs(self):
+        s = manual_scenario([(0.0, 0.0)] * 3, [(1.0, 0.0)] * 3)
+        mine = {name: np.array(getattr(s, name)) for name in COLUMNS}
+        s = replace(s, **mine)
+        table = s.tx_power_w.base
+        assert table.shape == (7, 3) and not table.flags.writeable
+        for name in COLUMNS:
+            column = getattr(s, name)
+            assert not column.flags.writeable, name
+            if not name.endswith("_xy"):
+                assert column.base is table, name
+            # the caller's array is copied, never frozen
+            assert mine[name].flags.writeable, name
+            assert not np.shares_memory(column, mine[name]), name
+            mine[name][0] = 0.25
+            assert not np.array_equal(column, mine[name]), name
+
+    def test_records_are_built_once(self):
+        s = manual_scenario([(0.0, 0.0)] * 2, [(1.0, 0.0)] * 2)
+        assert s.ues is s.ues
+
     def test_records_read_the_columns(self):
         s = manual_scenario([(0.0, 0.0)] * 2, ues=[
             make_ue(position=(3.0, 4.0)),
@@ -289,9 +316,14 @@ class TestInvariantChecks:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["power", "bits", "cycles", "speed", "v", "wt", "we"])
     def test_non_finite_ue_input_rejected(self, field, value):
-        # a later UE, so the check must cover every entry of the column
+        # a later UE, so the check must cover every entry of the column,
+        # and the one-table check must still name the column
+        column = {
+            "power": "tx_power_w", "bits": "input_bits", "cycles": "cycles",
+            "speed": "local_speed_hz", "v": "energy_coeff", "wt": "w_t", "we": "w_e",
+        }[field]
         ues = [make_ue(), make_ue(**{field: value})]
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig, match=rf"UE (weight )?{column} must"):
             manual_scenario([(0.0, 0.0)] * 2, ues=ues)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -305,3 +337,102 @@ class TestInvariantChecks:
         positions[1] = (value, 0.0)
         with pytest.raises(InvalidConfig, match=f"{column} must be finite"):
             manual_scenario(cells, ue_positions=ues)
+
+
+@st.composite
+def gain_configs(draw):
+    """Configs of 1 to 160 cells, with shadowing on or off; about half take
+    a reference loss so large that the far links underflow to a zero gain."""
+    return ScenarioConfig(
+        n_cells=draw(st.integers(1, 160)),
+        area_m=draw(st.floats(1.0, 2000.0)),
+        pl0_db=draw(st.one_of(st.floats(-50.0, 150.0), st.floats(3000.0, 3300.0))),
+        pl_exponent=draw(st.floats(1.0, 8.0)),
+        shadowing_db=draw(st.one_of(st.just(0.0), st.floats(0.5, 30.0))),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+def link_budget_verdict(s, h):
+    """What channel_gains must reject, priced over the whole gain matrix:
+    the start of its message, or None when every SNR and the rate bound
+    are finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        snr = s.tx_power_w[:, None] * h / s.radio.noise_per_prb_w
+        bound = s.n_cells * s.radio.bandwidth_hz * np.log2(1.0 + snr.max())
+    if not np.isfinite(snr).all():
+        return "a received SNR"
+    if not np.isfinite(bound):
+        return "n_cells \\* bandwidth_hz"
+    return None
+
+
+# gains a hand-made row may hold: no link, subnormal, typical, huge, inf, nan
+GAINS = (0.0, 5e-324, 1e-11, 1.0, 1e300, math.inf, math.nan)
+
+
+@st.composite
+def link_budgets(draw):
+    """A hand-made scenario and gain matrix, powers, noise and band drawn
+    so that either check, both or neither fail."""
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.sampled_from(GAINS), st.floats(0.0, 1e308))
+    h = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+    powers = draw(st.lists(st.sampled_from((1e-300, 0.1, 1e300)), min_size=n, max_size=n))
+    radio = RadioParams(
+        bandwidth_hz=draw(st.sampled_from((20e6, 1e306, 1e308))), num_prbs=100,
+        noise_per_prb_w=draw(st.sampled_from((1e-300, 1e-13, 1e300))),
+    )
+    ues = [make_ue(power=p) for p in powers]
+    return manual_scenario([(0.0, 0.0)] * n, ues=ues, radio=radio), h
+
+
+class TestGainsInPlace:
+    @settings(max_examples=60)
+    @given(gain_configs())
+    @example(ScenarioConfig(n_cells=1))
+    @example(ScenarioConfig(n_cells=160, shadowing_db=8.0))
+    @example(ScenarioConfig(n_cells=160, pl0_db=3200.0, shadowing_db=8.0))
+    def test_equal_the_expression_bit_for_bit(self, cfg):
+        s = build_scenario(cfg)
+        h = channel_gains(s).h
+        want = expression_gains(s)
+        assert np.array_equal(h, want)
+        assert h.tobytes() == want.tobytes()
+
+    def test_allocates_two_gain_sized_buffers(self):
+        # large enough that numpy's fixed-size ufunc buffers stay small
+        # beside one N x N array
+        s = build_scenario(ScenarioConfig(n_cells=500))
+        channel_gains(s)  # warm up: the first call loads numpy's loops
+        tracemalloc.start()
+        try:
+            channel_gains(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        h_bytes = s.n_cells**2 * np.dtype(float).itemsize
+        assert 2 * h_bytes <= peak < 3 * h_bytes
+
+    @settings(max_examples=300)
+    @given(link_budgets())
+    def test_row_maximum_check_raises_exactly_when_a_full_check_would(self, case):
+        s, h = case
+        verdict = link_budget_verdict(s, h)
+        if verdict is None:
+            _check_link_budget(s, h)
+        else:
+            with pytest.raises(InvalidConfig, match=f"^{verdict}"):
+                _check_link_budget(s, h)
+
+    @pytest.mark.parametrize("overrides, verdict", [
+        ({"tx_power_mw": 1e308}, "a received SNR"),
+        ({"pl0_db": -1e308}, "a received SNR"),
+        ({"shadowing_db": 1e308}, "a received SNR"),
+        ({"bandwidth_hz": 1e307}, "n_cells \\* bandwidth_hz"),
+    ])
+    def test_readme_snr_examples_are_rejected(self, overrides, verdict):
+        s = build_scenario(ScenarioConfig(**overrides))
+        assert link_budget_verdict(s, expression_gains(s)) == verdict
+        with pytest.raises(InvalidConfig, match=f"^{verdict}"):
+            channel_gains(s)
