@@ -17,6 +17,20 @@ from dataclasses import dataclass
 from .errors import InfeasibleAllocation
 
 
+def _add_up(values):
+    """Plain left-to-right sum, as built-in sum gives it up to Python 3.11.
+
+    From 3.12 on, sum adds floats with compensated summation, which can
+    change the last bit (nine shares of 1e11/9 add up to 1e11 rather than
+    100000000000.00002); this keeps every CPU total and objective the same
+    on every interpreter.
+    """
+    total = 0
+    for x in values:
+        total = total + x
+    return total
+
+
 @dataclass(frozen=True)
 class CpuRequest:
     ue: int
@@ -40,7 +54,7 @@ class CpuAllocation:
 
     @property
     def total_hz(self) -> float:
-        return sum(self.f.values())
+        return _add_up(self.f.values())
 
 
 def feasible(requests: list[CpuRequest], capacity_hz: float) -> bool:
@@ -49,7 +63,7 @@ def feasible(requests: list[CpuRequest], capacity_hz: float) -> bool:
         return False
     if any(r.t_cap_s <= 0 for r in requests):
         return False
-    return sum(r.min_share_hz for r in requests) <= capacity_hz
+    return _add_up(r.min_share_hz for r in requests) <= capacity_hz
 
 
 def _pin_and_split(requests: list[CpuRequest], capacity_hz: float, split) -> dict[int, float]:
@@ -81,12 +95,12 @@ def _pin_and_split(requests: list[CpuRequest], capacity_hz: float, split) -> dic
 
 
 def _proportional(active: list[CpuRequest], budget: float) -> list[float]:
-    tau = sum(r.cycles for r in active) / budget
+    tau = _add_up(r.cycles for r in active) / budget
     return [r.cycles / tau for r in active]
 
 
 def _sqrt_proportional(active: list[CpuRequest], budget: float) -> list[float]:
-    t = budget / sum(math.sqrt(r.cycles) for r in active)
+    t = budget / _add_up(math.sqrt(r.cycles) for r in active)
     return [t * math.sqrt(r.cycles) for r in active]
 
 
@@ -114,7 +128,7 @@ def allocate_minsum(requests: list[CpuRequest], capacity_hz: float) -> CpuAlloca
     rest. t only shrinks as pinning proceeds, so no pin is ever undone.
     """
     shares = _pin_and_split(requests, capacity_hz, _sqrt_proportional)
-    objective = sum(r.cycles / shares[r.ue] for r in requests)
+    objective = _add_up(r.cycles / shares[r.ue] for r in requests)
     return CpuAllocation(f=shares, objective=objective)
 
 
@@ -126,5 +140,5 @@ def allocate_equal(requests: list[CpuRequest], capacity_hz: float) -> CpuAllocat
     if any(r.cycles / share > r.t_cap_s for r in requests):
         raise InfeasibleAllocation("even split misses at least one deadline")
     shares = {r.ue: share for r in requests}
-    objective = sum(r.cycles / share for r in requests)
+    objective = _add_up(r.cycles / share for r in requests)
     return CpuAllocation(f=shares, objective=objective)

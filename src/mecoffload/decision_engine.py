@@ -6,13 +6,16 @@ orthogonal split of the band and an even server split; the real evaluation
 runs demand normalization, graph coloring, realized rates, and the convex
 server split, and prices the system by the weighted time/energy overhead
 summed over all UEs. Candidates that break feasibility price at +inf and
-are never kept.
+are never kept. The sizing and the initial guess do not depend on the
+server-split rule, so every scheme of a cell shares them (cell_plan).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -245,43 +248,81 @@ def greedy_reallocate(
     return best
 
 
+@dataclass(frozen=True, eq=False)
+class CellPlan:
+    """The sizing pass of one cell, shared by all of its schemes.
+
+    Nothing here depends on the server-split rule: the Loads, the
+    offloadable UE ids, and for the pipeline schemes the orthogonal report
+    of every candidate (read-only) and the initial guess. report and a0 are
+    None until a pipeline scheme asks for them, so the baselines alone make
+    no orthogonal estimate.
+    """
+
+    estimates: Loads
+    candidates: tuple[int, ...]
+    report: Mapping[int, float] | None = None
+    a0: OffloadDecision | None = None
+
+
+def cell_plan(s: Scenario, gains: ChannelGains, priced: bool = False) -> CellPlan:
+    """The plan of the cell (s, gains), made on first use and kept on gains.
+
+    gains.h is read-only and so is every input on s, so the plan cannot go
+    stale; a different scenario object with the same gains gets its own.
+    With priced, the report and the initial guess are filled in too.
+    """
+    slot = gains._plan
+    if slot is not None and slot[0] is s:
+        plan = slot[1]
+    else:
+        estimates = estimate_loads(s, gains)
+        plan = CellPlan(estimates, tuple(estimates.offloadable.nonzero()[0].tolist()))
+    if priced and plan.report is None:
+        candidates = plan.candidates
+        report = orthogonal_estimate(plan.estimates, candidates, s, gains) if candidates else {}
+        a0 = initial_decision(plan.estimates, report)
+        plan = replace(plan, report=MappingProxyType(report), a0=a0)
+    object.__setattr__(gains, "_plan", (s, plan))
+    return plan
+
+
 def run_proposed(s: Scenario, gains: ChannelGains, cpu_mode: str) -> AllocationOutcome:
-    """Estimate, make the initial offload guess, then greedily refine it.
-    With no candidate the report is empty and the guess stays all local."""
-    estimates = estimate_loads(s, gains)
-    candidates = estimates.offloadable.nonzero()[0].tolist()
-    report = orthogonal_estimate(estimates, candidates, s, gains) if candidates else {}
-    a0 = initial_decision(estimates, report)
-    return greedy_reallocate(a0, s, gains, cpu_mode, estimates, report)
+    """Greedily refine the cell's initial offload guess. With no candidate
+    the report is empty and the guess stays all local."""
+    plan = cell_plan(s, gains, priced=True)
+    return greedy_reallocate(plan.a0, s, gains, cpu_mode, plan.estimates, plan.report)
 
 
 def run_baseline(kind: str, s: Scenario, gains: ChannelGains) -> AllocationOutcome:
     """Reference schemes: everyone local, or everyone offloading over an
     orthogonal band split with an even server split."""
-    estimates = estimate_loads(s, gains)
-    n, k = s.n_cells, s.radio.num_prbs
     if kind not in _BASELINES:
         raise ValueError(f"unknown baseline {kind!r}")
-    offloadable = estimates.offloadable.nonzero()[0].tolist()
-    candidates = [] if kind == "all_local" else offloadable
+    plan = cell_plan(s, gains)
+    estimates = plan.estimates
+    n, k = s.n_cells, s.radio.num_prbs
+    candidates = () if kind == "all_local" else plan.candidates
     decision = OffloadDecision.from_set(candidates, n)
     assoc, rates = PrbAssociation.empty(n, k), np.zeros(n)
     w = estimates.w.tolist()
     total_w = sum(w[i] for i in candidates)
-    quota = {i: max(math.floor(k * w[i] / total_w), 1) for i in candidates}
+    quota = [max(math.floor(k * w[i] / total_w), 1) for i in candidates]
     # a band too small to stay orthogonal leaves every uplink dead: priced out
-    if candidates and sum(quota.values()) <= k:
+    if candidates and sum(quota) <= k:
         c = np.zeros((n, k), dtype=np.int64)
         next_free = 0
-        for i in candidates:
-            c[i, next_free : next_free + quota[i]] = 1
-            next_free += quota[i]
+        for i, q in zip(candidates, quota):
+            c[i, next_free : next_free + q] = 1
+            next_free += q
         assoc = PrbAssociation.from_matrix(c)
         powers = tx_powers(s)
         o = interference_table(assoc, gains, powers)
-        for i in candidates:
-            p_prb = powers[i] / quota[i]
-            rates[i] = held_rate(c[i], p_prb, gains.h[i, i], o[i], s.radio)
+        ids = np.array(candidates)
+        rates[ids] = held_rate(
+            c[ids], (powers[ids] / np.array(quota))[:, None], gains.h[ids, ids][:, None],
+            o[ids], s.radio,
+        )
     return _finish(decision, decision.offload_set, s, estimates, assoc, rates, "equal")
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -145,11 +145,25 @@ class Scenario:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelGains:
-    """Linear power gains; h[m, n] is UE m heard at SeNB n."""
+    """Linear power gains; h[m, n] is UE m heard at SeNB n.
+
+    h is read-only: an array that owns its data and is already read-only
+    is kept, anything else is copied, so a caller's array is never frozen.
+    One gains object is shared by every scheme of a cell, and it carries
+    that cell's sizing pass (decision_engine.cell_plan) in a private slot.
+    """
 
     h: np.ndarray
+    _plan: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        h = self.h
+        if not (isinstance(h, np.ndarray) and h.flags.owndata and not h.flags.writeable):
+            h = np.array(h)
+            h.setflags(write=False)
+            object.__setattr__(self, "h", h)
 
 
 @dataclass(frozen=True)
@@ -404,6 +418,7 @@ def channel_gains(s: Scenario) -> ChannelGains:
         h /= 10.0
         np.power(10.0, h, out=h)
     _check_link_budget(s, h)
+    h.setflags(write=False)  # fresh and ours: read-only without a copy
     return ChannelGains(h=h)
 
 

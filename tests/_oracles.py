@@ -14,7 +14,7 @@ import numpy as np
 
 from mecoffload.decision_engine import evaluate
 from mecoffload.load_estimation import LoadEstimate, estimate_loads
-from mecoffload.radio import OffloadDecision
+from mecoffload.radio import OffloadDecision, PrbAssociation, held_rate, interference_table
 from mecoffload.scenario import path_loss_db
 
 # largest candidate count best_offload_set searches: 2**11 evaluations
@@ -378,3 +378,51 @@ def grid_cpu_oracle(kind, cycles, lower, budget, resolution=33, rounds=6):
         lo = np.maximum(best_x - cell, 0.0)
         hi = np.minimum(best_x + cell, slack)
     return best_obj
+
+
+def loop_orthogonal_rates(s, gains, estimates) -> np.ndarray:
+    """all_offload_orth's uplink rates, one held_rate call per candidate.
+
+    Every offloadable UE takes max(floor(K * w / sum w), 1) consecutive
+    blocks; a band that cannot hold them all leaves every rate 0.
+    """
+    n, k = s.n_cells, s.radio.num_prbs
+    rates = np.zeros(n)
+    candidates = [i for i in range(n) if estimates.offloadable[i]]
+    total_w = sum(int(estimates.w[i]) for i in candidates)
+    quota = {i: max(math.floor(k * int(estimates.w[i]) / total_w), 1) for i in candidates}
+    if not candidates or sum(quota.values()) > k:
+        return rates
+    c = np.zeros((n, k), dtype=np.int64)
+    first = 0
+    for i in candidates:
+        c[i, first:first + quota[i]] = 1
+        first += quota[i]
+    o = interference_table(PrbAssociation.from_matrix(c), gains, s.tx_power_w)
+    for i in candidates:
+        p_prb = s.tx_power_w[i] / quota[i]
+        rates[i] = held_rate(c[i], p_prb, gains.h[i, i], o[i], s.radio)
+    return rates
+
+
+def left_to_right_sum(values):
+    """Plain left-to-right float sum: built-in sum up to Python 3.11."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def compensated_sum(values, start=0):
+    """Neumaier-compensated float sum: what built-in sum does with floats
+    from Python 3.12 on, which can differ from left_to_right_sum in the
+    last bit."""
+    total, carry = float(start), 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            carry += (total - t) + x
+        else:
+            carry += (x - t) + total
+        total = t
+    return total + carry

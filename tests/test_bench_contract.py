@@ -83,6 +83,34 @@ def test_uplink_layers_run_once_per_colorable_evaluate(traced):
         assert snap[f"prb_coloring.{label}.calls"] == colorable, label
 
 
+def test_schemes_of_a_cell_share_one_sizing_pass(traced):
+    _, snap, cells = traced
+    for label in ("load_estimation.estimate_loads", "decision_engine.initial_decision"):
+        assert snap[f"{label}.calls"] == len(cells), label
+    with_candidates = sum(bool(mecoffload.estimate_loads(s, g).offloadable.any())
+                          for s, g, _ in cells)
+    assert snap["decision_engine.orthogonal_estimate.calls"] == with_candidates
+
+
+def test_one_paper_cell_sizes_once_under_the_tracer():
+    s = mecoffload.scenario.build_scenario(ScenarioConfig(), seed=0)
+    g = mecoffload.scenario.channel_gains(s)
+    tracer = load("tracer").Tracer(mecoffload)
+    tracer.install()
+    try:
+        tracer.start_cell()
+        for name in SCHEME_NAMES:
+            mecoffload.decision_engine.run_scheme(name, s, g)
+    finally:
+        tracer.uninstall()
+    snap = tracer.snapshot()
+    assert snap["decision_engine.run_scheme.calls"] == len(SCHEME_NAMES)
+    for label in ("load_estimation.estimate_loads", "decision_engine.orthogonal_estimate",
+                  "decision_engine.initial_decision"):
+        assert snap[f"{label}.calls"] == 1, label
+    assert snap["prb_coloring.color.calls"] == snap["evaluate.colorable"] > 0
+
+
 def test_every_evaluate_is_a_greedy_step(traced):
     _, snap, _ = traced
     assert snap["decision_engine.evaluate.calls"] == snap["greedy.evaluations"]

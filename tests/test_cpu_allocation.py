@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mecoffload import cpu_allocation
 from mecoffload.cpu_allocation import (
     CpuRequest,
     allocate_equal,
@@ -14,7 +15,7 @@ from mecoffload.cpu_allocation import (
 )
 from mecoffload.errors import InfeasibleAllocation
 
-from _oracles import grid_cpu_oracle
+from _oracles import compensated_sum, grid_cpu_oracle, left_to_right_sum
 
 LOOSE = math.inf
 
@@ -174,3 +175,46 @@ class TestSharedInvariants:
                 kind, [r.cycles for r in requests], lower, budget
             )
             assert out.objective == pytest.approx(grid, rel=1e-4)
+
+
+class TestInterpreterIndependentSums:
+    # every instance holds a float sum that compensated summation rounds
+    # differently: the nine equal shares of 1e11 and their objective, nine
+    # minimum shares of 1e11/9 against a 1e11 budget, and cycle counts whose
+    # plain and square-root sums both move
+    NINE = [1e9] * 9
+    MIXED = [3e9, 1e9 / 3, 2e9 / 9, 9e9 / 11, 9e9 / 7, 5e9 / 9]
+
+    def solve_all(self):
+        tight = reqs(self.NINE, [1e9 / (1e11 / 9)] * 9)
+        return (
+            feasible(tight, 1e11),
+            allocate_equal(reqs(self.NINE), 1e11),
+            allocate_minmax(reqs(self.MIXED), 1e11),
+            allocate_minsum(reqs(self.MIXED), 1e11),
+            allocate_minmax(reqs(self.MIXED, [LOOSE, 0.01] + [LOOSE] * 4), 1e11),
+            allocate_minsum(reqs(self.MIXED, [LOOSE, 0.01] + [LOOSE] * 4), 1e11),
+        )
+
+    def test_instances_are_sensitive_to_the_summation(self):
+        shares = [1e11 / 9] * 9
+        for values in (shares, [1e9 / f for f in shares], self.MIXED,
+                       [math.sqrt(c) for c in self.MIXED]):
+            assert compensated_sum(values) != left_to_right_sum(values)
+
+    def test_compensated_builtin_sum_changes_nothing(self, monkeypatch):
+        # a module-level `sum` shadows the built-in, as if the interpreter's
+        # sum compensated: the solvers must not call it
+        before = self.solve_all()
+        monkeypatch.setattr(cpu_allocation, "sum", compensated_sum, raising=False)
+        assert self.solve_all() == before
+
+    def test_totals_and_objectives_add_left_to_right(self):
+        tight_ok, equal, *split = self.solve_all()
+        assert not tight_ok  # 1e11/9 nine times adds up past 1e11
+        assert equal.total_hz == 100000000000.00002  # README's sample output
+        assert equal.objective == left_to_right_sum([1e9 / (1e11 / 9)] * 9)
+        for out in split:
+            assert out.total_hz == left_to_right_sum(out.f.values())
+        minsum_objective = left_to_right_sum(c / split[1].f[i] for i, c in enumerate(self.MIXED))
+        assert split[1].objective == minsum_objective

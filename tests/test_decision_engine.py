@@ -1,12 +1,13 @@
 """Decision pipeline: orthogonal pricing, initial guess, full evaluation,
 greedy refinement, and the reference schemes."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from mecoffload import load_estimation, scenario
+from mecoffload import decision_engine, load_estimation, scenario
 from mecoffload.cpu_allocation import (
     CpuRequest,
     allocate_equal,
@@ -16,6 +17,7 @@ from mecoffload.cpu_allocation import (
 from mecoffload.decision_engine import (
     SCHEME_NAMES,
     SCHEME_OBJECTIVE,
+    cell_plan,
     evaluate,
     greedy_reallocate,
     initial_decision,
@@ -35,7 +37,7 @@ from mecoffload.scenario import (
     tx_powers,
 )
 
-from _oracles import ue_offload_cost
+from _oracles import loop_orthogonal_rates, ue_offload_cost
 from test_scenario import make_ue, manual_scenario
 
 # single full-band user: 100 PRBs at 200 kHz each, P*h/noise = 0.01 per PRB
@@ -274,6 +276,20 @@ class TestBaselines:
         assert out.decision.n_offload == 9
         assert math.isinf(out.t_off_s[0])
 
+    @pytest.mark.parametrize("overrides", [{}, {"num_prbs": 3}])
+    def test_orthogonal_rates_equal_per_row_loop(self, overrides):
+        # one held_rate table call over the candidates' rows sums each row
+        # as the per-row call does; the narrow band fits 3 cells only
+        fits = set()
+        for n in (3, 5, 7, 9):
+            for seed in range(10):
+                s, gains = built(n=n, seed=seed, **overrides)
+                out = run_baseline("all_offload_orth", s, gains)
+                want = loop_orthogonal_rates(s, gains, estimate_loads(s, gains))
+                assert out.rates_bps.tobytes() == want.tobytes()
+                fits.add(bool(want.any()))
+        assert fits == ({True, False} if overrides else {True})
+
     def test_equal_cpu_splits_server_evenly(self):
         s, gains = built()
         out = run_scheme("equal_cpu", s, gains)
@@ -364,3 +380,59 @@ class TestRunScheme:
         assert a.system_overhead == b.system_overhead
         assert a.decision.a == b.decision.a
         assert np.array_equal(a.assoc.c, b.assoc.c)
+
+
+def counting(monkeypatch, name):
+    """Count the calls of decision_engine's `name`, where the engine looks
+    it up."""
+    calls = []
+    fn = getattr(decision_engine, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(decision_engine, name, counted)
+    return calls
+
+
+class TestCellPlan:
+    def test_plan_holds_the_cells_sizing_read_only(self):
+        # one call each per cell is checked under the bench tracer
+        # (test_bench_contract.py)
+        s, gains = built()
+        for name in SCHEME_NAMES:
+            run_scheme(name, s, gains)
+        plan = cell_plan(s, gains)
+        assert plan.estimates.w.tobytes() == estimate_loads(s, gains).w.tobytes()
+        assert plan.candidates == tuple(np.flatnonzero(plan.estimates.offloadable).tolist())
+        assert dict(plan.report) == orthogonal_estimate(plan.estimates, plan.candidates, s, gains)
+        with pytest.raises(TypeError):
+            plan.report[plan.candidates[0]] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.a0 = None
+
+    def test_baselines_alone_make_no_orthogonal_estimate(self, monkeypatch):
+        calls = counting(monkeypatch, "orthogonal_estimate")
+        s, gains = built()
+        for kind in ("all_local", "all_offload_orth"):
+            run_baseline(kind, s, gains)
+        assert calls == []
+        assert cell_plan(s, gains).report is None
+        run_proposed(s, gains, "minsum")
+        assert len(calls) == 1
+
+    def test_another_scenario_with_the_same_gains_gets_its_own_plan(self, monkeypatch):
+        calls = counting(monkeypatch, "estimate_loads")
+        s, gains = built()
+        slow = dataclasses.replace(s, mec_capacity_hz=5e9)  # forces every UE local
+        first = run_scheme("proposed_minsum", s, gains)
+        assert cell_plan(s, gains).candidates
+        assert run_scheme("proposed_minsum", slow, gains).decision.n_offload == 0
+        assert cell_plan(slow, gains).candidates == ()
+        assert [c[0] for c in calls] == [s, slow]
+        # the first scenario is sized again, and prices as it did
+        again = run_scheme("proposed_minsum", s, gains)
+        assert [c[0] for c in calls] == [s, slow, s]
+        assert again.system_overhead == first.system_overhead
+        assert again.per_ue_overhead.tobytes() == first.per_ue_overhead.tobytes()

@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 from mecoffload.cli import main
 from mecoffload.cpu_allocation import CpuRequest, allocate_minmax, allocate_minsum
 from mecoffload.decision_engine import (
+    SCHEME_NAMES,
     evaluate,
     initial_decision,
     orthogonal_estimate,
     run_proposed,
+    run_scheme,
 )
 from mecoffload.load_estimation import estimate_loads, prb_rate
 from mecoffload.radio import OffloadDecision, uplink_rate
@@ -117,6 +119,43 @@ def test_proposed_pipeline_invariants(n_cells, reuse_lambda, mec_ghz, seed):
         assert (again.cpu is None) == (out.cpu is None)
         if out.cpu is not None:
             assert again.cpu.f == out.cpu.f
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def assert_same_outcome(a, b):
+    """Equal field for field, every float to the bit."""
+    assert a.decision == b.decision
+    assert a.assoc.c.tobytes() == b.assoc.c.tobytes()
+    assert a.assoc.m.tobytes() == b.assoc.m.tobytes()
+    for name in ("rates_bps", "t_off_s", "e_off_j", "per_ue_overhead", "system_overhead"):
+        assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
+    assert (a.cpu is None) == (b.cpu is None)
+    if a.cpu is not None:
+        assert list(a.cpu.f) == list(b.cpu.f)
+        assert _bits(list(a.cpu.f.values())) == _bits(list(b.cpu.f.values()))
+        assert _bits(a.cpu.objective) == _bits(b.cpu.objective)
+
+
+@settings(max_examples=40)
+@given(
+    n_cells=st.integers(1, 12),
+    reuse_lambda=st.floats(1.0, 3.0),
+    mec_ghz=st.floats(5.0, 300.0),
+    seed=st.integers(0, 10_000),
+)
+def test_schemes_sharing_a_cell_match_fresh_runs(n_cells, reuse_lambda, mec_ghz, seed):
+    # the five schemes of a cell share one (s, gains) pair and its sizing
+    # pass; each must still give what it gives on a cell of its own
+    cfg = ScenarioConfig(n_cells=n_cells, reuse_lambda=reuse_lambda, mec_ghz=mec_ghz)
+    s = build_scenario(cfg, seed=seed)
+    gains = channel_gains(s)
+    shared = {name: run_scheme(name, s, gains) for name in SCHEME_NAMES}
+    for name in SCHEME_NAMES:
+        fresh_s = build_scenario(cfg, seed=seed)
+        assert_same_outcome(shared[name], run_scheme(name, fresh_s, channel_gains(fresh_s)))
 
 
 @settings(max_examples=60)

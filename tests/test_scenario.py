@@ -290,6 +290,32 @@ class TestGains:
             hits.append((np.argmax(g.h, axis=1) == np.arange(9)).mean())
         assert np.mean(hits) >= 0.7
 
+    def test_drawn_gains_are_read_only_without_a_copy(self, monkeypatch):
+        s = build_scenario(ScenarioConfig(), seed=0)
+        copies = []
+        array = np.array
+        monkeypatch.setattr(np, "array", lambda *a, **kw: copies.append(a) or array(*a, **kw))
+        g = channel_gains(s)
+        monkeypatch.undo()
+        assert copies == []  # the fresh matrix is marked read-only in place
+        assert not g.h.flags.writeable
+        with pytest.raises(ValueError):
+            g.h[0, 0] = 1.0
+
+    def test_hand_built_gains_copy_a_writable_array(self):
+        arr = np.full((2, 2), 1e-10)
+        g = ChannelGains(h=arr)
+        assert arr.flags.writeable  # the caller's array is never frozen
+        assert not g.h.flags.writeable
+        arr[0, 0] = 1.0
+        assert g.h[0, 0] == 1e-10
+        # a read-only view of a writable array is copied too
+        view = arr.view()
+        view.setflags(write=False)
+        assert ChannelGains(h=view).h is not view
+        # a read-only array that owns its data is kept as it is
+        assert ChannelGains(h=g.h).h is g.h
+
 
 class TestInvariantChecks:
     def test_mismatched_counts_rejected(self):
