@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -72,23 +72,18 @@ def orthogonal_estimate(
     never as the acceptance metric. Every member must be offloadable: the
     others have no PRB demand to share by.
     """
-    members = sorted(offload_set)
-    if not members:
+    members = np.array(sorted(offload_set), dtype=np.int64)
+    if not members.size:
         raise EmptyOffloadSet("cannot estimate over an empty offload set")
-    for i in members:
-        if not estimates.offloadable[i]:
-            raise ValueError(f"UE {i} is not offloadable and has no PRB demand")
-    w = estimates.w.tolist()
-    total_w = sum(w[i] for i in members)
-    k = s.radio.num_prbs
+    outside = members[~estimates.offloadable[members]]
+    if outside.size:
+        raise ValueError(f"UE {outside[0]} is not offloadable and has no PRB demand")
+    w = estimates.w[members]
     bits, power, cycles, wt, we = cost_inputs(s, members)
-    rates = [
-        prb_rate(k * w[i] / total_w, float(gains.h[i, i]), s.radio, p)  # real-valued share
-        for i, p in zip(members, power.tolist())
-    ]
-    t, e = upload_cost(bits, power, np.array(rates))
+    share = s.radio.num_prbs * w / w.sum()  # real-valued
+    t, e = upload_cost(bits, power, prb_rate(share, gains.h[members, members], s.radio, power))
     f_even = np.full(len(members), s.mec_capacity_hz / s.n_cells)
-    return dict(zip(members, execution_cost(cycles, wt, we, t, e, f_even)[2].tolist()))
+    return dict(zip(members.tolist(), execution_cost(cycles, wt, we, t, e, f_even)[2].tolist()))
 
 
 def initial_decision(estimates: Loads, report: dict[int, float]) -> OffloadDecision:
@@ -154,10 +149,11 @@ def _finish(
         ids = np.array(offs)
         bits, power, cycles, wt, we = cost_inputs(s, ids)
         r = rates[ids]
-        per_ue[ids] = math.inf  # until priced
-        if all(0 < x < math.inf for x in r.tolist()):  # no dead uplink, no nan
-            t, e = upload_cost(bits, power, r)
-            t_off[ids], e_off[ids] = t, e
+        per_ue[ids] = t_off[ids] = e_off[ids] = math.inf  # until priced
+        up = (r > 0) & (r < math.inf)  # a live uplink; nan fails too
+        t, e = upload_cost(bits[up], power[up], r[up])
+        t_off[ids[up]], e_off[ids[up]] = t, e
+        if up.all():
             caps = estimates.local_time_s[ids] - t
             requests = [CpuRequest(i, c, cap) for i, c, cap in zip(offs, cycles.tolist(), caps)]
             try:
@@ -167,10 +163,6 @@ def _finish(
             else:
                 f = np.array([cpu.f[i] for i in offs])
                 per_ue[ids] = execution_cost(cycles, wt, we, t, e, f)[2]
-        else:
-            t_off[ids] = e_off[ids] = math.inf
-            up = (r > 0) & np.isfinite(r)
-            t_off[ids[up]], e_off[ids[up]] = upload_cost(bits[up], power[up], r[up])
     return AllocationOutcome(
         decision=decision,
         assoc=assoc,
@@ -253,36 +245,31 @@ class CellPlan:
     """The sizing pass of one cell, shared by all of its schemes.
 
     Nothing here depends on the server-split rule: the Loads, the
-    offloadable UE ids, and for the pipeline schemes the orthogonal report
-    of every candidate (read-only) and the initial guess. report and a0 are
-    None until a pipeline scheme asks for them, so the baselines alone make
-    no orthogonal estimate.
+    offloadable UE ids, the orthogonal report of every candidate
+    (read-only) and the initial guess.
     """
 
     estimates: Loads
     candidates: tuple[int, ...]
-    report: Mapping[int, float] | None = None
-    a0: OffloadDecision | None = None
+    report: Mapping[int, float]
+    a0: OffloadDecision
 
 
-def cell_plan(s: Scenario, gains: ChannelGains, priced: bool = False) -> CellPlan:
+def cell_plan(s: Scenario, gains: ChannelGains) -> CellPlan:
     """The plan of the cell (s, gains), made on first use and kept on gains.
 
     gains.h is read-only and so is every input on s, so the plan cannot go
     stale; a different scenario object with the same gains gets its own.
-    With priced, the report and the initial guess are filled in too.
     """
     slot = gains._plan
     if slot is not None and slot[0] is s:
-        plan = slot[1]
-    else:
-        estimates = estimate_loads(s, gains)
-        plan = CellPlan(estimates, tuple(estimates.offloadable.nonzero()[0].tolist()))
-    if priced and plan.report is None:
-        candidates = plan.candidates
-        report = orthogonal_estimate(plan.estimates, candidates, s, gains) if candidates else {}
-        a0 = initial_decision(plan.estimates, report)
-        plan = replace(plan, report=MappingProxyType(report), a0=a0)
+        return slot[1]
+    estimates = estimate_loads(s, gains)
+    candidates = tuple(estimates.offloadable.nonzero()[0].tolist())
+    report = orthogonal_estimate(estimates, candidates, s, gains) if candidates else {}
+    plan = CellPlan(
+        estimates, candidates, MappingProxyType(report), initial_decision(estimates, report)
+    )
     object.__setattr__(gains, "_plan", (s, plan))
     return plan
 
@@ -290,7 +277,7 @@ def cell_plan(s: Scenario, gains: ChannelGains, priced: bool = False) -> CellPla
 def run_proposed(s: Scenario, gains: ChannelGains, cpu_mode: str) -> AllocationOutcome:
     """Greedily refine the cell's initial offload guess. With no candidate
     the report is empty and the guess stays all local."""
-    plan = cell_plan(s, gains, priced=True)
+    plan = cell_plan(s, gains)
     return greedy_reallocate(plan.a0, s, gains, cpu_mode, plan.estimates, plan.report)
 
 

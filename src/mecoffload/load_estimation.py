@@ -10,7 +10,6 @@ for good.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,30 +71,30 @@ class Loads:
         return map(self.__getitem__, range(len(self)))
 
 
-def prb_rate(w: float, serving_gain: float, radio: RadioParams, tx_power_w: float) -> float:
-    """Interference-free rate on w PRBs with power split as P/(w sigma^2)."""
+def prb_rate(w, serving_gain, radio: RadioParams, tx_power_w):
+    """Interference-free rate on w PRBs with power split as P/(w sigma^2),
+    elementwise over arrays."""
     snr = tx_power_w * serving_gain / (w * radio.noise_per_prb_w)
-    return w * radio.prb_bandwidth_hz * math.log2(1.0 + snr)
+    return w * radio.prb_bandwidth_hz * np.log2(1.0 + snr)
 
 
-def min_prbs(tx_power_w: float, serving_gain: float, radio: RadioParams, min_rate_bps: float):
-    """Smallest PRB count meeting the rate target, or None if none does.
+def min_prbs(tx_power_w, serving_gain, radio: RadioParams, min_rate_bps) -> np.ndarray:
+    """Per UE, the first PRB count in 1..K whose prb_rate meets the rate
+    target, or 0 if none does.
 
-    The rate w*(B/K)*log2(1 + c/w) grows monotonically in w but saturates
-    at c*B/(K ln 2), so the target can be out of reach even at w = K;
-    monotonicity makes a binary search over integers exact.
+    Every count is priced in one (UEs x K) table, built in place with the
+    op order of prb_rate. The exact rate grows in w, but its float value
+    need not once the single-PRB SNR is tiny (fl(1 + c/w) is coarse), so a
+    search that assumes it does can pass the first sufficient count.
     """
-    k = radio.num_prbs
-    if prb_rate(k, serving_gain, radio, tx_power_w) < min_rate_bps:
-        return None
-    lo, hi = 1, k
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if prb_rate(mid, serving_gain, radio, tx_power_w) >= min_rate_bps:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    w = np.arange(1, radio.num_prbs + 1)
+    table = np.empty((len(min_rate_bps), len(w)))
+    np.divide((tx_power_w * serving_gain)[:, None], w * radio.noise_per_prb_w, out=table)
+    table += 1.0
+    np.log2(table, out=table)
+    table *= w * radio.prb_bandwidth_hz
+    met = table >= min_rate_bps[:, None]
+    return np.where(met.any(axis=1), met.argmax(axis=1) + 1, 0)
 
 
 def estimate_loads(s: Scenario, gains: ChannelGains) -> Loads:
@@ -114,11 +113,11 @@ def estimate_loads(s: Scenario, gains: ChannelGains) -> Loads:
         slack = local_time - t_exe_est
         forced = slack <= 0
         sized = ~forced
-        rate = np.divide(s.input_bits, slack, out=np.full(len(cycles), math.inf), where=sized)
+        rate = np.divide(s.input_bits, slack, out=np.full(len(cycles), np.inf), where=sized)
         local_overhead = s.w_t * local_time + s.w_e * local_energy
     w = np.zeros(len(cycles), dtype=np.int64)
-    for i in sized.nonzero()[0].tolist():
-        w[i] = min_prbs(float(power[i]), float(gains.h[i, i]), s.radio, float(rate[i])) or 0
+    if sized.any():  # a forced-local cell builds no empty table
+        w[sized] = min_prbs(power[sized], gains.h.diagonal()[sized], s.radio, rate[sized])
     # min_prbs finds at least one PRB or none, and only sized UEs have a w
     offloadable = w > 0
     return Loads(

@@ -75,7 +75,7 @@ def brute_uplink_rate(n, a, c, h, powers, bandwidth_hz, num_prbs, noise_w) -> fl
 
 
 def scan_min_prbs(snr_product, num_prbs, prb_bandwidth_hz, min_rate_bps):
-    """First w in 1..K with w*bpp*log2(1 + snr_product/w) >= target, else None.
+    """First w in 1..K with w*bpp*log2(1 + snr_product/w) >= target, else 0.
 
     snr_product is P*H/noise, the single-PRB SNR before power splitting.
     """
@@ -83,7 +83,7 @@ def scan_min_prbs(snr_product, num_prbs, prb_bandwidth_hz, min_rate_bps):
         rate = w * prb_bandwidth_hz * math.log2(1.0 + snr_product / w)
         if rate >= min_rate_bps:
             return w
-    return None
+    return 0
 
 
 def offload_cost(bits, power, cycles, wt, we, rate, f):

@@ -84,19 +84,20 @@ def test_criterion_01_min_prb_search_matches_linear_scan(capsys):
         rng = np.random.default_rng(1001)
         power = make_ue()["tx_power_w"]
         noise = 1e-13
+        radios = {k: RadioParams(bandwidth_hz=20e6, num_prbs=k, noise_per_prb_w=noise)
+                  for k in (10, 50, 100)}
+        draws = {k: [] for k in radios}
         for _ in range(1000):
             k = int(rng.choice([10, 50, 100]))
-            radio = RadioParams(bandwidth_hz=20e6, num_prbs=k, noise_per_prb_w=noise)
             gain = float(np.exp(rng.uniform(0.0, math.log(1e4)))) * noise / power
             snr = power * gain / noise
-            cap = k * radio.prb_bandwidth_hz * math.log2(1.0 + snr / k)
-            target = float(rng.uniform(1e-3, 1.3)) * cap
-            got = min_prbs(power, gain, radio, target)
-            want = scan_min_prbs(snr, k, radio.prb_bandwidth_hz, target)
-            if want is None:
-                assert got is None
-            else:
-                assert got == want
+            cap = k * radios[k].prb_bandwidth_hz * math.log2(1.0 + snr / k)
+            draws[k].append((gain, snr, float(rng.uniform(1e-3, 1.3)) * cap))
+        for k, rows in draws.items():
+            gain, _, target = np.array(rows).T
+            got = min_prbs(np.full(len(rows), power), gain, radios[k], target)
+            want = [scan_min_prbs(c, k, radios[k].prb_bandwidth_hz, t) for _, c, t in rows]
+            assert got.tolist() == want, k
 
 
 def test_criterion_02_cpu_splits_match_grid_search(capsys):

@@ -28,7 +28,7 @@ from mecoffload.decision_engine import (
 )
 from mecoffload.errors import EmptyOffloadSet
 from mecoffload.load_estimation import Loads, estimate_loads, prb_rate
-from mecoffload.radio import OffloadDecision, interference_table
+from mecoffload.radio import OffloadDecision, PrbAssociation, interference_table
 from mecoffload.scenario import (
     ChannelGains,
     ScenarioConfig,
@@ -184,6 +184,23 @@ class TestEvaluate:
         assert out.cpu is None
         assert math.isinf(out.system_overhead)
         assert not out.feasible
+
+    def test_dead_uplinks_price_out_and_live_ones_keep_their_upload_cost(self):
+        # a nan, zero or infinite rate is a dead uplink: no server split is
+        # made, and only the live uplinks are priced
+        s, gains = built(n=4)
+        estimates = estimate_loads(s, gains)
+        decision = OffloadDecision.from_set(range(4), 4)
+        rates = np.array([2e6, math.nan, 0.0, math.inf])
+        empty = PrbAssociation.empty(4, s.radio.num_prbs)
+        out = decision_engine._finish(
+            decision, decision.offload_set, s, estimates, empty, rates, "minsum"
+        )
+        ref = ue_offload_cost(s.ues[0], 2e6, 1.0)
+        assert (out.t_off_s[0], out.e_off_j[0]) == (ref[0], ref[1])
+        assert np.isinf(out.t_off_s[1:]).all() and np.isinf(out.e_off_j[1:]).all()
+        assert np.isinf(out.per_ue_overhead).all()
+        assert out.cpu is None
 
     def test_offloading_a_non_candidate_prices_infinite(self):
         # server so slow the even-split estimate kills every candidate
@@ -412,15 +429,20 @@ class TestCellPlan:
         with pytest.raises(dataclasses.FrozenInstanceError):
             plan.a0 = None
 
-    def test_baselines_alone_make_no_orthogonal_estimate(self, monkeypatch):
+    def test_one_orthogonal_estimate_whichever_scheme_runs_first(self, monkeypatch):
         calls = counting(monkeypatch, "orthogonal_estimate")
-        s, gains = built()
-        for kind in ("all_local", "all_offload_orth"):
-            run_baseline(kind, s, gains)
-        assert calls == []
-        assert cell_plan(s, gains).report is None
-        run_proposed(s, gains, "minsum")
-        assert len(calls) == 1
+        for first in SCHEME_NAMES:
+            s, gains = built()
+            run_scheme(first, s, gains)
+            plan = cell_plan(s, gains)
+            estimates = estimate_loads(s, gains)
+            report = orthogonal_estimate(estimates, plan.candidates, s, gains)
+            assert dict(plan.report) == report, first
+            assert plan.a0 == initial_decision(estimates, report), first
+            for name in SCHEME_NAMES:
+                run_scheme(name, s, gains)
+            assert len(calls) == 1, first
+            calls.clear()
 
     def test_another_scenario_with_the_same_gains_gets_its_own_plan(self, monkeypatch):
         calls = counting(monkeypatch, "estimate_loads")

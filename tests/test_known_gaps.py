@@ -8,7 +8,6 @@ golden regeneration (see tests/test_golden.py) and says why in CHANGES.md.
 import pytest
 
 from mecoffload import (
-    RadioParams,
     ScenarioConfig,
     build_scenario,
     channel_gains,
@@ -18,7 +17,6 @@ from mecoffload import (
     orthogonal_estimate,
     run_scheme,
 )
-from mecoffload.load_estimation import min_prbs, prb_rate
 
 from _oracles import best_offload_set
 
@@ -186,36 +184,3 @@ def test_best_offload_set_refuses_a_large_search():
     assert estimate_loads(s, gains).offloadable.sum() == 12
     with pytest.raises(ValueError, match="12 candidates"):
         best_offload_set(s, gains, "minsum")
-
-
-def test_weak_signal_sizing_overshoots_the_first_sufficient_count():
-    """With a single-PRB SNR below about 1e-7, fl(1 + c/w) is coarse and
-    the float rate w*bpp*log2(1 + c/w) is no longer monotone in w, so the
-    binary search in min_prbs can skip past the first sufficient count.
-    At tx_power_mw=1e-12 and a tiny input, seed 0, UE 0 meets its rate
-    target on one PRB, yet is sized at 8; that larger demand shrinks the
-    quota of the other offloaders.
-
-    A fix (take the first sufficient count, as tests/_oracles.scan_min_prbs
-    does) sizes UE 0 at 1 PRB and moves the row; no golden file reaches
-    this zone.
-    """
-    s = build_scenario(ScenarioConfig(tx_power_mw=1e-12, input_kb=6.653698732664633e-08), 0)
-    gains = channel_gains(s)
-    loads = estimate_loads(s, gains)
-    target = loads.min_rate_bps[0]
-    assert prb_rate(1, float(gains.h[0, 0]), s.radio, float(s.tx_power_w[0])) >= target
-    assert loads.w[0] == 8
-    assert run_scheme("proposed_minsum", s, gains).system_overhead == 5.158691923366556
-
-
-def test_weak_signal_sizing_misses_a_reachable_target():
-    """At a single-PRB SNR of 1e-12 the search gives up (None) on a target
-    that one PRB meets by definition: the whole-band rate prices below
-    the single-PRB rate, so the search's reachability test fails.
-
-    The same fix returns 1.
-    """
-    radio = RadioParams(20e6, 100, 1e-13)
-    target = prb_rate(1, 1e-24, radio, 0.1)
-    assert min_prbs(0.1, 1e-24, radio, target) is None

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mecoffload.decision_engine import run_scheme
 from mecoffload.load_estimation import (
     LoadEstimate,
     Loads,
@@ -60,6 +61,13 @@ class TestMinRateRequirement:
         assert not loads.offloadable.any()
 
 
+def one_ue(power, gain, radio, targets):
+    """min_prbs of one UE against each target, as a list."""
+    targets = np.array(targets)
+    n = len(targets)
+    return min_prbs(np.full(n, power), np.full(n, gain), radio, targets).tolist()
+
+
 class TestMinPrbs:
     def test_reference_scan_points(self):
         # P*H/noise = 100; frozen single/double/triple PRB rates
@@ -72,36 +80,83 @@ class TestMinPrbs:
         assert prb_rate(3, 1e-10, RADIO, 0.1) == pytest.approx(
             3060922.8158772374, rel=1e-12
         )
-        assert min_prbs(0.1, 1e-10, RADIO, 2.5e6) == 3
+        assert one_ue(0.1, 1e-10, RADIO, [2.5e6]) == [3]
 
     def test_boundary_inclusive(self):
         target = prb_rate(3, 1e-10, RADIO, 0.1)
-        assert min_prbs(0.1, 1e-10, RADIO, target) == 3
-        assert min_prbs(0.1, 1e-10, RADIO, math.nextafter(target, math.inf)) == 4
+        assert one_ue(0.1, 1e-10, RADIO, [target, math.nextafter(target, math.inf)]) == [3, 4]
 
     def test_single_prb_suffices(self):
-        assert min_prbs(0.1, 1e-10, RADIO, 1e5) == 1
+        assert one_ue(0.1, 1e-10, RADIO, [1e5]) == [1]
 
     def test_infeasible_beyond_band(self):
         # rate saturates near P*H/noise * B/(K ln 2); ask for more
         cap = 0.1 * 1e-10 / 1e-13 * (20e6 / 100) / math.log(2)
-        assert min_prbs(0.1, 1e-10, RADIO, cap * 1.01) is None
+        assert one_ue(0.1, 1e-10, RADIO, [cap * 1.01]) == [0]
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(123)
+        radios = {k: RadioParams(bandwidth_hz=20e6, num_prbs=k, noise_per_prb_w=1e-13)
+                  for k in (10, 50, 100)}
+        draws = {k: [] for k in radios}
         for _ in range(200):
             k = int(rng.choice([10, 50, 100]))
-            radio = RadioParams(bandwidth_hz=20e6, num_prbs=k, noise_per_prb_w=1e-13)
             snr = 10.0 ** rng.uniform(0, 4)
-            gain = snr * radio.noise_per_prb_w / 0.1
-            cap_rate = k * radio.prb_bandwidth_hz * math.log2(1 + snr / k)
-            target = rng.uniform(0, 1.3) * cap_rate
-            want = scan_min_prbs(snr, k, radio.prb_bandwidth_hz, target)
-            got = min_prbs(0.1, gain, radio, target)
-            if want is None:
-                assert got is None
-            else:
-                assert got == want
+            cap_rate = k * radios[k].prb_bandwidth_hz * math.log2(1 + snr / k)
+            draws[k].append((snr, rng.uniform(0, 1.3) * cap_rate))
+        for k, rows in draws.items():
+            snr, target = np.array(rows).T
+            got = min_prbs(np.full(len(rows), 0.1), snr * 1e-13 / 0.1, radios[k], target)
+            want = [scan_min_prbs(c, k, radios[k].prb_bandwidth_hz, t) for c, t in rows]
+            assert got.tolist() == want, k
+
+    def test_weak_signal_takes_the_first_sufficient_count(self):
+        """At a single-PRB SNR of 1e-12, fl(1 + c/w) is coarse and the float
+        rate is not monotone in w: the whole band prices below one PRB.
+        A target that one PRB meets sizes at 1 PRB (a bisection answered
+        "none")."""
+        radio = RadioParams(20e6, 100, 1e-13)
+        target = prb_rate(1, 1e-24, radio, 0.1)
+        assert prb_rate(100, 1e-24, radio, 0.1) < target
+        assert one_ue(0.1, 1e-24, radio, [target]) == [1]
+
+    def test_weak_signal_scenario_sizes_the_first_sufficient_count(self):
+        """At tx_power_mw=1e-12 and a tiny input, seed 0, UE 0 meets its rate
+        target on one PRB and is sized at 1 (a bisection sized it at 8, which
+        shrank the other offloaders' quotas)."""
+        s = build_scenario(ScenarioConfig(tx_power_mw=1e-12, input_kb=6.653698732664633e-08), 0)
+        gains = channel_gains(s)
+        loads = estimate_loads(s, gains)
+        assert prb_rate(1, gains.h[0, 0], s.radio, s.tx_power_w[0]) >= loads.min_rate_bps[0]
+        assert loads.w[0] == 1
+        assert run_scheme("proposed_minsum", s, gains).system_overhead == 5.158696894136745
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.sampled_from([3, 10, 100]),
+        rows=st.lists(
+            st.tuples(
+                st.floats(-13.0, 4.0),  # log10 of the single-PRB SNR
+                st.floats(0.0, 1.0),  # picks the count j whose rate is the target
+                st.integers(-3, 3),  # ulps to nudge the target by
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def test_first_count_whose_rate_meets_the_target(self, k, rows):
+        radio = RadioParams(bandwidth_hz=20e6, num_prbs=k, noise_per_prb_w=1e-13)
+        power = np.full(len(rows), 0.1)
+        gain = np.array([10.0 ** e for e, _, _ in rows]) * 1e-13 / 0.1
+        j = np.array([1 + int(f * (k - 1)) for _, f, _ in rows])
+        target = prb_rate(j, gain, radio, power)
+        for i, (_, _, ulps) in enumerate(rows):
+            for _ in range(abs(ulps)):
+                target[i] = math.nextafter(target[i], math.copysign(math.inf, ulps))
+        rates = prb_rate(np.arange(1, k + 1), gain[:, None], radio, power[:, None])
+        want = [next((w + 1 for w, r in enumerate(row) if r >= t), 0)
+                for row, t in zip(rates.tolist(), target.tolist())]
+        assert min_prbs(power, gain, radio, target).tolist() == want
 
 
 class TestEstimateLoads:
