@@ -70,7 +70,8 @@ def orthogonal_estimate(
     interference, and an even server split, priced by the same array calls
     as _finish. Deliberately optimistic; used only to rank candidates,
     never as the acceptance metric. Every member must be offloadable: the
-    others have no PRB demand to share by.
+    others have no PRB demand to share by. A share whose float rate is 0
+    (a weak signal) prices at +inf, so the initial guess keeps it local.
     """
     members = np.array(sorted(offload_set), dtype=np.int64)
     if not members.size:
@@ -81,9 +82,13 @@ def orthogonal_estimate(
     w = estimates.w[members]
     bits, power, cycles, wt, we = cost_inputs(s, members)
     share = s.radio.num_prbs * w / w.sum()  # real-valued
-    t, e = upload_cost(bits, power, prb_rate(share, gains.h[members, members], s.radio, power))
-    f_even = np.full(len(members), s.mec_capacity_hz / s.n_cells)
-    return dict(zip(members.tolist(), execution_cost(cycles, wt, we, t, e, f_even)[2].tolist()))
+    rate = prb_rate(share, gains.h[members, members], s.radio, power)
+    up = rate > 0
+    overhead = np.full(len(members), math.inf)
+    t, e = upload_cost(bits[up], power[up], rate[up])
+    f_even = np.full(up.sum(), s.mec_capacity_hz / s.n_cells)
+    overhead[up] = execution_cost(cycles[up], wt[up], we[up], t, e, f_even)[2]
+    return dict(zip(members.tolist(), overhead.tolist()))
 
 
 def initial_decision(estimates: Loads, report: dict[int, float]) -> OffloadDecision:
@@ -92,11 +97,8 @@ def initial_decision(estimates: Loads, report: dict[int, float]) -> OffloadDecis
     Ties stay local. UEs the report does not price (forced local or
     infeasible) stay local regardless.
     """
-    a = [0] * len(estimates)
-    for i, overhead in report.items():
-        if estimates.local_overhead[i] > overhead:
-            a[i] = 1
-    return OffloadDecision(a=tuple(a))
+    wins = [i for i, overhead in report.items() if estimates.local_overhead[i] > overhead]
+    return OffloadDecision.from_set(wins, len(estimates))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,9 @@ import numpy as np
 
 from .scenario import ChannelGains, RadioParams, Scenario
 
+# entries per block of the min_prbs table (512 KB): the peak does not grow with n
+_BLOCK_ENTRIES = 1 << 16
+
 
 @dataclass(frozen=True)
 class LoadEstimate:
@@ -82,19 +85,24 @@ def min_prbs(tx_power_w, serving_gain, radio: RadioParams, min_rate_bps) -> np.n
     """Per UE, the first PRB count in 1..K whose prb_rate meets the rate
     target, or 0 if none does.
 
-    Every count is priced in one (UEs x K) table, built in place with the
-    op order of prb_rate. The exact rate grows in w, but its float value
-    need not once the single-PRB SNR is tiny (fl(1 + c/w) is coarse), so a
-    search that assumes it does can pass the first sufficient count.
+    Every count is priced in a (UEs x K) table with the op order of
+    prb_rate, built in place _BLOCK_ENTRIES at a time. The exact rate grows
+    in w, but its float value need not once the single-PRB SNR is tiny
+    (fl(1 + c/w) is coarse), so a search that assumes it does can pass the
+    first sufficient count.
     """
     w = np.arange(1, radio.num_prbs + 1)
-    table = np.empty((len(min_rate_bps), len(w)))
-    np.divide((tx_power_w * serving_gain)[:, None], w * radio.noise_per_prb_w, out=table)
-    table += 1.0
-    np.log2(table, out=table)
-    table *= w * radio.prb_bandwidth_hz
-    met = table >= min_rate_bps[:, None]
-    return np.where(met.any(axis=1), met.argmax(axis=1) + 1, 0)
+    signal, target = (tx_power_w * serving_gain)[:, None], min_rate_bps[:, None]
+    first = np.zeros(len(target), dtype=np.int64)
+    rows = max(1, _BLOCK_ENTRIES // len(w))
+    for lo in range(0, len(first), rows):
+        table = signal[lo : lo + rows] / (w * radio.noise_per_prb_w)
+        table += 1.0
+        np.log2(table, out=table)
+        table *= w * radio.prb_bandwidth_hz
+        met = table >= target[lo : lo + rows]
+        first[lo : lo + rows] = np.where(met.any(axis=1), met.argmax(axis=1) + 1, 0)
+    return first
 
 
 def estimate_loads(s: Scenario, gains: ChannelGains) -> Loads:

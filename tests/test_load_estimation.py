@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecoffload.decision_engine import run_scheme
+from mecoffload import load_estimation
+from mecoffload.decision_engine import SCHEME_NAMES, cell_plan, run_scheme
 from mecoffload.load_estimation import (
     LoadEstimate,
     Loads,
@@ -110,6 +111,25 @@ class TestMinPrbs:
             want = [scan_min_prbs(c, k, radios[k].prb_bandwidth_hz, t) for c, t in rows]
             assert got.tolist() == want, k
 
+    def test_blocks_of_rows_match_one_table(self, monkeypatch):
+        """Blocks of 3 rows (one short at the end) give each UE the count
+        that one table over all UEs gives."""
+        rng = np.random.default_rng(7)
+        n = 100
+        snr = 10.0 ** rng.uniform(-13, 4, n)
+        gain = snr * RADIO.noise_per_prb_w / 0.1
+        target = prb_rate(rng.integers(1, RADIO.num_prbs + 1, n), gain, RADIO, 0.1)
+        target *= rng.uniform(0.9, 1.1, n)
+        power = np.full(n, 0.1)
+        whole = min_prbs(power, gain, RADIO, target)
+        monkeypatch.setattr(load_estimation, "_BLOCK_ENTRIES", 3 * RADIO.num_prbs + 1)
+        assert min_prbs(power, gain, RADIO, target).tolist() == whole.tolist()
+        rows = prb_rate(np.arange(1, RADIO.num_prbs + 1), gain[:, None], RADIO, 0.1)
+        want = [next((w + 1 for w, r in enumerate(row) if r >= t), 0)
+                for row, t in zip(rows.tolist(), target.tolist())]
+        assert whole.tolist() == want
+        assert min_prbs(power[:0], gain[:0], RADIO, target[:0]).tolist() == []
+
     def test_weak_signal_takes_the_first_sufficient_count(self):
         """At a single-PRB SNR of 1e-12, fl(1 + c/w) is coarse and the float
         rate is not monotone in w: the whole band prices below one PRB.
@@ -119,6 +139,28 @@ class TestMinPrbs:
         target = prb_rate(1, 1e-24, radio, 0.1)
         assert prb_rate(100, 1e-24, radio, 0.1) < target
         assert one_ue(0.1, 1e-24, radio, [target]) == [1]
+
+    def test_weak_signal_candidate_whose_band_prices_at_zero(self):
+        """At a single-PRB SNR of 1e-15, fl(1 + c/100) is 1: the whole band
+        prices at 0 bps, yet one PRB meets a tiny target. The lone candidate
+        then gets the band as its orthogonal share; the estimate prices it
+        at +inf instead of failing, the guess keeps it local, and every
+        scheme runs."""
+        cell = [(0.0, 0.0)]
+        g = channel_gains(manual_scenario(cell, ues=[make_ue(position=(10.0, 0.0))])).h[0, 0]
+        power = 1e-15 * RADIO.noise_per_prb_w / g
+        s = manual_scenario(cell, ues=[make_ue(position=(10.0, 0.0), power=power, bits=1e-10)])
+        gains = channel_gains(s)
+        plan = cell_plan(s, gains)
+        assert prb_rate(RADIO.num_prbs, g, RADIO, power) == 0.0
+        assert plan.estimates.w.tolist() == [1]
+        assert plan.report == {0: math.inf}
+        assert plan.a0.a == (0,)
+        local = plan.estimates.local_overhead[0]
+        for name in SCHEME_NAMES:
+            overhead = run_scheme(name, s, gains).system_overhead
+            # the orthogonal baseline offloads on the whole band: a dead uplink
+            assert overhead == (math.inf if name == "all_offload_orth" else local), name
 
     def test_weak_signal_scenario_sizes_the_first_sufficient_count(self):
         """At tx_power_mw=1e-12 and a tiny input, seed 0, UE 0 meets its rate
