@@ -3,11 +3,9 @@ graph-coloring PRB allocation, and convex server CPU partitioning."""
 
 from .cpu_allocation import (
     CpuAllocation,
-    CpuRequest,
     allocate_equal,
     allocate_minmax,
     allocate_minsum,
-    feasible,
 )
 from .decision_engine import (
     SCHEME_NAMES,
@@ -16,9 +14,11 @@ from .decision_engine import (
     greedy_reallocate,
     initial_decision,
     orthogonal_estimate,
+    price,
     run_baseline,
     run_proposed,
     run_scheme,
+    uplink,
 )
 from .errors import (
     EmptyOffloadSet,

@@ -7,104 +7,101 @@ execution time. Both run one loop that pins deadline-bound UEs to their
 minimum share and re-solves the rule's own closed-form split on the rest,
 which converges in at most one round per UE. An even split is provided
 for baseline comparisons.
+
+Every solver takes the offloaders as three aligned arrays: their UE ids,
+their task cycles and t_cap_s, the time left for server execution after
+the uplink transfer.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InfeasibleAllocation
 
 
-def _add_up(values):
+def _add_up(values: np.ndarray) -> float:
     """Plain left-to-right sum, as built-in sum gives it up to Python 3.11.
 
     From 3.12 on, sum adds floats with compensated summation, which can
     change the last bit (nine shares of 1e11/9 add up to 1e11 rather than
-    100000000000.00002); this keeps every CPU total and objective the same
-    on every interpreter.
+    100000000000.00002); accumulate adds one element at a time, so every CPU
+    total and objective is the same on every interpreter.
     """
-    total = 0
-    for x in values:
-        total = total + x
-    return total
-
-
-@dataclass(frozen=True)
-class CpuRequest:
-    ue: int
-    cycles: float
-    t_cap_s: float  # time left for server execution after the uplink transfer
-
-    @property
-    def min_share_hz(self) -> float:
-        """Smallest CPU share that still meets the deadline."""
-        if self.t_cap_s <= 0:
-            return math.inf
-        if math.isinf(self.t_cap_s):
-            return 0.0
-        return self.cycles / self.t_cap_s
+    return float(np.add.accumulate(values)[-1])
 
 
 @dataclass(frozen=True)
 class CpuAllocation:
-    f: dict[int, float]  # cycles/s per UE id
+    f: dict[int, float]  # cycles/s per UE id: pins in pin order, then the rest
     objective: float
 
     @property
     def total_hz(self) -> float:
-        return _add_up(self.f.values())
+        return _add_up(np.fromiter(self.f.values(), float, len(self.f)))
 
 
-def feasible(requests: list[CpuRequest], capacity_hz: float) -> bool:
-    """Every deadline is positive and the minimum shares fit the budget."""
-    if not requests:
-        return False
-    if any(r.t_cap_s <= 0 for r in requests):
-        return False
-    return _add_up(r.min_share_hz for r in requests) <= capacity_hz
+def _min_shares(cycles: np.ndarray, t_cap_s: np.ndarray, capacity_hz: float) -> np.ndarray:
+    """Smallest share that still meets each deadline, once every deadline is
+    known to be positive; an infinite t_cap_s needs a share of exactly 0.
+    Raises unless there is a UE and the shares fit the budget together (a
+    nan deadline does not)."""
+    if cycles.size and not (t_cap_s <= 0).any():
+        lower = cycles / t_cap_s
+        if _add_up(lower) <= capacity_hz:
+            return lower
+    raise InfeasibleAllocation("deadline caps cannot all be met within the server budget")
 
 
-def _pin_and_split(requests: list[CpuRequest], capacity_hz: float, split) -> dict[int, float]:
-    """Shares from `split(active, budget)`, one per active request, except
-    that every UE the split leaves below its minimum share is pinned there;
-    the pinned shares leave the budget and the rest is split again."""
-    if not feasible(requests, capacity_hz):
-        raise InfeasibleAllocation(
-            "deadline caps cannot all be met within the server budget"
-        )
-    active = list(requests)
-    shares: dict[int, float] = {}
+def _pin_and_split(
+    ues, cycles, t_cap_s, capacity_hz: float, split
+) -> tuple[dict[int, float], np.ndarray]:
+    """Shares from `split(cycles, budget)` over the active UEs, except that
+    every UE the split leaves below its minimum share is pinned there; the
+    pinned shares leave the budget, one at a time in pin order, and the rest
+    is split again. Returns the shares by UE id (pins in pin order, then the
+    rest) and as an array aligned with the inputs."""
+    cycles = np.asarray(cycles, dtype=float)
+    lower = _min_shares(cycles, np.asarray(t_cap_s, dtype=float), capacity_hz)
+    active = np.arange(cycles.size)
+    order, shares = [], []
     budget = capacity_hz
-    while active:
+    while active.size:
         if budget <= 0:
-            # the pins took the whole budget (feasible's sum may round to it)
-            # and the UEs left would get no share at all
+            # the pins took the whole budget (the feasibility sum may round
+            # to it) and the UEs left would get no share at all
             raise InfeasibleAllocation("pinned shares use up the server budget")
-        free = split(active, budget)
-        bound = [r for r, f in zip(active, free) if f < r.min_share_hz]
-        if not bound:
-            shares.update((r.ue, f) for r, f in zip(active, free))
+        free = split(cycles[active], budget)
+        below = free < lower[active]
+        if not below.any():
+            order.append(active)
+            shares.append(free)
             break
-        for r in bound:
-            shares[r.ue] = r.min_share_hz
-            budget -= r.min_share_hz
-        active = [r for r in active if r.ue not in shares]
-    return shares
+        pinned = active[below]
+        order.append(pinned)
+        shares.append(lower[pinned])
+        for share in lower[pinned].tolist():
+            budget -= share
+        active = active[~below]
+    order, shares = np.concatenate(order), np.concatenate(shares)
+    aligned = np.empty_like(cycles)
+    aligned[order] = shares
+    return dict(zip(np.asarray(ues)[order].tolist(), shares.tolist())), aligned
 
 
-def _proportional(active: list[CpuRequest], budget: float) -> list[float]:
-    tau = _add_up(r.cycles for r in active) / budget
-    return [r.cycles / tau for r in active]
+def _proportional(cycles: np.ndarray, budget: float) -> np.ndarray:
+    tau = _add_up(cycles) / budget
+    return cycles / tau
 
 
-def _sqrt_proportional(active: list[CpuRequest], budget: float) -> list[float]:
-    t = budget / _add_up(math.sqrt(r.cycles) for r in active)
-    return [t * math.sqrt(r.cycles) for r in active]
+def _sqrt_proportional(cycles: np.ndarray, budget: float) -> np.ndarray:
+    root = np.sqrt(cycles)
+    return budget / _add_up(root) * root
 
 
-def allocate_minmax(requests: list[CpuRequest], capacity_hz: float) -> CpuAllocation:
+def allocate_minmax(ues, cycles, t_cap_s, capacity_hz: float) -> CpuAllocation:
     """Minimize the largest execution time.
 
     Unconstrained, the optimum equalizes D_n/F_n, i.e. shares proportional
@@ -114,12 +111,11 @@ def allocate_minmax(requests: list[CpuRequest], capacity_hz: float) -> CpuAlloca
     raises tau monotonically, and feasibility keeps at least one UE
     unpinned, so tau over the survivors is the objective.
     """
-    shares = _pin_and_split(requests, capacity_hz, _proportional)
-    objective = max(r.cycles / shares[r.ue] for r in requests)
-    return CpuAllocation(f=shares, objective=objective)
+    shares, f = _pin_and_split(ues, cycles, t_cap_s, capacity_hz, _proportional)
+    return CpuAllocation(f=shares, objective=float((cycles / f).max()))
 
 
-def allocate_minsum(requests: list[CpuRequest], capacity_hz: float) -> CpuAllocation:
+def allocate_minsum(ues, cycles, t_cap_s, capacity_hz: float) -> CpuAllocation:
     """Minimize the summed execution time.
 
     Stationarity gives shares proportional to sqrt(D_n); scaling to the
@@ -127,18 +123,18 @@ def allocate_minsum(requests: list[CpuRequest], capacity_hz: float) -> CpuAlloca
     share, the share is pinned there and the scale recomputed over the
     rest. t only shrinks as pinning proceeds, so no pin is ever undone.
     """
-    shares = _pin_and_split(requests, capacity_hz, _sqrt_proportional)
-    objective = _add_up(r.cycles / shares[r.ue] for r in requests)
-    return CpuAllocation(f=shares, objective=objective)
+    shares, f = _pin_and_split(ues, cycles, t_cap_s, capacity_hz, _sqrt_proportional)
+    return CpuAllocation(f=shares, objective=_add_up(cycles / f))
 
 
-def allocate_equal(requests: list[CpuRequest], capacity_hz: float) -> CpuAllocation:
+def allocate_equal(ues, cycles, t_cap_s, capacity_hz: float) -> CpuAllocation:
     """Even split of the budget, for baselines. Deadlines still gate it."""
-    if not requests:
+    cycles = np.asarray(cycles, dtype=float)
+    if not cycles.size:
         raise InfeasibleAllocation("no requests to split the budget over")
-    share = capacity_hz / len(requests)
-    if any(r.cycles / share > r.t_cap_s for r in requests):
+    share = capacity_hz / cycles.size
+    times = cycles / share
+    if (times > t_cap_s).any():
         raise InfeasibleAllocation("even split misses at least one deadline")
-    shares = {r.ue: share for r in requests}
-    objective = _add_up(r.cycles / share for r in requests)
-    return CpuAllocation(f=shares, objective=objective)
+    shares = dict.fromkeys(np.asarray(ues).tolist(), share)
+    return CpuAllocation(f=shares, objective=_add_up(times))

@@ -20,13 +20,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .compute_model import cost_inputs, execution_cost, upload_cost
-from .cpu_allocation import (
-    CpuAllocation,
-    CpuRequest,
-    allocate_equal,
-    allocate_minmax,
-    allocate_minsum,
-)
+from .cpu_allocation import CpuAllocation, allocate_equal, allocate_minmax, allocate_minsum
 from .errors import EmptyOffloadSet, InfeasibleAllocation
 from .load_estimation import Loads, estimate_loads, prb_rate
 from .prb_coloring import (
@@ -68,7 +62,7 @@ def orthogonal_estimate(
 
     Real-valued PRB shares proportional to demand, no co-channel
     interference, and an even server split, priced by the same array calls
-    as _finish. Deliberately optimistic; used only to rank candidates,
+    as price. Deliberately optimistic; used only to rank candidates,
     never as the acceptance metric. Every member must be offloadable: the
     others have no PRB demand to share by. A share whose float rate is 0
     (a weak signal) prices at +inf, so the initial guess keeps it local.
@@ -125,23 +119,45 @@ class AllocationOutcome:
         return math.isfinite(self.system_overhead)
 
 
-def _finish(
+def uplink(
     decision: OffloadDecision,
-    offs: tuple[int, ...],
+    s: Scenario,
+    gains: ChannelGains,
+    estimates: Loads,
+) -> tuple[PrbAssociation, np.ndarray]:
+    """The PRB association and per-UE uplink rates of a decision: quotas,
+    coloring, realized rates. A decision with no offloader, or one where a
+    non-candidate offloads (which no sane caller builds), has nothing to
+    colour: no PRB is held and every rate is 0, so any offloader prices out.
+    """
+    offs = decision.offload_set
+    n, k = s.n_cells, s.radio.num_prbs
+    if not offs or not estimates.offloadable[list(offs)].all():
+        return PrbAssociation.empty(n, k), np.zeros(n)
+    powers = tx_powers(s)
+    m = normalize_prbs(estimates.w, offs, k, s.reuse_lambda)
+    graph = build_interference_graph(gains, m, powers, offs, s.edge_threshold)
+    state = color(graph, m, gains, powers, s.radio)
+    return state.assoc, realized_rates(state, m, gains, powers, s.radio)
+
+
+def price(
+    decision: OffloadDecision,
+    uplink: tuple[PrbAssociation, np.ndarray],
     s: Scenario,
     estimates: Loads,
-    assoc: PrbAssociation,
-    rates: np.ndarray,
     cpu_mode: str,
 ) -> AllocationOutcome:
-    """Turn an uplink allocation into the final costed outcome: transfer
-    time/energy, the server split, and per-UE overheads.
+    """Turn an uplink (association, rates) into the final costed outcome:
+    transfer time/energy, the server split, and per-UE overheads.
 
-    offs is decision.offload_set. Local UEs pay their local cost. An
-    offloader without a usable rate is a dead uplink that prices the
-    decision at +inf; so is a server split that misses a deadline. The CPU
-    rule runs only when there are offloaders and each has a rate.
+    Local UEs pay their local cost. An offloader without a usable rate is a
+    dead uplink that prices the decision at +inf; so is a server split that
+    misses a deadline. The CPU rule runs only when there are offloaders and
+    each has a rate.
     """
+    assoc, rates = uplink
+    offs = decision.offload_set
     n = s.n_cells
     t_off = np.zeros(n)
     e_off = np.zeros(n)
@@ -157,13 +173,12 @@ def _finish(
         t_off[ids[up]], e_off[ids[up]] = t, e
         if up.all():
             caps = estimates.local_time_s[ids] - t
-            requests = [CpuRequest(i, c, cap) for i, c, cap in zip(offs, cycles.tolist(), caps)]
             try:
-                cpu = _CPU_SOLVERS[cpu_mode](requests, s.mec_capacity_hz)
+                cpu = _CPU_SOLVERS[cpu_mode](ids, cycles, caps, s.mec_capacity_hz)
             except InfeasibleAllocation:
                 pass
             else:
-                f = np.array([cpu.f[i] for i in offs])
+                f = np.fromiter(map(cpu.f.__getitem__, offs), float, ids.size)
                 per_ue[ids] = execution_cost(cycles, wt, we, t, e, f)[2]
     return AllocationOutcome(
         decision=decision,
@@ -184,22 +199,9 @@ def evaluate(
     cpu_mode: str,
     estimates: Loads,
 ) -> AllocationOutcome:
-    """Full pipeline for one decision: quotas, coloring, rates, server
-    split, system overhead. Decisions with no offloaders cost the plain
-    sum of local overheads."""
-    offs = decision.offload_set
-    n, k = s.n_cells, s.radio.num_prbs
-    if not offs or not all(estimates.offloadable[i] for i in offs):
-        # nothing to colour, or a non-candidate offloads (a decision no sane
-        # caller builds): no uplink, so any offloader prices out
-        empty = PrbAssociation.empty(n, k)
-        return _finish(decision, offs, s, estimates, empty, np.zeros(n), cpu_mode)
-    powers = tx_powers(s)
-    m = normalize_prbs(estimates.w, offs, k, s.reuse_lambda)
-    graph = build_interference_graph(gains, m, powers, offs, s.edge_threshold)
-    state = color(graph, m, gains, powers, s.radio)
-    rates = realized_rates(state, m, gains, powers, s.radio)
-    return _finish(decision, offs, s, estimates, state.assoc, rates, cpu_mode)
+    """Full pipeline for one decision: its uplink, then its price. Decisions
+    with no offloaders cost the plain sum of local overheads."""
+    return price(decision, uplink(decision, s, gains, estimates), s, estimates, cpu_mode)
 
 
 def greedy_reallocate(
@@ -312,7 +314,7 @@ def run_baseline(kind: str, s: Scenario, gains: ChannelGains) -> AllocationOutco
             c[ids], (powers[ids] / np.array(quota))[:, None], gains.h[ids, ids][:, None],
             o[ids], s.radio,
         )
-    return _finish(decision, decision.offload_set, s, estimates, assoc, rates, "equal")
+    return price(decision, (assoc, rates), s, estimates, "equal")
 
 
 def run_scheme(name: str, s: Scenario, gains: ChannelGains) -> AllocationOutcome:

@@ -92,14 +92,16 @@ def color(
     adding it only rounds away differences between colors. Colors held by
     others are fair game (reuse); ties go to the lowest color index. After
     the batch the table rows of all other nodes gain nb's per-PRB leakage
-    on the taken colors.
+    on the taken colors. Every node's quota m lies in 1..K, as
+    normalize_prbs gives it, so the association's row sums are the quotas.
     """
     k = radio.num_prbs
     bpp = radio.prb_bandwidth_hz
     noise = radio.noise_per_prb_w
 
     # order key is static: in-edge weights over the whole offload set
-    order = sorted(graph.nodes, key=lambda i: (-graph.in_weight[i], m[i], i))
+    in_weight, m_list = graph.in_weight.tolist(), m.tolist()
+    order = sorted(graph.nodes, key=lambda i: (-in_weight[i], m_list[i], i))
 
     # From here on a node is its coloring step t, the UE order[t].
     ids = np.array(order, dtype=np.int64)
@@ -123,31 +125,39 @@ def color(
     n_held = 0
 
     for t in range(ids.size):
-        step, prb, snr = held_step[:n_held], held_prb[:n_held], held_snr[:n_held]
-        # own on every color, base and pert on the held entries: one log2 pass
-        own, base, pert = x[:k], x[k:k + n_held], x[k + n_held:k + 2 * n_held]
-        np.divide(snr_self[t], noise + ot[:, t], out=own)
-        den = noise + ot[prb, step]
-        np.divide(snr, den, out=base)
-        den += leak[t, step]
-        np.divide(snr, den, out=pert)
-        rates = x[:k + 2 * n_held]  # bpp * log2(1 + snr), op for op
-        rates += 1.0
-        np.log2(rates, out=rates)
-        rates *= bpp
-        scores = own + np.bincount(prb, pert - base, minlength=k)
-        take = (-scores).argsort(kind="stable")[: quota[t]]
-        take.sort()
+        if t:
+            step, prb, snr = held_step[:n_held], held_prb[:n_held], held_snr[:n_held]
+            # own on every color, base and pert on the held entries: one log2 pass
+            own, base, pert = x[:k], x[k:k + n_held], x[k + n_held:k + 2 * n_held]
+            np.divide(snr_self[t], noise + ot[:, t], out=own)
+            den = noise + ot[prb, step]
+            np.divide(snr, den, out=base)
+            den += leak[t, step]
+            np.divide(snr, den, out=pert)
+            rates = x[:k + 2 * n_held]  # bpp * log2(1 + snr), op for op
+            rates += 1.0
+            np.log2(rates, out=rates)
+            rates *= bpp
+            scores = own + np.bincount(prb, pert - base, minlength=k)
+            take = (-scores).argsort(kind="stable")[: quota[t]]
+            take.sort()
+        else:
+            # nothing is coloured yet: every color scores the same, and the
+            # stable sort would take the first quota-many
+            take = np.arange(quota[0])
         ot[take] += leak[t]
         held_step[n_held:n_held + take.size] = t
         held_prb[n_held:n_held + take.size] = take
         held_snr[n_held:n_held + take.size] = snr_self[t]
         n_held += take.size
 
-    c = np.zeros((gains.h.shape[0], k), dtype=np.int64)
+    n = gains.h.shape[0]
+    c = np.zeros((n, k), dtype=np.int64)
     c[ids[held_step[:n_held]], held_prb[:n_held]] = 1
+    held = np.zeros(n, dtype=np.int64)
+    held[ids] = quota  # each node took exactly its quota
     return ColoringState(
-        assoc=PrbAssociation.from_matrix(c),
+        assoc=PrbAssociation(c=c, m=held),
         o=np.ascontiguousarray(ot.T),
         order=tuple(ids.tolist()),
     )

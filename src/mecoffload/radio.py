@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -28,11 +30,13 @@ class OffloadDecision:
     @classmethod
     def from_set(cls, offload, n: int) -> "OffloadDecision":
         members = set(offload)
-        a = tuple(1 if i in members else 0 for i in range(n))
-        if a.count(1) != len(members):
+        if members and not (0 <= min(members) and max(members) < n):
             outside = sorted(members.difference(range(n)))
             raise ValueError(f"UE ids {outside} lie outside 0..{n - 1}")
-        return cls(a=a)
+        a = [0] * n
+        for i in members:
+            a[i] = 1
+        return cls(a=tuple(a))
 
     def flip_on(self, n: int) -> "OffloadDecision":
         return self._flip(n, 1)
@@ -48,9 +52,9 @@ class OffloadDecision:
         a[n] = flag
         return OffloadDecision(a=tuple(a))
 
-    @property
+    @cached_property
     def offload_set(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.a) if v == 1)
+        return tuple(compress(range(len(self.a)), self.a))
 
     @property
     def n_offload(self) -> int:

@@ -19,6 +19,9 @@ from .errors import InvalidConfig
 # Largest n_cells * num_prbs or n_cells**2 a config may ask for: 80 MB per
 # float64 table, and a run holds several (gains, PRB and interference tables).
 MAX_TABLE_ENTRIES = 10**7
+# channel_gains' row blocks (64 KB): a small fraction of the gain matrix
+# from about 100 cells on, so the pass holds one N x N array at a time
+_GAIN_BLOCK_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -393,16 +396,19 @@ def channel_gains(s: Scenario) -> ChannelGains:
     overflow to inf and a gain underflow to 0 (no link), but every
     received SNR and the rate bound must be finite (_check_link_budget).
 
-    The gains are computed in place over two N x N buffers, with the IEEE
+    The gains are computed in place in one N x N buffer, with the IEEE
     operations of 10 ** (-path_loss_db(dist) / 10) in their order, so h is
-    that expression bit for bit.
+    that expression bit for bit. The y offsets and the shadowing draw come
+    _GAIN_BLOCK_ENTRIES at a time, so no second N x N array is made.
     """
+    n = s.n_cells
+    rows = max(1, _GAIN_BLOCK_ENTRIES // n)
     h = np.subtract(s.ue_xy[:, 0, None], s.cell_xy[None, :, 0])
-    dy = np.subtract(s.ue_xy[:, 1, None], s.cell_xy[None, :, 1])
     np.multiply(h, h, out=h)
-    np.multiply(dy, dy, out=dy)
-    np.add(h, dy, out=h)
-    del dy  # freed before the shadowing draw takes its own N x N array
+    for lo in range(0, n, rows):
+        dy = np.subtract(s.ue_xy[lo : lo + rows, 1, None], s.cell_xy[None, :, 1])
+        np.multiply(dy, dy, out=dy)
+        h[lo : lo + rows] += dy
     np.sqrt(h, out=h)
     np.maximum(h, 1.0, out=h)  # path_loss_db's 1 m clamp
     # inf - inf (an overflowed path loss plus an overflowed shadowing draw)
@@ -412,8 +418,11 @@ def channel_gains(s: Scenario) -> ChannelGains:
         h *= 10.0 * s.pl_exponent
         h += s.pl0_db
         if s.shadowing_db > 0:
+            # the generator yields the same stream in blocks of rows
             rng = np.random.default_rng([s.seed, 1])
-            h += rng.normal(0.0, s.shadowing_db, size=h.shape)
+            for lo in range(0, n, rows):
+                block = h[lo : lo + rows]
+                block += rng.normal(0.0, s.shadowing_db, size=block.shape)
         np.negative(h, out=h)
         h /= 10.0
         np.power(10.0, h, out=h)

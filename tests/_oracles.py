@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from mecoffload.cpu_allocation import CpuAllocation
 from mecoffload.decision_engine import evaluate
+from mecoffload.errors import InfeasibleAllocation
 from mecoffload.load_estimation import LoadEstimate, estimate_loads
 from mecoffload.radio import OffloadDecision, PrbAssociation, held_rate, interference_table
 from mecoffload.scenario import path_loss_db
@@ -378,6 +381,94 @@ def grid_cpu_oracle(kind, cycles, lower, budget, resolution=33, rounds=6):
         lo = np.maximum(best_x - cell, 0.0)
         hi = np.minimum(best_x + cell, slack)
     return best_obj
+
+
+@dataclass(frozen=True)
+class CpuRequest:
+    """One offloader of the scalar CPU solvers below."""
+
+    ue: int
+    cycles: float
+    t_cap_s: float  # time left for server execution after the uplink transfer
+
+    @property
+    def min_share_hz(self) -> float:
+        """Smallest CPU share that still meets the deadline."""
+        if self.t_cap_s <= 0:
+            return math.inf
+        if math.isinf(self.t_cap_s):
+            return 0.0
+        return self.cycles / self.t_cap_s
+
+
+def cpu_requests(ues, cycles, t_cap_s) -> list[CpuRequest]:
+    return [CpuRequest(int(i), float(c), float(t)) for i, c, t in zip(ues, cycles, t_cap_s)]
+
+
+def scalar_feasible(requests, capacity_hz) -> bool:
+    """Every deadline is positive and the minimum shares fit the budget."""
+    if not requests:
+        return False
+    if any(r.t_cap_s <= 0 for r in requests):
+        return False
+    return left_to_right_sum(r.min_share_hz for r in requests) <= capacity_hz
+
+
+def _scalar_pin_and_split(requests, capacity_hz, split) -> dict[int, float]:
+    """The pin loop one request at a time: the split over the active
+    requests, every one it leaves below its minimum share pinned there and
+    taken off the budget, until no share falls short."""
+    if not scalar_feasible(requests, capacity_hz):
+        raise InfeasibleAllocation("deadline caps cannot all be met within the server budget")
+    active = list(requests)
+    shares: dict[int, float] = {}
+    budget = capacity_hz
+    while active:
+        if budget <= 0:
+            raise InfeasibleAllocation("pinned shares use up the server budget")
+        free = split(active, budget)
+        bound = [r for r, f in zip(active, free) if f < r.min_share_hz]
+        if not bound:
+            shares.update((r.ue, f) for r, f in zip(active, free))
+            break
+        for r in bound:
+            shares[r.ue] = r.min_share_hz
+            budget -= r.min_share_hz
+        active = [r for r in active if r.ue not in shares]
+    return shares
+
+
+def scalar_minmax(requests, capacity_hz) -> CpuAllocation:
+    """Shares proportional to cycles, pinned where a deadline binds."""
+
+    def split(active, budget):
+        tau = left_to_right_sum(r.cycles for r in active) / budget
+        return [r.cycles / tau for r in active]
+
+    shares = _scalar_pin_and_split(requests, capacity_hz, split)
+    return CpuAllocation(shares, max(r.cycles / shares[r.ue] for r in requests))
+
+
+def scalar_minsum(requests, capacity_hz) -> CpuAllocation:
+    """Shares proportional to sqrt(cycles), pinned where a deadline binds."""
+
+    def split(active, budget):
+        t = budget / left_to_right_sum(math.sqrt(r.cycles) for r in active)
+        return [t * math.sqrt(r.cycles) for r in active]
+
+    shares = _scalar_pin_and_split(requests, capacity_hz, split)
+    return CpuAllocation(shares, left_to_right_sum(r.cycles / shares[r.ue] for r in requests))
+
+
+def scalar_equal(requests, capacity_hz) -> CpuAllocation:
+    """The budget split evenly; any missed deadline is infeasible."""
+    if not requests:
+        raise InfeasibleAllocation("no requests to split the budget over")
+    share = capacity_hz / len(requests)
+    if any(r.cycles / share > r.t_cap_s for r in requests):
+        raise InfeasibleAllocation("even split misses at least one deadline")
+    shares = {r.ue: share for r in requests}
+    return CpuAllocation(shares, left_to_right_sum(r.cycles / share for r in requests))
 
 
 def loop_orthogonal_rates(s, gains, estimates) -> np.ndarray:

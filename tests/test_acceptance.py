@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mecoffload.cli import CSV_HEADER, main
-from mecoffload.cpu_allocation import CpuRequest, allocate_minmax, allocate_minsum
+from mecoffload.cpu_allocation import allocate_minmax, allocate_minsum
 from mecoffload.decision_engine import (
     SCHEME_NAMES,
     evaluate,
@@ -49,7 +49,7 @@ from _oracles import (
     replay_coloring,
     scan_min_prbs,
 )
-from test_cpu_allocation import random_instance
+from test_cpu_allocation import min_shares, random_instance, reqs
 from test_scenario import make_ue
 
 
@@ -105,18 +105,16 @@ def test_criterion_02_cpu_splits_match_grid_search(capsys):
         rng = np.random.default_rng(2002)
         for _ in range(100):
             requests, budget = random_instance(rng)
-            lower = np.array([r.min_share_hz for r in requests])
+            lower = np.array(min_shares(*requests[1:]))
             for kind, solver in (
                 ("minmax", allocate_minmax),
                 ("minsum", allocate_minsum),
             ):
-                out = solver(requests, budget)
+                out = solver(*requests, budget)
                 assert out.total_hz == pytest.approx(budget, rel=1e-9)
-                for r in requests:
-                    assert r.cycles / out.f[r.ue] <= r.t_cap_s * (1 + 1e-9)
-                want = grid_cpu_oracle(
-                    kind, [r.cycles for r in requests], lower, budget
-                )
+                for ue, c, cap in zip(*requests):
+                    assert c / out.f[ue] <= cap * (1 + 1e-9)
+                want = grid_cpu_oracle(kind, requests[1], lower, budget)
                 assert out.objective == pytest.approx(want, rel=1e-4)
 
 
@@ -127,12 +125,8 @@ def test_criterion_03_minmax_equalizes_without_binding_caps(capsys):
             n = int(rng.integers(1, 7))
             cycles = rng.uniform(1e8, 5e9, size=n)
             budget = float(cycles.sum() / rng.uniform(0.2, 2.0))
-            requests = [
-                CpuRequest(ue=i, cycles=float(c), t_cap_s=math.inf)
-                for i, c in enumerate(cycles)
-            ]
-            out = allocate_minmax(requests, budget)
-            times = np.array([r.cycles / out.f[r.ue] for r in requests])
+            out = allocate_minmax(*reqs(cycles.tolist()), budget)
+            times = np.array([c / out.f[i] for i, c in enumerate(cycles)])
             np.testing.assert_allclose(times, cycles.sum() / budget, rtol=1e-9)
 
 

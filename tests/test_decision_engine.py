@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from mecoffload import decision_engine, load_estimation, scenario
-from mecoffload.cpu_allocation import (
-    CpuRequest,
-    allocate_equal,
-    allocate_minmax,
-    allocate_minsum,
-)
+from mecoffload.cpu_allocation import allocate_equal, allocate_minmax, allocate_minsum
 from mecoffload.decision_engine import (
     SCHEME_NAMES,
     SCHEME_OBJECTIVE,
@@ -193,9 +188,7 @@ class TestEvaluate:
         decision = OffloadDecision.from_set(range(4), 4)
         rates = np.array([2e6, math.nan, 0.0, math.inf])
         empty = PrbAssociation.empty(4, s.radio.num_prbs)
-        out = decision_engine._finish(
-            decision, decision.offload_set, s, estimates, empty, rates, "minsum"
-        )
+        out = decision_engine.price(decision, (empty, rates), s, estimates, "minsum")
         ref = ue_offload_cost(s.ues[0], 2e6, 1.0)
         assert (out.t_off_s[0], out.e_off_j[0]) == (ref[0], ref[1])
         assert np.isinf(out.t_off_s[1:]).all() and np.isinf(out.e_off_j[1:]).all()
@@ -338,15 +331,10 @@ class TestRunScheme:
             if rule == "none":
                 assert out.cpu is None
                 continue
-            requests = [
-                CpuRequest(
-                    ue=i,
-                    cycles=s.ues[i].task.cycles,
-                    t_cap_s=estimates.local_time_s[i] - out.t_off_s[i],
-                )
-                for i in out.decision.offload_set
-            ]
-            assert out.cpu.f == solvers[rule](requests, s.mec_capacity_hz).f
+            ids = np.array(out.decision.offload_set)
+            caps = estimates.local_time_s[ids] - out.t_off_s[ids]
+            want = solvers[rule](ids, s.cycles[ids], caps, s.mec_capacity_hz)
+            assert out.cpu.f == want.f
 
     def test_schemes_build_no_load_records(self, monkeypatch):
         # the pipeline reads the Loads arrays; LoadEstimate records are

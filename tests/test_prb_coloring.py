@@ -429,3 +429,17 @@ def test_realized_rates_equal_per_row_held_rate(inputs):
     for t, i in enumerate(state.order):
         want[i] = held_rate(state.assoc.c[i], powers[i] / m[i], h[i, i], state.o[t], r)
     assert _bits(realized_rates(state, m, gains, powers, r)) == _bits(want)
+
+
+@settings(max_examples=150)
+@given(coloring_inputs())
+def test_first_node_takes_the_lowest_colors_and_m_counts_the_held(inputs):
+    # nothing is coloured before the first node, so every color ties and it
+    # takes colors 0..q-1; each node holds exactly its quota, which assoc.m
+    # reports without summing the table
+    graph, m, gains, powers, r = inputs
+    state = color(graph, m, gains, powers, r)
+    first = state.order[0]
+    assert state.assoc.c[first].nonzero()[0].tolist() == list(range(m[first]))
+    assert state.assoc.m.dtype == np.int64
+    assert _bits(state.assoc.m) == _bits(state.assoc.c.sum(axis=1))

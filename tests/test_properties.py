@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecoffload.cli import main
-from mecoffload.cpu_allocation import CpuRequest, allocate_minmax, allocate_minsum
+from mecoffload.cpu_allocation import allocate_minmax, allocate_minsum
 from mecoffload.decision_engine import (
     SCHEME_NAMES,
     evaluate,
@@ -47,26 +47,26 @@ def cpu_instances(draw):
     loose = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     budget = draw(st.floats(1e9, 3e11))
     reserved = draw(st.floats(0.3, 0.99)) * budget
-    requests = []
-    for i, (c, w, free) in enumerate(zip(cycles, weights, loose)):
+    caps = []
+    for c, w, free in zip(cycles, weights, loose):
         lower = reserved * c * w / sum(map(math.prod, zip(cycles, weights)))
-        cap = math.inf if free or lower <= 0 else c / lower
-        requests.append(CpuRequest(ue=i, cycles=c, t_cap_s=cap))
-    return requests, budget
+        caps.append(math.inf if free or lower <= 0 else c / lower)
+    return cycles, caps, budget
 
 
 @settings(max_examples=150)
 @given(cpu_instances())
 def test_cpu_splits_fill_the_budget_and_meet_every_deadline(instance):
-    requests, budget = instance
+    cycles, caps, budget = instance
+    ues = np.arange(len(cycles))
     outs = {}
     for solve in (allocate_minmax, allocate_minsum):
-        out = solve(requests, budget)
-        assert set(out.f) == {r.ue for r in requests}
+        out = solve(ues, np.array(cycles), np.array(caps), budget)
+        assert set(out.f) == set(ues.tolist())
         assert sum(out.f.values()) == pytest.approx(budget, rel=REL)
-        for r in requests:
-            assert r.cycles / out.f[r.ue] <= r.t_cap_s * (1 + REL)
-        outs[solve] = [r.cycles / out.f[r.ue] for r in requests]
+        for i, (c, cap) in enumerate(zip(cycles, caps)):
+            assert c / out.f[i] <= cap * (1 + REL)
+        outs[solve] = [c / out.f[i] for i, c in enumerate(cycles)]
     minmax, minsum = outs[allocate_minmax], outs[allocate_minsum]
     assert sum(minsum) <= sum(minmax) * (1 + REL)
     assert max(minmax) <= max(minsum) * (1 + REL)

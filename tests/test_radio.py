@@ -47,6 +47,22 @@ class TestOffloadDecision:
         with pytest.raises(ValueError, match=r"\[3\]"):
             OffloadDecision.from_set(range(4), 3)
 
+    def test_from_set_takes_numpy_ids_and_rejects_them_outside_the_cells(self):
+        ids = np.array([2, 0, 2])
+        d = OffloadDecision.from_set(ids, 4)
+        assert d.a == (1, 0, 1, 0)
+        assert d.offload_set == (0, 2)
+        assert d.offload_set is d.offload_set  # computed once per decision
+        assert OffloadDecision.from_set(ids.astype(np.int32), 3).a == (1, 0, 1)
+        assert OffloadDecision.from_set([np.int64(1)], 2).a == (0, 1)
+        assert OffloadDecision.from_set(np.array([], dtype=np.int64), 2).a == (0, 0)
+        with pytest.raises(ValueError, match=r"lie outside 0\.\.2"):
+            OffloadDecision.from_set(np.array([0, -1]), 3)
+        with pytest.raises(ValueError, match=r"lie outside 0\.\.2"):
+            OffloadDecision.from_set([np.int64(3)], 3)
+        with pytest.raises(ValueError, match=r"lie outside 0\.\.-1"):
+            OffloadDecision.from_set([0], 0)
+
     @pytest.mark.parametrize("flip", ["flip_on", "flip_off"])
     @pytest.mark.parametrize("ue", [-1, -3, 3])
     def test_flips_reject_ids_outside_the_cells(self, flip, ue):
