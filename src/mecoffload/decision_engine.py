@@ -29,7 +29,8 @@ from .prb_coloring import (
     normalize_prbs,
     realized_rates,
 )
-from .radio import OffloadDecision, PrbAssociation, held_rate, interference_table
+from .radio import OffloadDecision, PrbAssociation, held_rate
+from .radio import interference_table  # unused here; bench/tracer.py wraps this name
 from .scenario import ChannelGains, Scenario, tx_powers
 
 _CPU_SOLVERS = {
@@ -295,26 +296,23 @@ def run_baseline(kind: str, s: Scenario, gains: ChannelGains) -> AllocationOutco
     n, k = s.n_cells, s.radio.num_prbs
     candidates = () if kind == "all_local" else plan.candidates
     decision = OffloadDecision.from_set(candidates, n)
-    assoc, rates = PrbAssociation.empty(n, k), np.zeros(n)
+    c, rates = np.zeros((n, k), dtype=np.int64), np.zeros(n)
     w = estimates.w.tolist()
     total_w = sum(w[i] for i in candidates)
     quota = [max(math.floor(k * w[i] / total_w), 1) for i in candidates]
     # a band too small to stay orthogonal leaves every uplink dead: priced out
     if candidates and sum(quota) <= k:
-        c = np.zeros((n, k), dtype=np.int64)
         next_free = 0
         for i, q in zip(candidates, quota):
             c[i, next_free : next_free + q] = 1
             next_free += q
-        assoc = PrbAssociation.from_matrix(c)
-        powers = tx_powers(s)
-        o = interference_table(assoc, gains, powers)
         ids = np.array(candidates)
+        # no block is shared, so each held block sees zero interference
         rates[ids] = held_rate(
-            c[ids], (powers[ids] / np.array(quota))[:, None], gains.h[ids, ids][:, None],
-            o[ids], s.radio,
+            c[ids], (tx_powers(s)[ids] / np.array(quota))[:, None],
+            gains.h[ids, ids][:, None], 0.0, s.radio,
         )
-    return price(decision, (assoc, rates), s, estimates, "equal")
+    return price(decision, (PrbAssociation(c=c), rates), s, estimates, "equal")
 
 
 def run_scheme(name: str, s: Scenario, gains: ChannelGains) -> AllocationOutcome:

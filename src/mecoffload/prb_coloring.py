@@ -154,10 +154,8 @@ def color(
     n = gains.h.shape[0]
     c = np.zeros((n, k), dtype=np.int64)
     c[ids[held_step[:n_held]], held_prb[:n_held]] = 1
-    held = np.zeros(n, dtype=np.int64)
-    held[ids] = quota  # each node took exactly its quota
     return ColoringState(
-        assoc=PrbAssociation(c=c, m=held),
+        assoc=PrbAssociation(c=c),
         o=np.ascontiguousarray(ot.T),
         order=tuple(ids.tolist()),
     )

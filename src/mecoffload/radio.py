@@ -1,4 +1,6 @@
-"""Uplink rate and interference bookkeeping for a given PRB table."""
+"""Uplink rates of a PRB table. The scheme path prices with held_rate alone;
+per_prb_power, interference_table and uplink_rate are its from-scratch checker.
+"""
 
 from __future__ import annotations
 
@@ -66,16 +68,18 @@ class PrbAssociation:
     """Binary table c[n, k] = 1 iff SeNB n holds PRB k; m = row sums."""
 
     c: np.ndarray
-    m: np.ndarray
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        return self.c.sum(axis=1)
 
     @classmethod
     def from_matrix(cls, c) -> "PrbAssociation":
-        c = np.asarray(c, dtype=np.int64)
-        return cls(c=c, m=c.sum(axis=1))
+        return cls(c=np.asarray(c, dtype=np.int64))
 
     @classmethod
     def empty(cls, n: int, k: int) -> "PrbAssociation":
-        return cls(c=np.zeros((n, k), dtype=np.int64), m=np.zeros(n, dtype=np.int64))
+        return cls(c=np.zeros((n, k), dtype=np.int64))
 
 
 def per_prb_power(c: PrbAssociation, powers) -> np.ndarray:

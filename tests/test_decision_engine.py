@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from mecoffload import decision_engine, load_estimation, scenario
+from mecoffload import decision_engine, load_estimation, radio, scenario
+from mecoffload.cli import main
 from mecoffload.cpu_allocation import allocate_equal, allocate_minmax, allocate_minsum
 from mecoffload.decision_engine import (
     SCHEME_NAMES,
@@ -372,6 +373,28 @@ class TestRunScheme:
                 run_scheme(name, s, gains)
         with pytest.raises(AssertionError, match="per-UE record"):
             s.ues  # the records are still built on access
+
+    def test_schemes_never_call_the_rate_checker(self, monkeypatch, capsys):
+        # every scheme prices with held_rate alone: the from-scratch rebuild
+        # in radio is the checker the tests hold them to, not a step of theirs
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scheme called the rate checker")
+
+        checker = ("interference_table", "per_prb_power", "uplink_rate", "_check_consistent")
+        for name in checker:
+            monkeypatch.setattr(radio, name, refuse)
+        monkeypatch.setattr(decision_engine, "interference_table", refuse)
+        fits = [built(n=n, seed=seed) for n in (3, 9) for seed in range(3)]
+        narrow, slow = built(num_prbs=3), built(mec_ghz=5.0)
+        for s, gains in fits + [narrow, slow]:
+            for name in SCHEME_NAMES:
+                run_scheme(name, s, gains)
+        for s, gains in fits:
+            assert run_baseline("all_offload_orth", s, gains).rates_bps.any()
+        assert math.isinf(run_baseline("all_offload_orth", *narrow).system_overhead)
+        assert cell_plan(*slow).candidates == ()
+        assert main("sweep --scheme all --vary cells --values 3,9 --seeds 0..2".split()) == 0
+        assert capsys.readouterr().out.count("all_offload_orth") == 6
 
     def test_unknown_scheme_rejected(self):
         s, gains = built(n=3)

@@ -435,11 +435,13 @@ def test_realized_rates_equal_per_row_held_rate(inputs):
 @given(coloring_inputs())
 def test_first_node_takes_the_lowest_colors_and_m_counts_the_held(inputs):
     # nothing is coloured before the first node, so every color ties and it
-    # takes colors 0..q-1; each node holds exactly its quota, which assoc.m
-    # reports without summing the table
+    # takes colors 0..q-1; each node holds exactly its quota, and assoc.m
+    # counts the held colors from the table
     graph, m, gains, powers, r = inputs
     state = color(graph, m, gains, powers, r)
     first = state.order[0]
     assert state.assoc.c[first].nonzero()[0].tolist() == list(range(m[first]))
     assert state.assoc.m.dtype == np.int64
     assert _bits(state.assoc.m) == _bits(state.assoc.c.sum(axis=1))
+    order = list(state.order)
+    assert state.assoc.m[order].tolist() == m[order].tolist()

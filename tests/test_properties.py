@@ -23,6 +23,7 @@ from mecoffload.decision_engine import (
     evaluate,
     initial_decision,
     orthogonal_estimate,
+    run_baseline,
     run_proposed,
     run_scheme,
 )
@@ -30,7 +31,7 @@ from mecoffload.load_estimation import estimate_loads, prb_rate
 from mecoffload.radio import OffloadDecision, uplink_rate
 from mecoffload.scenario import ScenarioConfig, build_scenario, channel_gains, tx_powers
 
-from _oracles import ue_offload_cost
+from _oracles import loop_orthogonal_rates, ue_offload_cost
 
 REL = 1e-9
 
@@ -187,6 +188,30 @@ def test_orthogonal_estimate_prices_each_member_as_the_oracle(
         rate = prb_rate(share, float(gains.h[i, i]), s.radio, ue.tx_power_w)
         assert report[i] == ue_offload_cost(ue, rate, f_even)[3]
 
+
+
+@settings(max_examples=100)
+@given(
+    n_cells=st.integers(1, 20),
+    num_prbs=st.integers(1, 200),
+    # log-uniform, down to signals too weak for any UE to offload
+    tx_power_mw=st.floats(-12.0, 3.0).map(lambda e: 10.0**e),
+    shadowing_db=st.sampled_from([0.0, 8.0]),
+    seed=st.integers(0, 10_000),
+)
+def test_orthogonal_baseline_rates_equal_the_table_oracle(
+    n_cells, num_prbs, tx_power_mw, shadowing_db, seed
+):
+    # the baseline prices its held blocks at zero interference; the oracle
+    # reads them from the from-scratch interference table
+    cfg = ScenarioConfig(n_cells=n_cells, num_prbs=num_prbs, tx_power_mw=tx_power_mw,
+                         shadowing_db=shadowing_db)
+    s = build_scenario(cfg, seed=seed)
+    gains = channel_gains(s)
+    out = run_baseline("all_offload_orth", s, gains)
+    want = loop_orthogonal_rates(s, gains, estimate_loads(s, gains))
+    assert out.rates_bps.tobytes() == want.tobytes()
+    assert out.assoc.m.tobytes() == out.assoc.c.sum(axis=1).tobytes()
 
 _EXTREMES = (5e-324, -5e-324, 1e-308, -1e-308, 1e300, -1e300, 1e308, -1e308, 0, 1, -1)
 _NOT_A_NUMBER = (math.nan, math.inf, -math.inf, True, False, "1", "", None)
