@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
@@ -96,6 +97,8 @@ class Scenario:
 
     def __post_init__(self):
         n = np.shape(self.cell_xy)[:1]  # one UE per cell
+        if n == (0,):
+            raise InvalidConfig("n_cells must be >= 1")
         for name in ("cell_xy", "ue_xy"):
             # column-major, so each coordinate is a contiguous column
             xy = np.array(getattr(self, name), dtype=float, order="F")
@@ -154,12 +157,15 @@ class ChannelGains:
 
     h is read-only: an array that owns its data and is already read-only
     is kept, anything else is copied, so a caller's array is never frozen.
-    One gains object is shared by every scheme of a cell, and it carries
-    that cell's sizing pass (decision_engine.cell_plan) in a private slot.
+    Gains made by deferred(s) have no h until it is first read, which fills
+    it with gain_matrix(s). One gains object is shared by every scheme of a
+    cell, and it carries that cell's sizing pass (decision_engine.cell_plan)
+    in a private slot.
     """
 
     h: np.ndarray
     _plan: tuple | None = field(default=None, init=False, repr=False)
+    _scenario: Scenario | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         h = self.h
@@ -167,6 +173,21 @@ class ChannelGains:
             h = np.array(h)
             h.setflags(write=False)
             object.__setattr__(self, "h", h)
+
+    @classmethod
+    def deferred(cls, s: Scenario) -> "ChannelGains":
+        """The gains of s, with h filled by gain_matrix(s) on first read."""
+        gains = object.__new__(cls)
+        object.__setattr__(gains, "_scenario", s)
+        return gains
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: h while deferred
+        if name != "h" or self._scenario is None:
+            raise AttributeError(name)
+        h = gain_matrix(self._scenario)  # a module lookup, so it can be wrapped
+        object.__setattr__(self, "h", h)
+        return h
 
 
 @dataclass(frozen=True)
@@ -389,12 +410,25 @@ def path_loss_db(distance_m: np.ndarray | float, pl0_db: float, exponent: float)
 
 
 def channel_gains(s: Scenario) -> ChannelGains:
-    """Linear gain matrix h[m, n] from UE m to SeNB n.
+    """Linear gain matrix h[m, n] from UE m to SeNB n, as gain_matrix(s).
+
+    A path loss may overflow to inf and a gain underflow to 0 (no link),
+    but every received SNR and the rate bound must be finite
+    (_check_link_budget). h is filled on its first read, so a cell that
+    never reads it builds no N x N array, when _link_budget_clear(s)
+    proves the check would pass; otherwise it is filled and checked here.
+    """
+    gains = ChannelGains.deferred(s)
+    if not _link_budget_clear(s):
+        _check_link_budget(s, gains.h)
+    return gains
+
+
+def gain_matrix(s: Scenario) -> np.ndarray:
+    """The read-only gain matrix of s, not checked against the link budget.
 
     Shadowing (when enabled) uses its own generator derived from the
-    scenario seed so the geometry draw stays untouched. A path loss may
-    overflow to inf and a gain underflow to 0 (no link), but every
-    received SNR and the rate bound must be finite (_check_link_budget).
+    scenario seed so the geometry draw stays untouched.
 
     The gains are computed in place in one N x N buffer, with the IEEE
     operations of 10 ** (-path_loss_db(dist) / 10) in their order, so h is
@@ -412,7 +446,7 @@ def channel_gains(s: Scenario) -> ChannelGains:
     np.sqrt(h, out=h)
     np.maximum(h, 1.0, out=h)  # path_loss_db's 1 m clamp
     # inf - inf (an overflowed path loss plus an overflowed shadowing draw)
-    # is a nan gain, rejected below like an infinite one
+    # is a nan gain, which the link-budget check rejects like an infinite one
     with np.errstate(over="ignore", invalid="ignore"):
         np.log10(h, out=h)
         h *= 10.0 * s.pl_exponent
@@ -426,9 +460,33 @@ def channel_gains(s: Scenario) -> ChannelGains:
         np.negative(h, out=h)
         h /= 10.0
         np.power(10.0, h, out=h)
-    _check_link_budget(s, h)
     h.setflags(write=False)  # fresh and ours: read-only without a copy
-    return ChannelGains(h=h)
+    return h
+
+
+def _link_budget_clear(s: Scenario) -> bool:
+    """True when _check_link_budget must pass on gain_matrix(s): proved in
+    plain floats from the 1 m gain, without building the matrix.
+
+    Without shadowing, and with a slope 10 * pl_exponent in (0, inf), every
+    path loss is at least pl0_db (a zero slope times an overflowed log10
+    would be nan). Each later float step is monotone and pow errs by a few
+    ulps at most, so twice the 1 m gain 10 ** (-pl0_db / 10) bounds every
+    normal gain, and the smallest normal float every subnormal one. The SNR
+    bound takes the check's order of operations, and fl(P * x / noise) is
+    monotone in P and x, so no received SNR passes it. The rate bound is
+    doubled to cover log2's error. An overflow or a nan means not clear.
+    """
+    slope = 10.0 * s.pl_exponent
+    if s.shadowing_db > 0 or not 0.0 < slope < math.inf:
+        return False
+    try:
+        gain = max(2.0 * 10.0 ** (-s.pl0_db / 10.0), sys.float_info.min)
+    except OverflowError:
+        return False
+    snr = float(s.tx_power_w.max()) * gain / s.radio.noise_per_prb_w
+    rate_bound = 2.0 * s.n_cells * s.radio.bandwidth_hz * math.log2(1.0 + snr)
+    return rate_bound < math.inf
 
 
 def _check_link_budget(s: Scenario, h: np.ndarray) -> None:

@@ -26,8 +26,8 @@ MAX_EXHAUSTIVE_CANDIDATES = 11
 
 def expression_gains(s) -> np.ndarray:
     """The gain matrix as one array expression, each step a new N x N array:
-    the form channel_gains had before it ran in place over two buffers, so
-    the two must agree bit for bit. Returns h without checking the link
+    the form the gains had before scenario.gain_matrix computed them in
+    place, so the two must agree bit for bit. Returns h without checking the link
     budget; overflows and inf - inf give inf and nan entries silently.
     """
     dx = s.ue_xy[:, 0, None] - s.cell_xy[None, :, 0]

@@ -128,6 +128,34 @@ def test_checks_find_no_problem(traced):
         assert all(not problems for problems in found.values()), found
 
 
+def test_tracer_hooks_never_build_a_slow_server_gain_matrix(monkeypatch):
+    # no stage reads a gain of a cell with no candidate, and neither may a
+    # tracer hook or a bench check, so saturated_local's traced spans time
+    # the same path as its untraced runs
+    def refuse(s):
+        raise AssertionError("a forced-local cell built its gain matrix")
+
+    monkeypatch.setattr(mecoffload.scenario, "gain_matrix", refuse)
+    check_cell = load("checks").check_cell
+    tracer = load("tracer").Tracer(mecoffload)
+    slow = [(overrides, seeds) for overrides, seeds in CELLS if overrides.get("mec_ghz") == 5.0]
+    tracer.install()
+    run = mecoffload.decision_engine.run_scheme
+    try:
+        for overrides, seeds in slow:
+            cfg = ScenarioConfig().with_overrides(**overrides)
+            for seed in seeds:
+                tracer.start_cell()
+                s = mecoffload.scenario.build_scenario(cfg, seed=seed)
+                g = mecoffload.scenario.channel_gains(s)
+                outcomes = {name: run(name, s, g) for name in SCHEME_NAMES}
+                assert not any(check_cell(mecoffload, s, g, outcomes).values())
+    finally:
+        tracer.uninstall()
+    cells = sum(len(seeds) for _, seeds in slow)
+    assert tracer.snapshot()["decision_engine.run_scheme.calls"] == cells * len(SCHEME_NAMES) > 0
+
+
 def test_no_candidate_cell_makes_one_evaluate_inside_greedy():
     # mec_ghz 5 forces every UE local: each pipeline scheme still runs its
     # one path, pricing the all-local guess once inside greedy_reallocate

@@ -396,6 +396,33 @@ class TestRunScheme:
         assert main("sweep --scheme all --vary cells --values 3,9 --seeds 0..2".split()) == 0
         assert capsys.readouterr().out.count("all_offload_orth") == 6
 
+    def test_forced_local_cells_never_build_the_gain_matrix(self, monkeypatch, capsys):
+        # with no candidate no stage reads a gain: the load estimate sizes
+        # no UE, and no scheme colours, rates or splits an uplink
+        def refuse(s):
+            raise AssertionError("a forced-local cell built its gain matrix")
+
+        monkeypatch.setattr(scenario, "gain_matrix", refuse)
+        for s, gains in (built(n=160, mec_ghz=50.0), built(n=9, mec_ghz=5.0)):
+            for name in SCHEME_NAMES:
+                assert run_scheme(name, s, gains).decision.n_offload == 0
+        assert main("sweep --scheme all --vary mec_ghz --values 5 --seeds 0..2".split()) == 0
+        assert capsys.readouterr().out.count("all_offload_orth") == 3
+
+    def test_a_cell_with_candidates_builds_its_gain_matrix_once(self, monkeypatch):
+        calls = []
+        fill = scenario.gain_matrix
+        monkeypatch.setattr(scenario, "gain_matrix", lambda s: calls.append(s) or fill(s))
+        # shadowing on fills the matrix eagerly, inside channel_gains
+        cells = [dict(n=n, seed=seed) for n in (3, 9) for seed in range(3)]
+        for overrides in cells + [dict(shadowing_db=8.0)]:
+            s, gains = built(**overrides)
+            for name in SCHEME_NAMES:
+                run_scheme(name, s, gains)
+            assert cell_plan(s, gains).candidates
+            assert calls == [s]
+            calls.clear()
+
     def test_unknown_scheme_rejected(self):
         s, gains = built(n=3)
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -296,6 +297,7 @@ class TestGains:
         array = np.array
         monkeypatch.setattr(np, "array", lambda *a, **kw: copies.append(a) or array(*a, **kw))
         g = channel_gains(s)
+        g.h  # the first read fills the matrix
         monkeypatch.undo()
         assert copies == []  # the fresh matrix is marked read-only in place
         assert not g.h.flags.writeable
@@ -352,6 +354,14 @@ class TestInvariantChecks:
         with pytest.raises(InvalidConfig, match=rf"UE (weight )?{column} must"):
             manual_scenario([(0.0, 0.0)] * 2, ues=ues)
 
+    def test_empty_scenario_rejected(self):
+        # as ScenarioConfig rejects n_cells 0; unchecked, the gain matrix
+        # split its rows into blocks by dividing by the cell count
+        s = manual_scenario([(0.0, 0.0)], [(1.0, 0.0)])
+        empty = {name: [] for name in COLUMNS[2:]}
+        with pytest.raises(InvalidConfig, match="n_cells must be >= 1"):
+            replace(s, cell_xy=np.empty((0, 2)), ue_xy=np.empty((0, 2)), **empty)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("column", ["cell_xy", "ue_xy"])
     def test_non_finite_position_rejected(self, column, value):
@@ -376,6 +386,38 @@ def gain_configs(draw):
         pl_exponent=draw(st.floats(1.0, 8.0)),
         shadowing_db=draw(st.one_of(st.just(0.0), st.floats(0.5, 30.0))),
         seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@st.composite
+def budget_configs(draw):
+    """Configs whose 1 m SNR or rate bound lies near a float overflow, or
+    anywhere, with shadowing off or on: channel_gains takes either path,
+    and either link-budget check, both or neither fail. A 0.5 m UE radius
+    clamps every serving link to the 1 m gain."""
+    n_cells = draw(st.integers(1, 30))
+    tx_power_mw = 10.0 ** draw(st.floats(-3.0, 308.0))
+    noise_dbm = draw(st.floats(-3000.0, 3000.0))
+    # decades of the 1 m SNR and of the rate bound: one on a fine grid
+    # around its overflow, or neither
+    near = st.integers(-20, 20).map(lambda k: math.log10(sys.float_info.max) + k / 20)
+    edge = draw(st.sampled_from(("snr", "rate", None)))
+    # mostly strong, so that the rate bound can overflow before the band does
+    snr = draw(near if edge == "snr" else st.floats(0.0, 300.0).map(lambda x: 300.0 - x))
+    rate = draw(near if edge == "rate" else st.floats(0.0, 300.0))
+    pl0_db = 10.0 * (math.log10(tx_power_mw / 1000.0) - (noise_dbm / 10.0 - 3.0) - snr)
+    bits = math.log2(10.0) * max(snr, 0.0) + 1.0  # about log2(1 + SNR)
+    return ScenarioConfig(
+        n_cells=n_cells,
+        ue_radius_m=draw(st.sampled_from((0.5, 20.0))),
+        # at most 1e306, so that n_cells * bandwidth_hz stays finite
+        bandwidth_hz=10.0 ** min(rate - math.log10(n_cells * bits), 306.0),
+        noise_dbm=noise_dbm,
+        tx_power_mw=tx_power_mw,
+        pl0_db=pl0_db,
+        pl_exponent=draw(st.one_of(st.floats(1.0, 8.0), st.floats(1e300, 1e307))),
+        shadowing_db=draw(st.sampled_from((0.0, 8.0))),
+        seed=draw(st.integers(0, 2**16)),
     )
 
 
@@ -417,6 +459,8 @@ class TestGainsInPlace:
     @settings(max_examples=60)
     @given(gain_configs())
     @example(ScenarioConfig(n_cells=1))
+    @example(ScenarioConfig(n_cells=160))
+    @example(ScenarioConfig(n_cells=160, pl0_db=3200.0))
     @example(ScenarioConfig(n_cells=160, shadowing_db=8.0))
     @example(ScenarioConfig(n_cells=160, pl0_db=3200.0, shadowing_db=8.0))
     def test_equal_the_expression_bit_for_bit(self, cfg):
@@ -431,15 +475,24 @@ class TestGainsInPlace:
         # blocks stay small beside one N x N array; shadowing on or off
         for shadowing_db in (0.0, 8.0):
             s = build_scenario(ScenarioConfig(n_cells=500, shadowing_db=shadowing_db))
-            channel_gains(s)  # warm up: the first call loads numpy's loops
+            channel_gains(s).h  # warm up: the first fill loads numpy's loops
             tracemalloc.start()
             try:
-                channel_gains(s)
+                channel_gains(s).h
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             h_bytes = s.n_cells**2 * np.dtype(float).itemsize
             assert h_bytes <= peak < 2 * h_bytes, shadowing_db
+        # with shadowing off the matrix waits for its first read
+        s = build_scenario(ScenarioConfig(n_cells=500))
+        tracemalloc.start()
+        try:
+            channel_gains(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < h_bytes / 10
 
     @settings(max_examples=300)
     @given(link_budgets())
@@ -451,6 +504,23 @@ class TestGainsInPlace:
         else:
             with pytest.raises(InvalidConfig, match=f"^{verdict}"):
                 _check_link_budget(s, h)
+
+    @settings(max_examples=200)
+    @given(budget_configs())
+    # the 1 m SNR, then the rate bound, at 1.5 and 0.7 times the largest float
+    @example(ScenarioConfig(n_cells=1, ue_radius_m=0.5, pl0_db=-2964.31))
+    @example(ScenarioConfig(n_cells=1, ue_radius_m=0.5, pl0_db=-2961.0))
+    @example(ScenarioConfig(n_cells=1, ue_radius_m=0.5, pl0_db=-2880.0, bandwidth_hz=2.706e305))
+    @example(ScenarioConfig(n_cells=1, ue_radius_m=0.5, pl0_db=-2880.0, bandwidth_hz=1.263e305))
+    def test_near_overflow_either_path_keeps_the_verdict_and_the_bits(self, cfg):
+        s = build_scenario(cfg)
+        want = expression_gains(s)
+        verdict = link_budget_verdict(s, want)
+        if verdict is None:
+            assert channel_gains(s).h.tobytes() == want.tobytes()
+        else:
+            with pytest.raises(InvalidConfig, match=f"^{verdict}"):
+                channel_gains(s)
 
     @pytest.mark.parametrize("overrides, verdict", [
         ({"tx_power_mw": 1e308}, "a received SNR"),
