@@ -7,7 +7,8 @@ runs demand normalization, graph coloring, realized rates, and the convex
 server split, and prices the system by the weighted time/energy overhead
 summed over all UEs. Candidates that break feasibility price at +inf and
 are never kept. The sizing and the initial guess do not depend on the
-server-split rule, so every scheme of a cell shares them (cell_plan).
+server-split rule, so every scheme of a cell shares them (cell_plan), and
+so does the all-local outcome, priced once per cell.
 """
 
 from __future__ import annotations
@@ -201,7 +202,11 @@ def evaluate(
     estimates: Loads,
 ) -> AllocationOutcome:
     """Full pipeline for one decision: its uplink, then its price. Decisions
-    with no offloaders cost the plain sum of local overheads."""
+    with no offloaders cost the plain sum of local overheads; sized by their
+    cell's plan, they are its shared all-local outcome."""
+    slot = gains._plan
+    if not decision.offload_set and slot and slot[0] is s and slot[1].estimates is estimates:
+        return slot[1].local
     return price(decision, uplink(decision, s, gains, estimates), s, estimates, cpu_mode)
 
 
@@ -251,13 +256,15 @@ class CellPlan:
 
     Nothing here depends on the server-split rule: the Loads, the
     offloadable UE ids, the orthogonal report of every candidate
-    (read-only) and the initial guess.
+    (read-only), the initial guess and the all-local outcome, which every
+    scheme whose decision has no offloader returns (its arrays read-only).
     """
 
     estimates: Loads
     candidates: tuple[int, ...]
     report: Mapping[int, float]
     a0: OffloadDecision
+    local: AllocationOutcome
 
 
 def cell_plan(s: Scenario, gains: ChannelGains) -> CellPlan:
@@ -272,8 +279,19 @@ def cell_plan(s: Scenario, gains: ChannelGains) -> CellPlan:
     estimates = estimate_loads(s, gains)
     candidates = tuple(estimates.offloadable.nonzero()[0].tolist())
     report = orthogonal_estimate(estimates, candidates, s, gains) if candidates else {}
+    n = s.n_cells
+    # with no offloader no server split is made, so any rule prices it
+    local = price(
+        OffloadDecision.all_local(n),
+        (PrbAssociation.empty(n, s.radio.num_prbs), np.zeros(n)),
+        s, estimates, "equal",
+    )
+    for array in (local.assoc.c, local.assoc.m, local.rates_bps, local.t_off_s,
+                  local.e_off_j, local.per_ue_overhead):
+        array.flags.writeable = False
     plan = CellPlan(
-        estimates, candidates, MappingProxyType(report), initial_decision(estimates, report)
+        estimates, candidates, MappingProxyType(report),
+        initial_decision(estimates, report), local,
     )
     object.__setattr__(gains, "_plan", (s, plan))
     return plan
@@ -288,20 +306,22 @@ def run_proposed(s: Scenario, gains: ChannelGains, cpu_mode: str) -> AllocationO
 
 def run_baseline(kind: str, s: Scenario, gains: ChannelGains) -> AllocationOutcome:
     """Reference schemes: everyone local, or everyone offloading over an
-    orthogonal band split with an even server split."""
+    orthogonal band split with an even server split. With no candidate
+    both are the plan's shared all-local outcome."""
     if kind not in _BASELINES:
         raise ValueError(f"unknown baseline {kind!r}")
     plan = cell_plan(s, gains)
-    estimates = plan.estimates
+    if kind == "all_local" or not plan.candidates:
+        return plan.local
+    estimates, candidates = plan.estimates, plan.candidates
     n, k = s.n_cells, s.radio.num_prbs
-    candidates = () if kind == "all_local" else plan.candidates
     decision = OffloadDecision.from_set(candidates, n)
     c, rates = np.zeros((n, k), dtype=np.int64), np.zeros(n)
     w = estimates.w.tolist()
     total_w = sum(w[i] for i in candidates)
     quota = [max(math.floor(k * w[i] / total_w), 1) for i in candidates]
     # a band too small to stay orthogonal leaves every uplink dead: priced out
-    if candidates and sum(quota) <= k:
+    if sum(quota) <= k:
         next_free = 0
         for i, q in zip(candidates, quota):
             c[i, next_free : next_free + q] = 1

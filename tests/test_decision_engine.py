@@ -466,6 +466,33 @@ class TestCellPlan:
             plan.report[plan.candidates[0]] = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             plan.a0 = None
+        local = plan.local
+        assert local.decision == OffloadDecision.all_local(s.n_cells)
+        assert run_scheme("all_local", s, gains) is local
+        shared = (local.assoc.c, local.assoc.m, local.rates_bps, local.t_off_s,
+                  local.e_off_j, local.per_ue_overhead)
+        for array in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.local = None
+
+    def test_a_cell_prices_its_all_local_outcome_once(self, monkeypatch):
+        calls = counting(monkeypatch, "price")
+        s, gains = built(n=160, mec_ghz=25.0)  # every UE forced local
+        outs = [run_scheme(name, s, gains) for name in SCHEME_NAMES]
+        plan = cell_plan(s, gains)
+        assert plan.candidates == ()
+        assert len(calls) == 1
+        assert all(out is plan.local for out in outs)
+        # with candidates, all_local reads what the plan priced
+        calls.clear()
+        s, gains = built()
+        plan = cell_plan(s, gains)
+        assert plan.candidates
+        for _ in range(2):
+            assert run_scheme("all_local", s, gains) is plan.local
+        assert len(calls) == 1
 
     def test_one_orthogonal_estimate_whichever_scheme_runs_first(self, monkeypatch):
         calls = counting(monkeypatch, "orthogonal_estimate")

@@ -49,6 +49,35 @@ def test_reuse_loses_to_orthogonal_split_at_three_cells():
     assert worse == [14, 20, 24, 25, 34, 45, 48]
 
 
+def test_final_set_repriced_at_lambda_one_is_the_orthogonal_cost():
+    """On the 7 seeds above the greedy's final set is all 3 UEs. Priced
+    again at reuse_lambda=1 (same seed), that set costs what
+    all_offload_orth costs: bit-equal on 4 seeds, 2.78e-17 below on seeds
+    20 and 48 and 1.39e-17 above on seed 24 (the two paths size the quotas
+    and call the rate differently). So the gap is in the quota level, not
+    in the set: a fix that also prices the final set at lambda=1 and keeps
+    the cheaper result leaves seed 24 alone worse than the orthogonal split.
+    """
+    got = {}
+    for seed in (14, 20, 24, 25, 34, 45, 48):
+        final = run_scheme("proposed_minsum", *cell(3, seed)).decision
+        assert final.offload_set == (0, 1, 2), seed
+        s = build_scenario(ScenarioConfig(n_cells=3, reuse_lambda=1.0), seed)
+        gains = channel_gains(s)
+        repriced = evaluate(final, s, gains, "minsum", estimate_loads(s, gains))
+        got[seed] = (repriced.system_overhead, cost("all_offload_orth", 3, seed))
+    assert got == {
+        14: (0.13065131285119108, 0.13065131285119108),
+        20: (0.12550900433334153, 0.12550900433334156),
+        24: (0.12448978882162615, 0.12448978882162613),
+        25: (0.12728032161910086, 0.12728032161910086),
+        34: (0.13456466312309426, 0.13456466312309426),
+        45: (0.12876491522018213, 0.12876491522018213),
+        48: (0.13008546210048882, 0.13008546210048885),
+    }
+    assert [seed for seed, (repriced, orth) in got.items() if repriced > orth] == [24]
+
+
 def test_cpu_rules_tie_at_nine_cells():
     """At 9 cells minsum, minmax and the even split give exactly equal
     system overheads on 27 of 50 seeds: every UE runs the same task, so the

@@ -13,22 +13,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mecoffload.cli import main
 from mecoffload.cpu_allocation import allocate_minmax, allocate_minsum
 from mecoffload.decision_engine import (
     SCHEME_NAMES,
+    cell_plan,
     evaluate,
     initial_decision,
     orthogonal_estimate,
+    price,
     run_baseline,
     run_proposed,
     run_scheme,
 )
 from mecoffload.load_estimation import estimate_loads, prb_rate
-from mecoffload.radio import OffloadDecision, uplink_rate
+from mecoffload.radio import OffloadDecision, PrbAssociation, uplink_rate
 from mecoffload.scenario import ScenarioConfig, build_scenario, channel_gains, tx_powers
 
 from _oracles import loop_orthogonal_rates, ue_offload_cost
@@ -157,6 +159,54 @@ def test_schemes_sharing_a_cell_match_fresh_runs(n_cells, reuse_lambda, mec_ghz,
     for name in SCHEME_NAMES:
         fresh_s = build_scenario(cfg, seed=seed)
         assert_same_outcome(shared[name], run_scheme(name, fresh_s, channel_gains(fresh_s)))
+
+
+@settings(max_examples=60)
+@given(
+    cell=st.one_of(
+        # a slow server forces every UE local, up to 200 cells
+        st.tuples(st.integers(1, 200), st.floats(0.5, 5.0)),
+        st.tuples(st.integers(1, 12), st.floats(5.0, 300.0)),
+    ),
+    num_prbs=st.integers(1, 100),
+    # energy-only weights and cheap local cycles keep candidates local too
+    cheap_local=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+@example(cell=(160, 25.0), num_prbs=100, cheap_local=False, seed=0)
+@example(cell=(9, 100.0), num_prbs=3, cheap_local=False, seed=0)
+@example(cell=(3, 100.0), num_prbs=100, cheap_local=True, seed=0)
+def test_every_all_local_outcome_is_one_fresh_price_shared_read_only(
+    cell, num_prbs, cheap_local, seed
+):
+    # a cell prices its all-local outcome once; every scheme that ends
+    # with no offloader returns it, and nothing can write into it
+    n_cells, mec_ghz = cell
+    weights = dict(gamma_t=0.0, gamma_e=1.0, energy_coeff_j_per_cycle=1e-12)
+    cfg = ScenarioConfig(
+        n_cells=n_cells, mec_ghz=mec_ghz, num_prbs=num_prbs, **(weights if cheap_local else {})
+    )
+    s = build_scenario(cfg, seed=seed)
+    gains = channel_gains(s)
+    outs = {name: run_scheme(name, s, gains) for name in SCHEME_NAMES}
+    local = cell_plan(s, gains).local
+    assert outs["all_local"] is local
+    estimates = estimate_loads(s, gains)
+    uplink = (PrbAssociation.empty(n_cells, num_prbs), np.zeros(n_cells))
+    fresh = [
+        price(OffloadDecision.all_local(n_cells), uplink, s, estimates, mode)
+        for mode in ("minsum", "minmax", "equal")
+    ]
+    for name, out in outs.items():
+        if out.decision.n_offload:
+            continue
+        assert out is local, name
+        for want in fresh:
+            assert_same_outcome(out, want)
+    for array in (local.assoc.c, local.assoc.m, local.rates_bps, local.t_off_s,
+                  local.e_off_j, local.per_ue_overhead):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 @settings(max_examples=60)
