@@ -57,7 +57,6 @@ from .scenario import (
     channel_gains,
     config_from_dict,
     load_config,
-    path_loss_db,
     tx_powers,
 )
 

@@ -68,7 +68,7 @@ def _detail_lines(seed: int, scheme: str, outcome: AllocationOutcome) -> list[st
             lines.append(f"# cell {n}: local")
         else:
             held = " ".join(str(k) for k in c[n].nonzero()[0])
-            lines.append(f"# cell {n}: {held}")
+            lines.append(f"# cell {n}: {held or 'none'}")
     return lines
 
 
@@ -78,17 +78,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _resolve_schemes(scheme: str | None, objective: str | None) -> list[str]:
-    scheme = scheme or "proposed"
-    if scheme == "proposed":
-        return [f"proposed_{objective or 'minsum'}"]
-    if objective is not None and scheme != f"proposed_{objective}":
-        raise _UsageError(
-            f"--objective {objective} conflicts with --scheme {scheme}"
-        )
-    if scheme == "all":
-        return sorted(SCHEME_NAMES)
-    return [scheme]
+def _resolve_schemes(scheme: str) -> list[str]:
+    return sorted(SCHEME_NAMES) if scheme == "all" else [scheme]
 
 
 class _UsageError(Exception):
@@ -158,14 +149,14 @@ def _run_cells(args, schemes, configs, seeds, detail: bool) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load_cfg(args.config)
-    schemes = _resolve_schemes(args.scheme, args.objective)
+    schemes = _resolve_schemes(args.scheme)
     seed = args.seed if args.seed is not None else cfg.seed
     return _run_cells(args, schemes, [cfg], [seed], args.detail)
 
 
 def cmd_sweep(args) -> int:
     cfg = _load_cfg(args.config)
-    schemes = _resolve_schemes(args.scheme, args.objective)
+    schemes = _resolve_schemes(args.scheme)
     seeds = _parse_seeds(args.seeds)
     if not seeds:
         raise _UsageError("empty seed range")
@@ -183,11 +174,10 @@ def build_parser() -> _Parser:
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument(
             "--scheme",
-            default=None,
-            choices=["proposed", "all", *SCHEME_NAMES],
-            help="which scheme to run (default proposed)",
+            default="proposed_minsum",
+            choices=["all", *SCHEME_NAMES],
+            help="which scheme to run (default proposed_minsum)",
         )
-        p.add_argument("--objective", default=None, choices=["minmax", "minsum"])
         p.add_argument("--output", default=None, help="CSV file (default stdout)")
         p.add_argument(
             "--timing",

@@ -16,7 +16,8 @@ import numpy as np
 
 from .scenario import ChannelGains, RadioParams, Scenario
 
-# entries per block of the min_prbs table (512 KB): the peak does not grow with n
+# entries per block of the min_prbs table (512 KB): beside its n-entry result,
+# a call holds one block's table and flags, so its peak does not grow with n
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -76,32 +77,32 @@ class Loads:
 
 def prb_rate(w, serving_gain, radio: RadioParams, tx_power_w):
     """Interference-free rate on w PRBs with power split as P/(w sigma^2),
-    elementwise over arrays."""
-    snr = tx_power_w * serving_gain / (w * radio.noise_per_prb_w)
-    return w * radio.prb_bandwidth_hz * np.log2(1.0 + snr)
+    elementwise over arrays: (P*g) / (w*sigma^2), + 1, log2, * (w*B_prb)."""
+    rate = np.asarray(tx_power_w * serving_gain / (w * radio.noise_per_prb_w))
+    rate += 1.0
+    np.log2(rate, out=rate)
+    rate *= w * radio.prb_bandwidth_hz
+    return rate if rate.ndim else rate[()]
 
 
 def min_prbs(tx_power_w, serving_gain, radio: RadioParams, min_rate_bps) -> np.ndarray:
     """Per UE, the first PRB count in 1..K whose prb_rate meets the rate
     target, or 0 if none does.
 
-    Every count is priced in a (UEs x K) table with the op order of
-    prb_rate, built in place _BLOCK_ENTRIES at a time. The exact rate grows
-    in w, but its float value need not once the single-PRB SNR is tiny
-    (fl(1 + c/w) is coarse), so a search that assumes it does can pass the
-    first sufficient count.
+    Every count is priced by prb_rate in a (UEs x K) table, _BLOCK_ENTRIES
+    at a time. The exact rate grows in w, but its float value need not
+    once the single-PRB SNR is tiny (fl(1 + c/w) is coarse), so a search
+    that assumes it does can pass the first sufficient count.
     """
     w = np.arange(1, radio.num_prbs + 1)
-    signal, target = (tx_power_w * serving_gain)[:, None], min_rate_bps[:, None]
-    first = np.zeros(len(target), dtype=np.int64)
+    first = np.zeros(len(min_rate_bps), dtype=np.int64)
     rows = max(1, _BLOCK_ENTRIES // len(w))
     for lo in range(0, len(first), rows):
-        table = signal[lo : lo + rows] / (w * radio.noise_per_prb_w)
-        table += 1.0
-        np.log2(table, out=table)
-        table *= w * radio.prb_bandwidth_hz
-        met = table >= target[lo : lo + rows]
-        first[lo : lo + rows] = np.where(met.any(axis=1), met.argmax(axis=1) + 1, 0)
+        block = slice(lo, lo + rows)
+        rate = prb_rate(w, serving_gain[block, None], radio, tx_power_w[block, None])
+        met = rate >= min_rate_bps[block, None]
+        del rate  # so the next block's table does not share the peak with it
+        first[block] = np.where(met.any(axis=1), met.argmax(axis=1) + 1, 0)
     return first
 
 

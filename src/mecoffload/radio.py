@@ -74,10 +74,6 @@ class PrbAssociation:
         return self.c.sum(axis=1)
 
     @classmethod
-    def from_matrix(cls, c) -> "PrbAssociation":
-        return cls(c=np.asarray(c, dtype=np.int64))
-
-    @classmethod
     def empty(cls, n: int, k: int) -> "PrbAssociation":
         return cls(c=np.zeros((n, k), dtype=np.int64))
 

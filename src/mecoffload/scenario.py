@@ -20,8 +20,8 @@ from .errors import InvalidConfig
 # Largest n_cells * num_prbs or n_cells**2 a config may ask for: 80 MB per
 # float64 table, and a run holds several (gains, PRB and interference tables).
 MAX_TABLE_ENTRIES = 10**7
-# channel_gains' row blocks (64 KB): a small fraction of the gain matrix
-# from about 100 cells on, so the pass holds one N x N array at a time
+# gain_matrix's row blocks (64 KB): a small fraction of the gain matrix
+# from about 100 cells on, so the fill holds one N x N array at a time
 _GAIN_BLOCK_ENTRIES = 1 << 13
 
 
@@ -157,10 +157,10 @@ class ChannelGains:
 
     h is read-only: an array that owns its data and is already read-only
     is kept, anything else is copied, so a caller's array is never frozen.
-    Gains made by deferred(s) have no h until it is first read, which fills
-    it with gain_matrix(s). One gains object is shared by every scheme of a
-    cell, and it carries that cell's sizing pass (decision_engine.cell_plan)
-    in a private slot.
+    Gains made by channel_gains(s) may have no h until it is first read,
+    which fills it with gain_matrix(s). One gains object is shared by every
+    scheme of a cell, and it carries that cell's sizing pass
+    (decision_engine.cell_plan) in a private slot.
     """
 
     h: np.ndarray
@@ -174,15 +174,8 @@ class ChannelGains:
             h.setflags(write=False)
             object.__setattr__(self, "h", h)
 
-    @classmethod
-    def deferred(cls, s: Scenario) -> "ChannelGains":
-        """The gains of s, with h filled by gain_matrix(s) on first read."""
-        gains = object.__new__(cls)
-        object.__setattr__(gains, "_scenario", s)
-        return gains
-
     def __getattr__(self, name):
-        # reached only for an attribute the instance lacks: h while deferred
+        # reached only for an attribute the instance lacks: h before its fill
         if name != "h" or self._scenario is None:
             raise AttributeError(name)
         h = gain_matrix(self._scenario)  # a module lookup, so it can be wrapped
@@ -403,12 +396,6 @@ def build_scenario(config: ScenarioConfig, seed: int | None = None) -> Scenario:
     )
 
 
-def path_loss_db(distance_m: np.ndarray | float, pl0_db: float, exponent: float) -> np.ndarray | float:
-    """Log-distance path loss, 1 m reference; distances clamped to 1 m."""
-    d = np.maximum(distance_m, 1.0)
-    return pl0_db + 10.0 * exponent * np.log10(d)
-
-
 def channel_gains(s: Scenario) -> ChannelGains:
     """Linear gain matrix h[m, n] from UE m to SeNB n, as gain_matrix(s).
 
@@ -418,7 +405,8 @@ def channel_gains(s: Scenario) -> ChannelGains:
     never reads it builds no N x N array, when _link_budget_clear(s)
     proves the check would pass; otherwise it is filled and checked here.
     """
-    gains = ChannelGains.deferred(s)
+    gains = object.__new__(ChannelGains)  # no h yet: __getattr__ fills it
+    object.__setattr__(gains, "_scenario", s)
     if not _link_budget_clear(s):
         _check_link_budget(s, gains.h)
     return gains
@@ -431,7 +419,7 @@ def gain_matrix(s: Scenario) -> np.ndarray:
     scenario seed so the geometry draw stays untouched.
 
     The gains are computed in place in one N x N buffer, with the IEEE
-    operations of 10 ** (-path_loss_db(dist) / 10) in their order, so h is
+    operations of tests/_oracles.expression_gains in their order, so h is
     that expression bit for bit. The y offsets and the shadowing draw come
     _GAIN_BLOCK_ENTRIES at a time, so no second N x N array is made.
     """
@@ -444,7 +432,7 @@ def gain_matrix(s: Scenario) -> np.ndarray:
         np.multiply(dy, dy, out=dy)
         h[lo : lo + rows] += dy
     np.sqrt(h, out=h)
-    np.maximum(h, 1.0, out=h)  # path_loss_db's 1 m clamp
+    np.maximum(h, 1.0, out=h)  # the path loss's 1 m reference distance
     # inf - inf (an overflowed path loss plus an overflowed shadowing draw)
     # is a nan gain, which the link-budget check rejects like an infinite one
     with np.errstate(over="ignore", invalid="ignore"):

@@ -18,10 +18,15 @@ from mecoffload.decision_engine import evaluate
 from mecoffload.errors import InfeasibleAllocation
 from mecoffload.load_estimation import LoadEstimate, estimate_loads
 from mecoffload.radio import OffloadDecision, PrbAssociation, held_rate, interference_table
-from mecoffload.scenario import path_loss_db
 
 # largest candidate count best_offload_set searches: 2**11 evaluations
 MAX_EXHAUSTIVE_CANDIDATES = 11
+
+
+def path_loss_db(distance_m, pl0_db: float, exponent: float):
+    """Log-distance path loss, 1 m reference; distances clamped to 1 m."""
+    d = np.maximum(distance_m, 1.0)
+    return pl0_db + 10.0 * exponent * np.log10(d)
 
 
 def expression_gains(s) -> np.ndarray:
@@ -489,7 +494,7 @@ def loop_orthogonal_rates(s, gains, estimates) -> np.ndarray:
     for i in candidates:
         c[i, first:first + quota[i]] = 1
         first += quota[i]
-    o = interference_table(PrbAssociation.from_matrix(c), gains, s.tx_power_w)
+    o = interference_table(PrbAssociation(c=c), gains, s.tx_power_w)
     for i in candidates:
         p_prb = s.tx_power_w[i] / quota[i]
         rates[i] = held_rate(c[i], p_prb, gains.h[i, i], o[i], s.radio)

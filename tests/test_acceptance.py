@@ -151,7 +151,7 @@ def test_criterion_04_coloring_replays_from_scratch(capsys):
                     s.radio.bandwidth_hz, s.radio.num_prbs,
                     s.radio.noise_per_prb_w, s.edge_threshold,
                     lambda c: interference_table(
-                        PrbAssociation.from_matrix(c), gains, powers
+                        PrbAssociation(c=c), gains, powers
                     ),
                 )
 

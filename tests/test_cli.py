@@ -61,20 +61,11 @@ class TestRun:
         row = csv_lines(out)[1].split(",")
         assert row[2] == "proposed_minsum" and row[4] == "minsum"
 
-    def test_objective_flag_picks_cpu_rule(self, capsys):
-        _, out, _ = run_cli(
-            capsys, ["run", "--seed", "0", "--scheme", "proposed", "--objective", "minmax"]
-        )
+    def test_scheme_proposed_minmax_picks_cpu_rule(self, capsys):
+        code, out, _ = run_cli(capsys, ["run", "--seed", "0", "--scheme", "proposed_minmax"])
+        assert code == 0
         row = csv_lines(out)[1].split(",")
         assert row[2] == "proposed_minmax" and row[4] == "minmax"
-
-    def test_matching_scheme_and_objective_accepted(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            ["run", "--scheme", "proposed_minmax", "--objective", "minmax"],
-        )
-        assert code == 0
-        assert csv_lines(out)[1].split(",")[2] == "proposed_minmax"
 
     def test_scheme_all_emits_sorted_schemes(self, capsys):
         _, out, _ = run_cli(capsys, ["run", "--seed", "1", "--scheme", "all"])
@@ -110,6 +101,18 @@ class TestRun:
         for line in holders:
             held = line.split(":")[1].split()
             assert held and all(0 <= int(k) < 100 for k in held)
+
+    def test_detail_names_an_offloader_without_blocks(self, capsys, tmp_path):
+        # three PRBs cannot hold nine orthogonal shares: every cell offloads
+        # and holds none
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"num_prbs": 3}))
+        argv = ["run", "--config", str(path), "--seed", "0",
+                "--scheme", "all_offload_orth", "--detail"]
+        _, out, _ = run_cli(capsys, argv)
+        assert csv_lines(out)[1].split(",")[6] == "9"
+        cell_lines = [line for line in out.splitlines() if line.startswith("# cell")]
+        assert cell_lines == [f"# cell {n}: none" for n in range(9)]
 
 
 class TestDeterminism:
@@ -300,12 +303,6 @@ class TestExitCodes:
         assert code == 2 and "output error" in err
         assert out == "" and not target.exists()
 
-    def test_scheme_objective_conflict(self, capsys):
-        code, _, err = run_cli(
-            capsys, ["run", "--scheme", "all_local", "--objective", "minmax"]
-        )
-        assert code == 3 and "conflicts" in err
-
     def test_bad_seed_range(self, capsys):
         code, _, _ = run_cli(
             capsys,
@@ -336,6 +333,15 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--scheme", "fastest"])
         assert exc.value.code == 3
+
+    @pytest.mark.parametrize(
+        "argv", [["--objective", "minmax"], ["--scheme", "proposed"]],
+        ids=["objective", "proposed"],
+    )
+    def test_removed_scheme_selectors_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--seed", "0", *argv])
+        assert exc.value.code == 3 and capsys.readouterr().out == ""
 
 
 def test_module_entry_point():

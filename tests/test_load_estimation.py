@@ -2,6 +2,7 @@
 and infeasible verdicts, and the Loads arrays against a per-UE loop."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -129,6 +130,38 @@ class TestMinPrbs:
                 for row, t in zip(rows.tolist(), target.tolist())]
         assert whole.tolist() == want
         assert min_prbs(power[:0], gain[:0], RADIO, target[:0]).tolist() == []
+
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    def test_peak_does_not_grow_with_n(self, n):
+        """Beside its 8n-byte result, one call holds about one block of the
+        table: under four 512 KB blocks at K = 100, where one unblocked
+        table at n = 100,000 would be 80 MB."""
+        rng = np.random.default_rng(n)
+        gain = 10.0 ** rng.uniform(-13, 4, n) * RADIO.noise_per_prb_w / 0.1
+        power = np.full(n, 0.1)
+        target = prb_rate(rng.integers(1, RADIO.num_prbs + 1, n), gain, RADIO, power)
+        min_prbs(power[:1], gain[:1], RADIO, target[:1])  # warm up numpy's loops
+        tracemalloc.start()
+        try:
+            first = min_prbs(power, gain, RADIO, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - first.nbytes < 2 << 20
+        assert first.nbytes == 8 * n
+
+    def test_rate_table_takes_the_documented_op_order(self):
+        """(P*g) / (w*sigma^2), then + 1, then log2, then * (w*B_prb), bit
+        for bit, over a (UEs x K) table."""
+        rng = np.random.default_rng(11)
+        w = np.arange(1, RADIO.num_prbs + 1)
+        gain = (10.0 ** rng.uniform(-13, 4, 50) * RADIO.noise_per_prb_w / 0.1)[:, None]
+        power = rng.uniform(0.01, 0.5, 50)[:, None]
+        snr = (power * gain) / (w * RADIO.noise_per_prb_w)
+        want = np.log2(snr + 1.0) * (w * RADIO.prb_bandwidth_hz)
+        got = prb_rate(w, gain, RADIO, power)
+        assert got.shape == (50, RADIO.num_prbs)
+        assert got.tobytes() == want.tobytes()
 
     def test_weak_signal_takes_the_first_sufficient_count(self):
         """At a single-PRB SNR of 1e-12, fl(1 + c/w) is coarse and the float

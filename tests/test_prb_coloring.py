@@ -210,7 +210,7 @@ class TestColor:
         replay_coloring(
             order, steps, [0, 1, 2], m, h, powers, 20e6, 3, 1e-13, 0.1,
             lambda c: interference_table(
-                PrbAssociation.from_matrix(c), ChannelGains(h=h), powers
+                PrbAssociation(c=c), ChannelGains(h=h), powers
             ),
         )
 

@@ -74,7 +74,7 @@ class TestOffloadDecision:
 
 class TestPerPrbPower:
     def test_split_and_idle(self):
-        c = PrbAssociation.from_matrix([[1, 1, 0], [0, 0, 0]])
+        c = PrbAssociation(c=np.array([[1, 1, 0], [0, 0, 0]]))
         p = per_prb_power(c, [0.1, 0.1])
         assert p[0] == pytest.approx(0.05)
         assert p[1] == 0.0
@@ -90,7 +90,7 @@ class TestInterferenceTable:
     def test_two_ue_shared_prb_values(self):
         # UE0 spreads 0.1 W over 2 PRBs, cross gain 1e-12: 5e-14 received,
         # recorded on every PRB it transmits on, held by cell 1 or not
-        c = PrbAssociation.from_matrix([[1, 1], [1, 0]])
+        c = PrbAssociation(c=np.array([[1, 1], [1, 0]]))
         h = np.array([[1e-10, 1e-12], [1e-12, 1e-10]])
         o = interference_table(c, ChannelGains(h=h), [0.1, 0.1])
         assert o[1, 0] == pytest.approx(5e-14, rel=1e-12)
@@ -107,7 +107,7 @@ class TestInterferenceTable:
             h = 10.0 ** rng.uniform(-13, -7, size=(n, n))
             powers = rng.uniform(0.01, 0.5, size=n)
             got = interference_table(
-                PrbAssociation.from_matrix(c_mat), ChannelGains(h=h), powers
+                PrbAssociation(c=c_mat), ChannelGains(h=h), powers
             )
             want = brute_interference(c_mat, h, powers)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
@@ -116,14 +116,14 @@ class TestInterferenceTable:
 class TestUplinkRate:
     def test_local_ue_rate_zero(self):
         a = OffloadDecision(a=(0, 1))
-        c = PrbAssociation.from_matrix([[0, 0], [1, 1]])
+        c = PrbAssociation(c=np.array([[0, 0], [1, 1]]))
         g = ChannelGains(h=np.full((2, 2), 1e-10))
         assert uplink_rate(0, a, c, g, [0.1, 0.1], RADIO) == 0.0
 
     def test_single_prb_interference_free_value(self):
         # P*H/noise = 0.1*1e-10/1e-13 = 100 on one PRB of 200 kHz
         a = OffloadDecision(a=(1,))
-        c = PrbAssociation.from_matrix([[1] + [0] * 99])
+        c = PrbAssociation(c=np.array([[1] + [0] * 99]))
         g = ChannelGains(h=np.array([[1e-10]]))
         rate = uplink_rate(0, a, c, g, [0.1], RADIO)
         assert rate == pytest.approx(1331642.2965503589, rel=1e-12)
@@ -131,7 +131,7 @@ class TestUplinkRate:
     def test_power_splits_across_held_prbs(self):
         a = OffloadDecision(a=(1,))
         row = [1, 1, 1] + [0] * 97
-        c = PrbAssociation.from_matrix([row])
+        c = PrbAssociation(c=np.array([row]))
         g = ChannelGains(h=np.array([[1e-10]]))
         rate = uplink_rate(0, a, c, g, [0.1], RADIO)
         # 3 PRBs at SNR 100/3 each, frozen reference value
@@ -143,21 +143,21 @@ class TestUplinkRate:
             uplink_rate(
                 0,
                 OffloadDecision(a=(0, 1)),
-                PrbAssociation.from_matrix([[1, 0], [0, 1]]),
+                PrbAssociation(c=np.array([[1, 0], [0, 1]])),
                 g, [0.1, 0.1], RADIO,
             )
         with pytest.raises(InconsistentTables):
             uplink_rate(
                 0,
                 OffloadDecision(a=(1, 1)),
-                PrbAssociation.from_matrix([[1, 0], [0, 0]]),
+                PrbAssociation(c=np.array([[1, 0], [0, 0]])),
                 g, [0.1, 0.1], RADIO,
             )
 
     def test_interference_lowers_rate(self):
         g = ChannelGains(h=np.array([[1e-10, 5e-11], [5e-11, 1e-10]]))
-        shared = PrbAssociation.from_matrix([[1, 0], [1, 0]])
-        apart = PrbAssociation.from_matrix([[1, 0], [0, 1]])
+        shared = PrbAssociation(c=np.array([[1, 0], [1, 0]]))
+        apart = PrbAssociation(c=np.array([[1, 0], [0, 1]]))
         both = OffloadDecision(a=(1, 1))
         radio = RadioParams(bandwidth_hz=20e6, num_prbs=2, noise_per_prb_w=1e-13)
         r_shared = uplink_rate(0, both, shared, g, [0.1, 0.1], radio)
@@ -179,7 +179,7 @@ class TestUplinkRate:
             powers = rng.uniform(0.01, 0.5, size=n)
             radio = RadioParams(bandwidth_hz=20e6, num_prbs=k, noise_per_prb_w=1e-13)
             decision = OffloadDecision(a=tuple(int(x) for x in a))
-            assoc = PrbAssociation.from_matrix(c_mat)
+            assoc = PrbAssociation(c=c_mat)
             for i in range(n):
                 got = uplink_rate(i, decision, assoc, ChannelGains(h=h), powers, radio)
                 want = brute_uplink_rate(i, a, c_mat, h, powers, 20e6, k, 1e-13)

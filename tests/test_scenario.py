@@ -22,11 +22,10 @@ from mecoffload.scenario import (
     channel_gains,
     config_from_dict,
     load_config,
-    path_loss_db,
     tx_powers,
 )
 
-from _oracles import expression_gains
+from _oracles import expression_gains, path_loss_db
 
 
 # every per-UE column of a Scenario
