@@ -61,11 +61,20 @@ class TestRun:
         row = csv_lines(out)[1].split(",")
         assert row[2] == "proposed_minsum" and row[4] == "minsum"
 
-    def test_scheme_proposed_minmax_picks_cpu_rule(self, capsys):
+    def test_objective_flag_picks_cpu_rule(self, capsys):
+        # the CPU rule rides on the scheme flag: proposed_minmax is min-max
         code, out, _ = run_cli(capsys, ["run", "--seed", "0", "--scheme", "proposed_minmax"])
         assert code == 0
         row = csv_lines(out)[1].split(",")
         assert row[2] == "proposed_minmax" and row[4] == "minmax"
+
+    def test_matching_scheme_and_objective_accepted(self, capsys):
+        # every proposed scheme reports the objective its name carries
+        code, out, _ = run_cli(capsys, ["run", "--seed", "0", "--scheme", "all"])
+        assert code == 0
+        rows = [line.split(",") for line in csv_lines(out)[1:]]
+        proposed = {r[2]: r[4] for r in rows if r[2].startswith("proposed_")}
+        assert proposed == {"proposed_minmax": "minmax", "proposed_minsum": "minsum"}
 
     def test_scheme_all_emits_sorted_schemes(self, capsys):
         _, out, _ = run_cli(capsys, ["run", "--seed", "1", "--scheme", "all"])
