@@ -136,7 +136,7 @@ def _run_cells(args, schemes, configs, seeds, detail: bool) -> int:
         for seed in seeds:
             s = build_scenario(cfg, seed=seed)
             g = channel_gains(s)
-            for scheme in sorted(schemes):
+            for scheme in schemes:
                 t0 = time.perf_counter()
                 outcome = run_scheme(scheme, s, g)
                 wall_ms = (time.perf_counter() - t0) * 1e3 if args.timing else 0

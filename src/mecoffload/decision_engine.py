@@ -140,7 +140,7 @@ def uplink(
     m = normalize_prbs(estimates.w, offs, k, s.reuse_lambda)
     graph = build_interference_graph(gains, m, powers, offs, s.edge_threshold)
     state = color(graph, m, gains, powers, s.radio)
-    return state.assoc, realized_rates(state, m, gains, powers, s.radio)
+    return state.assoc, realized_rates(state, s.radio)
 
 
 def price(
@@ -279,13 +279,9 @@ def cell_plan(s: Scenario, gains: ChannelGains) -> CellPlan:
     estimates = estimate_loads(s, gains)
     candidates = tuple(estimates.offloadable.nonzero()[0].tolist())
     report = orthogonal_estimate(estimates, candidates, s, gains) if candidates else {}
-    n = s.n_cells
     # with no offloader no server split is made, so any rule prices it
-    local = price(
-        OffloadDecision.all_local(n),
-        (PrbAssociation.empty(n, s.radio.num_prbs), np.zeros(n)),
-        s, estimates, "equal",
-    )
+    all_local = OffloadDecision.all_local(s.n_cells)
+    local = price(all_local, uplink(all_local, s, gains, estimates), s, estimates, "equal")
     for array in (local.assoc.c, local.assoc.m, local.rates_bps, local.t_off_s,
                   local.e_off_j, local.per_ue_overhead):
         array.flags.writeable = False
@@ -328,10 +324,8 @@ def run_baseline(kind: str, s: Scenario, gains: ChannelGains) -> AllocationOutco
             next_free += q
         ids = np.array(candidates)
         # no block is shared, so each held block sees zero interference
-        rates[ids] = held_rate(
-            c[ids], (tx_powers(s)[ids] / np.array(quota))[:, None],
-            gains.h[ids, ids][:, None], 0.0, s.radio,
-        )
+        signal = tx_powers(s)[ids] / np.array(quota) * gains.h[ids, ids]
+        rates[ids] = held_rate(c[ids], signal[:, None], 0.0, s.radio)
     return price(decision, (PrbAssociation(c=c), rates), s, estimates, "equal")
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .radio import shannon
 from .scenario import ChannelGains, RadioParams, Scenario
 
 # entries per block of the min_prbs table (512 KB): beside its n-entry result,
@@ -78,10 +79,8 @@ class Loads:
 def prb_rate(w, serving_gain, radio: RadioParams, tx_power_w):
     """Interference-free rate on w PRBs with power split as P/(w sigma^2),
     elementwise over arrays: (P*g) / (w*sigma^2), + 1, log2, * (w*B_prb)."""
-    rate = np.asarray(tx_power_w * serving_gain / (w * radio.noise_per_prb_w))
-    rate += 1.0
-    np.log2(rate, out=rate)
-    rate *= w * radio.prb_bandwidth_hz
+    snr = np.asarray(tx_power_w * serving_gain / (w * radio.noise_per_prb_w))
+    rate = shannon(snr, w * radio.prb_bandwidth_hz)
     return rate if rate.ndim else rate[()]
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyOffloadSet
-from .radio import PrbAssociation, held_rate
+from .radio import PrbAssociation, held_rate, shannon
 from .scenario import ChannelGains, RadioParams
 
 
@@ -73,6 +73,7 @@ class ColoringState:
     assoc: PrbAssociation
     o: np.ndarray  # interference table (radio.interference_table), rows in order
     order: tuple[int, ...]  # nodes in the sequence they were colored
+    signal: np.ndarray  # per-PRB power times serving gain, in order
 
 
 def color(
@@ -134,10 +135,7 @@ def color(
             np.divide(snr, den, out=base)
             den += leak[t, step]
             np.divide(snr, den, out=pert)
-            rates = x[:k + 2 * n_held]  # bpp * log2(1 + snr), op for op
-            rates += 1.0
-            np.log2(rates, out=rates)
-            rates *= bpp
+            shannon(x[:k + 2 * n_held], bpp)
             scores = own + np.bincount(prb, pert - base, minlength=k)
             take = (-scores).argsort(kind="stable")[: quota[t]]
             take.sort()
@@ -158,30 +156,20 @@ def color(
         assoc=PrbAssociation(c=c),
         o=np.ascontiguousarray(ot.T),
         order=tuple(ids.tolist()),
+        signal=snr_self,
     )
 
 
-def realized_rates(
-    state: ColoringState,
-    m: np.ndarray,
-    gains: ChannelGains,
-    powers: np.ndarray,
-    radio: RadioParams,
-) -> np.ndarray:
-    """Per-UE uplink rate from the final association and interference table.
+def realized_rates(state: ColoringState, radio: RadioParams) -> np.ndarray:
+    """Per-UE uplink rate from the final association, interference table
+    and received signals.
 
     Full-length N vector; UEs without PRBs get 0. Uses the maintained
     table, so agreement with a from-scratch rate computation doubles as a
     consistency check on the incremental updates.
     """
-    h = gains.h
+    c = state.assoc.c
     ids = np.array(state.order, dtype=np.int64)
-    rates = np.zeros(h.shape[0])
-    rates[ids] = held_rate(
-        state.assoc.c[ids],
-        (powers[ids] / m[ids])[:, None],
-        h[ids, ids][:, None],
-        state.o,
-        radio,
-    )
+    rates = np.zeros(c.shape[0])
+    rates[ids] = held_rate(c[ids], state.signal[:, None], state.o, radio)
     return rates

@@ -1,6 +1,6 @@
-"""Uplink rates of a PRB table. The scheme path prices with held_rate alone;
-per_prb_power, interference_table and uplink_rate are its from-scratch checker.
-"""
+"""Uplink rates of a PRB table, each ending in the one Shannon step, shannon.
+The scheme path prices with held_rate alone; per_prb_power,
+interference_table and uplink_rate are its from-scratch checker."""
 
 from __future__ import annotations
 
@@ -109,17 +109,26 @@ def _check_consistent(a: OffloadDecision, c: PrbAssociation) -> None:
             raise InconsistentTables(f"offloading UE {n} holds no PRB")
 
 
-def held_rate(c_row, p_prb, gain, interference, radio: RadioParams) -> float | np.ndarray:
+def shannon(snr: np.ndarray, scale) -> np.ndarray:
+    """scale * log2(1 + snr) in place on the float array snr, op for op:
+    += 1, log2, *= scale. Every rate of the package ends in this step."""
+    snr += 1.0
+    np.log2(snr, out=snr)
+    snr *= scale
+    return snr
+
+
+def held_rate(c_row, signal, interference, radio: RadioParams) -> float | np.ndarray:
     """Shannon rate (bit/s) summed over the PRBs flagged in c_row.
 
-    p_prb is the per-PRB transmit power, gain the serving gain and
+    signal is the received per-PRB power, fl(fl(P/M) * serving gain), and
     interference the co-channel power on every PRB of the row. The sum runs
     over the last axis: one row gives a float, a (rows, K) table gives one
-    rate per row (pass p_prb and gain as (rows, 1) columns), each row summed
+    rate per row (pass signal as a (rows, 1) column), each row summed
     exactly as it would be alone.
     """
-    snr = p_prb * gain / (radio.noise_per_prb_w + interference)
-    rate = (c_row * radio.prb_bandwidth_hz * np.log2(1 + snr)).sum(axis=-1)
+    snr = np.asarray(signal / (radio.noise_per_prb_w + interference))
+    rate = (c_row * shannon(snr, radio.prb_bandwidth_hz)).sum(axis=-1)
     return rate if rate.ndim else float(rate)
 
 
@@ -146,4 +155,4 @@ def uplink_rate(
     # co-channel power on every PRB from every other active transmitter
     contrib = c.c * ((active * p_prb) * g.h[:, n])[:, None]
     contrib[n] = 0.0
-    return held_rate(c.c[n], p_prb[n], g.h[n, n], contrib.sum(axis=0), r)
+    return held_rate(c.c[n], p_prb[n] * g.h[n, n], contrib.sum(axis=0), r)

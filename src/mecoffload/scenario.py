@@ -218,16 +218,18 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
+        def finite(x) -> bool:
+            try:
+                return math.isfinite(x)
+            except OverflowError:  # an int too large for a float
+                return False
+
         for f in fields(self):
             value = getattr(self, f.name)
             if value is None and f.name == "energy_coeff_j_per_cycle":
                 continue
             # bool is an int subclass, but true is no cell count
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)
-            ):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not finite(value):
                 raise InvalidConfig(f"{f.name} must be a finite number, got {value!r}")
             if f.type == "int" and not isinstance(value, int):
                 raise InvalidConfig(f"{f.name} must be an integer, got {value!r}")
@@ -286,7 +288,7 @@ class ScenarioConfig:
                 value = compute()
             except OverflowError:
                 raise InvalidConfig(f"{name} overflows") from None
-            if not (math.isfinite(value) and value > 0):
+            if not (finite(value) and value > 0):
                 raise InvalidConfig(f"{name} must be finite and positive, got {value!r}")
 
     @property

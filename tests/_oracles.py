@@ -497,7 +497,7 @@ def loop_orthogonal_rates(s, gains, estimates) -> np.ndarray:
     o = interference_table(PrbAssociation(c=c), gains, s.tx_power_w)
     for i in candidates:
         p_prb = s.tx_power_w[i] / quota[i]
-        rates[i] = held_rate(c[i], p_prb, gains.h[i, i], o[i], s.radio)
+        rates[i] = held_rate(c[i], p_prb * gains.h[i, i], o[i], s.radio)
     return rates
 
 

@@ -263,7 +263,7 @@ def test_criterion_10_maintained_rates_match_reference_formula(capsys):
             assert offs
             graph = build_interference_graph(gains, m, powers, offs, s.edge_threshold)
             state = color(graph, m, gains, powers, s.radio)
-            rates = realized_rates(state, m, gains, powers, s.radio)
+            rates = realized_rates(state, s.radio)
             decision = OffloadDecision.from_set(offs, len(s.ues))
             for n in range(len(s.ues)):
                 ref = uplink_rate(n, decision, state.assoc, gains, powers, s.radio)

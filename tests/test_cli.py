@@ -275,6 +275,8 @@ class TestExitCodes:
                 ["sweep", "--seeds", "0..10000000000000000000", "--vary", "cells",
                  "--values", "0"],
             ),
+            # an integer too large for a float
+            (None, ["sweep", "--vary", "cells", "--values", str(10**400), "--seeds", "0"]),
         ],
     )
     def test_non_finite_or_mistyped_value_is_config_error(

@@ -25,7 +25,6 @@ from mecoffload.prb_coloring import (
 from mecoffload.radio import (
     OffloadDecision,
     PrbAssociation,
-    held_rate,
     interference_table,
     uplink_rate,
 )
@@ -342,7 +341,7 @@ class TestRealizedRates:
         r = radio(2)
         g = build_interference_graph(ChannelGains(h=h), m, powers, [0, 1], 100.0)
         state = color(g, m, ChannelGains(h=h), powers, r)
-        rates = realized_rates(state, m, ChannelGains(h=h), powers, r)
+        rates = realized_rates(state, r)
         lone = r.prb_bandwidth_hz * math.log2(1 + 0.1 * 1e-10 / 1e-13)
         assert rates[0] == pytest.approx(lone, rel=1e-12)
 
@@ -353,7 +352,7 @@ class TestRealizedRates:
         r = radio(2)
         g = build_interference_graph(ChannelGains(h=h), m, powers, [0, 1], 0.01)
         state = color(g, m, ChannelGains(h=h), powers, r)
-        rates = realized_rates(state, m, ChannelGains(h=h), powers, r)
+        rates = realized_rates(state, r)
         assert state.assoc.m.tolist() == [2, 2]
         assert rates[0] == pytest.approx(rates[1], rel=1e-12)
 
@@ -364,7 +363,7 @@ class TestRealizedRates:
             r = radio(9)
             g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.1)
             state = color(g, m, ChannelGains(h=h), powers, r)
-            rates = realized_rates(state, m, ChannelGains(h=h), powers, r)
+            rates = realized_rates(state, r)
             decision = OffloadDecision.from_set(ids, 6)
             for i in ids:
                 direct = uplink_rate(
@@ -426,9 +425,21 @@ def test_realized_rates_equal_per_row_held_rate(inputs):
     h = gains.h
     state = color(graph, m, gains, powers, r)
     want = np.zeros(h.shape[0])
+    bpp, noise = r.prb_bandwidth_hz, r.noise_per_prb_w
     for t, i in enumerate(state.order):
-        want[i] = held_rate(state.assoc.c[i], powers[i] / m[i], h[i, i], state.o[t], r)
-    assert _bits(realized_rates(state, m, gains, powers, r)) == _bits(want)
+        snr = powers[i] / m[i] * h[i, i] / (noise + state.o[t])
+        want[i] = (state.assoc.c[i] * bpp * np.log2(1 + snr)).sum()
+    assert _bits(realized_rates(state, r)) == _bits(want)
+
+
+@settings(max_examples=150)
+@given(coloring_inputs())
+def test_signal_is_per_prb_power_times_serving_gain_in_order(inputs):
+    graph, m, gains, powers, r = inputs
+    state = color(graph, m, gains, powers, r)
+    order = list(state.order)
+    want = (powers[order] / m[order]) * gains.h[order, order]
+    assert _bits(state.signal) == _bits(want)
 
 
 @settings(max_examples=150)

@@ -263,7 +263,10 @@ def test_orthogonal_baseline_rates_equal_the_table_oracle(
     assert out.rates_bps.tobytes() == want.tobytes()
     assert out.assoc.m.tobytes() == out.assoc.c.sum(axis=1).tobytes()
 
-_EXTREMES = (5e-324, -5e-324, 1e-308, -1e-308, 1e300, -1e300, 1e308, -1e308, 0, 1, -1)
+_EXTREMES = (
+    5e-324, -5e-324, 1e-308, -1e-308, 1e300, -1e300, 1e308, -1e308, 0, 1, -1,
+    10**400, -(10**400),  # integers too large for a float
+)
 _NOT_A_NUMBER = (math.nan, math.inf, -math.inf, True, False, "1", "", None)
 # cell and block counts stay small so that ~500 whole runs fit in a few
 # seconds; every other field may take any value, huge integers included
@@ -294,6 +297,10 @@ _CONFIGS = st.builds(
 
 @settings(max_examples=500)
 @given(data=_CONFIGS)
+@example(data={"area_m": 10**400})
+@example(data={"n_cells": 10**400})
+# finite as a field, but its product with num_prbs is an int past float range
+@example(data={"reuse_lambda": 10**307})
 def test_any_config_gives_rows_or_a_documented_exit(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(json.dumps(data))  # NaN / Infinity literals

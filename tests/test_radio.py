@@ -3,11 +3,14 @@ plain-python reference implementation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mecoffload.errors import InconsistentTables
 from mecoffload.radio import (
     OffloadDecision,
     PrbAssociation,
+    held_rate,
     interference_table,
     per_prb_power,
     uplink_rate,
@@ -111,6 +114,39 @@ class TestInterferenceTable:
             )
             want = brute_interference(c_mat, h, powers)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+
+
+class TestHeldRate:
+    @settings(max_examples=200)
+    @given(
+        rows=st.integers(1, 8),
+        k=st.integers(1, 40),
+        kind=st.sampled_from(["zero", "finite", "inf"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_equal_to_the_summed_shannon_formula(self, rows, k, kind, seed):
+        # the formula held_rate took as (c_row, p_prb, gain, interference):
+        # c * B_prb * log2(1 + p*g / (sigma^2 + I)), summed along each row
+        rng = np.random.default_rng(seed)
+        c = rng.integers(0, 2, size=(rows, k))
+        p = rng.uniform(1e-4, 1.0, size=(rows, 1))
+        g = 10.0 ** rng.uniform(-16, -6, size=(rows, 1))
+        if kind == "zero":
+            interference = 0.0
+        elif kind == "finite":
+            interference = 10.0 ** rng.uniform(-16, -8, size=(rows, k))
+            interference[rng.random((rows, k)) < 0.3] = 0.0
+        else:
+            interference = np.where(rng.random((rows, k)) < 0.5, np.inf, 1e-12)
+        bpp, noise = RADIO.prb_bandwidth_hz, RADIO.noise_per_prb_w
+        want = (c * bpp * np.log2(1 + p * g / (noise + interference))).sum(-1)
+        got = held_rate(c, p * g, interference, RADIO)
+        assert got.tobytes() == want.tobytes()
+        rows_i = np.broadcast_to(interference, c.shape)
+        for r in range(rows):
+            one = held_rate(c[r], p[r, 0] * g[r, 0], rows_i[r], RADIO)
+            assert isinstance(one, float)
+            assert np.float64(one).tobytes() == want[r].tobytes()
 
 
 class TestUplinkRate:
