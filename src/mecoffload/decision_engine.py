@@ -136,10 +136,9 @@ def uplink(
     n, k = s.n_cells, s.radio.num_prbs
     if not offs or not estimates.offloadable[list(offs)].all():
         return PrbAssociation.empty(n, k), np.zeros(n)
-    powers = tx_powers(s)
     m = normalize_prbs(estimates.w, offs, k, s.reuse_lambda)
-    graph = build_interference_graph(gains, m, powers, offs, s.edge_threshold)
-    state = color(graph, m, gains, powers, s.radio)
+    graph = build_interference_graph(gains, m, tx_powers(s), offs, s.edge_threshold)
+    state = color(graph, s.radio)
     return state.assoc, realized_rates(state, s.radio)
 
 

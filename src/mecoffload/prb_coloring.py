@@ -1,14 +1,14 @@
 """PRB allocation for offloading UEs via weighted greedy graph coloring.
 
 Colors are PRBs, vertices are the offloading UEs' serving cells. Demands
-are scaled into quotas that may oversubscribe the band (reuse), a directed
-interference graph decides the coloring order, and each node grabs the
-quota-many colors that maximize the hypothetical system sum rate given
-everything assigned so far: its own rate plus the change in the colored
-nodes' rates. Their current rates, the same for every color, are left out,
-since adding them only rounds away differences between colors. The
-interference table is maintained incrementally and must stay consistent
-with the association matrix.
+are scaled into quotas that may oversubscribe the band (reuse); a directed
+interference graph holds them, the per-PRB leakage and the order key, and
+each node grabs the quota-many colors that maximize the hypothetical system
+sum rate given everything assigned so far: its own rate plus the change in
+the colored nodes' rates. Their current rates, the same for every color,
+are left out, since adding them only rounds away differences between
+colors. The interference table is maintained incrementally and must stay
+consistent with the association matrix.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ class InterferenceGraph:
 
     nodes: tuple[int, ...]
     in_weight: np.ndarray  # per UE, per-PRB power over in-edges; 0 off the nodes
+    quota: np.ndarray  # per node, its PRB quota; read-only
+    leak: np.ndarray  # [a, b]: per-PRB power node a puts into b's cell; read-only
 
 
 def build_interference_graph(
@@ -61,11 +63,14 @@ def build_interference_graph(
     h = gains.h[ids[:, None], ids]
     ratio = h / np.diagonal(h)  # h[a, b] / h[b, b]
     np.fill_diagonal(ratio, 0.0)
+    quota = m[ids]
+    leak = (powers[ids] / quota)[:, None] * h
     # per-PRB received interference power on edge a -> b, else 0
-    weight = np.where(ratio > theta, (powers[ids] / m[ids])[:, None] * h, 0.0)
     in_weight = np.zeros(gains.h.shape[0])
-    in_weight[ids] = weight.sum(axis=0)
-    return InterferenceGraph(nodes=nodes, in_weight=in_weight)
+    in_weight[ids] = np.where(ratio > theta, leak, 0.0).sum(axis=0)
+    quota.setflags(write=False)
+    leak.setflags(write=False)
+    return InterferenceGraph(nodes=nodes, in_weight=in_weight, quota=quota, leak=leak)
 
 
 @dataclass(frozen=True)
@@ -76,13 +81,7 @@ class ColoringState:
     signal: np.ndarray  # per-PRB power times serving gain, in order
 
 
-def color(
-    graph: InterferenceGraph,
-    m: np.ndarray,
-    gains: ChannelGains,
-    powers: np.ndarray,
-    radio: RadioParams,
-) -> ColoringState:
+def color(graph: InterferenceGraph, radio: RadioParams) -> ColoringState:
     """Greedy coloring: most-interfered node first, batch-assign the quota
     of colors with the best hypothetical system sum rate.
 
@@ -93,22 +92,21 @@ def color(
     adding it only rounds away differences between colors. Colors held by
     others are fair game (reuse); ties go to the lowest color index. After
     the batch the table rows of all other nodes gain nb's per-PRB leakage
-    on the taken colors. Every node's quota m lies in 1..K, as
-    normalize_prbs gives it, so the association's row sums are the quotas.
+    on the taken colors. The graph holds every input but the band; each
+    quota lies in 1..K (normalize_prbs), so the row sums are the quotas.
     """
     k = radio.num_prbs
     bpp = radio.prb_bandwidth_hz
     noise = radio.noise_per_prb_w
 
-    # order key is static: in-edge weights over the whole offload set
-    in_weight, m_list = graph.in_weight.tolist(), m.tolist()
-    order = sorted(graph.nodes, key=lambda i: (-in_weight[i], m_list[i], i))
+    # order key is static: in-edge weight, quota, then UE id (nodes are sorted)
+    ids = np.array(graph.nodes)
+    w, q = graph.in_weight[ids].tolist(), graph.quota.tolist()
+    perm = np.array(sorted(range(ids.size), key=lambda p: (-w[p], q[p], p)))
 
-    # From here on a node is its coloring step t, the UE order[t].
-    ids = np.array(order, dtype=np.int64)
-    quota = m[ids].tolist()
-    # leak[t, u]: the per-PRB power node t puts into node u's serving cell
-    leak = (powers[ids] / m[ids])[:, None] * gains.h[ids[:, None], ids]
+    # From here on a node is its coloring step t, the UE ids[t].
+    ids, quota = ids[perm], graph.quota[perm].tolist()
+    leak = graph.leak[perm[:, None], perm]  # a copy, in step order
     snr_self = leak.diagonal().copy()  # per-PRB power times serving gain
     np.fill_diagonal(leak, 0.0)  # a cell does not interfere with itself
 
@@ -149,8 +147,7 @@ def color(
         held_snr[n_held:n_held + take.size] = snr_self[t]
         n_held += take.size
 
-    n = gains.h.shape[0]
-    c = np.zeros((n, k), dtype=np.int64)
+    c = np.zeros((graph.in_weight.size, k), dtype=np.int64)
     c[ids[held_step[:n_held]], held_prb[:n_held]] = 1
     return ColoringState(
         assoc=PrbAssociation(c=c),

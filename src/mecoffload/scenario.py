@@ -25,6 +25,11 @@ MAX_TABLE_ENTRIES = 10**7
 _GAIN_BLOCK_ENTRIES = 1 << 13
 
 
+def _finite(x) -> bool:
+    """A real number inside the finite float range; a bool is no number here."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class RadioParams:
     """Uplink spectrum description: total bandwidth split into PRBs."""
@@ -34,12 +39,13 @@ class RadioParams:
     noise_per_prb_w: float  # sigma^2, Watts per PRB
 
     def __post_init__(self):
-        if self.bandwidth_hz <= 0:
-            raise InvalidConfig("bandwidth_hz must be positive")
-        if self.num_prbs < 1:
-            raise InvalidConfig("num_prbs must be >= 1")
-        if self.noise_per_prb_w <= 0:
-            raise InvalidConfig("noise_per_prb_w must be positive")
+        for name in ("bandwidth_hz", "noise_per_prb_w"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # nor nan
+                raise InvalidConfig(f"{name} must be finite and positive, got {value!r}")
+        k = self.num_prbs
+        if not (isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 1):
+            raise InvalidConfig(f"num_prbs must be an integer >= 1, got {k!r}")
 
     @property
     def prb_bandwidth_hz(self) -> float:
@@ -126,12 +132,15 @@ class Scenario:
         table.setflags(write=False)
         for row, name in zip(table, _COLUMNS):
             object.__setattr__(self, name, row)
-        if self.mec_capacity_hz <= 0:
-            raise InvalidConfig("mec_capacity_hz must be positive")
-        if self.reuse_lambda < 1:
-            raise InvalidConfig("reuse_lambda must be >= 1")
-        if self.edge_threshold <= 0:
-            raise InvalidConfig("edge_threshold must be positive")
+        # the bounds ScenarioConfig.validate sets; a nan fails each of them
+        for name, in_range, bound in (
+            ("mec_capacity_hz", 0 < self.mec_capacity_hz < math.inf, "positive"),
+            ("reuse_lambda", 1 <= self.reuse_lambda < math.inf, ">= 1"),
+            ("edge_threshold", 0 < self.edge_threshold < math.inf, "positive"),
+            ("shadowing_db", 0 <= self.shadowing_db < math.inf, ">= 0"),
+        ):
+            if not in_range:
+                raise InvalidConfig(f"{name} must be finite and {bound}")
 
     @property
     def n_cells(self) -> int:
@@ -218,18 +227,11 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
-        def finite(x) -> bool:
-            try:
-                return math.isfinite(x)
-            except OverflowError:  # an int too large for a float
-                return False
-
         for f in fields(self):
             value = getattr(self, f.name)
             if value is None and f.name == "energy_coeff_j_per_cycle":
                 continue
-            # bool is an int subclass, but true is no cell count
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not finite(value):
+            if not _finite(value):
                 raise InvalidConfig(f"{f.name} must be a finite number, got {value!r}")
             if f.type == "int" and not isinstance(value, int):
                 raise InvalidConfig(f"{f.name} must be an integer, got {value!r}")
@@ -288,7 +290,7 @@ class ScenarioConfig:
                 value = compute()
             except OverflowError:
                 raise InvalidConfig(f"{name} overflows") from None
-            if not (finite(value) and value > 0):
+            if not (_finite(value) and value > 0):
                 raise InvalidConfig(f"{name} must be finite and positive, got {value!r}")
 
     @property

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from mecoffload.cpu_allocation import CpuAllocation
-from mecoffload.decision_engine import evaluate
+from mecoffload.decision_engine import evaluate, price
 from mecoffload.errors import InfeasibleAllocation
 from mecoffload.load_estimation import LoadEstimate, estimate_loads
+from mecoffload.prb_coloring import normalize_prbs
 from mecoffload.radio import OffloadDecision, PrbAssociation, held_rate, interference_table
 
 # largest candidate count best_offload_set searches: 2**11 evaluations
@@ -256,10 +257,16 @@ def dense_color(graph, m, h, powers, radio):
 def assert_matches_dense_color(state, graph, m, h, powers, radio):
     """Assert that a ColoringState equals dense_color's bit for bit.
 
-    Compares the order, the association and the final interference table
-    (dense_color's rows of the colored nodes, in coloring order), and
-    returns dense_color's (order, steps) for replay_coloring.
+    Compares the graph's quotas and leakage block with m and the per-PRB
+    powers times the gains, then the order, the association and the final
+    interference table (dense_color's rows of the colored nodes, in
+    coloring order), and returns dense_color's (order, steps) for
+    replay_coloring.
     """
+    ids = list(graph.nodes)
+    leak = (powers[ids] / m[ids])[:, None] * h[ids][:, ids]
+    assert graph.quota.tobytes() == m[ids].tobytes(), "graph quotas differ from m"
+    assert graph.leak.tobytes() == leak.tobytes(), "graph leakage differs from P/M * h"
     c, o, order, steps = dense_color(graph, m, h, powers, radio)
     assert state.order == order, "coloring order differs from dense_color"
     assert np.array_equal(state.assoc.c, c), "colors differ from dense_color"
@@ -340,6 +347,64 @@ def replay_coloring(order, steps, graph_nodes, m, h, powers, bandwidth_hz,
             table_after, rebuilt, rtol=rtol, atol=1e-300,
             err_msg=f"interference table inconsistent after node {nb}",
         )
+
+
+# the nonempty subsets of three nodes: the regions a colouring's PRBs fall in
+REGIONS = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
+
+
+def region_tables(quota, num_prbs):
+    """Every PRB table of three nodes that holds each node's quota, one per
+    feasible vector of region counts, as (counts, c).
+
+    counts[r] is how many PRBs exactly the nodes of REGIONS[r] share. The
+    gains have no PRB axis, so a table's rates depend only on its counts.
+    The quotas fix the three single-node counts from the four shared ones,
+    which are free; the counts must be non-negative and sum to at most
+    num_prbs. Each region takes consecutive PRBs, in REGIONS order.
+    """
+    q0, q1, q2 = quota
+    shared = itertools.product(
+        range(min(q0, q1) + 1), range(min(q0, q2) + 1),
+        range(min(q1, q2) + 1), range(min(quota) + 1),
+    )
+    for x01, x02, x12, x012 in shared:
+        counts = (q0 - x01 - x02 - x012, q1 - x01 - x12 - x012,
+                  q2 - x02 - x12 - x012, x01, x02, x12, x012)
+        if min(counts) < 0 or sum(counts) > num_prbs:
+            continue
+        c = np.zeros((3, num_prbs), dtype=np.int64)
+        first = 0
+        for region, count in zip(REGIONS, counts):
+            c[list(region), first:first + count] = 1
+            first += count
+        yield counts, c
+
+
+def region_counts(c):
+    """The REGIONS counts of a three-row PRB table."""
+    holders = [tuple(np.flatnonzero(column).tolist()) for column in c.T]
+    return tuple(holders.count(region) for region in REGIONS)
+
+
+def region_costs(s, gains, estimates, cpu_mode):
+    """{counts: cost} of every colouring of a 3-cell scenario's all-offload
+    decision at normalize_prbs's quotas: each region_tables table rated
+    with brute_uplink_rate and priced with price under the CPU rule."""
+    assert s.n_cells == 3, "the regions are those of three nodes"
+    decision = OffloadDecision.from_set(range(3), 3)
+    r = s.radio
+    quota = normalize_prbs(estimates.w, decision.offload_set, r.num_prbs, s.reuse_lambda)
+    costs = {}
+    for counts, c in region_tables(quota.tolist(), r.num_prbs):
+        rates = np.array([
+            brute_uplink_rate(n, decision.a, c, gains.h, s.tx_power_w,
+                              r.bandwidth_hz, r.num_prbs, r.noise_per_prb_w)
+            for n in range(3)
+        ])
+        uplink = (PrbAssociation(c=c), rates)
+        costs[counts] = price(decision, uplink, s, estimates, cpu_mode).system_overhead
+    return costs
 
 
 def grid_cpu_oracle(kind, cycles, lower, budget, resolution=33, rounds=6):

@@ -142,7 +142,7 @@ def test_criterion_04_coloring_replays_from_scratch(capsys):
                 graph = build_interference_graph(
                     gains, m, powers, offs, s.edge_threshold
                 )
-                state = color(graph, m, gains, powers, s.radio)
+                state = color(graph, s.radio)
                 order, steps = assert_matches_dense_color(
                     state, graph, m, gains.h, powers, s.radio
                 )
@@ -210,7 +210,7 @@ def test_criterion_07_reuse_oversubscribes_but_separates_interferers(capsys):
             if int(m.sum()) > s.radio.num_prbs:
                 oversubscribed += 1
             graph = build_interference_graph(gains, m, powers, offs, s.edge_threshold)
-            state = color(graph, m, gains, powers, s.radio)
+            state = color(graph, s.radio)
             c = state.assoc.c
             for a_ue in offs:
                 for b_ue in offs:
@@ -262,7 +262,7 @@ def test_criterion_10_maintained_rates_match_reference_formula(capsys):
             estimates, offs, powers, m = _loads_and_quotas(s, gains)
             assert offs
             graph = build_interference_graph(gains, m, powers, offs, s.edge_threshold)
-            state = color(graph, m, gains, powers, s.radio)
+            state = color(graph, s.radio)
             rates = realized_rates(state, s.radio)
             decision = OffloadDecision.from_set(offs, len(s.ues))
             for n in range(len(s.ues)):

@@ -8,6 +8,7 @@ golden regeneration (see tests/test_golden.py) and says why in CHANGES.md.
 import pytest
 
 from mecoffload import (
+    OffloadDecision,
     ScenarioConfig,
     build_scenario,
     channel_gains,
@@ -18,7 +19,7 @@ from mecoffload import (
     run_scheme,
 )
 
-from _oracles import best_offload_set
+from _oracles import best_offload_set, region_costs, region_counts
 
 
 # each pipeline scheme with the CPU rule it prices under
@@ -76,6 +77,45 @@ def test_final_set_repriced_at_lambda_one_is_the_orthogonal_cost():
         48: (0.13008546210048882, 0.13008546210048885),
     }
     assert [seed for seed, (repriced, orth) in got.items() if repriced > orth] == [24]
+
+
+def test_greedy_coloring_misses_the_cheapest_coloring_at_its_quotas():
+    """At 3 cells on 12 PRBs, all three offloading (quotas 8, 8, 8), the
+    greedy colouring costs more under min-sum than the cheapest colouring
+    at the same quotas on 26 of 50 seeds, by 2.1e-6 (seed 2) up to 29.1%
+    (seed 45). The gap list holds all 7 seeds where proposed_minsum loses
+    to all_offload_orth at the default 100 PRBs. The greedy's layouts are
+    one node alone on 4 PRBs, a pair on 4 and all three on 4, or each pair
+    on 4; the cheapest at seed 45 puts every node alone on 2 PRBs and all
+    three on 6. Every colouring is priced by the exhaustive region oracle.
+
+    A fix (a colouring rule that rebalances the shared PRBs) updates this
+    expectation together with a golden regeneration.
+    """
+    worse, pinned = [], {}
+    for seed in range(50):
+        s = build_scenario(ScenarioConfig(n_cells=3, num_prbs=12), seed)
+        gains = channel_gains(s)
+        estimates = estimate_loads(s, gains)
+        out = evaluate(OffloadDecision.from_set(range(3), 3), s, gains, "minsum", estimates)
+        costs = region_costs(s, gains, estimates, "minsum")
+        mine = region_counts(out.assoc.c)
+        best = min(costs, key=costs.get)
+        # the oracle rates the greedy's own layout as the package does, up
+        # to the order of the per-PRB rate sums
+        assert costs[mine] == pytest.approx(out.system_overhead, rel=1e-12)
+        if costs[mine] > costs[best]:
+            worse.append(seed)
+        if seed in (2, 45):
+            pinned[seed] = (mine, out.system_overhead, best, costs[best])
+    assert worse == [
+        1, 2, 3, 4, 7, 8, 10, 11, 14, 15, 19, 20, 23, 24, 25, 29, 33, 34, 37,
+        39, 43, 44, 45, 46, 47, 48,
+    ]
+    assert pinned == {
+        2: ((4, 0, 0, 0, 0, 4, 4), 0.07978610947149892, (3, 0, 1, 1, 0, 3, 4), 0.07978594276046941),
+        45: ((0, 0, 4, 4, 0, 0, 4), 0.17594394050789247, (2, 2, 2, 0, 0, 0, 6), 0.1363047358106207),
+    }
 
 
 def test_cpu_rules_tie_at_nine_cells():

@@ -1,5 +1,6 @@
 """Quota normalization, interference graph, and the greedy coloring loop."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -31,9 +32,12 @@ from mecoffload.radio import (
 from mecoffload.scenario import ChannelGains, RadioParams
 
 from _oracles import (
+    REGIONS,
     assert_matches_dense_color,
     loop_interference_weight,
     loop_quotas,
+    region_counts,
+    region_tables,
     replay_coloring,
 )
 
@@ -154,6 +158,17 @@ class TestInterferenceGraph:
                 assert _bits(g.in_weight) == _bits(want.sum(axis=0))
                 assert g.nodes == tuple(sub)
 
+    def test_quota_and_leak_are_read_only(self):
+        h = np.full((3, 3), 1e-10)
+        g = build_interference_graph(
+            ChannelGains(h=h), np.array([2, 0, 1]), np.full(3, 0.1), [0, 2], 0.0
+        )
+        assert g.quota.tolist() == [2, 1]
+        assert g.leak.tolist() == [[0.05 * 1e-10] * 2, [0.1 * 1e-10] * 2]
+        for a in (g.quota, g.leak):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
     def test_non_offloaders_excluded(self):
         h = np.full((3, 3), 1e-10)
         g = build_interference_graph(
@@ -170,7 +185,7 @@ class TestColor:
         h[0, 1] = h[1, 0] = 1e-30
         m = np.array([1, 1])
         g = build_interference_graph(ChannelGains(h=h), m, np.full(2, 0.1), [0, 1], 0.1)
-        state = color(g, m, ChannelGains(h=h), np.full(2, 0.1), radio(2))
+        state = color(g, radio(2))
         assert tuple(np.flatnonzero(state.assoc.c[0])) == (0,)
         assert tuple(np.flatnonzero(state.assoc.c[1])) == (0,)
 
@@ -178,7 +193,7 @@ class TestColor:
         h = np.array([[1e-10]])
         m = np.array([4])
         g = build_interference_graph(ChannelGains(h=h), m, np.array([0.1]), [0], 0.1)
-        state = color(g, m, ChannelGains(h=h), np.array([0.1]), radio(4))
+        state = color(g, radio(4))
         assert state.assoc.m[0] == 4
         assert tuple(np.flatnonzero(state.assoc.c[0])) == (0, 1, 2, 3)
 
@@ -193,7 +208,7 @@ class TestColor:
             m = normalize_prbs([1, 1, 1], [0, 1, 2], k, 1.0)
             assert m.sum() == k
             g = build_interference_graph(ChannelGains(h=h), m, powers, [0, 1, 2], 0.01)
-            state = color(g, m, ChannelGains(h=h), powers, radio(k))
+            state = color(g, radio(k))
             assert (state.assoc.c.sum(axis=0) <= 1).all()
 
     def test_three_node_trajectory_matches_replay(self):
@@ -204,7 +219,7 @@ class TestColor:
         m = np.array([1, 1, 1])
         r = radio(3)
         g = build_interference_graph(ChannelGains(h=h), m, powers, [0, 1, 2], 0.1)
-        state = color(g, m, ChannelGains(h=h), powers, r)
+        state = color(g, r)
         order, steps = assert_matches_dense_color(state, g, m, h, powers, r)
         replay_coloring(
             order, steps, [0, 1, 2], m, h, powers, 20e6, 3, 1e-13, 0.1,
@@ -230,7 +245,7 @@ class TestColor:
         m = normalize_prbs([1] * n, ids, k, 1.0)
         r = radio(k)
         g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.0)
-        state = color(g, m, ChannelGains(h=h), powers, r)
+        state = color(g, r)
         order, steps = assert_matches_dense_color(state, g, m, h, powers, r)
         assert (n, k, order) == (7, 4, (6, 2, 3, 4, 1, 0, 5))
         assert tuple(np.flatnonzero(state.assoc.c[1])) == (1,)
@@ -257,14 +272,14 @@ class TestColor:
         for lam in (1.0, 2.0):
             h, powers, m, ids = random_setup(rng, 6, 12, lam)
             g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.1)
-            state = color(g, m, ChannelGains(h=h), powers, radio(12))
+            state = color(g, radio(12))
             assert np.array_equal(state.assoc.m, m)
 
     def test_order_key_non_increasing(self):
         rng = np.random.default_rng(4)
         h, powers, m, ids = random_setup(rng, 7, 10, 2.0)
         g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.1)
-        state = color(g, m, ChannelGains(h=h), powers, radio(10))
+        state = color(g, radio(10))
         keys = [g.in_weight[n] for n in state.order]
         assert all(a >= b for a, b in zip(keys, keys[1:]))
 
@@ -272,7 +287,7 @@ class TestColor:
         rng = np.random.default_rng(9)
         h, powers, m, ids = random_setup(rng, 5, 8, 2.0)
         g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.1)
-        state = color(g, m, ChannelGains(h=h), powers, radio(8))
+        state = color(g, radio(8))
         rebuilt = interference_table(state.assoc, ChannelGains(h=h), powers)
         np.testing.assert_allclose(
             state.o, rebuilt[list(state.order)], rtol=1e-12, atol=1e-300
@@ -286,7 +301,7 @@ class TestColor:
         ids = [0, 2, 3, 5, 6]
         m = normalize_prbs(np.arange(1, 8), ids, 12, 2.0)
         g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.1)
-        state = color(g, m, ChannelGains(h=h), powers, radio(12))
+        state = color(g, radio(12))
         assert sorted(state.order) == ids
         assert state.o.shape == (5, 12)
         assert state.o.dtype == np.float64
@@ -300,10 +315,13 @@ class TestColor:
         rng = np.random.default_rng(15)
         h, powers, m, ids = random_setup(rng, 6, 10, 2.0)
         g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.1)
-        a = color(g, m, ChannelGains(h=h), powers, radio(10))
-        b = color(g, m, ChannelGains(h=h), powers, radio(10))
+        leak = g.leak.tobytes()
+        a = color(g, radio(10))
+        b = color(g, radio(10))
         assert np.array_equal(a.assoc.c, b.assoc.c)
         assert np.array_equal(a.o, b.o)
+        # color gathers its own step-ordered copy of the leakage block
+        assert g.leak.tobytes() == leak
 
     def test_local_cells_do_not_move_the_coloring(self):
         # The 160-cell cell with the server scaled to it, colored for the
@@ -324,13 +342,29 @@ class TestColor:
         states = []
         for g in (gains, ChannelGains(h=h)):
             graph = build_interference_graph(g, m, s.tx_power_w, ids, s.edge_threshold)
-            states.append(color(graph, m, g, s.tx_power_w, s.radio))
+            states.append(color(graph, s.radio))
         a, b = states
         assert a.order == b.order
         assert a.assoc.c.tobytes() == b.assoc.c.tobytes()
         assert a.o.tobytes() == b.o.tobytes()
         assert a.o.shape == (len(ids), s.radio.num_prbs)
         assert a.o.dtype == np.float64 and a.o.flags.c_contiguous
+
+
+@pytest.mark.parametrize("quota, k", [((2, 2, 2), 4), ((1, 3, 2), 4), ((3, 1, 1), 3)])
+def test_region_tables_cover_every_table_of_the_quotas(quota, k):
+    # every 3 x k table with these row sums falls in exactly one yielded
+    # count vector, and each yielded table holds its quotas and counts
+    rows = [
+        [c for c in itertools.product((0, 1), repeat=k) if sum(c) == q] for q in quota
+    ]
+    want = {region_counts(np.array(t)) for t in itertools.product(*rows)}
+    got = []
+    for counts, c in region_tables(quota, k):
+        assert c.sum(axis=1).tolist() == list(quota)
+        assert region_counts(c) == counts and len(counts) == len(REGIONS)
+        got.append(counts)
+    assert len(got) == len(set(got)) and set(got) == want
 
 
 class TestRealizedRates:
@@ -340,7 +374,7 @@ class TestRealizedRates:
         m = np.array([1, 1])
         r = radio(2)
         g = build_interference_graph(ChannelGains(h=h), m, powers, [0, 1], 100.0)
-        state = color(g, m, ChannelGains(h=h), powers, r)
+        state = color(g, r)
         rates = realized_rates(state, r)
         lone = r.prb_bandwidth_hz * math.log2(1 + 0.1 * 1e-10 / 1e-13)
         assert rates[0] == pytest.approx(lone, rel=1e-12)
@@ -351,7 +385,7 @@ class TestRealizedRates:
         m = np.array([2, 2])
         r = radio(2)
         g = build_interference_graph(ChannelGains(h=h), m, powers, [0, 1], 0.01)
-        state = color(g, m, ChannelGains(h=h), powers, r)
+        state = color(g, r)
         rates = realized_rates(state, r)
         assert state.assoc.m.tolist() == [2, 2]
         assert rates[0] == pytest.approx(rates[1], rel=1e-12)
@@ -362,7 +396,7 @@ class TestRealizedRates:
             h, powers, m, ids = random_setup(rng, 6, 9, 2.0)
             r = radio(9)
             g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.1)
-            state = color(g, m, ChannelGains(h=h), powers, r)
+            state = color(g, r)
             rates = realized_rates(state, r)
             decision = OffloadDecision.from_set(ids, 6)
             for i in ids:
@@ -414,7 +448,7 @@ def coloring_inputs(draw):
 @given(coloring_inputs())
 def test_color_matches_dense_oracle_bit_for_bit(inputs):
     graph, m, gains, powers, r = inputs
-    state = color(graph, m, gains, powers, r)
+    state = color(graph, r)
     assert_matches_dense_color(state, graph, m, gains.h, powers, r)
 
 
@@ -423,7 +457,7 @@ def test_color_matches_dense_oracle_bit_for_bit(inputs):
 def test_realized_rates_equal_per_row_held_rate(inputs):
     graph, m, gains, powers, r = inputs
     h = gains.h
-    state = color(graph, m, gains, powers, r)
+    state = color(graph, r)
     want = np.zeros(h.shape[0])
     bpp, noise = r.prb_bandwidth_hz, r.noise_per_prb_w
     for t, i in enumerate(state.order):
@@ -436,7 +470,7 @@ def test_realized_rates_equal_per_row_held_rate(inputs):
 @given(coloring_inputs())
 def test_signal_is_per_prb_power_times_serving_gain_in_order(inputs):
     graph, m, gains, powers, r = inputs
-    state = color(graph, m, gains, powers, r)
+    state = color(graph, r)
     order = list(state.order)
     want = (powers[order] / m[order]) * gains.h[order, order]
     assert _bits(state.signal) == _bits(want)
@@ -449,7 +483,7 @@ def test_first_node_takes_the_lowest_colors_and_m_counts_the_held(inputs):
     # takes colors 0..q-1; each node holds exactly its quota, and assoc.m
     # counts the held colors from the table
     graph, m, gains, powers, r = inputs
-    state = color(graph, m, gains, powers, r)
+    state = color(graph, r)
     first = state.order[0]
     assert state.assoc.c[first].nonzero()[0].tolist() == list(range(m[first]))
     assert state.assoc.m.dtype == np.int64

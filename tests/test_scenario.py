@@ -324,8 +324,31 @@ class TestInvariantChecks:
             manual_scenario([(0.0, 0.0)], [(1.0, 0.0), (2.0, 0.0)])
 
     def test_bad_radio_rejected(self):
-        with pytest.raises(InvalidConfig):
-            RadioParams(bandwidth_hz=20e6, num_prbs=0, noise_per_prb_w=1e-13)
+        # unchecked, an infinite noise priced every scheme all local, a
+        # fractional block count failed in the PRB tables, and a nan was
+        # blamed on the link budget
+        good = dict(bandwidth_hz=20e6, num_prbs=100, noise_per_prb_w=1e-13)
+        bad = [
+            ("num_prbs", 0), ("num_prbs", 2.5), ("num_prbs", True),
+            ("bandwidth_hz", math.nan), ("bandwidth_hz", math.inf),
+            ("noise_per_prb_w", math.nan), ("noise_per_prb_w", math.inf),
+        ]
+        for name, value in bad:
+            with pytest.raises(InvalidConfig, match=f"{name} must be"):
+                RadioParams(**{**good, name: value})
+        assert RadioParams(**{**good, "num_prbs": np.int64(100)}).prb_bandwidth_hz == 2e5
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "name", ["mec_capacity_hz", "reuse_lambda", "edge_threshold", "shadowing_db"]
+    )
+    def test_non_finite_scalar_rejected(self, name, value):
+        # unchecked, a nan reuse_lambda failed a cast in normalize_prbs, an
+        # infinite server budget printed inf CPU, a nan one priced every UE
+        # local, and a nan shadowing_db meant no shadowing
+        s = build_scenario(ScenarioConfig(), 0)
+        with pytest.raises(InvalidConfig, match=f"{name} must be finite"):
+            replace(s, **{name: value})
 
     def test_mismatched_column_rejected(self):
         s = manual_scenario([(0.0, 0.0)] * 2, [(1.0, 0.0)] * 2)
