@@ -75,7 +75,9 @@ class PrbAssociation:
 
     @classmethod
     def empty(cls, n: int, k: int) -> "PrbAssociation":
-        return cls(c=np.zeros((n, k), dtype=np.int64))
+        assoc = cls(c=np.zeros((n, k), dtype=np.int64))
+        object.__setattr__(assoc, "m", np.zeros(n, dtype=np.int64))  # no N x K row sum
+        return assoc
 
 
 def per_prb_power(c: PrbAssociation, powers) -> np.ndarray:

@@ -76,12 +76,14 @@ class Ue:
 _POSITIVE = ("tx_power_w", "input_bits", "cycles", "local_speed_hz", "energy_coeff")
 _WEIGHTS = ("w_t", "w_e")
 _COLUMNS = _POSITIVE + _WEIGHTS
+_POSITIONS = ("cell_xy", "ue_xy")
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Immutable snapshot of one deployment: UE n is served by cell n, and
-    the UE inputs are read-only numpy columns indexed by UE id."""
+    the UE inputs are read-only numpy columns indexed by UE id. A scenario
+    from build_scenario draws its positions on their first read."""
 
     cell_xy: np.ndarray  # (N, 2) SeNB positions, m
     ue_xy: np.ndarray  # (N, 2) UE positions, m
@@ -101,19 +103,14 @@ class Scenario:
     pl_exponent: float
     shadowing_db: float
 
+    # build_scenario's draw_positions arguments (area_m, ue_radius_m, seed, n_cells)
+    _geometry: tuple | None = field(default=None, init=False, repr=False)
+
     def __post_init__(self):
         n = np.shape(self.cell_xy)[:1]  # one UE per cell
         if n == (0,):
             raise InvalidConfig("n_cells must be >= 1")
-        for name in ("cell_xy", "ue_xy"):
-            # column-major, so each coordinate is a contiguous column
-            xy = np.array(getattr(self, name), dtype=float, order="F")
-            if xy.shape != n + (2,):
-                raise InvalidConfig(f"{name} has shape {xy.shape}, expected {n + (2,)}")
-            if not np.isfinite(xy).all():
-                raise InvalidConfig(f"{name} must be finite")
-            xy.setflags(write=False)
-            object.__setattr__(self, name, xy)
+        self._set_positions(self.cell_xy, self.ue_xy, n)
         # the per-UE columns are the rows of one table, checked a pass per rule
         table = np.empty((len(_COLUMNS),) + n)
         for row, name in zip(table, _COLUMNS):
@@ -121,6 +118,35 @@ class Scenario:
             if column.shape != n:
                 raise InvalidConfig(f"{name} has shape {column.shape}, expected {n}")
             row[...] = column
+        self._set_inputs(table)
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: a position of a
+        # scenario from build_scenario before its first read
+        if name not in _POSITIONS or self._geometry is None:
+            raise AttributeError(name)
+        # draw_positions is a module lookup, so it can be wrapped
+        self._set_positions(*draw_positions(*self._geometry), (self._geometry[-1],))
+        return self.__dict__[name]
+
+    def _set_positions(self, cell_xy, ue_xy, n: tuple[int]) -> None:
+        """Check the positions' shape and finiteness and keep them read-only."""
+        checked = []
+        for name, value in zip(_POSITIONS, (cell_xy, ue_xy)):
+            # column-major, so each coordinate is a contiguous column
+            xy = np.array(value, dtype=float, order="F")
+            if xy.shape != n + (2,):
+                raise InvalidConfig(f"{name} has shape {xy.shape}, expected {n + (2,)}")
+            if not np.isfinite(xy).all():
+                raise InvalidConfig(f"{name} must be finite")
+            xy.setflags(write=False)
+            checked.append(xy)
+        for name, xy in zip(_POSITIONS, checked):
+            object.__setattr__(self, name, xy)
+
+    def _set_inputs(self, table: np.ndarray) -> None:
+        """Check the (len(_COLUMNS), N) column table and the scalars, and
+        keep the table's rows as the read-only per-UE columns."""
         positive = table[: len(_POSITIVE)]
         bad = ~((positive > 0) & (positive < math.inf)).all(axis=1)
         if bad.any():
@@ -136,6 +162,9 @@ class Scenario:
         for name, in_range, bound in (
             ("mec_capacity_hz", 0 < self.mec_capacity_hz < math.inf, "positive"),
             ("reuse_lambda", 1 <= self.reuse_lambda < math.inf, ">= 1"),
+            # normalize_prbs scales the quotas by it
+            ("reuse_lambda * num_prbs", self.reuse_lambda * self.radio.num_prbs < math.inf,
+             "positive"),
             ("edge_threshold", 0 < self.edge_threshold < math.inf, "positive"),
             ("shadowing_db", 0 <= self.shadowing_db < math.inf, ">= 0"),
         ):
@@ -355,49 +384,58 @@ def load_config(path: str) -> ScenarioConfig:
 
 
 def build_scenario(config: ScenarioConfig, seed: int | None = None) -> Scenario:
-    """Draw a deployment: SeNBs uniform in the square, one UE per cell.
+    """A deployment of config.n_cells cells, one UE per cell, whose
+    positions are draw_positions(area_m, ue_radius_m, seed, n_cells).
 
-    UE offsets are uniform over the annulus [1 m, ue_radius_m] around the
-    serving SeNB. All draws come from one PCG64 generator seeded by `seed`
-    (falling back to config.seed), so equal inputs give equal scenarios.
+    `seed` falls back to config.seed, so equal inputs give equal scenarios.
+    The per-UE columns and the scalars are checked here; the positions are
+    drawn, and checked, on the first read of cell_xy or ue_xy, so a cell
+    that never reads its gain matrix draws none.
     """
     if seed is None:
         seed = config.seed
     if seed < 0:
         raise InvalidConfig(f"seed must be >= 0, got {seed}")
     n = config.n_cells
-    rng = np.random.default_rng(seed)
-
-    cell_xy = rng.uniform(0.0, config.area_m, size=(n, 2))
-    r_min = min(1.0, config.ue_radius_m)
-    radius = np.sqrt(rng.uniform(r_min**2, config.ue_radius_m**2, size=n))
-    angle = rng.uniform(0.0, 2 * np.pi, size=n)
-    ue_xy = cell_xy + np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
-
     radio = RadioParams(
         bandwidth_hz=config.bandwidth_hz,
         num_prbs=config.num_prbs,
         noise_per_prb_w=config.noise_per_prb_w,
     )
-    return Scenario(
-        cell_xy=cell_xy,
-        ue_xy=ue_xy,
-        tx_power_w=np.full(n, config.tx_power_w, dtype=float),
-        input_bits=np.full(n, config.input_bits, dtype=float),
-        cycles=np.full(n, config.task_cycles, dtype=float),
-        local_speed_hz=np.full(n, config.local_speed_hz, dtype=float),
-        w_t=np.full(n, config.gamma_t, dtype=float),
-        w_e=np.full(n, config.gamma_e, dtype=float),
-        energy_coeff=np.full(n, config.energy_coeff, dtype=float),
-        radio=radio,
-        mec_capacity_hz=config.mec_capacity_hz,
-        reuse_lambda=config.reuse_lambda,
-        edge_threshold=config.edge_threshold,
-        seed=seed,
-        pl0_db=config.pl0_db,
-        pl_exponent=config.pl_exponent,
+    s = object.__new__(Scenario)  # no positions yet: __getattr__ draws them
+    s.__dict__.update(
+        radio=radio, mec_capacity_hz=config.mec_capacity_hz,
+        reuse_lambda=config.reuse_lambda, edge_threshold=config.edge_threshold,
+        seed=seed, pl0_db=config.pl0_db, pl_exponent=config.pl_exponent,
         shadowing_db=config.shadowing_db,
+        _geometry=(config.area_m, config.ue_radius_m, seed, n),
     )
+    # the per-UE columns, in _COLUMNS order, each one config value
+    values = (
+        config.tx_power_w, config.input_bits, config.task_cycles, config.local_speed_hz,
+        config.energy_coeff, config.gamma_t, config.gamma_e,
+    )
+    table = np.empty((len(_COLUMNS), n))
+    table[...] = np.array(values, dtype=float)[:, None]
+    s._set_inputs(table)
+    return s
+
+
+def draw_positions(area_m: float, ue_radius_m: float, seed: int, n: int):
+    """The (cell_xy, ue_xy) of build_scenario's deployment, unchecked.
+
+    SeNBs are uniform in the square [0, area_m]^2, and each UE uniform over
+    the annulus [1 m, ue_radius_m] around its serving SeNB (from 0 m when
+    ue_radius_m < 1). The draws come from one PCG64 generator seeded by
+    `seed`: the SeNB coordinates, then the radii, then the angles.
+    """
+    rng = np.random.default_rng(seed)
+    cell_xy = rng.uniform(0.0, area_m, size=(n, 2))
+    r_min = min(1.0, ue_radius_m)
+    radius = np.sqrt(rng.uniform(r_min**2, ue_radius_m**2, size=n))
+    angle = rng.uniform(0.0, 2 * np.pi, size=n)
+    ue_xy = cell_xy + np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    return cell_xy, ue_xy
 
 
 def channel_gains(s: Scenario) -> ChannelGains:

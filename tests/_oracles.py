@@ -47,6 +47,20 @@ def expression_gains(s) -> np.ndarray:
         return 10.0 ** (-pl / 10.0)
 
 
+def eager_positions(config, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cell_xy, ue_xy) as build_scenario drew them before a scenario drew
+    its positions on first read: the same generator, draws and arithmetic
+    in C order, so scenario.draw_positions must agree bit for bit."""
+    n = config.n_cells
+    rng = np.random.default_rng(seed)
+    cell_xy = rng.uniform(0.0, config.area_m, size=(n, 2))
+    r_min = min(1.0, config.ue_radius_m)
+    radius = np.sqrt(rng.uniform(r_min**2, config.ue_radius_m**2, size=n))
+    angle = rng.uniform(0.0, 2 * np.pi, size=n)
+    ue_xy = cell_xy + np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    return cell_xy, ue_xy
+
+
 def brute_interference(c: np.ndarray, h: np.ndarray, powers) -> np.ndarray:
     """o[n, k] = sum over m != n of c[m,k] * (P_m / M_m) * h[m, n]."""
     n_ues, k = c.shape

@@ -156,6 +156,55 @@ def test_tracer_hooks_never_build_a_slow_server_gain_matrix(monkeypatch):
     assert tracer.snapshot()["decision_engine.run_scheme.calls"] == cells * len(SCHEME_NAMES) > 0
 
 
+def test_forced_local_cells_never_draw_their_positions(monkeypatch):
+    # only the gain matrix reads the positions, and nothing reads a gain of
+    # a cell with no candidate, tracer hooks included; the bench's checks
+    # run after the timed cell and read s.ues, which draws them
+    def refuse(*args):
+        raise AssertionError("a forced-local cell drew its positions")
+
+    monkeypatch.setattr(mecoffload.scenario, "draw_positions", refuse)
+    forced = [({"n_cells": 160, "mec_ghz": ghz}, range(2)) for ghz in (25.0, 50.0, 100.0)]
+    forced.append(({"n_cells": 9, "mec_ghz": 5.0}, range(2)))
+    tracer = load("tracer").Tracer(mecoffload)
+    tracer.install()
+    run = mecoffload.decision_engine.run_scheme
+    try:
+        for overrides, seeds in forced:
+            cfg = ScenarioConfig().with_overrides(**overrides)
+            for seed in seeds:
+                tracer.start_cell()
+                s = mecoffload.scenario.build_scenario(cfg, seed=seed)
+                g = mecoffload.scenario.channel_gains(s)
+                outcomes = [run(name, s, g) for name in SCHEME_NAMES]
+                assert all(out.decision.n_offload == 0 and out.feasible for out in outcomes)
+                assert not mecoffload.estimate_loads(s, g).offloadable.any()
+    finally:
+        tracer.uninstall()
+    cells = sum(len(seeds) for _, seeds in forced)
+    assert tracer.snapshot()["decision_engine.run_scheme.calls"] == cells * len(SCHEME_NAMES)
+
+
+def test_a_cell_with_candidates_draws_its_positions_once(monkeypatch):
+    draws = []
+    draw = mecoffload.scenario.draw_positions
+    monkeypatch.setattr(mecoffload.scenario, "draw_positions",
+                        lambda *args: draws.append(args) or draw(*args))
+    s = mecoffload.scenario.build_scenario(ScenarioConfig(), seed=0)
+    g = mecoffload.scenario.channel_gains(s)
+    assert draws == []
+    tracer = load("tracer").Tracer(mecoffload)
+    tracer.install()
+    try:
+        tracer.start_cell()
+        for name in SCHEME_NAMES:
+            mecoffload.decision_engine.run_scheme(name, s, g)
+    finally:
+        tracer.uninstall()
+    assert mecoffload.estimate_loads(s, g).offloadable.any()
+    assert draws == [(120.0, 20.0, 0, 9)]
+
+
 def test_no_candidate_cell_makes_one_evaluate_inside_greedy():
     # mec_ghz 5 forces every UE local: each pipeline scheme still runs its
     # one path, pricing the all-local guess once inside greedy_reallocate

@@ -75,6 +75,14 @@ class TestOffloadDecision:
             getattr(d, flip)(ue)
 
 
+class TestPrbAssociation:
+    def test_empty_row_sums_match_the_zero_table(self):
+        assoc = PrbAssociation.empty(3, 4)
+        want = assoc.c.sum(axis=1)
+        assert assoc.m.dtype == want.dtype and np.array_equal(assoc.m, want)
+        assert not assoc.c.any() and assoc.m is assoc.m
+
+
 class TestPerPrbPower:
     def test_split_and_idle(self):
         c = PrbAssociation(c=np.array([[1, 1, 0], [0, 0, 0]]))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -21,11 +22,12 @@ from mecoffload.scenario import (
     build_scenario,
     channel_gains,
     config_from_dict,
+    draw_positions,
     load_config,
     tx_powers,
 )
 
-from _oracles import expression_gains, path_loss_db
+from _oracles import eager_positions, expression_gains, path_loss_db
 
 
 # every per-UE column of a Scenario
@@ -292,6 +294,7 @@ class TestGains:
 
     def test_drawn_gains_are_read_only_without_a_copy(self, monkeypatch):
         s = build_scenario(ScenarioConfig(), seed=0)
+        s.ue_xy  # draws the positions, which copies them into column-major arrays
         copies = []
         array = np.array
         monkeypatch.setattr(np, "array", lambda *a, **kw: copies.append(a) or array(*a, **kw))
@@ -350,6 +353,14 @@ class TestInvariantChecks:
         with pytest.raises(InvalidConfig, match=f"{name} must be finite"):
             replace(s, **{name: value})
 
+    def test_overflowing_prb_scale_rejected(self):
+        # as ScenarioConfig rejects it; unchecked, normalize_prbs overflowed
+        # scaling the quotas to reuse_lambda * num_prbs
+        s = build_scenario(ScenarioConfig(), 0)
+        with pytest.raises(InvalidConfig, match=r"reuse_lambda \* num_prbs must be finite"):
+            replace(s, reuse_lambda=1e308)
+        replace(s, reuse_lambda=1e300)  # 1e302 is finite
+
     def test_mismatched_column_rejected(self):
         s = manual_scenario([(0.0, 0.0)] * 2, [(1.0, 0.0)] * 2)
         with pytest.raises(InvalidConfig, match="cycles"):
@@ -395,6 +406,83 @@ class TestInvariantChecks:
         positions[1] = (value, 0.0)
         with pytest.raises(InvalidConfig, match=f"{column} must be finite"):
             manual_scenario(cells, ue_positions=ues)
+
+    @pytest.mark.parametrize("name, bad, message", [
+        ("cell_xy", lambda xy: np.full_like(xy, math.nan), "cell_xy must be finite"),
+        ("ue_xy", lambda xy: xy[1:], r"ue_xy has shape \(2, 2\), expected \(3, 2\)"),
+    ])
+    def test_drawn_positions_are_checked_at_the_draw(self, monkeypatch, name, bad, message):
+        def broken(*args):
+            cell_xy, ue_xy = draw_positions(*args)
+            return (bad(cell_xy), ue_xy) if name == "cell_xy" else (cell_xy, bad(ue_xy))
+
+        monkeypatch.setattr("mecoffload.scenario.draw_positions", broken)
+        s = build_scenario(ScenarioConfig(n_cells=3), seed=0)
+        for read in ("cell_xy", "ue_xy"):
+            with pytest.raises(InvalidConfig, match=message):
+                getattr(s, read)
+        with pytest.raises(InvalidConfig, match=message):
+            channel_gains(s).h
+
+
+@st.composite
+def geometry_configs(draw):
+    """Configs of 1 to 200 cells over squares from 1 mm to 1000 km wide,
+    with UE radii below 1 m (the annulus then starts at 0 m) and above."""
+    return ScenarioConfig(
+        n_cells=draw(st.integers(1, 200)),
+        area_m=draw(st.floats(1e-3, 1e6)),
+        ue_radius_m=draw(st.one_of(
+            st.floats(1e-6, 1.0, exclude_max=True), st.floats(1.0, 1e4),
+        )),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+def same_bits(xy, want) -> bool:
+    return xy.shape == want.shape and np.ascontiguousarray(xy).tobytes() == want.tobytes()
+
+
+class TestDeferredPositions:
+    @settings(max_examples=60)
+    @given(geometry_configs(), st.booleans())
+    @example(ScenarioConfig(n_cells=1, ue_radius_m=0.5), True)
+    @example(ScenarioConfig(n_cells=200, ue_radius_m=1.0), False)
+    def test_equal_an_eager_draw_bit_for_bit(self, cfg, gains_first):
+        want = eager_positions(cfg, cfg.seed)
+        s = build_scenario(cfg)
+        if gains_first:
+            channel_gains(s).h  # the gain matrix draws them
+        for name, ref in zip(("cell_xy", "ue_xy"), want):
+            xy = getattr(s, name)
+            assert same_bits(xy, ref), name
+            assert xy.flags.f_contiguous and not xy.flags.writeable, name
+            assert getattr(s, name) is xy, name  # drawn once
+        if not gains_first:
+            assert np.array_equal(channel_gains(s).h, expression_gains(s))
+
+    @settings(max_examples=30)
+    @given(geometry_configs(), st.booleans())
+    @example(ScenarioConfig(n_cells=1, ue_radius_m=0.5), False)
+    def test_survive_replace_and_pickle_before_and_after_the_draw(self, cfg, drawn):
+        want = eager_positions(cfg, cfg.seed)
+        for round_trip in (replace, lambda s: pickle.loads(pickle.dumps(s))):
+            s = build_scenario(cfg)
+            if drawn:
+                s.ue_xy
+            copy = round_trip(s)
+            for name, ref in zip(("cell_xy", "ue_xy"), want):
+                for xy in (getattr(copy, name), getattr(s, name)):
+                    assert same_bits(xy, ref), name
+                    assert xy.flags.f_contiguous, name
+            assert copy.seed == s.seed and np.array_equal(copy.cycles, s.cycles)
+
+    def test_a_pickled_scenario_carries_no_positions_before_the_draw(self):
+        s = build_scenario(ScenarioConfig(n_cells=50), seed=4)
+        copy = pickle.loads(pickle.dumps(s))
+        assert not {"cell_xy", "ue_xy"} & set(vars(copy))
+        assert same_bits(copy.ue_xy, eager_positions(ScenarioConfig(n_cells=50), 4)[1])
+        assert not copy.ue_xy.flags.writeable
 
 
 @st.composite
