@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .radio import shannon
-from .scenario import ChannelGains, RadioParams, Scenario
+from .scenario import ChannelGains, RadioParams, Scenario, _read_only_state
 
 # entries per block of the min_prbs table (512 KB): beside its n-entry result,
 # a call holds one block's table and flags, so its peak does not grow with n
@@ -57,6 +57,8 @@ class Loads:
     def __post_init__(self):
         for column in vars(self).values():
             column.setflags(write=False)
+
+    __setstate__ = _read_only_state
 
     def __len__(self) -> int:
         return len(self.w)

@@ -72,6 +72,14 @@ class Ue:
     energy_coeff_j_per_cycle: float
 
 
+def _read_only_state(self, state: dict) -> None:
+    # a __setstate__: pickle does not keep numpy's read-only flag
+    for value in state.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    self.__dict__.update(state)
+
+
 # Scenario's per-UE columns: finite and positive, and the weights in [0,1]
 _POSITIVE = ("tx_power_w", "input_bits", "cycles", "local_speed_hz", "energy_coeff")
 _WEIGHTS = ("w_t", "w_e")
@@ -128,6 +136,8 @@ class Scenario:
         # draw_positions is a module lookup, so it can be wrapped
         self._set_positions(*draw_positions(*self._geometry), (self._geometry[-1],))
         return self.__dict__[name]
+
+    __setstate__ = _read_only_state
 
     def _set_positions(self, cell_xy, ue_xy, n: tuple[int]) -> None:
         """Check the positions' shape and finiteness and keep them read-only."""
@@ -193,12 +203,13 @@ class Scenario:
 class ChannelGains:
     """Linear power gains; h[m, n] is UE m heard at SeNB n.
 
-    h is read-only: an array that owns its data and is already read-only
-    is kept, anything else is copied, so a caller's array is never frozen.
-    Gains made by channel_gains(s) may have no h until it is first read,
-    which fills it with gain_matrix(s). One gains object is shared by every
-    scheme of a cell, and it carries that cell's sizing pass
-    (decision_engine.cell_plan) in a private slot.
+    h is read-only: a hand-built ChannelGains keeps a read-only copy of its
+    array, so a caller's array is never frozen. Gains made by
+    channel_gains(s) have no h until it is first read, which fills it with
+    gain_matrix(s) and checks it (_check_link_budget). One gains object is
+    shared by every scheme of a cell, and it carries that cell's sizing
+    pass (decision_engine.cell_plan) in a private slot, which a pickle
+    leaves out: the plan is rebuilt on first use.
     """
 
     h: np.ndarray
@@ -206,19 +217,23 @@ class ChannelGains:
     _scenario: Scenario | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        h = self.h
-        if not (isinstance(h, np.ndarray) and h.flags.owndata and not h.flags.writeable):
-            h = np.array(h)
-            h.setflags(write=False)
-            object.__setattr__(self, "h", h)
+        h = np.array(self.h)
+        h.setflags(write=False)
+        object.__setattr__(self, "h", h)
 
     def __getattr__(self, name):
         # reached only for an attribute the instance lacks: h before its fill
         if name != "h" or self._scenario is None:
             raise AttributeError(name)
         h = gain_matrix(self._scenario)  # a module lookup, so it can be wrapped
+        _check_link_budget(self._scenario, h)
         object.__setattr__(self, "h", h)
         return h
+
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if k != "_plan"}
+
+    __setstate__ = _read_only_state
 
 
 @dataclass(frozen=True)
@@ -439,18 +454,15 @@ def draw_positions(area_m: float, ue_radius_m: float, seed: int, n: int):
 
 
 def channel_gains(s: Scenario) -> ChannelGains:
-    """Linear gain matrix h[m, n] from UE m to SeNB n, as gain_matrix(s).
+    """The gains of s, whose h is gain_matrix(s), filled on its first read.
 
     A path loss may overflow to inf and a gain underflow to 0 (no link),
-    but every received SNR and the rate bound must be finite
-    (_check_link_budget). h is filled on its first read, so a cell that
-    never reads it builds no N x N array, when _link_budget_clear(s)
-    proves the check would pass; otherwise it is filled and checked here.
+    but every received SNR and the rate bound must be finite: the fill
+    raises InvalidConfig otherwise (_check_link_budget). A cell that never
+    reads h builds no N x N array and is not checked.
     """
     gains = object.__new__(ChannelGains)  # no h yet: __getattr__ fills it
     object.__setattr__(gains, "_scenario", s)
-    if not _link_budget_clear(s):
-        _check_link_budget(s, gains.h)
     return gains
 
 
@@ -492,31 +504,6 @@ def gain_matrix(s: Scenario) -> np.ndarray:
         np.power(10.0, h, out=h)
     h.setflags(write=False)  # fresh and ours: read-only without a copy
     return h
-
-
-def _link_budget_clear(s: Scenario) -> bool:
-    """True when _check_link_budget must pass on gain_matrix(s): proved in
-    plain floats from the 1 m gain, without building the matrix.
-
-    Without shadowing, and with a slope 10 * pl_exponent in (0, inf), every
-    path loss is at least pl0_db (a zero slope times an overflowed log10
-    would be nan). Each later float step is monotone and pow errs by a few
-    ulps at most, so twice the 1 m gain 10 ** (-pl0_db / 10) bounds every
-    normal gain, and the smallest normal float every subnormal one. The SNR
-    bound takes the check's order of operations, and fl(P * x / noise) is
-    monotone in P and x, so no received SNR passes it. The rate bound is
-    doubled to cover log2's error. An overflow or a nan means not clear.
-    """
-    slope = 10.0 * s.pl_exponent
-    if s.shadowing_db > 0 or not 0.0 < slope < math.inf:
-        return False
-    try:
-        gain = max(2.0 * 10.0 ** (-s.pl0_db / 10.0), sys.float_info.min)
-    except OverflowError:
-        return False
-    snr = float(s.tx_power_w.max()) * gain / s.radio.noise_per_prb_w
-    rate_bound = 2.0 * s.n_cells * s.radio.bandwidth_hz * math.log2(1.0 + snr)
-    return rate_bound < math.inf
 
 
 def _check_link_budget(s: Scenario, h: np.ndarray) -> None:

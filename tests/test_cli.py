@@ -308,6 +308,27 @@ class TestExitCodes:
             code, out, err = run_cli(capsys, ["run", "--config", str(path), "--scheme", "all"])
             assert code == 2 and "config error" in err and out == "", example
 
+    @pytest.mark.parametrize("overrides", [{"tx_power_mw": 1e308}, {"shadowing_db": 1e308}])
+    def test_a_forced_local_cell_builds_no_gain_and_is_not_checked(
+        self, capsys, tmp_path, monkeypatch, overrides
+    ):
+        # the link budget is checked where the gain matrix is built; a
+        # 1 GHz server forces all nine UEs local, so no rate is priced and
+        # the gains that would fail the check are never built
+        def no_gains(s):
+            raise AssertionError("gain_matrix called")
+
+        monkeypatch.setattr("mecoffload.scenario.gain_matrix", no_gains)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**overrides, "mec_ghz": 1}))
+        code, out, err = run_cli(capsys, ["run", "--config", str(path), "--scheme", "all"])
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in csv_lines(out)[1:]]
+        assert [row[2] for row in rows] == ALL_SORTED
+        assert len({tuple(row[5:]) for row in rows}) == 1  # one all-local outcome
+        assert float(rows[0][5]) == pytest.approx(6.450621428571429, rel=1e-12)
+        assert rows[0][6:] == ["0", "0.0", "0.0", "0", "0"]
+
     def test_unwritable_output_is_output_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.csv"
         code, out, err = run_cli(capsys, ["run", "--output", str(target)])

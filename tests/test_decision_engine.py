@@ -403,7 +403,11 @@ class TestRunScheme:
             raise AssertionError("a forced-local cell built its gain matrix")
 
         monkeypatch.setattr(scenario, "gain_matrix", refuse)
-        for s, gains in (built(n=160, mec_ghz=50.0), built(n=9, mec_ghz=5.0)):
+        forced = (
+            built(n=160, mec_ghz=50.0), built(n=9, mec_ghz=5.0),
+            built(n=9, mec_ghz=5.0, shadowing_db=8.0),
+        )
+        for s, gains in forced:
             for name in SCHEME_NAMES:
                 assert run_scheme(name, s, gains).decision.n_offload == 0
         assert main("sweep --scheme all --vary mec_ghz --values 5 --seeds 0..2".split()) == 0
@@ -413,7 +417,7 @@ class TestRunScheme:
         calls = []
         fill = scenario.gain_matrix
         monkeypatch.setattr(scenario, "gain_matrix", lambda s: calls.append(s) or fill(s))
-        # shadowing on fills the matrix eagerly, inside channel_gains
+        # with shadowing on or off, at the first read of gains.h
         cells = [dict(n=n, seed=seed) for n in (3, 9) for seed in range(3)]
         for overrides in cells + [dict(shadowing_db=8.0)]:
             s, gains = built(**overrides)

@@ -21,6 +21,9 @@ import numpy as np
 import pytest
 
 from mecoffload import cli
+from mecoffload.decision_engine import run_scheme
+from mecoffload.radio import OffloadDecision
+from mecoffload.scenario import ScenarioConfig, build_scenario, channel_gains
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 REL_TOL = 1e-12
@@ -45,8 +48,8 @@ OUTPUTS = {
         "sweep", "--config", os.path.join(GOLDEN, "narrow_band.json"),
         "--scheme", "all", "--vary", "cells", "--values", "1,3,9", "--seeds", "0..9",
     ],
-    # 80 cells, server scaled to them: the repair loop drops UEs (seed 0:
-    # 2 per pipeline scheme; equal_cpu also on seeds 3 and 4)
+    # 80 cells, server scaled to them: the repair loop drops UEs on seeds
+    # 0, 3 and 4 (test_repair_loop_drops_pinned_counts)
     "sweep_repair.csv": [
         "sweep", "--config", os.path.join(GOLDEN, "cells80.json"),
         "--scheme", "all", "--vary", "mec_ghz", "--values", "888.8888888888889",
@@ -114,6 +117,31 @@ def test_output_matches_golden(name):
         for a, b in zip(gf, wf):
             assert _same_field(a, b), f"{name}:{lineno}: {a} != {b}"
     assert digests == _read(name + ".sha256").split()
+
+
+# repair drops of sweep_repair.csv's cells, per seed: (proposed_minmax,
+# proposed_minsum, equal_cpu)
+REPAIR_DROPS = {0: (2, 2, 2), 1: (0, 0, 0), 2: (0, 0, 0), 3: (1, 1, 1), 4: (0, 0, 4)}
+
+
+def test_repair_loop_drops_pinned_counts(monkeypatch):
+    # only greedy_reallocate's repair loop calls flip_off: this pins that
+    # the golden cells run it, and how often
+    calls = []
+    flip_off = OffloadDecision.flip_off
+    monkeypatch.setattr(
+        OffloadDecision, "flip_off", lambda self, n: calls.append(n) or flip_off(self, n)
+    )
+    cfg = ScenarioConfig(n_cells=80, mec_ghz=888.8888888888889)
+    for seed, want in REPAIR_DROPS.items():
+        s = build_scenario(cfg, seed)
+        gains = channel_gains(s)
+        got = []
+        for scheme in ("proposed_minmax", "proposed_minsum", "equal_cpu"):
+            calls.clear()
+            run_scheme(scheme, s, gains)
+            got.append(len(calls))
+        assert tuple(got) == want, seed
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ import dataclasses
 import io
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -159,6 +160,50 @@ def test_schemes_sharing_a_cell_match_fresh_runs(n_cells, reuse_lambda, mec_ghz,
     for name in SCHEME_NAMES:
         fresh_s = build_scenario(cfg, seed=seed)
         assert_same_outcome(shared[name], run_scheme(name, fresh_s, channel_gains(fresh_s)))
+
+
+def assert_read_only(*objects):
+    """Every array attribute of each object is read-only."""
+    for obj in objects:
+        for name, value in vars(obj).items():
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, (type(obj).__name__, name)
+
+
+# a 0.5 GHz server forces every UE local; the others have candidates
+_CELLS = {"forced_local": {"mec_ghz": 0.5}, "candidate": {}, "shadowed": {"shadowing_db": 8.0}}
+
+
+@settings(max_examples=40)
+@given(
+    cell=st.sampled_from(sorted(_CELLS)),
+    n_cells=st.integers(1, 12),
+    stage=st.sampled_from(("built", "drawn", "filled", "run")),
+    seed=st.integers(0, 10_000),
+)
+@example(cell="candidate", n_cells=9, stage="run", seed=0)
+def test_a_pickled_cell_stays_read_only_and_runs_the_same(cell, n_cells, stage, seed):
+    # pickle drops numpy's read-only flag, and the cell's plan holds a
+    # mappingproxy, which does not pickle: the copies freeze their arrays
+    # again and rebuild the plan
+    s = build_scenario(ScenarioConfig(n_cells=n_cells, **_CELLS[cell]), seed=seed)
+    gains = channel_gains(s)
+    if stage != "built":
+        s.ue_xy
+    if stage in ("filled", "run"):
+        gains.h
+    if stage == "run":
+        for name in SCHEME_NAMES:
+            run_scheme(name, s, gains)
+    copy_s, copy_gains = pickle.loads(pickle.dumps((s, gains)))
+    assert copy_gains._scenario is copy_s and copy_gains._plan is None
+    assert_read_only(copy_s, copy_gains)
+    loads = estimate_loads(copy_s, copy_gains)
+    assert loads.forced_local.all() == (cell == "forced_local")
+    assert_read_only(copy_s, copy_gains, loads, pickle.loads(pickle.dumps(loads)))
+    for name in SCHEME_NAMES:
+        assert_same_outcome(run_scheme(name, copy_s, copy_gains), run_scheme(name, s, gains))
+    assert_read_only(copy_s, copy_gains)
 
 
 @settings(max_examples=60)

@@ -313,12 +313,11 @@ class TestGains:
         assert not g.h.flags.writeable
         arr[0, 0] = 1.0
         assert g.h[0, 0] == 1e-10
-        # a read-only view of a writable array is copied too
+        # a read-only array is copied too, whether a view or its own data
         view = arr.view()
         view.setflags(write=False)
         assert ChannelGains(h=view).h is not view
-        # a read-only array that owns its data is kept as it is
-        assert ChannelGains(h=g.h).h is g.h
+        assert ChannelGains(h=g.h).h is not g.h
 
 
 class TestInvariantChecks:
@@ -502,9 +501,9 @@ def gain_configs(draw):
 @st.composite
 def budget_configs(draw):
     """Configs whose 1 m SNR or rate bound lies near a float overflow, or
-    anywhere, with shadowing off or on: channel_gains takes either path,
-    and either link-budget check, both or neither fail. A 0.5 m UE radius
-    clamps every serving link to the 1 m gain."""
+    anywhere, with shadowing off or on: either link-budget check, both or
+    neither fail. A 0.5 m UE radius clamps every serving link to the 1 m
+    gain."""
     n_cells = draw(st.integers(1, 30))
     tx_power_mw = 10.0 ** draw(st.floats(-3.0, 308.0))
     noise_dbm = draw(st.floats(-3000.0, 3000.0))
@@ -532,9 +531,9 @@ def budget_configs(draw):
 
 
 def link_budget_verdict(s, h):
-    """What channel_gains must reject, priced over the whole gain matrix:
-    the start of its message, or None when every SNR and the rate bound
-    are finite."""
+    """What the fill of channel_gains(s).h must reject, priced over the
+    whole gain matrix: the start of its message, or None when every SNR
+    and the rate bound are finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         snr = s.tx_power_w[:, None] * h / s.radio.noise_per_prb_w
         bound = s.n_cells * s.radio.bandwidth_hz * np.log2(1.0 + snr.max())
@@ -594,15 +593,16 @@ class TestGainsInPlace:
                 tracemalloc.stop()
             h_bytes = s.n_cells**2 * np.dtype(float).itemsize
             assert h_bytes <= peak < 2 * h_bytes, shadowing_db
-        # with shadowing off the matrix waits for its first read
-        s = build_scenario(ScenarioConfig(n_cells=500))
-        tracemalloc.start()
-        try:
-            channel_gains(s)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < h_bytes / 10
+        # with shadowing on or off the matrix waits for its first read
+        for shadowing_db in (0.0, 8.0):
+            s = build_scenario(ScenarioConfig(n_cells=500, shadowing_db=shadowing_db))
+            tracemalloc.start()
+            try:
+                channel_gains(s)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < h_bytes / 10, shadowing_db
 
     @settings(max_examples=300)
     @given(link_budgets())
@@ -630,7 +630,7 @@ class TestGainsInPlace:
             assert channel_gains(s).h.tobytes() == want.tobytes()
         else:
             with pytest.raises(InvalidConfig, match=f"^{verdict}"):
-                channel_gains(s)
+                channel_gains(s).h
 
     @pytest.mark.parametrize("overrides, verdict", [
         ({"tx_power_mw": 1e308}, "a received SNR"),
@@ -642,4 +642,25 @@ class TestGainsInPlace:
         s = build_scenario(ScenarioConfig(**overrides))
         assert link_budget_verdict(s, expression_gains(s)) == verdict
         with pytest.raises(InvalidConfig, match=f"^{verdict}"):
-            channel_gains(s)
+            channel_gains(s).h
+
+    def test_each_fill_checks_once_and_keeps_no_rejected_matrix(self, monkeypatch):
+        checked = []
+        check = _check_link_budget
+        monkeypatch.setattr(
+            "mecoffload.scenario._check_link_budget",
+            lambda s, h: checked.append(h) or check(s, h),
+        )
+        gains = channel_gains(build_scenario(ScenarioConfig()))
+        assert checked == []  # binding the gains checks nothing
+        h = gains.h
+        assert gains.h is h and len(checked) == 1 and checked[0] is h
+        checked.clear()
+        gains = channel_gains(build_scenario(ScenarioConfig(tx_power_mw=1e308)))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(InvalidConfig, match="^a received SNR") as exc:
+                gains.h
+            assert "h" not in vars(gains)
+            messages.append(str(exc.value))
+        assert len(checked) == 2 and messages[0] == messages[1]
