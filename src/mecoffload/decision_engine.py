@@ -278,16 +278,14 @@ def cell_plan(s: Scenario, gains: ChannelGains) -> CellPlan:
     estimates = estimate_loads(s, gains)
     candidates = tuple(estimates.offloadable.nonzero()[0].tolist())
     report = orthogonal_estimate(estimates, candidates, s, gains) if candidates else {}
+    a0 = initial_decision(estimates, report)
     # with no offloader no server split is made, so any rule prices it
-    all_local = OffloadDecision.all_local(s.n_cells)
+    all_local = OffloadDecision.all_local(s.n_cells) if a0.offload_set else a0
     local = price(all_local, uplink(all_local, s, gains, estimates), s, estimates, "equal")
-    for array in (local.assoc.c, local.assoc.m, local.rates_bps, local.t_off_s,
-                  local.e_off_j, local.per_ue_overhead):
+    # the empty association is read-only already
+    for array in (local.rates_bps, local.t_off_s, local.e_off_j, local.per_ue_overhead):
         array.flags.writeable = False
-    plan = CellPlan(
-        estimates, candidates, MappingProxyType(report),
-        initial_decision(estimates, report), local,
-    )
+    plan = CellPlan(estimates, candidates, MappingProxyType(report), a0, local)
     object.__setattr__(gains, "_plan", (s, plan))
     return plan
 

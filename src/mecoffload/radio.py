@@ -75,8 +75,11 @@ class PrbAssociation:
 
     @classmethod
     def empty(cls, n: int, k: int) -> "PrbAssociation":
-        assoc = cls(c=np.zeros((n, k), dtype=np.int64))
-        object.__setattr__(assoc, "m", np.zeros(n, dtype=np.int64))  # no N x K row sum
+        """No PRB held. c repeats one read-only 8-byte zero, so no N x K
+        table is written, and m is its first column, the row sums."""
+        c = np.ndarray((n, k), np.int64, buffer=bytes(8), strides=(0, 0))
+        assoc = cls(c=c)
+        object.__setattr__(assoc, "m", c[:, 0])
         return assoc
 
 

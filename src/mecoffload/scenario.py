@@ -157,14 +157,14 @@ class Scenario:
     def _set_inputs(self, table: np.ndarray) -> None:
         """Check the (len(_COLUMNS), N) column table and the scalars, and
         keep the table's rows as the read-only per-UE columns."""
-        positive = table[: len(_POSITIVE)]
-        bad = ~((positive > 0) & (positive < math.inf)).all(axis=1)
-        if bad.any():
-            raise InvalidConfig(f"UE {_POSITIVE[bad.argmax()]} must be finite and positive")
-        weights = table[len(_POSITIVE):]
-        bad = ~((weights >= 0) & (weights <= 1)).all(axis=1)
-        if bad.any():
-            raise InvalidConfig(f"UE weight {_WEIGHTS[bad.argmax()]} must lie in [0,1]")
+        # a row passes when its extremes do; a nan is its row's min and max
+        lows, highs = table.min(axis=1).tolist(), table.max(axis=1).tolist()
+        for name, low, high in zip(_COLUMNS, lows, highs):
+            if name in _WEIGHTS:
+                if not (0 <= low and high <= 1):
+                    raise InvalidConfig(f"UE weight {name} must lie in [0,1]")
+            elif not (0 < low and high < math.inf):
+                raise InvalidConfig(f"UE {name} must be finite and positive")
         table.setflags(write=False)
         for row, name in zip(table, _COLUMNS):
             object.__setattr__(self, name, row)
@@ -367,6 +367,26 @@ class ScenarioConfig:
             return self.energy_coeff_j_per_cycle
         return 1e-11 * self.local_ghz**2
 
+    # Read once per config by build_scenario, and immutable. A cached value
+    # sits in the instance dict: == and hash (over the fields) ignore it,
+    # replace starts without it, and a pickle carries it.
+    @cached_property
+    def radio(self) -> RadioParams:
+        """The band: one frozen RadioParams for every scenario of this config."""
+        return RadioParams(
+            bandwidth_hz=self.bandwidth_hz,
+            num_prbs=self.num_prbs,
+            noise_per_prb_w=self.noise_per_prb_w,
+        )
+
+    @cached_property
+    def ue_columns(self) -> tuple[float, ...]:
+        """Every UE's value of each per-UE column, in Scenario's column order."""
+        return tuple(map(float, (
+            self.tx_power_w, self.input_bits, self.task_cycles, self.local_speed_hz,
+            self.energy_coeff, self.gamma_t, self.gamma_e,
+        )))
+
     def with_overrides(self, **kwargs) -> "ScenarioConfig":
         return replace(self, **kwargs)
 
@@ -412,26 +432,16 @@ def build_scenario(config: ScenarioConfig, seed: int | None = None) -> Scenario:
     if seed < 0:
         raise InvalidConfig(f"seed must be >= 0, got {seed}")
     n = config.n_cells
-    radio = RadioParams(
-        bandwidth_hz=config.bandwidth_hz,
-        num_prbs=config.num_prbs,
-        noise_per_prb_w=config.noise_per_prb_w,
-    )
     s = object.__new__(Scenario)  # no positions yet: __getattr__ draws them
     s.__dict__.update(
-        radio=radio, mec_capacity_hz=config.mec_capacity_hz,
+        radio=config.radio, mec_capacity_hz=config.mec_capacity_hz,
         reuse_lambda=config.reuse_lambda, edge_threshold=config.edge_threshold,
         seed=seed, pl0_db=config.pl0_db, pl_exponent=config.pl_exponent,
         shadowing_db=config.shadowing_db,
         _geometry=(config.area_m, config.ue_radius_m, seed, n),
     )
-    # the per-UE columns, in _COLUMNS order, each one config value
-    values = (
-        config.tx_power_w, config.input_bits, config.task_cycles, config.local_speed_hz,
-        config.energy_coeff, config.gamma_t, config.gamma_e,
-    )
     table = np.empty((len(_COLUMNS), n))
-    table[...] = np.array(values, dtype=float)[:, None]
+    table.T[...] = config.ue_columns  # each row one config value
     s._set_inputs(table)
     return s
 

@@ -61,6 +61,27 @@ def eager_positions(config, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return cell_xy, ue_xy
 
 
+# the rows of Scenario's (7, N) per-UE column table, in order
+POSITIVE_COLUMNS = ("tx_power_w", "input_bits", "cycles", "local_speed_hz", "energy_coeff")
+WEIGHT_COLUMNS = ("w_t", "w_e")
+
+
+def twelve_op_column_check(table: np.ndarray) -> str | None:
+    """The message Scenario's column check raises on a (7, N) table, or
+    None when it passes, by the elementwise rule it used before it read
+    each row's extremes: two comparisons, an &, an .all(axis=1), a ~ and an
+    .any() per rule, and the first failing row named."""
+    positive = table[: len(POSITIVE_COLUMNS)]
+    bad = ~((positive > 0) & (positive < math.inf)).all(axis=1)
+    if bad.any():
+        return f"UE {POSITIVE_COLUMNS[bad.argmax()]} must be finite and positive"
+    weights = table[len(POSITIVE_COLUMNS):]
+    bad = ~((weights >= 0) & (weights <= 1)).all(axis=1)
+    if bad.any():
+        return f"UE weight {WEIGHT_COLUMNS[bad.argmax()]} must lie in [0,1]"
+    return None
+
+
 def brute_interference(c: np.ndarray, h: np.ndarray, powers) -> np.ndarray:
     """o[n, k] = sum over m != n of c[m,k] * (P_m / M_m) * h[m, n]."""
     n_ues, k = c.shape

@@ -11,6 +11,7 @@ import io
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,8 +235,24 @@ def test_every_all_local_outcome_is_one_fresh_price_shared_read_only(
     s = build_scenario(cfg, seed=seed)
     gains = channel_gains(s)
     outs = {name: run_scheme(name, s, gains) for name in SCHEME_NAMES}
-    local = cell_plan(s, gains).local
+    plan = cell_plan(s, gains)
+    local = plan.local
     assert outs["all_local"] is local
+    # priced on the initial guess when it offloads no one, and on a
+    # decision of its own when it does
+    assert not local.decision.offload_set
+    assert (plan.a0 is local.decision) == (not plan.a0.offload_set)
+    # the empty association holds no N x K table: its c repeats one zero
+    c, m = local.assoc.c, local.assoc.m
+    assert (c.dtype, c.shape, c.any()) == (np.int64, (n_cells, num_prbs), False)
+    assert c.sum(axis=1).dtype == m.dtype and np.array_equal(c.sum(axis=1), m)
+    tracemalloc.start()
+    try:
+        PrbAssociation.empty(n_cells, num_prbs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2048  # a zero table took n * k * 8 bytes, 128 KB at (160, 100)
     estimates = estimate_loads(s, gains)
     uplink = (PrbAssociation.empty(n_cells, num_prbs), np.zeros(n_cells))
     fresh = [
@@ -248,10 +265,12 @@ def test_every_all_local_outcome_is_one_fresh_price_shared_read_only(
         assert out is local, name
         for want in fresh:
             assert_same_outcome(out, want)
-    for array in (local.assoc.c, local.assoc.m, local.rates_bps, local.t_off_s,
+    for array in (c, m, uplink[0].c, uplink[0].m, local.rates_bps, local.t_off_s,
                   local.e_off_j, local.per_ue_overhead):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
+    with pytest.raises(ValueError):
+        c.flags.writeable = True  # nor can it be made writeable
 
 
 @settings(max_examples=60)

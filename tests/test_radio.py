@@ -81,6 +81,7 @@ class TestPrbAssociation:
         want = assoc.c.sum(axis=1)
         assert assoc.m.dtype == want.dtype and np.array_equal(assoc.m, want)
         assert not assoc.c.any() and assoc.m is assoc.m
+        assert not (assoc.c.flags.writeable or assoc.m.flags.writeable)
 
 
 class TestPerPrbPower:

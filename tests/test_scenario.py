@@ -5,7 +5,7 @@ import math
 import pickle
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -27,7 +27,14 @@ from mecoffload.scenario import (
     tx_powers,
 )
 
-from _oracles import eager_positions, expression_gains, path_loss_db
+from _oracles import (
+    POSITIVE_COLUMNS,
+    WEIGHT_COLUMNS,
+    eager_positions,
+    expression_gains,
+    path_loss_db,
+    twelve_op_column_check,
+)
 
 
 # every per-UE column of a Scenario
@@ -422,6 +429,112 @@ class TestInvariantChecks:
                 getattr(s, read)
         with pytest.raises(InvalidConfig, match=message):
             channel_gains(s).h
+
+
+# the values that split the column comparisons: nan, the infinities, both
+# zeros, the smallest and largest subnormals and normals, and each weight
+# bound with its neighbours
+_EDGE_VALUES = (
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+    2.225073858507201e-308, sys.float_info.min, 1e308, -1e308, sys.float_info.max,
+    1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 0.5,
+)
+_TABLE_ROWS = POSITIVE_COLUMNS + WEIGHT_COLUMNS
+
+
+@st.composite
+def column_tables(draw):
+    """(7, N) per-UE column tables: valid rows with one to three entries
+    replaced by an edge value or any float, so a bad entry can sit in any
+    column and at any UE (and a replaced entry may still be valid)."""
+    n = draw(st.integers(1, 5))
+    positive = st.floats(5e-324, sys.float_info.max)
+    weight = st.floats(0.0, 1.0)
+    table = np.array([
+        draw(st.lists(weight if name in WEIGHT_COLUMNS else positive, min_size=n, max_size=n))
+        for name in _TABLE_ROWS
+    ])
+    spots = st.tuples(st.integers(0, len(_TABLE_ROWS) - 1), st.integers(0, n - 1))
+    value = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats())
+    for spot, bad in draw(st.lists(st.tuples(spots, value), min_size=1, max_size=3)):
+        table[spot] = bad
+    return table
+
+
+def raised(build) -> str | None:
+    """The InvalidConfig message build() raises, or None if it returns."""
+    try:
+        build()
+    except InvalidConfig as exc:
+        return str(exc)
+    return None
+
+
+class TestColumnCheck:
+    @settings(max_examples=300)
+    @given(table=column_tables())
+    @example(table=np.array([[math.nan]] * 7))
+    @example(table=np.array([[0.1], [1.0], [1.0], [1.0], [1.0], [-0.0], [1.0]]))
+    def test_row_extremes_give_the_twelve_op_verdict(self, table):
+        n = table.shape[1]
+        ues = [dict(ue_xy=(1.0, 0.0), **dict(zip(_TABLE_ROWS, col))) for col in table.T.tolist()]
+        assert raised(
+            lambda: manual_scenario([(0.0, 0.0)] * n, ues=ues)
+        ) == twelve_op_column_check(table)
+        # build_scenario fills every UE's row from the config's cached column
+        # values; set them past validate, which rejects bad values first
+        for col in table.T.tolist():
+            cfg = ScenarioConfig(n_cells=n)
+            vars(cfg)["ue_columns"] = tuple(col)
+            want = twelve_op_column_check(np.repeat(np.array(col)[:, None], n, axis=1))
+            assert raised(lambda: build_scenario(cfg, 0)) == want
+
+
+class TestConfigValues:
+    def test_scenarios_of_one_config_share_one_radio(self):
+        cfg = ScenarioConfig(num_prbs=50, noise_dbm=-90.0)
+        a, b = build_scenario(cfg, 0), build_scenario(cfg, 1)
+        assert a.radio is b.radio is cfg.radio
+        assert a.radio == RadioParams(
+            bandwidth_hz=20e6, num_prbs=50, noise_per_prb_w=cfg.noise_per_prb_w
+        )
+
+    def test_overrides_and_replace_get_values_of_their_own(self):
+        cfg = ScenarioConfig()
+        build_scenario(cfg, 0)  # fills the cache
+        for other in (
+            cfg.with_overrides(num_prbs=50, tx_power_mw=10.0),
+            replace(cfg, num_prbs=50, tx_power_mw=10.0),
+        ):
+            s = build_scenario(other, 0)
+            assert s.radio is other.radio is not cfg.radio
+            assert s.radio.num_prbs == 50 and other.ue_columns[0] == 0.01
+            assert (s.tx_power_w == 0.01).all()
+        assert replace(cfg).radio is not cfg.radio
+
+    @pytest.mark.parametrize("built_first", [False, True])
+    def test_a_pickled_config_builds_the_same_scenario(self, built_first):
+        cfg = ScenarioConfig(n_cells=12, shadowing_db=8.0, gamma_t=1, gamma_e=0)
+        if built_first:
+            build_scenario(cfg, 3)
+        copy = pickle.loads(pickle.dumps(cfg))
+        assert ("radio" in vars(copy)) == ("ue_columns" in vars(copy)) == built_first
+        want, got = build_scenario(cfg, 3), build_scenario(copy, 3)
+        for f in fields(Scenario):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+            else:
+                assert a == b, f.name
+        assert channel_gains(got).h.tobytes() == channel_gains(want).h.tobytes()
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        used, fresh = ScenarioConfig(seed=4), ScenarioConfig(seed=4)
+        build_scenario(used)
+        assert {"radio", "ue_columns"} <= set(vars(used))
+        assert not {"radio", "ue_columns"} & set(vars(fresh))
+        assert used == fresh and hash(used) == hash(fresh)
+        assert used != ScenarioConfig(seed=5)
 
 
 @st.composite
