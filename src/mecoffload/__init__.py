@@ -20,13 +20,7 @@ from .decision_engine import (
     run_scheme,
     uplink,
 )
-from .errors import (
-    EmptyOffloadSet,
-    InconsistentTables,
-    InfeasibleAllocation,
-    InvalidConfig,
-    ZeroRate,
-)
+from .errors import InfeasibleAllocation, InvalidConfig
 from .load_estimation import (
     LoadEstimate,
     Loads,

@@ -8,8 +8,6 @@ computed by load_estimation.estimate_loads.
 
 from __future__ import annotations
 
-from .errors import ZeroRate
-
 
 def cost_inputs(s, ids):
     """What the offload cost reads of UEs `ids` of scenario s: the arrays
@@ -25,7 +23,7 @@ def upload_cost(bits, power_w, rate_bps):
     consumption is out of the cost model.
     """
     if not (rate_bps > 0).all():  # nan fails too
-        raise ZeroRate(f"rate must be positive, got {rate_bps}")
+        raise ValueError(f"rate must be positive, got {rate_bps}")
     return bits / rate_bps, power_w * bits / rate_bps
 
 
@@ -34,7 +32,7 @@ def execution_cost(cycles, weight_time, weight_energy, t_off_s, e_off_j, f_assig
     w_t * total + w_e * e_off of an upload priced by upload_cost, on
     arrays as there."""
     if not (f_assigned_hz > 0).all():
-        raise ZeroRate(f"assigned CPU speed must be positive, got {f_assigned_hz}")
+        raise ValueError(f"assigned CPU speed must be positive, got {f_assigned_hz}")
     t_exe = cycles / f_assigned_hz
     t_total = t_off_s + t_exe
     return t_exe, t_total, weight_time * t_total + weight_energy * e_off_j

@@ -22,7 +22,7 @@ import numpy as np
 
 from .compute_model import cost_inputs, execution_cost, upload_cost
 from .cpu_allocation import CpuAllocation, allocate_equal, allocate_minmax, allocate_minsum
-from .errors import EmptyOffloadSet, InfeasibleAllocation
+from .errors import InfeasibleAllocation
 from .load_estimation import Loads, estimate_loads, prb_rate
 from .prb_coloring import (
     build_interference_graph,
@@ -30,7 +30,7 @@ from .prb_coloring import (
     normalize_prbs,
     realized_rates,
 )
-from .radio import OffloadDecision, PrbAssociation, held_rate
+from .radio import OffloadDecision, PrbAssociation, check_ids, held_rate
 from .radio import interference_table  # unused here; bench/tracer.py wraps this name
 from .scenario import ChannelGains, Scenario, tx_powers
 
@@ -71,7 +71,8 @@ def orthogonal_estimate(
     """
     members = np.array(sorted(offload_set), dtype=np.int64)
     if not members.size:
-        raise EmptyOffloadSet("cannot estimate over an empty offload set")
+        raise ValueError("cannot estimate over an empty offload set")
+    check_ids(members[0], members[-1], len(estimates))
     outside = members[~estimates.offloadable[members]]
     if outside.size:
         raise ValueError(f"UE {outside[0]} is not offloadable and has no PRB demand")

@@ -82,8 +82,7 @@ def prb_rate(w, serving_gain, radio: RadioParams, tx_power_w):
     """Interference-free rate on w PRBs with power split as P/(w sigma^2),
     elementwise over arrays: (P*g) / (w*sigma^2), + 1, log2, * (w*B_prb)."""
     snr = np.asarray(tx_power_w * serving_gain / (w * radio.noise_per_prb_w))
-    rate = shannon(snr, w * radio.prb_bandwidth_hz)
-    return rate if rate.ndim else rate[()]
+    return shannon(snr, w * radio.prb_bandwidth_hz)
 
 
 def min_prbs(tx_power_w, serving_gain, radio: RadioParams, min_rate_bps) -> np.ndarray:

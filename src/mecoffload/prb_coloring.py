@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyOffloadSet
-from .radio import PrbAssociation, held_rate, shannon
+from .radio import PrbAssociation, check_ids, held_rate, shannon
 from .scenario import ChannelGains, RadioParams
 
 
@@ -31,7 +30,8 @@ def normalize_prbs(demands, offload_ids, num_prbs: int, reuse_lambda: float) -> 
     """
     ids = np.array(sorted(offload_ids), dtype=np.int64)
     if not ids.size:
-        raise EmptyOffloadSet("no offloading UEs, nothing to allocate")
+        raise ValueError("no offloading UEs, nothing to allocate")
+    check_ids(ids[0], ids[-1], len(demands))
     d = np.asarray(demands)[ids]
     m = np.zeros(len(demands), dtype=np.int64)
     m[ids] = np.clip(np.rint(reuse_lambda * (num_prbs * d / d.sum())), 1, num_prbs)
@@ -58,7 +58,8 @@ def build_interference_graph(
 ) -> InterferenceGraph:
     nodes = tuple(sorted(offload_ids))
     if not nodes:
-        raise EmptyOffloadSet("no offloading UEs, nothing to allocate")
+        raise ValueError("no offloading UEs, nothing to allocate")
+    check_ids(nodes[0], nodes[-1], len(m))
     ids = np.array(nodes)
     h = gains.h[ids[:, None], ids]
     ratio = h / np.diagonal(h)  # h[a, b] / h[b, b]

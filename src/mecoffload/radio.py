@@ -1,6 +1,7 @@
-"""Uplink rates of a PRB table, each ending in the one Shannon step, shannon.
-The scheme path prices with held_rate alone; per_prb_power,
-interference_table and uplink_rate are its from-scratch checker."""
+"""Uplink rates of a PRB table. The scheme path prices with held_rate,
+which ends in the one Shannon step, shannon; per_prb_power,
+interference_table and uplink_rate are its from-scratch checker, and
+uplink_rate sums its own Shannon rate, so it calls neither."""
 
 from __future__ import annotations
 
@@ -10,8 +11,14 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import InconsistentTables
 from .scenario import ChannelGains, RadioParams
+
+
+def check_ids(first, last, n: int) -> None:
+    """Reject sorted UE ids first..last that leave 0..n-1: a negative id
+    would index from the end and stand for another UE."""
+    if first < 0 or last >= n:
+        raise ValueError(f"UE id {first if first < 0 else last} lies outside 0..{n - 1}")
 
 
 @dataclass(frozen=True)
@@ -47,9 +54,7 @@ class OffloadDecision:
         return self._flip(n, 0)
 
     def _flip(self, n: int, flag: int) -> "OffloadDecision":
-        # a negative n would index from the end and flip another UE
-        if not 0 <= n < len(self.a):
-            raise ValueError(f"UE id {n} lies outside 0..{len(self.a) - 1}")
+        check_ids(n, n, len(self.a))
         a = list(self.a)
         a[n] = flag
         return OffloadDecision(a=tuple(a))
@@ -106,35 +111,26 @@ def interference_table(c: PrbAssociation, g: ChannelGains, powers) -> np.ndarray
     return h_cross.T @ w
 
 
-def _check_consistent(a: OffloadDecision, c: PrbAssociation) -> None:
-    for n, flag in enumerate(a.a):
-        if flag == 0 and c.m[n] != 0:
-            raise InconsistentTables(f"local UE {n} holds PRBs")
-        if flag == 1 and c.m[n] == 0:
-            raise InconsistentTables(f"offloading UE {n} holds no PRB")
-
-
 def shannon(snr: np.ndarray, scale) -> np.ndarray:
     """scale * log2(1 + snr) in place on the float array snr, op for op:
-    += 1, log2, *= scale. Every rate of the package ends in this step."""
+    += 1, log2, *= scale. Every rate the schemes compute ends in this step."""
     snr += 1.0
     np.log2(snr, out=snr)
     snr *= scale
     return snr
 
 
-def held_rate(c_row, signal, interference, radio: RadioParams) -> float | np.ndarray:
+def held_rate(c_row, signal, interference, radio: RadioParams) -> np.ndarray:
     """Shannon rate (bit/s) summed over the PRBs flagged in c_row.
 
     signal is the received per-PRB power, fl(fl(P/M) * serving gain), and
     interference the co-channel power on every PRB of the row. The sum runs
-    over the last axis: one row gives a float, a (rows, K) table gives one
-    rate per row (pass signal as a (rows, 1) column), each row summed
-    exactly as it would be alone.
+    over the last axis: a (rows, K) table gives one rate per row (pass
+    signal as a (rows, 1) column), each row summed exactly as it would be
+    alone.
     """
     snr = np.asarray(signal / (radio.noise_per_prb_w + interference))
-    rate = (c_row * shannon(snr, radio.prb_bandwidth_hz)).sum(axis=-1)
-    return rate if rate.ndim else float(rate)
+    return (c_row * shannon(snr, radio.prb_bandwidth_hz)).sum(axis=-1)
 
 
 def uplink_rate(
@@ -150,9 +146,11 @@ def uplink_rate(
     Transmit power splits evenly over the held PRBs; every other offloading
     UE sharing a PRB raises the noise floor by its per-PRB power times the
     cross gain. Local UEs upload nothing and rate 0. The interference row
-    is rebuilt from scratch rather than read from a maintained table.
+    is rebuilt from scratch rather than read from a maintained table, and
+    the Shannon sum is this function's own, not held_rate's or shannon's
+    (for a 0/1 table, the same bits). A table that disagrees with a is the
+    caller's to report: an offloader without a PRB rates 0.
     """
-    _check_consistent(a, c)
     if a.a[n] == 0:
         return 0.0
     p_prb = per_prb_power(c, powers)
@@ -160,4 +158,5 @@ def uplink_rate(
     # co-channel power on every PRB from every other active transmitter
     contrib = c.c * ((active * p_prb) * g.h[:, n])[:, None]
     contrib[n] = 0.0
-    return held_rate(c.c[n], p_prb[n] * g.h[n, n], contrib.sum(axis=0), r)
+    sinr = p_prb[n] * g.h[n, n] / (r.noise_per_prb_w + contrib.sum(axis=0))
+    return float((c.c[n] * (r.prb_bandwidth_hz * np.log2(1 + sinr))).sum())

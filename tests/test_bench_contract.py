@@ -8,10 +8,12 @@ the tracer's own self-tests, so a renamed function or argument fails here
 rather than only in a benchmark run.
 """
 
+import dataclasses
 import importlib.util
 import os
 import sys
 
+import numpy as np
 import pytest
 
 import mecoffload
@@ -126,6 +128,90 @@ def test_checks_find_no_problem(traced):
         found = check_cell(mecoffload, s, g, outcomes)
         assert set(found) == set(SCHEME_NAMES)
         assert all(not problems for problems in found.values()), found
+
+
+def fresh_outcomes():
+    """(s, gains, outcomes) of every scheme on fresh CELLS, so that no cell
+    plan of another test is reused."""
+    run = mecoffload.decision_engine.run_scheme
+    for overrides, seeds in CELLS:
+        cfg = ScenarioConfig().with_overrides(**overrides)
+        for seed in seeds:
+            s = mecoffload.scenario.build_scenario(cfg, seed=seed)
+            g = mecoffload.scenario.channel_gains(s)
+            yield s, g, {name: run(name, s, g) for name in SCHEME_NAMES}
+
+
+def natural_log_shannon(snr, scale):
+    snr += 1.0
+    np.log(snr, out=snr)
+    snr *= scale
+    return snr
+
+
+def halved_interference(held_rate):
+    return lambda c_row, signal, interference, radio: held_rate(
+        c_row, signal, interference / 2, radio
+    )
+
+
+@pytest.mark.parametrize("fault", ["natural_log", "halved_interference"])
+def test_checks_catch_a_faulty_rate_kernel(monkeypatch, fault):
+    # held_rate looks shannon up in radio, while the colouring and the
+    # sizing keep their own binding; held_rate is bound where it is called
+    if fault == "natural_log":
+        monkeypatch.setattr(mecoffload.radio, "shannon", natural_log_shannon)
+    else:
+        faulty = halved_interference(mecoffload.radio.held_rate)
+        for module in (mecoffload.prb_coloring, mecoffload.decision_engine):
+            monkeypatch.setattr(module, "held_rate", faulty)
+    check_cell = load("checks").check_cell
+    with_offloader = 0
+    for s, g, outcomes in fresh_outcomes():
+        if not any(out.decision.n_offload for out in outcomes.values()):
+            continue
+        with_offloader += 1
+        found = check_cell(mecoffload, s, g, outcomes)
+        assert any("!= uplink_rate" in p for ps in found.values() for p in ps), found
+    assert with_offloader > 0
+
+
+def test_checks_report_a_local_ue_holding_a_block():
+    # a row whose decision and PRB table disagree is a problem of that row,
+    # not an exception of the checker
+    check_cell = load("checks").check_cell
+    s = mecoffload.scenario.build_scenario(ScenarioConfig().with_overrides(n_cells=3), seed=0)
+    g = mecoffload.scenario.channel_gains(s)
+    decision = mecoffload.OffloadDecision.from_set([0, 1], 3)
+    out = mecoffload.evaluate(decision, s, g, "equal", mecoffload.estimate_loads(s, g))
+    assert out.feasible
+    assert check_cell(mecoffload, s, g, {"equal_cpu": out}) == {"equal_cpu": []}
+    c = out.assoc.c.copy()
+    c[2, 0] = 1
+    bad = dataclasses.replace(out, assoc=mecoffload.PrbAssociation(c=c))
+    found = check_cell(mecoffload, s, g, {"equal_cpu": bad})
+    assert found == {"equal_cpu": ["local UE 2 holds PRBs"]}
+
+
+def test_uplink_rate_calls_no_scheme_rate_kernel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the checker called a scheme's rate kernel")
+
+    cells = list(fresh_outcomes())
+
+    def rates():
+        return [
+            mecoffload.uplink_rate(i, out.decision, out.assoc, g, s.tx_power_w, s.radio)
+            for s, g, outcomes in cells
+            for out in outcomes.values()
+            for i in out.decision.offload_set
+        ]
+
+    want = rates()
+    assert any(want)
+    monkeypatch.setattr(mecoffload.radio, "held_rate", refuse)
+    monkeypatch.setattr(mecoffload.radio, "shannon", refuse)
+    assert rates() == want
 
 
 def test_tracer_hooks_never_build_a_slow_server_gain_matrix(monkeypatch):

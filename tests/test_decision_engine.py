@@ -22,7 +22,6 @@ from mecoffload.decision_engine import (
     run_proposed,
     run_scheme,
 )
-from mecoffload.errors import EmptyOffloadSet
 from mecoffload.load_estimation import Loads, estimate_loads, prb_rate
 from mecoffload.radio import OffloadDecision, PrbAssociation, interference_table
 from mecoffload.scenario import (
@@ -103,7 +102,7 @@ class TestOrthogonalEstimate:
     def test_empty_set_rejected(self):
         s = manual_scenario([(0.0, 0.0)], [(0.0, 0.0)])
         gains = ChannelGains(h=np.array([[1e-10]]))
-        with pytest.raises(EmptyOffloadSet):
+        with pytest.raises(ValueError, match="cannot estimate over an empty offload set"):
             orthogonal_estimate(fake_loads(1), [], s, gains)
 
     def test_non_offloadable_member_rejected(self):
@@ -116,6 +115,16 @@ class TestOrthogonalEstimate:
         )
         with pytest.raises(ValueError, match="UE 1 "):
             orthogonal_estimate(estimates, [0, 1], s, gains)
+
+    @pytest.mark.parametrize("ids", [[-1], [3], [-1, 1], [0, 3]])
+    def test_ids_outside_the_cells_rejected(self, ids):
+        # a negative id must not index from the end and price UE N-1
+        s, gains = built(n=3)
+        estimates = estimate_loads(s, gains)
+        assert estimates.offloadable.all()
+        bad = min(ids) if min(ids) < 0 else max(ids)
+        with pytest.raises(ValueError, match=rf"UE id {bad} lies outside 0\.\.2"):
+            orthogonal_estimate(estimates, ids, s, gains)
 
 
 class TestInitialDecision:
@@ -380,7 +389,7 @@ class TestRunScheme:
         def refuse(*args, **kwargs):
             raise AssertionError("a scheme called the rate checker")
 
-        checker = ("interference_table", "per_prb_power", "uplink_rate", "_check_consistent")
+        checker = ("interference_table", "per_prb_power", "uplink_rate")
         for name in checker:
             monkeypatch.setattr(radio, name, refuse)
         monkeypatch.setattr(decision_engine, "interference_table", refuse)

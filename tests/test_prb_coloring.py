@@ -16,7 +16,6 @@ from mecoffload import (
     estimate_loads,
     run_scheme,
 )
-from mecoffload.errors import EmptyOffloadSet
 from mecoffload.prb_coloring import (
     build_interference_graph,
     color,
@@ -80,8 +79,17 @@ class TestNormalizePrbs:
         assert got[1] == 0
 
     def test_empty_set_rejected(self):
-        with pytest.raises(EmptyOffloadSet):
+        with pytest.raises(ValueError, match="no offloading UEs, nothing to allocate"):
             normalize_prbs([1, 2], [], 10, 1.0)
+
+    @pytest.mark.parametrize("ids", [[-1], [3], [-1, 1], [0, 3]])
+    def test_ids_outside_the_cells_rejected(self, ids):
+        # a negative id must not index from the end and size UE N-1
+        s = build_scenario(ScenarioConfig(n_cells=3), seed=0)
+        est = estimate_loads(s, channel_gains(s))
+        bad = min(ids) if min(ids) < 0 else max(ids)
+        with pytest.raises(ValueError, match=rf"UE id {bad} lies outside 0\.\.2"):
+            normalize_prbs(est.w, ids, 100, 2.0)
 
 
 @st.composite
@@ -175,6 +183,15 @@ class TestInterferenceGraph:
             ChannelGains(h=h), np.array([1, 0, 1]), np.full(3, 0.1), [0, 2], 0.0
         )
         assert g.in_weight.tolist() == [0.1 / 1 * 1e-10, 0.0, 0.1 / 1 * 1e-10]
+
+    @pytest.mark.parametrize("ids", [[-1], [3], [-1, 1], [0, 3]])
+    def test_ids_outside_the_cells_rejected(self, ids):
+        # a negative id must not index from the end and stand for UE N-1
+        s = build_scenario(ScenarioConfig(n_cells=3), seed=0)
+        m = np.array([10, 10, 10])
+        bad = min(ids) if min(ids) < 0 else max(ids)
+        with pytest.raises(ValueError, match=rf"UE id {bad} lies outside 0\.\.2"):
+            build_interference_graph(channel_gains(s), m, s.tx_power_w, ids, 0.1)
 
 
 class TestColor:

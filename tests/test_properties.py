@@ -317,7 +317,8 @@ def test_orthogonal_baseline_rates_equal_the_table_oracle(
     n_cells, num_prbs, tx_power_mw, shadowing_db, seed
 ):
     # the baseline prices its held blocks at zero interference; the oracle
-    # reads them from the from-scratch interference table
+    # reads them from the from-scratch interference table, and the checker
+    # sums its own Shannon rate from its own co-channel row
     cfg = ScenarioConfig(n_cells=n_cells, num_prbs=num_prbs, tx_power_mw=tx_power_mw,
                          shadowing_db=shadowing_db)
     s = build_scenario(cfg, seed=seed)
@@ -325,6 +326,9 @@ def test_orthogonal_baseline_rates_equal_the_table_oracle(
     out = run_baseline("all_offload_orth", s, gains)
     want = loop_orthogonal_rates(s, gains, estimate_loads(s, gains))
     assert out.rates_bps.tobytes() == want.tobytes()
+    checked = [uplink_rate(i, out.decision, out.assoc, gains, s.tx_power_w, s.radio)
+               for i in range(n_cells)]
+    assert out.rates_bps.tobytes() == np.array(checked).tobytes()
     assert out.assoc.m.tobytes() == out.assoc.c.sum(axis=1).tobytes()
 
 _EXTREMES = (

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecoffload.errors import InconsistentTables
 from mecoffload.radio import (
     OffloadDecision,
     PrbAssociation,
@@ -182,23 +181,6 @@ class TestUplinkRate:
         # 3 PRBs at SNR 100/3 each, frozen reference value
         assert rate == pytest.approx(3060922.8158772374, rel=1e-12)
 
-    def test_consistency_guards(self):
-        g = ChannelGains(h=np.full((2, 2), 1e-10))
-        with pytest.raises(InconsistentTables):
-            uplink_rate(
-                0,
-                OffloadDecision(a=(0, 1)),
-                PrbAssociation(c=np.array([[1, 0], [0, 1]])),
-                g, [0.1, 0.1], RADIO,
-            )
-        with pytest.raises(InconsistentTables):
-            uplink_rate(
-                0,
-                OffloadDecision(a=(1, 1)),
-                PrbAssociation(c=np.array([[1, 0], [0, 0]])),
-                g, [0.1, 0.1], RADIO,
-            )
-
     def test_interference_lowers_rate(self):
         g = ChannelGains(h=np.array([[1e-10, 5e-11], [5e-11, 1e-10]]))
         shared = PrbAssociation(c=np.array([[1, 0], [1, 0]]))
@@ -225,7 +207,15 @@ class TestUplinkRate:
             radio = RadioParams(bandwidth_hz=20e6, num_prbs=k, noise_per_prb_w=1e-13)
             decision = OffloadDecision(a=tuple(int(x) for x in a))
             assoc = PrbAssociation(c=c_mat)
+            p_prb = per_prb_power(assoc, powers)
             for i in range(n):
                 got = uplink_rate(i, decision, assoc, ChannelGains(h=h), powers, radio)
                 want = brute_uplink_rate(i, a, c_mat, h, powers, 20e6, k, 1e-13)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+                # the checker's own Shannon sum gives the bits of the schemes'
+                # held_rate on the same signal and co-channel row
+                contrib = c_mat * ((a.astype(bool) * p_prb) * h[:, i])[:, None]
+                contrib[i] = 0.0
+                held = held_rate(c_mat[i], p_prb[i] * h[i, i], contrib.sum(axis=0), radio)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == held.tobytes()
