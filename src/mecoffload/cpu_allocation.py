@@ -76,6 +76,8 @@ def _pin_and_split(
         free = split(cycles[active], budget)
         below = free < lower[active]
         if not below.any():
+            if not order:  # nobody pinned: the first split, in input order
+                return dict(zip(np.asarray(ues).tolist(), free.tolist())), free
             order.append(active)
             shares.append(free)
             break
@@ -134,7 +136,7 @@ def allocate_equal(ues, cycles, t_cap_s, capacity_hz: float) -> CpuAllocation:
         raise InfeasibleAllocation("no requests to split the budget over")
     share = capacity_hz / cycles.size
     times = cycles / share
-    if (times > t_cap_s).any():
+    if not (times <= t_cap_s).all():  # a nan deadline is missed too
         raise InfeasibleAllocation("even split misses at least one deadline")
     shares = dict.fromkeys(np.asarray(ues).tolist(), share)
     return CpuAllocation(f=shares, objective=_add_up(times))

@@ -73,18 +73,22 @@ def orthogonal_estimate(
     if not members.size:
         raise ValueError("cannot estimate over an empty offload set")
     check_ids(members[0], members[-1], len(estimates))
-    outside = members[~estimates.offloadable[members]]
-    if outside.size:
-        raise ValueError(f"UE {outside[0]} is not offloadable and has no PRB demand")
+    offloadable = estimates.offloadable[members]
+    if not offloadable.all():
+        outside = members[~offloadable][0]
+        raise ValueError(f"UE {outside} is not offloadable and has no PRB demand")
     w = estimates.w[members]
     bits, power, cycles, wt, we = cost_inputs(s, members)
     share = s.radio.num_prbs * w / w.sum()  # real-valued
-    rate = prb_rate(share, gains.h[members, members], s.radio, power)
+    rate = prb_rate(share, gains.h.diagonal()[members], s.radio, power)
+    f_even = np.full(members.size, s.mec_capacity_hz / s.n_cells)
     up = rate > 0
-    overhead = np.full(len(members), math.inf)
-    t, e = upload_cost(bits[up], power[up], rate[up])
-    f_even = np.full(up.sum(), s.mec_capacity_hz / s.n_cells)
-    overhead[up] = execution_cost(cycles[up], wt[up], we[up], t, e, f_even)[2]
+    if up.all():
+        overhead = execution_cost(cycles, wt, we, *upload_cost(bits, power, rate), f_even)[2]
+    else:
+        overhead = np.full(members.size, math.inf)
+        t, e = upload_cost(bits[up], power[up], rate[up])
+        overhead[up] = execution_cost(cycles[up], wt[up], we[up], t, e, f_even[up])[2]
     return dict(zip(members.tolist(), overhead.tolist()))
 
 
@@ -135,7 +139,7 @@ def uplink(
     """
     offs = decision.offload_set
     n, k = s.n_cells, s.radio.num_prbs
-    if not offs or not estimates.offloadable[list(offs)].all():
+    if not offs or not all(map(estimates.offloadable.__getitem__, offs)):
         return PrbAssociation.empty(n, k), np.zeros(n)
     m = normalize_prbs(estimates.w, offs, k, s.reuse_lambda)
     graph = build_interference_graph(gains, m, tx_powers(s), offs, s.edge_threshold)
@@ -169,19 +173,22 @@ def price(
         ids = np.array(offs)
         bits, power, cycles, wt, we = cost_inputs(s, ids)
         r = rates[ids]
-        per_ue[ids] = t_off[ids] = e_off[ids] = math.inf  # until priced
         up = (r > 0) & (r < math.inf)  # a live uplink; nan fails too
-        t, e = upload_cost(bits[up], power[up], r[up])
-        t_off[ids[up]], e_off[ids[up]] = t, e
         if up.all():
+            t, e = upload_cost(bits, power, r)
+            t_off[ids], e_off[ids] = t, e
             caps = estimates.local_time_s[ids] - t
             try:
                 cpu = _CPU_SOLVERS[cpu_mode](ids, cycles, caps, s.mec_capacity_hz)
             except InfeasibleAllocation:
-                pass
+                per_ue[ids] = math.inf
             else:
                 f = np.fromiter(map(cpu.f.__getitem__, offs), float, ids.size)
                 per_ue[ids] = execution_cost(cycles, wt, we, t, e, f)[2]
+        else:
+            # only the live uplinks are priced; the rest stay at +inf
+            per_ue[ids] = t_off[ids] = e_off[ids] = math.inf
+            t_off[ids[up]], e_off[ids[up]] = upload_cost(bits[up], power[up], r[up])
     return AllocationOutcome(
         decision=decision,
         assoc=assoc,
@@ -322,8 +329,8 @@ def run_baseline(kind: str, s: Scenario, gains: ChannelGains) -> AllocationOutco
             next_free += q
         ids = np.array(candidates)
         # no block is shared, so each held block sees zero interference
-        signal = tx_powers(s)[ids] / np.array(quota) * gains.h[ids, ids]
-        rates[ids] = held_rate(c[ids], signal[:, None], 0.0, s.radio)
+        signal = tx_powers(s)[ids] / np.array(quota) * gains.h.diagonal()[ids]
+        rates[ids] = held_rate(c.take(ids, 0), signal[:, None], 0.0, s.radio)
     return price(decision, (PrbAssociation(c=c), rates), s, estimates, "equal")
 
 

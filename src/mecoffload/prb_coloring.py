@@ -34,7 +34,8 @@ def normalize_prbs(demands, offload_ids, num_prbs: int, reuse_lambda: float) -> 
     check_ids(ids[0], ids[-1], len(demands))
     d = np.asarray(demands)[ids]
     m = np.zeros(len(demands), dtype=np.int64)
-    m[ids] = np.clip(np.rint(reuse_lambda * (num_prbs * d / d.sum())), 1, num_prbs)
+    # np.clip, in two cheaper calls
+    m[ids] = np.minimum(np.maximum(np.rint(reuse_lambda * (num_prbs * d / d.sum())), 1), num_prbs)
     return m
 
 
@@ -61,9 +62,9 @@ def build_interference_graph(
         raise ValueError("no offloading UEs, nothing to allocate")
     check_ids(nodes[0], nodes[-1], len(m))
     ids = np.array(nodes)
-    h = gains.h[ids[:, None], ids]
-    ratio = h / np.diagonal(h)  # h[a, b] / h[b, b]
-    np.fill_diagonal(ratio, 0.0)
+    h = gains.h.take(ids, 0).take(ids, 1)
+    ratio = h / h.diagonal()  # h[a, b] / h[b, b]
+    ratio.flat[:: ids.size + 1] = 0.0  # the diagonal: no self edge
     quota = m[ids]
     leak = (powers[ids] / quota)[:, None] * h
     # per-PRB received interference power on edge a -> b, else 0
@@ -100,16 +101,16 @@ def color(graph: InterferenceGraph, radio: RadioParams) -> ColoringState:
     bpp = radio.prb_bandwidth_hz
     noise = radio.noise_per_prb_w
 
-    # order key is static: in-edge weight, quota, then UE id (nodes are sorted)
+    # order key is static: most in-edge weight, then least quota, then UE
+    # id (nodes are sorted, and lexsort is stable; its last key is first)
     ids = np.array(graph.nodes)
-    w, q = graph.in_weight[ids].tolist(), graph.quota.tolist()
-    perm = np.array(sorted(range(ids.size), key=lambda p: (-w[p], q[p], p)))
+    perm = np.lexsort((graph.quota, -graph.in_weight[ids]))
 
     # From here on a node is its coloring step t, the UE ids[t].
     ids, quota = ids[perm], graph.quota[perm].tolist()
-    leak = graph.leak[perm[:, None], perm]  # a copy, in step order
+    leak = graph.leak.take(perm, 0).take(perm, 1)  # a copy, in step order
     snr_self = leak.diagonal().copy()  # per-PRB power times serving gain
-    np.fill_diagonal(leak, 0.0)  # a cell does not interfere with itself
+    leak.flat[:: ids.size + 1] = 0.0  # a cell does not interfere with itself
 
     ot = np.zeros((k, ids.size))  # the table PRB-major: a step adds whole rows
 
@@ -169,5 +170,5 @@ def realized_rates(state: ColoringState, radio: RadioParams) -> np.ndarray:
     c = state.assoc.c
     ids = np.array(state.order, dtype=np.int64)
     rates = np.zeros(c.shape[0])
-    rates[ids] = held_rate(c[ids], state.signal[:, None], state.o, radio)
+    rates[ids] = held_rate(c.take(ids, 0), state.signal[:, None], state.o, radio)
     return rates

@@ -459,7 +459,12 @@ def draw_positions(area_m: float, ue_radius_m: float, seed: int, n: int):
     r_min = min(1.0, ue_radius_m)
     radius = np.sqrt(rng.uniform(r_min**2, ue_radius_m**2, size=n))
     angle = rng.uniform(0.0, 2 * np.pi, size=n)
-    ue_xy = cell_xy + np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    # cell_xy + [radius cos, radius sin] without a stacked copy: IEEE
+    # addition commutes, so adding cell_xy to the offsets gives its bits
+    ue_xy = np.empty((n, 2), order="F")
+    np.multiply(radius, np.cos(angle), out=ue_xy[:, 0])
+    np.multiply(radius, np.sin(angle), out=ue_xy[:, 1])
+    ue_xy += cell_xy
     return cell_xy, ue_xy
 
 
@@ -526,14 +531,15 @@ def _check_link_budget(s: Scenario, h: np.ndarray) -> None:
     for bit, and a nan gain makes the row's maximum nan.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        snr = s.tx_power_w * h.max(axis=1) / s.radio.noise_per_prb_w
-        rate_bound = s.n_cells * s.radio.bandwidth_hz * np.log2(1.0 + snr.max())
-    if not np.isfinite(snr).all():
+        # every SNR is >= 0 or nan, so the largest is finite iff all are
+        snr = (s.tx_power_w * h.max(axis=1) / s.radio.noise_per_prb_w).max()
+        rate_bound = s.n_cells * s.radio.bandwidth_hz * np.log2(1.0 + snr)
+    if not math.isfinite(snr):
         raise InvalidConfig(
             "a received SNR tx_power_w * h / noise_per_prb_w is not finite: "
             "check tx_power_mw, pl0_db, pl_exponent, shadowing_db"
         )
-    if not np.isfinite(rate_bound):
+    if not math.isfinite(rate_bound):
         raise InvalidConfig(
             "n_cells * bandwidth_hz * log2(1 + max SNR) overflows: check bandwidth_hz"
         )

@@ -13,8 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mecoffload.cpu_allocation import CpuAllocation
-from mecoffload.decision_engine import evaluate, price
+from mecoffload.compute_model import cost_inputs, execution_cost, upload_cost
+from mecoffload.cpu_allocation import (
+    CpuAllocation,
+    allocate_equal,
+    allocate_minmax,
+    allocate_minsum,
+)
+from mecoffload.decision_engine import AllocationOutcome, evaluate, price
 from mecoffload.errors import InfeasibleAllocation
 from mecoffload.load_estimation import LoadEstimate, estimate_loads
 from mecoffload.prb_coloring import normalize_prbs
@@ -422,24 +428,78 @@ def region_counts(c):
     return tuple(holders.count(region) for region in REGIONS)
 
 
-def region_costs(s, gains, estimates, cpu_mode):
-    """{counts: cost} of every colouring of a 3-cell scenario's all-offload
-    decision at normalize_prbs's quotas: each region_tables table rated
-    with brute_uplink_rate and priced with price under the CPU rule."""
+def region_uplinks(s, gains, estimates):
+    """{counts: (c, rates)} of every colouring of a 3-cell scenario's
+    all-offload decision at normalize_prbs's quotas: each region_tables
+    table with its rates from brute_uplink_rate."""
     assert s.n_cells == 3, "the regions are those of three nodes"
     decision = OffloadDecision.from_set(range(3), 3)
     r = s.radio
     quota = normalize_prbs(estimates.w, decision.offload_set, r.num_prbs, s.reuse_lambda)
-    costs = {}
+    uplinks = {}
     for counts, c in region_tables(quota.tolist(), r.num_prbs):
         rates = np.array([
             brute_uplink_rate(n, decision.a, c, gains.h, s.tx_power_w,
                               r.bandwidth_hz, r.num_prbs, r.noise_per_prb_w)
             for n in range(3)
         ])
-        uplink = (PrbAssociation(c=c), rates)
-        costs[counts] = price(decision, uplink, s, estimates, cpu_mode).system_overhead
-    return costs
+        uplinks[counts] = (c, rates)
+    return uplinks
+
+
+def region_costs(s, gains, estimates, cpu_mode):
+    """{counts: cost} of every region_uplinks colouring, priced with price
+    under the CPU rule."""
+    decision = OffloadDecision.from_set(range(3), 3)
+    return {
+        counts: price(decision, (PrbAssociation(c=c), rates), s, estimates,
+                      cpu_mode).system_overhead
+        for counts, (c, rates) in region_uplinks(s, gains, estimates).items()
+    }
+
+
+MASKED_CPU_SOLVERS = {"minmax": allocate_minmax, "minsum": allocate_minsum, "equal": allocate_equal}
+
+
+def masked_price(decision, uplink, s, estimates, cpu_mode) -> AllocationOutcome:
+    """price in its masked form, the bit-for-bit reference: every offloader
+    starts at +inf, only the live uplinks (0 < rate < inf) are priced and
+    scattered back through a mask, and the CPU rule runs only when all of
+    them are live."""
+    assoc, rates = uplink
+    offs = decision.offload_set
+    n = s.n_cells
+    t_off = np.zeros(n)
+    e_off = np.zeros(n)
+    per_ue = estimates.local_overhead.copy()
+    cpu = None
+    if offs:
+        ids = np.array(offs)
+        bits, power, cycles, wt, we = cost_inputs(s, ids)
+        r = rates[ids]
+        per_ue[ids] = t_off[ids] = e_off[ids] = math.inf  # until priced
+        up = (r > 0) & (r < math.inf)  # a live uplink; nan fails too
+        t, e = upload_cost(bits[up], power[up], r[up])
+        t_off[ids[up]], e_off[ids[up]] = t, e
+        if up.all():
+            caps = estimates.local_time_s[ids] - t
+            try:
+                cpu = MASKED_CPU_SOLVERS[cpu_mode](ids, cycles, caps, s.mec_capacity_hz)
+            except InfeasibleAllocation:
+                pass
+            else:
+                f = np.fromiter(map(cpu.f.__getitem__, offs), float, ids.size)
+                per_ue[ids] = execution_cost(cycles, wt, we, t, e, f)[2]
+    return AllocationOutcome(
+        decision=decision,
+        assoc=assoc,
+        rates_bps=rates,
+        t_off_s=t_off,
+        e_off_j=e_off,
+        cpu=cpu,
+        per_ue_overhead=per_ue,
+        system_overhead=float(per_ue.sum()),
+    )
 
 
 def grid_cpu_oracle(kind, cycles, lower, budget, resolution=33, rounds=6):
@@ -570,7 +630,7 @@ def scalar_equal(requests, capacity_hz) -> CpuAllocation:
     if not requests:
         raise InfeasibleAllocation("no requests to split the budget over")
     share = capacity_hz / len(requests)
-    if any(r.cycles / share > r.t_cap_s for r in requests):
+    if not all(r.cycles / share <= r.t_cap_s for r in requests):
         raise InfeasibleAllocation("even split misses at least one deadline")
     shares = {r.ue: share for r in requests}
     return CpuAllocation(shares, left_to_right_sum(r.cycles / share for r in requests))

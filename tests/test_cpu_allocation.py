@@ -154,6 +154,11 @@ class TestEqualSplit:
             allocate_equal(*reqs([1e9, 1e9], caps=[0.4, LOOSE]), 3e9)
         with pytest.raises(InfeasibleAllocation):
             allocate_equal(*reqs([]), 3e9)
+        # a nan deadline is met by no share, as the pinning rules find
+        nan_cap = ([0, 1], np.array([1e9, 1e9]), np.array([math.nan, 1.0]), 1e10)
+        for solver in SOLVERS:
+            with pytest.raises(InfeasibleAllocation):
+                solver(*nan_cap)
 
 
 class TestSharedInvariants:
@@ -250,7 +255,7 @@ def oracle_instances(draw):
     minimum shares fit it loosely, exactly (their left-to-right sum is the
     budget) or not at all. A cap is infinite (no deadline) or gives its UE
     a drawn fraction of the budget, so several rounds of pins can use the
-    budget up; now and then one cap is zero or negative."""
+    budget up; now and then one cap is zero, negative or nan."""
     n = draw(st.integers(0, 12))
     cycles = draw(st.lists(st.floats(1e6, 5e9), min_size=n, max_size=n))
     ues = draw(st.permutations(range(n)))
@@ -261,7 +266,7 @@ def oracle_instances(draw):
         for c, free in zip(cycles, loose)
     ]
     if n and draw(st.integers(0, 5)) == 0:
-        caps[draw(st.integers(0, n - 1))] = draw(st.sampled_from((0.0, -0.0, -1e-9, -3.0)))
+        caps[draw(st.integers(0, n - 1))] = draw(st.sampled_from((0.0, -0.0, -1e-9, -3.0, math.nan)))
     total = left_to_right_sum(min_shares(cycles, caps))
     fit = draw(st.sampled_from(("as drawn", "exact", "scaled")))
     if 0 < total < math.inf and fit != "as drawn":

@@ -99,6 +99,17 @@ class TestOrthogonalEstimate:
         assert overhead == want
         assert overhead == pytest.approx(t_off + t_exe, rel=1e-12)
 
+    def test_a_share_without_a_float_rate_prices_out_alone(self):
+        # UE 1's signal is so weak that 1 + SNR rounds to 1: its rate is 0
+        # and its estimate +inf, while the others price as if all were live
+        s = manual_scenario([(0.0, 0.0)] * 3, [(0.0, 0.0)] * 3)
+        gains = ChannelGains(h=np.diag([1e-10, 1e-300, 1e-10]))
+        report = orthogonal_estimate(fake_loads(3, w=3), [0, 1, 2], s, gains)
+        assert report[1] == math.inf
+        rate = prb_rate(100 * 3 / 9, 1e-10, s.radio, s.ues[0].tx_power_w)
+        for i in (0, 2):
+            assert report[i] == ue_offload_cost(s.ues[i], rate, 1e11 / 3)[3]
+
     def test_empty_set_rejected(self):
         s = manual_scenario([(0.0, 0.0)], [(0.0, 0.0)])
         gains = ChannelGains(h=np.array([[1e-10]]))

@@ -35,7 +35,7 @@ from mecoffload.load_estimation import estimate_loads, prb_rate
 from mecoffload.radio import OffloadDecision, PrbAssociation, uplink_rate
 from mecoffload.scenario import ScenarioConfig, build_scenario, channel_gains, tx_powers
 
-from _oracles import loop_orthogonal_rates, ue_offload_cost
+from _oracles import loop_orthogonal_rates, masked_price, ue_offload_cost
 
 REL = 1e-9
 
@@ -271,6 +271,58 @@ def test_every_all_local_outcome_is_one_fresh_price_shared_read_only(
             array[...] = 0
     with pytest.raises(ValueError):
         c.flags.writeable = True  # nor can it be made writeable
+
+
+@st.composite
+def price_instances(draw):
+    """A decision of 1-12 offloaders among up to 14 UEs with their rates,
+    and a cell to price it in. Every rate is live, or some offloaders'
+    are 0, nan or inf (a dead uplink). Each live offloader's deadline is
+    loose, already missed, or leaves it a weighted part of 50-110% of the
+    server budget, so the CPU split may fit, pin some UEs or fail."""
+    n = draw(st.integers(1, 14))
+    offs = sorted(draw(st.permutations(range(n)))[:draw(st.integers(1, min(n, 12)))])
+    rates = np.array(draw(st.lists(st.floats(1e3, 1e9), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        for i in draw(st.sets(st.sampled_from(offs), min_size=1)):
+            rates[i] = draw(st.sampled_from((0.0, math.nan, math.inf)))
+    cfg = ScenarioConfig(
+        n_cells=n,
+        mec_ghz=draw(st.sampled_from((1.0, 10.0, 100.0))),
+        task_megacycles=draw(st.sampled_from((100.0, 1000.0, 5000.0))),
+    )
+    s = build_scenario(cfg, seed=draw(st.integers(0, 10_000)))
+    estimates = estimate_loads(s, channel_gains(s))
+    live = [i for i in offs if 0 < rates[i] < math.inf]
+    kind = draw(st.lists(st.sampled_from(("share",) * 6 + ("loose", "missed")),
+                         min_size=len(live), max_size=len(live)))
+    weight = draw(st.lists(st.floats(0.2, 1.5), min_size=len(live), max_size=len(live)))
+    # the shares' sum against the server budget: it fits or it does not
+    fill = draw(st.floats(0.5, 1.1)) / (sum(w for w, k in zip(weight, kind) if k == "share") or 1)
+    local_time = estimates.local_time_s.copy()
+    for i, k, w in zip(live, kind, weight):
+        t = s.input_bits[i] / rates[i]
+        if k == "loose":
+            local_time[i] = t + 1e3
+        elif k == "missed":
+            local_time[i] = t / 2
+        else:
+            local_time[i] = t + s.cycles[i] / (s.mec_capacity_hz * w * fill)
+    estimates = dataclasses.replace(estimates, local_time_s=local_time)
+    return OffloadDecision.from_set(offs, n), rates, s, estimates
+
+
+@settings(max_examples=300)
+@given(price_instances(), st.sampled_from(("minmax", "minsum", "equal")))
+def test_price_equals_the_masked_form_bit_for_bit(instance, cpu_mode):
+    # an all-live decision skips the masks, a dead uplink keeps them; both
+    # must give the masked form's arrays, CPU split and total to the bit
+    decision, rates, s, estimates = instance
+    uplink = (PrbAssociation.empty(s.n_cells, s.radio.num_prbs), rates)
+    got = price(decision, uplink, s, estimates, cpu_mode)
+    want = masked_price(decision, uplink, s, estimates, cpu_mode)
+    assert got.assoc is want.assoc and got.rates_bps is rates
+    assert_same_outcome(got, want)
 
 
 @settings(max_examples=60)
