@@ -20,19 +20,15 @@ def upload_cost(bits, power_w, rate_bps):
 
     Arrays with one entry per UE; each element gets the float arithmetic of
     the formula. Energy covers only the uplink burst; the server's own
-    consumption is out of the cost model.
+    consumption is out of the cost model. The rates are not checked: the
+    callers pass only the positive ones their own liveness mask keeps.
     """
-    if not (rate_bps > 0).all():  # nan fails too
-        raise ValueError(f"rate must be positive, got {rate_bps}")
     return bits / rate_bps, power_w * bits / rate_bps
 
 
 def execution_cost(cycles, weight_time, weight_energy, t_off_s, e_off_j, f_assigned_hz):
-    """Server time C/f, total time t_off + C/f and the weighted overhead
-    w_t * total + w_e * e_off of an upload priced by upload_cost, on
-    arrays as there."""
+    """The weighted overhead w_t * (t_off + C/f) + w_e * e_off of an upload
+    priced by upload_cost and run at server share f, on arrays as there."""
     if not (f_assigned_hz > 0).all():
         raise ValueError(f"assigned CPU speed must be positive, got {f_assigned_hz}")
-    t_exe = cycles / f_assigned_hz
-    t_total = t_off_s + t_exe
-    return t_exe, t_total, weight_time * t_total + weight_energy * e_off_j
+    return weight_time * (t_off_s + cycles / f_assigned_hz) + weight_energy * e_off_j

@@ -15,6 +15,7 @@ the uplink transfer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,13 @@ class CpuAllocation:
         return _add_up(np.fromiter(self.f.values(), float, len(self.f)))
 
 
+def _check_budget(capacity_hz: float) -> None:
+    """Only a finite, positive budget can be split (Scenario requires the
+    same of mec_capacity_hz)."""
+    if not 0.0 < capacity_hz < math.inf:  # nan fails too
+        raise InfeasibleAllocation("server budget must be finite and positive")
+
+
 def _min_shares(cycles: np.ndarray, t_cap_s: np.ndarray, capacity_hz: float) -> np.ndarray:
     """Smallest share that still meets each deadline, once every deadline is
     known to be positive; an infinite t_cap_s needs a share of exactly 0.
@@ -63,6 +71,7 @@ def _pin_and_split(
     pinned shares leave the budget, one at a time in pin order, and the rest
     is split again. Returns the shares by UE id (pins in pin order, then the
     rest) and as an array aligned with the inputs."""
+    _check_budget(capacity_hz)
     cycles = np.asarray(cycles, dtype=float)
     lower = _min_shares(cycles, np.asarray(t_cap_s, dtype=float), capacity_hz)
     active = np.arange(cycles.size)
@@ -71,7 +80,8 @@ def _pin_and_split(
     while active.size:
         if budget <= 0:
             # the pins took the whole budget (the feasibility sum may round
-            # to it) and the UEs left would get no share at all
+            # to it) and the UEs left would get no share at all; the budget
+            # is positive before the first pin
             raise InfeasibleAllocation("pinned shares use up the server budget")
         free = split(cycles[active], budget)
         below = free < lower[active]
@@ -131,6 +141,7 @@ def allocate_minsum(ues, cycles, t_cap_s, capacity_hz: float) -> CpuAllocation:
 
 def allocate_equal(ues, cycles, t_cap_s, capacity_hz: float) -> CpuAllocation:
     """Even split of the budget, for baselines. Deadlines still gate it."""
+    _check_budget(capacity_hz)
     cycles = np.asarray(cycles, dtype=float)
     if not cycles.size:
         raise InfeasibleAllocation("no requests to split the budget over")

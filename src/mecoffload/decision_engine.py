@@ -80,15 +80,18 @@ def orthogonal_estimate(
     w = estimates.w[members]
     bits, power, cycles, wt, we = cost_inputs(s, members)
     share = s.radio.num_prbs * w / w.sum()  # real-valued
-    rate = prb_rate(share, gains.h.diagonal()[members], s.radio, power)
+    # the link-budget check bounds the SNR at one PRB, and a share below
+    # one can overflow it to an infinite rate, a free upload
+    with np.errstate(over="ignore"):
+        rate = prb_rate(share, gains.h.diagonal()[members], s.radio, power)
     f_even = np.full(members.size, s.mec_capacity_hz / s.n_cells)
     up = rate > 0
     if up.all():
-        overhead = execution_cost(cycles, wt, we, *upload_cost(bits, power, rate), f_even)[2]
+        overhead = execution_cost(cycles, wt, we, *upload_cost(bits, power, rate), f_even)
     else:
         overhead = np.full(members.size, math.inf)
         t, e = upload_cost(bits[up], power[up], rate[up])
-        overhead[up] = execution_cost(cycles[up], wt[up], we[up], t, e, f_even[up])[2]
+        overhead[up] = execution_cost(cycles[up], wt[up], we[up], t, e, f_even[up])
     return dict(zip(members.tolist(), overhead.tolist()))
 
 
@@ -184,7 +187,7 @@ def price(
                 per_ue[ids] = math.inf
             else:
                 f = np.fromiter(map(cpu.f.__getitem__, offs), float, ids.size)
-                per_ue[ids] = execution_cost(cycles, wt, we, t, e, f)[2]
+                per_ue[ids] = execution_cost(cycles, wt, we, t, e, f)
         else:
             # only the live uplinks are priced; the rest stay at +inf
             per_ue[ids] = t_off[ids] = e_off[ids] = math.inf
@@ -262,13 +265,13 @@ class CellPlan:
     """The sizing pass of one cell, shared by all of its schemes.
 
     Nothing here depends on the server-split rule: the Loads, the
-    offloadable UE ids, the orthogonal report of every candidate
-    (read-only), the initial guess and the all-local outcome, which every
-    scheme whose decision has no offloader returns (its arrays read-only).
+    orthogonal report of every candidate (read-only, keyed by the
+    offloadable UE ids in ascending order), the initial guess and the
+    all-local outcome, which every scheme whose decision has no offloader
+    returns (its arrays read-only).
     """
 
     estimates: Loads
-    candidates: tuple[int, ...]
     report: Mapping[int, float]
     a0: OffloadDecision
     local: AllocationOutcome
@@ -293,7 +296,7 @@ def cell_plan(s: Scenario, gains: ChannelGains) -> CellPlan:
     # the empty association is read-only already
     for array in (local.rates_bps, local.t_off_s, local.e_off_j, local.per_ue_overhead):
         array.flags.writeable = False
-    plan = CellPlan(estimates, candidates, MappingProxyType(report), a0, local)
+    plan = CellPlan(estimates, MappingProxyType(report), a0, local)
     object.__setattr__(gains, "_plan", (s, plan))
     return plan
 
@@ -312,9 +315,9 @@ def run_baseline(kind: str, s: Scenario, gains: ChannelGains) -> AllocationOutco
     if kind not in _BASELINES:
         raise ValueError(f"unknown baseline {kind!r}")
     plan = cell_plan(s, gains)
-    if kind == "all_local" or not plan.candidates:
+    if kind == "all_local" or not plan.report:
         return plan.local
-    estimates, candidates = plan.estimates, plan.candidates
+    estimates, candidates = plan.estimates, tuple(plan.report)
     n, k = s.n_cells, s.radio.num_prbs
     decision = OffloadDecision.from_set(candidates, n)
     c, rates = np.zeros((n, k), dtype=np.int64), np.zeros(n)

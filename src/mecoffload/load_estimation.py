@@ -45,8 +45,7 @@ class Loads:
     """
 
     local_time_s: np.ndarray  # D/F_l
-    local_energy_j: np.ndarray  # v*D
-    local_overhead: np.ndarray  # weighted local cost
+    local_overhead: np.ndarray  # w_t*D/F_l + w_e*v*D
     t_exe_est_s: np.ndarray  # server time at an even F/N split
     min_rate_bps: np.ndarray  # inf when forced local
     w: np.ndarray  # minimum PRB count, 0 unless offloadable
@@ -130,8 +129,7 @@ def estimate_loads(s: Scenario, gains: ChannelGains) -> Loads:
     # min_prbs finds at least one PRB or none, and only sized UEs have a w
     offloadable = w > 0
     return Loads(
-        local_time_s=local_time, local_energy_j=local_energy,
-        local_overhead=local_overhead, t_exe_est_s=t_exe_est, min_rate_bps=rate,
-        w=w, forced_local=forced, infeasible=sized ^ offloadable,
-        offloadable=offloadable,
+        local_time_s=local_time, local_overhead=local_overhead,
+        t_exe_est_s=t_exe_est, min_rate_bps=rate, w=w, forced_local=forced,
+        infeasible=sized ^ offloadable, offloadable=offloadable,
     )

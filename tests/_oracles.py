@@ -489,7 +489,7 @@ def masked_price(decision, uplink, s, estimates, cpu_mode) -> AllocationOutcome:
                 pass
             else:
                 f = np.fromiter(map(cpu.f.__getitem__, offs), float, ids.size)
-                per_ue[ids] = execution_cost(cycles, wt, we, t, e, f)[2]
+                per_ue[ids] = execution_cost(cycles, wt, we, t, e, f)
     return AllocationOutcome(
         decision=decision,
         assoc=assoc,
@@ -579,10 +579,17 @@ def scalar_feasible(requests, capacity_hz) -> bool:
     return left_to_right_sum(r.min_share_hz for r in requests) <= capacity_hz
 
 
+def scalar_check_budget(capacity_hz) -> None:
+    """Only a budget strictly between 0 and inf can be split."""
+    if math.isnan(capacity_hz) or capacity_hz <= 0 or math.isinf(capacity_hz):
+        raise InfeasibleAllocation("server budget must be finite and positive")
+
+
 def _scalar_pin_and_split(requests, capacity_hz, split) -> dict[int, float]:
     """The pin loop one request at a time: the split over the active
     requests, every one it leaves below its minimum share pinned there and
     taken off the budget, until no share falls short."""
+    scalar_check_budget(capacity_hz)
     if not scalar_feasible(requests, capacity_hz):
         raise InfeasibleAllocation("deadline caps cannot all be met within the server budget")
     active = list(requests)
@@ -627,6 +634,7 @@ def scalar_minsum(requests, capacity_hz) -> CpuAllocation:
 
 def scalar_equal(requests, capacity_hz) -> CpuAllocation:
     """The budget split evenly; any missed deadline is infeasible."""
+    scalar_check_budget(capacity_hz)
     if not requests:
         raise InfeasibleAllocation("no requests to split the budget over")
     share = capacity_hz / len(requests)

@@ -139,6 +139,26 @@ class TestDeterminism:
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
+    @pytest.mark.parametrize("argv", [
+        "run --seed 0 --scheme all",
+        "sweep --scheme all --vary cells --values 3,5 --seeds 0..1",
+    ])
+    def test_timing_changes_only_the_wall_time(self, capsys, argv):
+        code, untimed, _ = run_cli(capsys, argv.split())
+        assert code == 0
+        code, timed, _ = run_cli(capsys, argv.split() + ["--timing"])
+        assert code == 0
+        untimed, timed = csv_lines(untimed), csv_lines(timed)
+        assert timed[0] == untimed[0] == CSV_HEADER
+        assert len(timed) == len(untimed) > 1
+        wall = CSV_HEADER.split(",").index("wall_time_ms")
+        for got, want in zip(timed[1:], untimed[1:]):
+            got, want = got.split(","), want.split(",")
+            ms = float(got.pop(wall))
+            assert math.isfinite(ms) and ms >= 0
+            assert want.pop(wall) == "0"
+            assert got == want
+
 
 class TestSweep:
     def test_grid_shape_and_ordering(self, capsys, tmp_path):

@@ -2,8 +2,6 @@
 formula of _oracles.offload_cost. The local cost comes from
 load_estimation.estimate_loads, which prices every UE at once."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -21,11 +19,11 @@ def scenario_of(ues):
 
 def priced(ues, rates, speeds):
     """The array pricing of the make_ue entries `ues`, gathered from a
-    scenario's columns: (t_off, e_off, t_exe, t_total, overhead)."""
+    scenario's columns: (t_off, e_off, overhead)."""
     bits, power, cycles, wt, we = cost_inputs(scenario_of(ues), np.arange(len(ues)))
     t_off, e_off = upload_cost(bits, power, np.asarray(rates, dtype=float))
-    return (t_off, e_off,
-            *execution_cost(cycles, wt, we, t_off, e_off, np.asarray(speeds, dtype=float)))
+    return t_off, e_off, execution_cost(cycles, wt, we, t_off, e_off,
+                                        np.asarray(speeds, dtype=float))
 
 
 class TestLocalOverhead:
@@ -33,32 +31,28 @@ class TestLocalOverhead:
         # 1e9 cycles at 0.7 GHz, 4.9e-12 J/cycle, equal weights
         loads = sized()
         assert loads.local_time_s[0] == pytest.approx(1.4285714285714286, rel=1e-12)
-        assert loads.local_energy_j[0] == pytest.approx(0.0049, rel=1e-12)
         assert loads.local_overhead[0] == pytest.approx(0.7167357142857143, rel=1e-12)
 
     def test_weights_scale_linearly(self):
         time_only = sized(wt=1.0, we=0.0)
         energy_only = sized(wt=0.0, we=1.0)
         assert time_only.local_overhead[0] == pytest.approx(time_only.local_time_s[0])
-        assert energy_only.local_overhead[0] == pytest.approx(energy_only.local_energy_j[0])
+        assert energy_only.local_overhead[0] == pytest.approx(0.0049, rel=1e-12)  # v*D
 
 
 class TestOffloadOverhead:
     def test_hand_composition(self):
         # rate 1e6 bit/s, full server: 3.44064 s upload, 1 s execution
-        t_off, e_off, t_exe, t_total, overhead = (
-            float(x[0]) for x in priced([make_ue()], [1e6], [1e9])
-        )
+        t_off, e_off, overhead = (float(x[0]) for x in priced([make_ue()], [1e6], [1e9]))
         assert t_off == pytest.approx(3.44064, rel=1e-12)
         assert e_off == pytest.approx(0.344064, rel=1e-12)
-        assert t_exe == pytest.approx(1.0, rel=1e-12)
-        assert t_total == pytest.approx(4.44064, rel=1e-12)
         assert overhead == pytest.approx(0.5 * 4.44064 + 0.5 * 0.344064, rel=1e-12)
         ue = scenario_of([make_ue()]).ues[0]
-        assert (t_off, e_off, t_exe, overhead) == ue_offload_cost(ue, 1e6, 1e9)
+        want = ue_offload_cost(ue, 1e6, 1e9)
+        assert (t_off, e_off, overhead) == (want[0], want[1], want[3])
 
     def test_higher_rate_never_costs_more(self):
-        slow, fast = priced([make_ue()] * 2, [1e6, 2e6], [1e9, 1e9])[4]
+        slow, fast = priced([make_ue()] * 2, [1e6, 2e6], [1e9, 1e9])[2]
         assert fast < slow
 
     def test_array_form_prices_each_ue_as_the_scalar_form(self):
@@ -66,26 +60,15 @@ class TestOffloadOverhead:
                        wt=0.1 * i, we=1 - 0.1 * i) for i in range(5)]
         rates = np.array([1e6, 3.3e5, 7e7, 2.2e6, 9.1e5])
         speeds = np.array([1e9, 2.5e9, 3.3e8, 7.7e9, 1.1e9])
-        t_off, e_off, t_exe, t_total, overhead = priced(ues, rates, speeds)
+        t_off, e_off, overhead = priced(ues, rates, speeds)
         for j, ue in enumerate(scenario_of(ues).ues):
             one = ue_offload_cost(ue, float(rates[j]), float(speeds[j]))
             assert t_off[j] == one[0] and e_off[j] == one[1]
-            assert t_exe[j] == one[2] and t_total[j] == one[0] + one[2]
             assert overhead[j] == one[3]
-
-    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan])
-    def test_bad_rate_rejected(self, rate):
-        with pytest.raises(ValueError, match="rate must be positive, got"):
-            priced([make_ue()], [rate], [1e9])
 
     def test_bad_cpu_rejected(self):
         with pytest.raises(ValueError, match="assigned CPU speed must be positive, got"):
             priced([make_ue()], [1e6], [0.0])
-
-    @pytest.mark.parametrize("rate", [0.0, math.nan])
-    def test_array_form_rejects_a_bad_rate(self, rate):
-        with pytest.raises(ValueError, match="rate must be positive, got"):
-            upload_cost(np.full(2, 1e6), np.full(2, 0.1), np.array([1e6, rate]))
 
     def test_array_form_rejects_a_zero_cpu_share(self):
         ones = np.ones(2)

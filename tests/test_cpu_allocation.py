@@ -193,6 +193,14 @@ class TestSharedInvariants:
         with pytest.raises(InfeasibleAllocation, match="pinned shares use up"):
             solver(*requests, 1.0)
 
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("capacity", [0.0, -1.0, math.nan, math.inf])
+    def test_a_budget_that_cannot_be_split_is_rejected_first(self, solver, capacity):
+        # nothing is pinned and no deadline binds; a zero budget used to
+        # read as a budget the pins took, and an even split divided by it
+        with pytest.raises(InfeasibleAllocation, match="server budget must be finite and positive"):
+            solver(*reqs([1e9, 1e9]), capacity)
+
     @pytest.mark.parametrize("kind,solver", [("minmax", allocate_minmax), ("minsum", allocate_minsum)])
     def test_grid_oracle_agreement_small(self, kind, solver):
         rng = np.random.default_rng(400 if kind == "minmax" else 500)
@@ -255,7 +263,8 @@ def oracle_instances(draw):
     minimum shares fit it loosely, exactly (their left-to-right sum is the
     budget) or not at all. A cap is infinite (no deadline) or gives its UE
     a drawn fraction of the budget, so several rounds of pins can use the
-    budget up; now and then one cap is zero, negative or nan."""
+    budget up; now and then one cap is zero, negative or nan, and now and
+    then the budget is no finite positive number."""
     n = draw(st.integers(0, 12))
     cycles = draw(st.lists(st.floats(1e6, 5e9), min_size=n, max_size=n))
     ues = draw(st.permutations(range(n)))
@@ -271,6 +280,8 @@ def oracle_instances(draw):
     fit = draw(st.sampled_from(("as drawn", "exact", "scaled")))
     if 0 < total < math.inf and fit != "as drawn":
         budget = total if fit == "exact" else total * draw(st.floats(0.5, 2.0))
+    if draw(st.integers(0, 7)) == 0:
+        budget = draw(st.sampled_from((0.0, -0.0, -1.0, math.nan, math.inf, -math.inf)))
     return np.array(ues, dtype=np.int64), np.array(cycles), np.array(caps), budget
 
 

@@ -49,11 +49,11 @@ def built(n=9, seed=0, **overrides):
 
 
 def fake_loads(n, w=1, **columns):
-    """Loads for n offloadable UEs: w PRBs each, local cost 1 s, 0.1 J,
-    0.55; keyword arrays replace columns."""
+    """Loads for n offloadable UEs: w PRBs each, local time 1 s and
+    overhead 0.55 (1 s and 0.1 J at equal weights); keyword arrays replace
+    columns."""
     arrays = dict(
-        local_time_s=np.full(n, 1.0), local_energy_j=np.full(n, 0.1),
-        local_overhead=np.full(n, 0.55), t_exe_est_s=np.full(n, 0.01),
+        local_time_s=np.full(n, 1.0), local_overhead=np.full(n, 0.55), t_exe_est_s=np.full(n, 0.01),
         min_rate_bps=np.full(n, 1e6), w=np.full(n, w, dtype=np.int64),
         forced_local=np.zeros(n, dtype=bool), infeasible=np.zeros(n, dtype=bool),
         offloadable=np.ones(n, dtype=bool),
@@ -412,7 +412,7 @@ class TestRunScheme:
         for s, gains in fits:
             assert run_baseline("all_offload_orth", s, gains).rates_bps.any()
         assert math.isinf(run_baseline("all_offload_orth", *narrow).system_overhead)
-        assert cell_plan(*slow).candidates == ()
+        assert not cell_plan(*slow).report
         assert main("sweep --scheme all --vary cells --values 3,9 --seeds 0..2".split()) == 0
         assert capsys.readouterr().out.count("all_offload_orth") == 6
 
@@ -443,7 +443,7 @@ class TestRunScheme:
             s, gains = built(**overrides)
             for name in SCHEME_NAMES:
                 run_scheme(name, s, gains)
-            assert cell_plan(s, gains).candidates
+            assert cell_plan(s, gains).report
             assert calls == [s]
             calls.clear()
 
@@ -484,10 +484,11 @@ class TestCellPlan:
             run_scheme(name, s, gains)
         plan = cell_plan(s, gains)
         assert plan.estimates.w.tobytes() == estimate_loads(s, gains).w.tobytes()
-        assert plan.candidates == tuple(np.flatnonzero(plan.estimates.offloadable).tolist())
-        assert dict(plan.report) == orthogonal_estimate(plan.estimates, plan.candidates, s, gains)
+        candidates = np.flatnonzero(plan.estimates.offloadable).tolist()
+        assert list(plan.report) == candidates  # in ascending order
+        assert dict(plan.report) == orthogonal_estimate(plan.estimates, candidates, s, gains)
         with pytest.raises(TypeError):
-            plan.report[plan.candidates[0]] = 0.0
+            plan.report[candidates[0]] = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             plan.a0 = None
         local = plan.local
@@ -506,14 +507,14 @@ class TestCellPlan:
         s, gains = built(n=160, mec_ghz=25.0)  # every UE forced local
         outs = [run_scheme(name, s, gains) for name in SCHEME_NAMES]
         plan = cell_plan(s, gains)
-        assert plan.candidates == ()
+        assert not plan.report
         assert len(calls) == 1
         assert all(out is plan.local for out in outs)
         # with candidates, all_local reads what the plan priced
         calls.clear()
         s, gains = built()
         plan = cell_plan(s, gains)
-        assert plan.candidates
+        assert plan.report
         for _ in range(2):
             assert run_scheme("all_local", s, gains) is plan.local
         assert len(calls) == 1
@@ -525,7 +526,7 @@ class TestCellPlan:
             run_scheme(first, s, gains)
             plan = cell_plan(s, gains)
             estimates = estimate_loads(s, gains)
-            report = orthogonal_estimate(estimates, plan.candidates, s, gains)
+            report = orthogonal_estimate(estimates, list(plan.report), s, gains)
             assert dict(plan.report) == report, first
             assert plan.a0 == initial_decision(estimates, report), first
             for name in SCHEME_NAMES:
@@ -538,9 +539,9 @@ class TestCellPlan:
         s, gains = built()
         slow = dataclasses.replace(s, mec_capacity_hz=5e9)  # forces every UE local
         first = run_scheme("proposed_minsum", s, gains)
-        assert cell_plan(s, gains).candidates
+        assert cell_plan(s, gains).report
         assert run_scheme("proposed_minsum", slow, gains).decision.n_offload == 0
-        assert cell_plan(slow, gains).candidates == ()
+        assert not cell_plan(slow, gains).report
         assert [c[0] for c in calls] == [s, slow]
         # the first scenario is sized again, and prices as it did
         again = run_scheme("proposed_minsum", s, gains)

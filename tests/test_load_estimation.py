@@ -340,10 +340,9 @@ def test_loads_match_scalar_loop(
     elif regime == "offloadable":
         assert loads.offloadable.any()
 
-    local_time, local_energy, local_overhead = zip(*map(scalar_local, s.ues))
+    local_time, _, local_overhead = zip(*map(scalar_local, s.ues))
     columns = {
         "local_time_s": list(local_time),
-        "local_energy_j": list(local_energy),
         "local_overhead": list(local_overhead),
         "t_exe_est_s": [e.t_exe_est_s for e in want],
         "min_rate_bps": [e.min_rate_bps for e in want],

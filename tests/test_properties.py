@@ -12,13 +12,16 @@ import json
 import math
 import pickle
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mecoffload import decision_engine
 from mecoffload.cli import main
+from mecoffload.compute_model import upload_cost
 from mecoffload.cpu_allocation import allocate_minmax, allocate_minsum
 from mecoffload.decision_engine import (
     SCHEME_NAMES,
@@ -273,6 +276,22 @@ def test_every_all_local_outcome_is_one_fresh_price_shared_read_only(
         c.flags.writeable = True  # nor can it be made writeable
 
 
+@contextlib.contextmanager
+def upload_rates_checked():
+    """decision_engine's upload_cost, wrapped to assert that every rate its
+    caller passes is positive, since upload_cost does not check them.
+    Yields the list of rate arrays it is passed."""
+    calls = []
+
+    def checked(bits, power_w, rate_bps):
+        assert (rate_bps > 0).all(), rate_bps
+        calls.append(rate_bps)
+        return upload_cost(bits, power_w, rate_bps)
+
+    with mock.patch.object(decision_engine, "upload_cost", checked):
+        yield calls
+
+
 @st.composite
 def price_instances(draw):
     """A decision of 1-12 offloaders among up to 14 UEs with their rates,
@@ -319,7 +338,9 @@ def test_price_equals_the_masked_form_bit_for_bit(instance, cpu_mode):
     # must give the masked form's arrays, CPU split and total to the bit
     decision, rates, s, estimates = instance
     uplink = (PrbAssociation.empty(s.n_cells, s.radio.num_prbs), rates)
-    got = price(decision, uplink, s, estimates, cpu_mode)
+    with upload_rates_checked() as calls:
+        got = price(decision, uplink, s, estimates, cpu_mode)
+    assert calls
     want = masked_price(decision, uplink, s, estimates, cpu_mode)
     assert got.assoc is want.assoc and got.rates_bps is rates
     assert_same_outcome(got, want)
@@ -344,7 +365,9 @@ def test_orthogonal_estimate_prices_each_member_as_the_oracle(
     members = estimates.offloadable.nonzero()[0].tolist()
     if not members:
         return
-    report = orthogonal_estimate(estimates, members, s, gains)
+    with upload_rates_checked() as calls:
+        report = orthogonal_estimate(estimates, members, s, gains)
+    assert len(calls) == 1
     assert sorted(report) == members
     total_w = sum(int(estimates.w[i]) for i in members)
     f_even = s.mec_capacity_hz / n_cells
@@ -421,6 +444,9 @@ _CONFIGS = st.builds(
 @example(data={"n_cells": 10**400})
 # finite as a field, but its product with num_prbs is an int past float range
 @example(data={"reuse_lambda": 10**307})
+# a real-valued PRB share below one overflows the SNR the link-budget check
+# bounds at one PRB
+@example(data={"n_cells": 2, "num_prbs": 1, "pl0_db": -3000.0, "seed": 1})
 def test_any_config_gives_rows_or_a_documented_exit(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(json.dumps(data))  # NaN / Infinity literals
