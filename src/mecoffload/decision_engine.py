@@ -67,7 +67,8 @@ def orthogonal_estimate(
     as price. Deliberately optimistic; used only to rank candidates,
     never as the acceptance metric. Every member must be offloadable: the
     others have no PRB demand to share by. A share whose float rate is 0
-    (a weak signal) prices at +inf, so the initial guess keeps it local.
+    or +inf is a dead uplink, as in price: it prices at +inf, so the
+    initial guess keeps it local.
     """
     members = np.array(sorted(offload_set), dtype=np.int64)
     if not members.size:
@@ -81,11 +82,11 @@ def orthogonal_estimate(
     bits, power, cycles, wt, we = cost_inputs(s, members)
     share = s.radio.num_prbs * w / w.sum()  # real-valued
     # the link-budget check bounds the SNR at one PRB, and a share below
-    # one can overflow it to an infinite rate, a free upload
+    # one can overflow it to an infinite rate, which is dead like a 0
     with np.errstate(over="ignore"):
         rate = prb_rate(share, gains.h.diagonal()[members], s.radio, power)
     f_even = np.full(members.size, s.mec_capacity_hz / s.n_cells)
-    up = rate > 0
+    up = (rate > 0) & (rate < math.inf)  # price's live uplink
     if up.all():
         overhead = execution_cost(cycles, wt, we, *upload_cost(bits, power, rate), f_even)
     else:
@@ -163,7 +164,8 @@ def price(
     Local UEs pay their local cost. An offloader without a usable rate is a
     dead uplink that prices the decision at +inf; so is a server split that
     misses a deadline. The CPU rule runs only when there are offloaders and
-    each has a rate.
+    each has a rate. Unmasked when all are live, the arrays have the bits of
+    the masked form (tests/_oracles.masked_price).
     """
     assoc, rates = uplink
     offs = decision.offload_set
@@ -331,7 +333,8 @@ def run_baseline(kind: str, s: Scenario, gains: ChannelGains) -> AllocationOutco
             c[i, next_free : next_free + q] = 1
             next_free += q
         ids = np.array(candidates)
-        # no block is shared, so each held block sees zero interference
+        # no block is shared, so each held block sees zero interference: the
+        # bits of the from-scratch table's exact +0.0 entries
         signal = tx_powers(s)[ids] / np.array(quota) * gains.h.diagonal()[ids]
         rates[ids] = held_rate(c.take(ids, 0), signal[:, None], 0.0, s.radio)
     return price(decision, (PrbAssociation(c=c), rates), s, estimates, "equal")

@@ -26,7 +26,8 @@ def normalize_prbs(demands, offload_ids, num_prbs: int, reuse_lambda: float) -> 
 
     Quota = round-half-even(lambda * K * w_n / sum w) capped at K and
     floored at 1; entries outside the offload set stay 0. lambda > 1
-    oversubscribes the band on purpose so that colors get reused.
+    oversubscribes the band on purpose so that colors get reused. The bits
+    are those of lambda * ((K * w_n) / sum w), with K * w_n an integer.
     """
     ids = np.array(sorted(offload_ids), dtype=np.int64)
     if not ids.size:
@@ -109,7 +110,9 @@ def color(graph: InterferenceGraph, radio: RadioParams) -> ColoringState:
     # From here on a node is its coloring step t, the UE ids[t].
     ids, quota = ids[perm], graph.quota[perm].tolist()
     leak = graph.leak.take(perm, 0).take(perm, 1)  # a copy, in step order
-    snr_self = leak.diagonal().copy()  # per-PRB power times serving gain
+    # per-PRB power times serving gain, fl(fl(P/M) * g): held_rate's
+    # signal, since each node ends up holding exactly its quota M
+    snr_self = leak.diagonal().copy()
     leak.flat[:: ids.size + 1] = 0.0  # a cell does not interfere with itself
 
     ot = np.zeros((k, ids.size))  # the table PRB-major: a step adds whole rows
@@ -128,7 +131,8 @@ def color(graph: InterferenceGraph, radio: RadioParams) -> ColoringState:
     for t in range(ids.size):
         if t:
             step, prb, snr = held_step[:n_held], held_prb[:n_held], held_snr[:n_held]
-            # own on every color, base and pert on the held entries: one log2 pass
+            # own on every color, base and pert on the held entries: one log2
+            # pass, op for op what three separate rate expressions would run
             own, base, pert = x[:k], x[k:k + n_held], x[k + n_held:k + 2 * n_held]
             np.divide(snr_self[t], noise + ot[:, t], out=own)
             den = noise + ot[prb, step]
@@ -141,7 +145,8 @@ def color(graph: InterferenceGraph, radio: RadioParams) -> ColoringState:
             take.sort()
         else:
             # nothing is coloured yet: every color scores the same, and the
-            # stable sort would take the first quota-many
+            # stable sort would take the first quota-many. Scoring this step
+            # too gives the same bits, but measured slower
             take = np.arange(quota[0])
         ot[take] += leak[t]
         held_step[n_held:n_held + take.size] = t

@@ -127,7 +127,8 @@ def held_rate(c_row, signal, interference, radio: RadioParams) -> np.ndarray:
     interference the co-channel power on every PRB of the row. The sum runs
     over the last axis: a (rows, K) table gives one rate per row (pass
     signal as a (rows, 1) column), each row summed exactly as it would be
-    alone.
+    alone. For a 0/1 c_row this is the bits of (c_row * B_prb) * log2(1 +
+    snr): the product commutes, and 0 * inf is nan either way.
     """
     snr = np.asarray(signal / (radio.noise_per_prb_w + interference))
     return (c_row * shannon(snr, radio.prb_bandwidth_hz)).sum(axis=-1)

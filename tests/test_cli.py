@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,32 @@ def run_cli(capsys, argv):
 
 def csv_lines(out):
     return [line for line in out.splitlines() if line and not line.startswith("#")]
+
+
+def readme_block(line):
+    """The first fenced block of the README after the line `line`."""
+    rest = README.read_text(encoding="utf-8").split(f"\n{line}\n", 1)[1]
+    return rest.split("```\n", 2)[1]
+
+
+class TestReadme:
+    def test_sample_output_is_what_run_prints(self, capsys):
+        code, out, _ = run_cli(capsys, ["run", "--seed", "0", "--scheme", "all"])
+        assert code == 0 and out == readme_block("Sample output:")
+
+    def test_every_command_line_runs(self, capsys, tmp_path):
+        lines = readme_block("## Command line").splitlines()
+        assert len(lines) == 4
+        for line in lines:
+            argv = shlex.split(line, comments=True)
+            # after the console script or python3 -m mecoffload
+            argv = argv[argv.index("mecoffload") + 1:]
+            if "--output" in argv:
+                i = argv.index("--output") + 1
+                argv[i] = str(tmp_path / argv[i])
+            code, _, err = run_cli(capsys, argv)
+            assert code == 0 and err == "", line
+        assert csv_lines((tmp_path / "results.csv").read_text())[0] == CSV_HEADER
 
 
 class TestRun:

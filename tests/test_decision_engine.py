@@ -110,6 +110,16 @@ class TestOrthogonalEstimate:
         for i in (0, 2):
             assert report[i] == ue_offload_cost(s.ues[i], rate, 1e11 / 3)[3]
 
+    def test_a_share_whose_rate_overflows_prices_out(self):
+        # two UEs on one PRB: UE 0's half-PRB SNR overflows to an infinite
+        # rate, a dead uplink as in price, not a free upload; the coloured
+        # pipeline rates it finite, and the greedy adds it back
+        s, gains = built(n=2, seed=1, num_prbs=1, pl0_db=-3000.0)
+        plan = cell_plan(s, gains)
+        assert plan.report[0] == math.inf and math.isfinite(plan.report[1])
+        assert plan.a0.a == (0, 1)
+        assert run_scheme("proposed_minsum", s, gains).decision.a == (1, 1)
+
     def test_empty_set_rejected(self):
         s = manual_scenario([(0.0, 0.0)], [(0.0, 0.0)])
         gains = ChannelGains(h=np.array([[1e-10]]))

@@ -279,12 +279,12 @@ def test_every_all_local_outcome_is_one_fresh_price_shared_read_only(
 @contextlib.contextmanager
 def upload_rates_checked():
     """decision_engine's upload_cost, wrapped to assert that every rate its
-    caller passes is positive, since upload_cost does not check them.
-    Yields the list of rate arrays it is passed."""
+    caller passes is live (0 < rate < inf), since upload_cost does not
+    check them. Yields the list of rate arrays it is passed."""
     calls = []
 
     def checked(bits, power_w, rate_bps):
-        assert (rate_bps > 0).all(), rate_bps
+        assert ((rate_bps > 0) & (rate_bps < math.inf)).all(), rate_bps
         calls.append(rate_bps)
         return upload_cost(bits, power_w, rate_bps)
 
@@ -352,13 +352,25 @@ def test_price_equals_the_masked_form_bit_for_bit(instance, cpu_mode):
     num_prbs=st.integers(1, 100),
     mec_ghz=st.floats(5.0, 300.0),
     gamma_t=st.floats(0.0, 1.0),
+    # log-uniform, down to signals too weak for any UE to offload
+    tx_power_mw=st.floats(-12.0, 3.0).map(lambda e: 10.0**e),
+    # the defaults; the examples below set them to reach a dead share
+    pl0_db=st.just(30.0),
+    input_kb=st.just(420.0),
     seed=st.integers(0, 10_000),
 )
+# two UEs on one PRB: UE 0's half-PRB share overflows to an infinite rate
+@example(n_cells=2, num_prbs=1, mec_ghz=100.0, gamma_t=0.5, tx_power_mw=100.0,
+         pl0_db=-3000.0, input_kb=420.0, seed=1)
+# a target met on one PRB whose 10-PRB share rounds 1 + SNR to 1: rate 0
+@example(n_cells=1, num_prbs=10, mec_ghz=100.0, gamma_t=0.5, tx_power_mw=1e-19,
+         pl0_db=30.0, input_kb=1e-16, seed=1)
 def test_orthogonal_estimate_prices_each_member_as_the_oracle(
-    n_cells, num_prbs, mec_ghz, gamma_t, seed
+    n_cells, num_prbs, mec_ghz, gamma_t, tx_power_mw, pl0_db, input_kb, seed
 ):
     cfg = ScenarioConfig(n_cells=n_cells, num_prbs=num_prbs, mec_ghz=mec_ghz,
-                         gamma_t=gamma_t, gamma_e=1.0 - gamma_t)
+                         gamma_t=gamma_t, gamma_e=1.0 - gamma_t,
+                         tx_power_mw=tx_power_mw, pl0_db=pl0_db, input_kb=input_kb)
     s = build_scenario(cfg, seed=seed)
     gains = channel_gains(s)
     estimates = estimate_loads(s, gains)
@@ -374,8 +386,10 @@ def test_orthogonal_estimate_prices_each_member_as_the_oracle(
     for i in members:
         ue = s.ues[i]
         share = num_prbs * int(estimates.w[i]) / total_w
-        rate = prb_rate(share, float(gains.h[i, i]), s.radio, ue.tx_power_w)
-        assert report[i] == ue_offload_cost(ue, rate, f_even)[3]
+        rate = float(prb_rate(share, float(gains.h[i, i]), s.radio, ue.tx_power_w))
+        # a dead uplink, 0 or inf, prices at +inf, as in price
+        want = ue_offload_cost(ue, rate, f_even)[3] if 0 < rate < math.inf else math.inf
+        assert report[i] == want
 
 
 
