@@ -46,7 +46,7 @@ class InterferenceGraph:
     noticeably into b's serving cell (gain ratio above the threshold)."""
 
     nodes: tuple[int, ...]
-    in_weight: np.ndarray  # per UE, per-PRB power over in-edges; 0 off the nodes
+    in_weight: np.ndarray  # per UE, per-PRB power over in-edges; 0 off the nodes; read-only
     quota: np.ndarray  # per node, its PRB quota; read-only
     leak: np.ndarray  # [a, b]: per-PRB power node a puts into b's cell; read-only
 
@@ -71,8 +71,8 @@ def build_interference_graph(
     # per-PRB received interference power on edge a -> b, else 0
     in_weight = np.zeros(gains.h.shape[0])
     in_weight[ids] = np.where(ratio > theta, leak, 0.0).sum(axis=0)
-    quota.setflags(write=False)
-    leak.setflags(write=False)
+    for a in (in_weight, quota, leak):
+        a.setflags(write=False)
     return InterferenceGraph(nodes=nodes, in_weight=in_weight, quota=quota, leak=leak)
 
 
@@ -97,6 +97,13 @@ def color(graph: InterferenceGraph, radio: RadioParams) -> ColoringState:
     the batch the table rows of all other nodes gain nb's per-PRB leakage
     on the taken colors. The graph holds every input but the band; each
     quota lies in 1..K (normalize_prbs), so the row sums are the quotas.
+
+    Fill phase: while each earlier node took the lowest free colors and
+    quota-many are still free, a node takes the next quota-many unscored
+    if its rate on every held color lies below its interference-free rate
+    by more than 2**-32 of the largest such rate, so that no held color can
+    tie or beat a free one. The first step that fails is scored, and so is
+    every later one.
     """
     k = radio.num_prbs
     bpp = radio.prb_bandwidth_hz
@@ -120,16 +127,33 @@ def color(graph: InterferenceGraph, radio: RadioParams) -> ColoringState:
     # Held (step, PRB) entries of the colored nodes and their serving SNRs,
     # in coloring order and ascending PRB within a node: a score moves
     # only through these, and bincount adds each PRB's deltas in the order
-    # of a dense axis-0 sum over the colored rows.
+    # of a dense axis-0 sum over the colored rows. The fill phase below
+    # holds PRBs 0..n_held-1, so held_prb starts as that range.
     size = sum(quota)
     held_step = np.empty(size, dtype=np.int64)
-    held_prb = np.empty(size, dtype=np.int64)
+    held_prb = np.arange(size)
     held_snr = np.empty(size)
     x = np.empty(k + 2 * size)  # one step's SNRs, then its rates
     n_held = 0
 
+    # The fill takes what the scorer would: a free color scores t's free
+    # rate exactly (ot and the bincount are 0 there), and a held one, with
+    # its one holder, t's rate there plus pert - base, <= 0 up to a few ulps
+    # of log2 that the slack dwarfs. A zero cross gain ties and is scored.
+    free = shannon(snr_self / noise, bpp).tolist()
+    slack = max(free) * 2.0**-32
+    fill = True
     for t in range(ids.size):
-        if t:
+        q = quota[t]
+        if fill:
+            fill = n_held + q <= k
+            if fill and n_held:
+                own = x[:n_held]
+                np.divide(snr_self[t], noise + ot[:n_held, t], out=own)
+                fill = shannon(own, bpp).max() < free[t] - slack
+        if fill:
+            take = slice(n_held, n_held + q)
+        else:
             step, prb, snr = held_step[:n_held], held_prb[:n_held], held_snr[:n_held]
             # own on every color, base and pert on the held entries: one log2
             # pass, op for op what three separate rate expressions would run
@@ -141,18 +165,13 @@ def color(graph: InterferenceGraph, radio: RadioParams) -> ColoringState:
             np.divide(snr, den, out=pert)
             shannon(x[:k + 2 * n_held], bpp)
             scores = own + np.bincount(prb, pert - base, minlength=k)
-            take = (-scores).argsort(kind="stable")[: quota[t]]
+            take = (-scores).argsort(kind="stable")[:q]
             take.sort()
-        else:
-            # nothing is coloured yet: every color scores the same, and the
-            # stable sort would take the first quota-many. Scoring this step
-            # too gives the same bits, but measured slower
-            take = np.arange(quota[0])
+            held_prb[n_held:n_held + q] = take
         ot[take] += leak[t]
-        held_step[n_held:n_held + take.size] = t
-        held_prb[n_held:n_held + take.size] = take
-        held_snr[n_held:n_held + take.size] = snr_self[t]
-        n_held += take.size
+        held_step[n_held:n_held + q] = t
+        held_snr[n_held:n_held + q] = snr_self[t]
+        n_held += q
 
     c = np.zeros((graph.in_weight.size, k), dtype=np.int64)
     c[ids[held_step[:n_held]], held_prb[:n_held]] = 1

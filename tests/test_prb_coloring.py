@@ -167,13 +167,15 @@ class TestInterferenceGraph:
                 assert g.nodes == tuple(sub)
 
     def test_quota_and_leak_are_read_only(self):
+        # and the order key in_weight, which color reads too
         h = np.full((3, 3), 1e-10)
         g = build_interference_graph(
             ChannelGains(h=h), np.array([2, 0, 1]), np.full(3, 0.1), [0, 2], 0.0
         )
         assert g.quota.tolist() == [2, 1]
         assert g.leak.tolist() == [[0.05 * 1e-10] * 2, [0.1 * 1e-10] * 2]
-        for a in (g.quota, g.leak):
+        assert g.in_weight.tolist() == [0.1 * 1e-10, 0.0, 0.05 * 1e-10]
+        for a in (g.in_weight, g.quota, g.leak):
             with pytest.raises(ValueError):
                 a[0] = 0
 
@@ -283,6 +285,55 @@ class TestColor:
             return total
 
         assert exact_score(1) > exact_score(0)
+
+    def test_quotas_that_fit_fill_the_band_in_step_order(self):
+        # the quotas fit in K and every cross gain is positive: no held
+        # color ties a free one, so each node takes the next block of
+        # consecutive colors in coloring order
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            n = int(rng.integers(1, 12))
+            h = 10.0 ** rng.uniform(-12.5, -10.5, size=(n, n))
+            h[np.arange(n), np.arange(n)] = 10.0 ** rng.uniform(-10, -9, size=n)
+            powers, ids = np.full(n, 0.1), list(range(n))
+            m = rng.integers(1, 5, size=n)
+            k = int(m.sum() + rng.integers(0, 3))
+            r = radio(k)
+            theta = float(rng.choice([0.0, 0.1, math.inf]))
+            g = build_interference_graph(ChannelGains(h=h), m, powers, ids, theta)
+            state = color(g, r)
+            assert_matches_dense_color(state, g, m, h, powers, r)
+            lo = 0
+            for node in state.order:
+                want = list(range(lo, lo + int(m[node])))
+                assert state.assoc.c[node].nonzero()[0].tolist() == want
+                lo += int(m[node])
+
+    def test_a_zero_cross_gain_is_a_tie_the_scorer_settles(self):
+        # UEs 0 and 1, colored first, neither hear nor reach each other, so
+        # PRB 0 scores UE 1's free rate exactly: the tie goes to the lowest
+        # color, which UE 0 holds, though PRBs 1 and 2 are free
+        h = np.array([[1e-10, 0.0, 1e-12], [0.0, 1e-10, 1e-12], [3e-11, 2e-11, 1e-10]])
+        m = np.array([1, 1, 1])
+        powers = np.full(3, 0.1)
+        r = radio(3)
+        g = build_interference_graph(ChannelGains(h=h), m, powers, [0, 1, 2], 0.0)
+        state = color(g, r)
+        assert_matches_dense_color(state, g, m, h, powers, r)
+        assert state.order[:2] == (0, 1)
+        assert state.assoc.c[:2].tolist() == [[1, 0, 0], [1, 0, 0]]
+
+    def test_a_gap_inside_the_slack_is_left_to_the_scorer(self):
+        # the second node's rate on the held PRB 0 lies below its free rate,
+        # but by less than the fill phase's slack: the scorer decides
+        graph, m, gains, powers, r = near_gap_inside_the_slack()
+        state = color(graph, r)
+        assert_matches_dense_color(state, graph, m, gains.h, powers, r)
+        first, second = state.order
+        bpp, noise = r.prb_bandwidth_hz, r.noise_per_prb_w
+        free = bpp * np.log2(1.0 + state.signal / noise)
+        held = bpp * np.log2(1.0 + state.signal[1] / (noise + graph.leak[first, second]))
+        assert 0 < free[1] - held < free.max() * 2.0**-32
 
     def test_row_sums_equal_quotas(self):
         rng = np.random.default_rng(3)
@@ -461,8 +512,22 @@ def coloring_inputs(draw):
     return graph, m, gains, powers, radio(k)
 
 
+def near_gap_inside_the_slack():
+    """Two nodes on two PRBs with palette gains nudged by ulps, as the near
+    kind draws them, whose cross gains are so weak that each one's rate on
+    the other's PRB lies below its free rate by less than the fill phase's
+    slack, 2**-32 of the larger free rate."""
+    h = np.array([[1e-10 * (1 + 2 * 2.0**-52), 1e-23], [3e-23, 1e-9 * (1 - 2.0**-52)]])
+    m = np.array([1, 1])
+    powers = np.full(2, 0.1)
+    gains = ChannelGains(h=h)
+    graph = build_interference_graph(gains, m, powers, [0, 1], 0.0)
+    return graph, m, gains, powers, radio(2)
+
+
 @settings(max_examples=150)
 @given(coloring_inputs())
+@example(near_gap_inside_the_slack())
 def test_color_matches_dense_oracle_bit_for_bit(inputs):
     graph, m, gains, powers, r = inputs
     state = color(graph, r)

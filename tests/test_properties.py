@@ -352,11 +352,13 @@ def test_price_equals_the_masked_form_bit_for_bit(instance, cpu_mode):
     num_prbs=st.integers(1, 100),
     mec_ghz=st.floats(5.0, 300.0),
     gamma_t=st.floats(0.0, 1.0),
-    # log-uniform, down to signals too weak for any UE to offload
-    tx_power_mw=st.floats(-12.0, 3.0).map(lambda e: 10.0**e),
-    # the defaults; the examples below set them to reach a dead share
+    # both log-uniform, the input at most 1e-3 kb: a weak signal with a
+    # tiny input stays a candidate whose share rounds 1 + SNR to 1, a zero
+    # share rate, on about one priced cell in seven
+    tx_power_mw=st.floats(-20.0, 3.0).map(lambda e: 10.0**e),
+    input_kb=st.floats(-18.0, -3.0).map(lambda e: 10.0**e),
+    # the default; the first example below sets it to overflow a share
     pl0_db=st.just(30.0),
-    input_kb=st.just(420.0),
     seed=st.integers(0, 10_000),
 )
 # two UEs on one PRB: UE 0's half-PRB share overflows to an infinite rate
