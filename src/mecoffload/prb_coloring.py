@@ -13,7 +13,9 @@ consistent with the association matrix.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -103,7 +105,10 @@ def color(graph: InterferenceGraph, radio: RadioParams) -> ColoringState:
     if its rate on every held color lies below its interference-free rate
     by more than 2**-32 of the largest such rate, so that no held color can
     tie or beat a free one. The first step that fails is scored, and so is
-    every later one.
+    every later one. The fill is one pass over arrays: while it runs each
+    held color has exactly one holder s, so t's table entry there is
+    0.0 + leak[s, t], that is leak[s, t], and every step's guard reads off
+    one block of the leakage.
     """
     k = radio.num_prbs
     bpp = radio.prb_bandwidth_hz
@@ -115,66 +120,69 @@ def color(graph: InterferenceGraph, radio: RadioParams) -> ColoringState:
     perm = np.lexsort((graph.quota, -graph.in_weight[ids]))
 
     # From here on a node is its coloring step t, the UE ids[t].
-    ids, quota = ids[perm], graph.quota[perm].tolist()
+    ids, qa = ids[perm], graph.quota[perm]
+    quota = qa.tolist()
     leak = graph.leak.take(perm, 0).take(perm, 1)  # a copy, in step order
     # per-PRB power times serving gain, fl(fl(P/M) * g): held_rate's
     # signal, since each node ends up holding exactly its quota M
     snr_self = leak.diagonal().copy()
     leak.flat[:: ids.size + 1] = 0.0  # a cell does not interfere with itself
 
-    ot = np.zeros((k, ids.size))  # the table PRB-major: a step adds whole rows
-
     # Held (step, PRB) entries of the colored nodes and their serving SNRs,
     # in coloring order and ascending PRB within a node: a score moves
     # only through these, and bincount adds each PRB's deltas in the order
-    # of a dense axis-0 sum over the colored rows. The fill phase below
-    # holds PRBs 0..n_held-1, so held_prb starts as that range.
-    size = sum(quota)
-    held_step = np.empty(size, dtype=np.int64)
-    held_prb = np.arange(size)
-    held_snr = np.empty(size)
-    x = np.empty(k + 2 * size)  # one step's SNRs, then its rates
-    n_held = 0
+    # of a dense axis-0 sum over the colored rows. Node t holds entries
+    # ends[t-1]..ends[t]-1, so the quotas fix held_step and held_snr; the
+    # fill holds PRBs 0..n_held-1, so held_prb starts as that range.
+    ends = list(accumulate(quota))
+    held_step = np.arange(ids.size).repeat(qa)
+    held_snr = snr_self.repeat(qa)
+    held_prb = np.arange(ends[-1])
 
     # The fill takes what the scorer would: a free color scores t's free
     # rate exactly (ot and the bincount are 0 there), and a held one, with
     # its one holder, t's rate there plus pert - base, <= 0 up to a few ulps
     # of log2 that the slack dwarfs. A zero cross gain ties and is scored.
-    free = shannon(snr_self / noise, bpp).tolist()
-    slack = max(free) * 2.0**-32
-    fill = True
-    for t in range(ids.size):
+    # Steps 0..f-1 fit in the band (each quota is at most K, so f >= 1).
+    # Row s, column t-1 of the block is t's rate on the colors s holds;
+    # a running max down the rows puts on the diagonal t's largest rate on
+    # the colors of steps 0..t-1, which the guard compares with `<`, so
+    # that a nan fails it.
+    free = shannon(snr_self / noise, bpp)
+    slack = max(free.tolist()) * 2.0**-32
+    f = bisect_right(ends, k)
+    if f > 1:
+        held = snr_self[1:f] / (noise + leak[: f - 1, 1:f])
+        shannon(held, bpp)
+        np.maximum.accumulate(held, axis=0, out=held)
+        fits = (held.diagonal() < free[1:f] - slack).tolist()
+        f = 1 + (fits.index(False) if False in fits else len(fits))
+    n_held = ends[f - 1]
+
+    ot = np.zeros((k, ids.size))  # the table PRB-major: a step adds whole rows
+    ot[:n_held] += leak.take(held_step[:n_held], 0)  # each filled PRB's one holder
+    x = np.empty(k + 2 * ends[-1])  # one step's SNRs, then its rates
+    for t in range(f, ids.size):
         q = quota[t]
-        if fill:
-            fill = n_held + q <= k
-            if fill and n_held:
-                own = x[:n_held]
-                np.divide(snr_self[t], noise + ot[:n_held, t], out=own)
-                fill = shannon(own, bpp).max() < free[t] - slack
-        if fill:
-            take = slice(n_held, n_held + q)
-        else:
-            step, prb, snr = held_step[:n_held], held_prb[:n_held], held_snr[:n_held]
-            # own on every color, base and pert on the held entries: one log2
-            # pass, op for op what three separate rate expressions would run
-            own, base, pert = x[:k], x[k:k + n_held], x[k + n_held:k + 2 * n_held]
-            np.divide(snr_self[t], noise + ot[:, t], out=own)
-            den = noise + ot[prb, step]
-            np.divide(snr, den, out=base)
-            den += leak[t, step]
-            np.divide(snr, den, out=pert)
-            shannon(x[:k + 2 * n_held], bpp)
-            scores = own + np.bincount(prb, pert - base, minlength=k)
-            take = (-scores).argsort(kind="stable")[:q]
-            take.sort()
-            held_prb[n_held:n_held + q] = take
+        step, prb, snr = held_step[:n_held], held_prb[:n_held], held_snr[:n_held]
+        # own on every color, base and pert on the held entries: one log2
+        # pass, op for op what three separate rate expressions would run
+        own, base, pert = x[:k], x[k:k + n_held], x[k + n_held:k + 2 * n_held]
+        np.divide(snr_self[t], noise + ot[:, t], out=own)
+        den = noise + ot[prb, step]
+        np.divide(snr, den, out=base)
+        den += leak[t, step]
+        np.divide(snr, den, out=pert)
+        shannon(x[:k + 2 * n_held], bpp)
+        scores = own + np.bincount(prb, pert - base, minlength=k)
+        take = (-scores).argsort(kind="stable")[:q]
+        take.sort()
         ot[take] += leak[t]
-        held_step[n_held:n_held + q] = t
-        held_snr[n_held:n_held + q] = snr_self[t]
+        held_prb[n_held:n_held + q] = take
         n_held += q
 
     c = np.zeros((graph.in_weight.size, k), dtype=np.int64)
-    c[ids[held_step[:n_held]], held_prb[:n_held]] = 1
+    c[ids[held_step], held_prb] = 1
     return ColoringState(
         assoc=PrbAssociation(c=c),
         o=np.ascontiguousarray(ot.T),

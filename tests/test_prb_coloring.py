@@ -47,13 +47,20 @@ def radio(k, bandwidth=20e6, noise=1e-13):
 
 def random_setup(rng, n, k, lam, near_gain_db=(-80, -70), cross_gain_db=(-125, -85)):
     """Random gain matrix with strong serving links, plus demands/quotas."""
-    h = 10.0 ** rng.uniform(*cross_gain_db, size=(n, n))
-    diag = 10.0 ** rng.uniform(*near_gain_db, size=n)
+    h = 10.0 ** (rng.uniform(*cross_gain_db, size=(n, n)) / 10)
+    diag = 10.0 ** (rng.uniform(*near_gain_db, size=n) / 10)
     h[np.arange(n), np.arange(n)] = diag
     powers = np.full(n, 0.1)
     demands = rng.integers(1, 6, size=n)
     ids = list(range(n))
     m = normalize_prbs(demands, ids, k, lam)
+    # the gains are in dB: each UE's rate on a PRB that every other UE
+    # shares is still nonzero, so the colors do not all tie
+    leak = (powers / m)[:, None] * h
+    signal = leak.diagonal().copy()
+    np.fill_diagonal(leak, 0.0)
+    snr = signal / (radio(k).noise_per_prb_w + leak.sum(axis=0))
+    assert (np.log2(1.0 + snr) > 0).all()
     return h, powers, m, ids
 
 
@@ -335,6 +342,70 @@ class TestColor:
         held = bpp * np.log2(1.0 + state.signal[1] / (noise + graph.leak[first, second]))
         assert 0 < free[1] - held < free.max() * 2.0**-32
 
+    def test_a_zero_cross_gain_ends_the_fill_at_a_later_step(self):
+        # equal quotas that fit and no edges (theta inf), so the nodes go in
+        # id order; node t and an earlier node s neither hear nor reach each
+        # other: the nodes before t fill, the guard stops t, and the scorer
+        # gives t the block s holds, whose colors tie the free ones
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            n = int(rng.integers(3, 10))
+            q = int(rng.integers(1, 4))
+            t = int(rng.integers(2, n))
+            s = int(rng.integers(0, t))
+            h = 10.0 ** rng.uniform(-12.5, -10.5, size=(n, n))
+            h[np.arange(n), np.arange(n)] = 10.0 ** rng.uniform(-10, -9, size=n)
+            h[s, t] = h[t, s] = 0.0
+            powers, ids = np.full(n, 0.1), list(range(n))
+            m = np.full(n, q)
+            r = radio(n * q + int(rng.integers(0, 3)))
+            g = build_interference_graph(ChannelGains(h=h), m, powers, ids, math.inf)
+            state = color(g, r)
+            assert_matches_dense_color(state, g, m, h, powers, r)
+            assert state.order == tuple(ids)
+            held = [state.assoc.c[node].nonzero()[0].tolist() for node in ids]
+            for node in range(t):
+                assert held[node] == list(range(node * q, node * q + q))
+            assert held[t] == held[s]
+
+    def test_a_first_block_that_leaves_no_room_goes_to_the_scorer(self):
+        # the first node's 3 colors leave 1 of 4 free and the second needs
+        # 3: nothing fills after step 0, and the scorer gives the second
+        # node the free color and reuses 2 of the first node's
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            h = 10.0 ** rng.uniform(-12.5, -10.5, size=(2, 2))
+            h[[0, 1], [0, 1]] = 10.0 ** rng.uniform(-10, -9, size=2)
+            m, powers, r = np.array([3, 3]), np.full(2, 0.1), radio(4)
+            g = build_interference_graph(ChannelGains(h=h), m, powers, [0, 1], math.inf)
+            state = color(g, r)
+            assert_matches_dense_color(state, g, m, h, powers, r)
+            assert state.order == (0, 1)
+            assert state.assoc.c[0].tolist() == [1, 1, 1, 0]
+            assert state.assoc.c[1, 3] == 1
+
+    def test_a_dense_repair_cell_matches_the_dense_oracle(self):
+        # the 160-cell cell with the server scaled to it, colored for the
+        # offload set proposed_minsum picks: 44 nodes on 100 PRBs, the
+        # first 20 fill the band and the rest are scored, so the fill
+        # guard's 19 x 19 log2 block and the scorer's passes run at full
+        # SIMD width on a real cell
+        s = build_scenario(ScenarioConfig(n_cells=160, mec_ghz=100 * 160 / 9), 0)
+        gains = channel_gains(s)
+        ids = list(run_scheme("proposed_minsum", s, gains).decision.offload_set)
+        w = estimate_loads(s, gains).w
+        m = normalize_prbs(w, ids, s.radio.num_prbs, s.reuse_lambda)
+        g = build_interference_graph(gains, m, s.tx_power_w, ids, s.edge_threshold)
+        state = color(g, s.radio)
+        assert_matches_dense_color(state, g, m, gains.h, s.tx_power_w, s.radio)
+        assert (len(ids), s.radio.num_prbs) == (44, 100)
+        lo = 0
+        for node in state.order[:20]:
+            hi = lo + int(m[node])
+            assert state.assoc.c[node].nonzero()[0].tolist() == list(range(lo, hi))
+            lo = hi
+        assert lo == 100
+
     def test_row_sums_equal_quotas(self):
         rng = np.random.default_rng(3)
         for lam in (1.0, 2.0):
@@ -466,6 +537,7 @@ class TestRealizedRates:
             g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.1)
             state = color(g, r)
             rates = realized_rates(state, r)
+            assert (rates > 0).all()
             decision = OffloadDecision.from_set(ids, 6)
             for i in ids:
                 direct = uplink_rate(
