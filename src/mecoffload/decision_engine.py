@@ -312,7 +312,8 @@ def run_proposed(s: Scenario, gains: ChannelGains, cpu_mode: str) -> AllocationO
 
 def run_baseline(kind: str, s: Scenario, gains: ChannelGains) -> AllocationOutcome:
     """Reference schemes: everyone local, or everyone offloading over an
-    orthogonal band split with an even server split. With no candidate
+    orthogonal band split with an even server split. The split's blocks
+    are held_rate's entries, each at interference 0.0. With no candidate
     both are the plan's shared all-local outcome."""
     if kind not in _BASELINES:
         raise ValueError(f"unknown baseline {kind!r}")
@@ -328,15 +329,15 @@ def run_baseline(kind: str, s: Scenario, gains: ChannelGains) -> AllocationOutco
     quota = [max(math.floor(k * w[i] / total_w), 1) for i in candidates]
     # a band too small to stay orthogonal leaves every uplink dead: priced out
     if sum(quota) <= k:
-        next_free = 0
-        for i, q in zip(candidates, quota):
-            c[i, next_free : next_free + q] = 1
-            next_free += q
+        # candidate r holds the next quota[r] blocks, in candidate order
+        row = np.arange(len(candidates)).repeat(quota)
+        prb = np.arange(sum(quota))
         ids = np.array(candidates)
+        c[ids[row], prb] = 1
         # no block is shared, so each held block sees zero interference: the
         # bits of the from-scratch table's exact +0.0 entries
         signal = tx_powers(s)[ids] / np.array(quota) * gains.h.diagonal()[ids]
-        rates[ids] = held_rate(c.take(ids, 0), signal[:, None], 0.0, s.radio)
+        rates[ids] = held_rate(row, prb, signal[row], 0.0, ids.size, s.radio)
     return price(decision, (PrbAssociation(c=c), rates), s, estimates, "equal")
 
 

@@ -80,10 +80,16 @@ def build_interference_graph(
 
 @dataclass(frozen=True)
 class ColoringState:
+    """A colouring's table, its interference and its held entries: step
+    held_step[e] holds PRB held_prb[e], in colouring order and ascending PRB
+    within a step, which is all that realized_rates prices."""
+
     assoc: PrbAssociation
     o: np.ndarray  # interference table (radio.interference_table), rows in order
     order: tuple[int, ...]  # nodes in the sequence they were colored
     signal: np.ndarray  # per-PRB power times serving gain, in order
+    held_step: np.ndarray  # per held entry, the step (row of o) that holds it
+    held_prb: np.ndarray  # per held entry, its PRB
 
 
 def color(graph: InterferenceGraph, radio: RadioParams) -> ColoringState:
@@ -188,19 +194,21 @@ def color(graph: InterferenceGraph, radio: RadioParams) -> ColoringState:
         o=np.ascontiguousarray(ot.T),
         order=tuple(ids.tolist()),
         signal=snr_self,
+        held_step=held_step,
+        held_prb=held_prb,
     )
 
 
 def realized_rates(state: ColoringState, radio: RadioParams) -> np.ndarray:
-    """Per-UE uplink rate from the final association, interference table
-    and received signals.
+    """Per-UE uplink rate from the held entries, the interference table and
+    the received signals.
 
-    Full-length N vector; UEs without PRBs get 0. Uses the maintained
-    table, so agreement with a from-scratch rate computation doubles as a
-    consistency check on the incremental updates.
+    Full-length N vector; UEs without PRBs get 0. Only the held entries are
+    priced, each at its table entry, so agreement with a from-scratch rate
+    computation doubles as a consistency check on the incremental updates.
     """
-    c = state.assoc.c
+    step, prb = state.held_step, state.held_prb
     ids = np.array(state.order, dtype=np.int64)
-    rates = np.zeros(c.shape[0])
-    rates[ids] = held_rate(c.take(ids, 0), state.signal[:, None], state.o, radio)
+    rates = np.zeros(state.assoc.c.shape[0])
+    rates[ids] = held_rate(step, prb, state.signal[step], state.o[step, prb], ids.size, radio)
     return rates

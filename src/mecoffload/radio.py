@@ -120,18 +120,22 @@ def shannon(snr: np.ndarray, scale) -> np.ndarray:
     return snr
 
 
-def held_rate(c_row, signal, interference, radio: RadioParams) -> np.ndarray:
-    """Shannon rate (bit/s) summed over the PRBs flagged in c_row.
+def held_rate(row, prb, signal, interference, rows: int, radio: RadioParams) -> np.ndarray:
+    """Shannon rate (bit/s) of each of `rows` rows, summed over its held
+    (row, PRB) entries.
 
-    signal is the received per-PRB power, fl(fl(P/M) * serving gain), and
-    interference the co-channel power on every PRB of the row. The sum runs
-    over the last axis: a (rows, K) table gives one rate per row (pass
-    signal as a (rows, 1) column), each row summed exactly as it would be
-    alone. For a 0/1 c_row this is the bits of (c_row * B_prb) * log2(1 +
-    snr): the product commutes, and 0 * inf is nan either way.
+    Entry e is PRB prb[e] held by row row[e], no pair twice; signal[e] is its
+    received per-PRB power, fl(fl(P/M) * serving gain), and interference[e]
+    (or one scalar for all) the co-channel power there. The one Shannon step
+    runs on the entries alone, and each row sums through a zero (rows, K)
+    table, numpy's pairwise row sum. Whenever every SNR of the row's K PRBs
+    is finite, these are the bits of the dense (c_row * B_prb * log2(1 +
+    snr)).sum(-1); an unheld PRB adds +0.0, never 0 * inf.
     """
-    snr = np.asarray(signal / (radio.noise_per_prb_w + interference))
-    return (c_row * shannon(snr, radio.prb_bandwidth_hz)).sum(axis=-1)
+    snr = signal / (radio.noise_per_prb_w + interference)
+    table = np.zeros((rows, radio.num_prbs))
+    table[row, prb] = shannon(snr, radio.prb_bandwidth_hz)
+    return table.sum(axis=-1)
 
 
 def uplink_rate(

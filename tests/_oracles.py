@@ -24,7 +24,7 @@ from mecoffload.decision_engine import AllocationOutcome, evaluate, price
 from mecoffload.errors import InfeasibleAllocation
 from mecoffload.load_estimation import LoadEstimate, estimate_loads
 from mecoffload.prb_coloring import normalize_prbs
-from mecoffload.radio import OffloadDecision, PrbAssociation, held_rate, interference_table
+from mecoffload.radio import OffloadDecision, PrbAssociation, interference_table
 
 # largest candidate count best_offload_set searches: 2**11 evaluations
 MAX_EXHAUSTIVE_CANDIDATES = 11
@@ -644,8 +644,17 @@ def scalar_equal(requests, capacity_hz) -> CpuAllocation:
     return CpuAllocation(shares, left_to_right_sum(r.cycles / share for r in requests))
 
 
+def dense_held_rate(c, signal, interference, radio) -> np.ndarray:
+    """Shannon rate (bit/s) of a dense 0/1 table c, summed along each row:
+    (c * B_prb * log2(1 + signal / (sigma^2 + I))).sum(-1), every PRB of
+    the band priced, held or not. A row's signal is one number (pass a
+    (rows, 1) column for a table), its interference one per PRB."""
+    snr = signal / (radio.noise_per_prb_w + interference)
+    return (c * (radio.prb_bandwidth_hz * np.log2(1 + snr))).sum(axis=-1)
+
+
 def loop_orthogonal_rates(s, gains, estimates) -> np.ndarray:
-    """all_offload_orth's uplink rates, one held_rate call per candidate.
+    """all_offload_orth's uplink rates, one dense_held_rate row per candidate.
 
     Every offloadable UE takes max(floor(K * w / sum w), 1) consecutive
     blocks; a band that cannot hold them all leaves every rate 0.
@@ -665,7 +674,7 @@ def loop_orthogonal_rates(s, gains, estimates) -> np.ndarray:
     o = interference_table(PrbAssociation(c=c), gains, s.tx_power_w)
     for i in candidates:
         p_prb = s.tx_power_w[i] / quota[i]
-        rates[i] = held_rate(c[i], p_prb * gains.h[i, i], o[i], s.radio)
+        rates[i] = dense_held_rate(c[i], p_prb * gains.h[i, i], o[i], s.radio)
     return rates
 
 

@@ -150,8 +150,8 @@ def natural_log_shannon(snr, scale):
 
 
 def halved_interference(held_rate):
-    return lambda c_row, signal, interference, radio: held_rate(
-        c_row, signal, interference / 2, radio
+    return lambda row, prb, signal, interference, rows, radio: held_rate(
+        row, prb, signal, interference / 2, rows, radio
     )
 
 

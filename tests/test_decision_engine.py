@@ -331,6 +331,31 @@ class TestBaselines:
                 fits.add(bool(want.any()))
         assert fits == ({True, False} if overrides else {True})
 
+    def test_an_infinite_snr_rates_inf_not_nan(self):
+        # a serving gain past the link budget (the CLI's scenarios never
+        # reach one) makes every SNR of UE 0 overflow to inf: its held
+        # blocks rate inf, and its unheld ones add +0.0, not 0 * inf = nan
+        s, gains = built(n=3, seed=0)
+        h = gains.h.copy()
+        h[0, 0] = 1e300
+        gains = ChannelGains(h=h)
+        # the colouring's scorer meets inf - inf on such an entry too
+        with np.errstate(over="ignore", invalid="ignore"):
+            outs = {name: run_scheme(name, s, gains) for name in SCHEME_NAMES}
+        orth = outs["all_offload_orth"]
+        assert orth.rates_bps[0] == math.inf
+        assert math.isinf(orth.per_ue_overhead[0]) and math.isinf(orth.system_overhead)
+        assert {name: out.decision.a for name, out in outs.items()} == {
+            "all_local": (0, 0, 0),
+            "all_offload_orth": (1, 1, 1),
+            "proposed_minmax": (0, 1, 1),
+            "proposed_minsum": (0, 1, 1),
+            "equal_cpu": (0, 1, 1),
+        }
+        for out in outs.values():
+            for array in (out.rates_bps, out.t_off_s, out.e_off_j, out.per_ue_overhead):
+                assert not np.isnan(array).any()
+
     def test_equal_cpu_splits_server_evenly(self):
         s, gains = built()
         out = run_scheme("equal_cpu", s, gains)

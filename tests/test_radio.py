@@ -16,7 +16,7 @@ from mecoffload.radio import (
 )
 from mecoffload.scenario import ChannelGains, RadioParams
 
-from _oracles import brute_interference, brute_uplink_rate
+from _oracles import brute_interference, brute_uplink_rate, dense_held_rate
 
 RADIO = RadioParams(bandwidth_hz=20e6, num_prbs=100, noise_per_prb_w=1e-13)
 
@@ -133,9 +133,10 @@ class TestHeldRate:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_bit_equal_to_the_summed_shannon_formula(self, rows, k, kind, seed):
-        # the formula held_rate took as (c_row, p_prb, gain, interference):
-        # c * B_prb * log2(1 + p*g / (sigma^2 + I)), summed along each row
+        # c * B_prb * log2(1 + p*g / (sigma^2 + I)), summed along each row,
+        # from the held entries of c alone
         rng = np.random.default_rng(seed)
+        radio = RadioParams(bandwidth_hz=20e6, num_prbs=k, noise_per_prb_w=1e-13)
         c = rng.integers(0, 2, size=(rows, k))
         p = rng.uniform(1e-4, 1.0, size=(rows, 1))
         g = 10.0 ** rng.uniform(-16, -6, size=(rows, 1))
@@ -146,15 +147,56 @@ class TestHeldRate:
             interference[rng.random((rows, k)) < 0.3] = 0.0
         else:
             interference = np.where(rng.random((rows, k)) < 0.5, np.inf, 1e-12)
-        bpp, noise = RADIO.prb_bandwidth_hz, RADIO.noise_per_prb_w
+        bpp, noise = radio.prb_bandwidth_hz, radio.noise_per_prb_w
         want = (c * bpp * np.log2(1 + p * g / (noise + interference))).sum(-1)
-        got = held_rate(c, p * g, interference, RADIO)
+        row, prb = c.nonzero()
+        i_held = np.broadcast_to(interference, c.shape)[row, prb]
+        got = held_rate(row, prb, (p * g)[row, 0], i_held, rows, radio)
         assert got.tobytes() == want.tobytes()
-        rows_i = np.broadcast_to(interference, c.shape)
         for r in range(rows):
-            one = held_rate(c[r], p[r, 0] * g[r, 0], rows_i[r], RADIO)
-            assert isinstance(one, float)
-            assert np.float64(one).tobytes() == want[r].tobytes()
+            mine = row == r
+            one = held_rate(row[mine] - r, prb[mine], (p * g)[r], i_held[mine], 1, radio)
+            assert one.shape == (1,)
+            assert one.tobytes() == want[r:r + 1].tobytes()
+
+    @settings(max_examples=200)
+    @given(
+        holds=st.lists(st.sampled_from(["none", "one", "full", "some"]), min_size=1, max_size=8),
+        k=st.integers(1, 40),
+        interfered=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_equal_to_the_dense_oracle(self, holds, k, interfered, seed):
+        # rows with no held PRB, one, the full band or some; rows share
+        # PRBs, and the interference is 0.0 or positive on every entry
+        rng = np.random.default_rng(seed)
+        radio = RadioParams(bandwidth_hz=20e6, num_prbs=k, noise_per_prb_w=1e-13)
+        rows = len(holds)
+        c = np.zeros((rows, k), dtype=np.int64)
+        for r, hold in enumerate(holds):
+            if hold == "one":
+                c[r, rng.integers(k)] = 1
+            elif hold == "full":
+                c[r] = 1
+            elif hold == "some":
+                c[r] = rng.integers(0, 2, size=k)
+        signal = 10.0 ** rng.uniform(-17, -7, size=rows)
+        interference = 10.0 ** rng.uniform(-16, -8, size=(rows, k)) if interfered else 0.0
+        want = dense_held_rate(c, signal[:, None], interference, radio)
+        row, prb = c.nonzero()
+        i_held = interference[row, prb] if interfered else 0.0
+        got = held_rate(row, prb, signal[row], i_held, rows, radio)
+        assert got.tobytes() == want.tobytes()
+        assert (got[np.array(holds) == "none"] == 0.0).all()
+
+    def test_an_unheld_prb_adds_zero_where_its_snr_is_infinite(self):
+        # the dense sum took 0 * inf = nan on every unheld PRB of the row
+        radio = RadioParams(bandwidth_hz=20e6, num_prbs=4, noise_per_prb_w=1e-13)
+        got = held_rate(np.array([0, 1]), np.array([1, 2]), np.array([np.inf, 1e-12]), 0.0, 2, radio)
+        assert got[0] == np.inf
+        assert got[1] == dense_held_rate(np.array([0, 0, 1, 0]), 1e-12, 0.0, radio)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(dense_held_rate(np.array([0, 1, 0, 0]), np.inf, 0.0, radio))
 
 
 class TestUplinkRate:
@@ -216,6 +258,8 @@ class TestUplinkRate:
                 # held_rate on the same signal and co-channel row
                 contrib = c_mat * ((a.astype(bool) * p_prb) * h[:, i])[:, None]
                 contrib[i] = 0.0
-                held = held_rate(c_mat[i], p_prb[i] * h[i, i], contrib.sum(axis=0), radio)
+                prb = c_mat[i].nonzero()[0]
+                co_channel = contrib.sum(axis=0)[prb]
+                held = held_rate(0 * prb, prb, p_prb[i] * h[i, i], co_channel, 1, radio)
                 assert type(got) is float
-                assert np.float64(got).tobytes() == held.tobytes()
+                assert np.float64(got).tobytes() == held[0].tobytes()
