@@ -80,15 +80,16 @@ def build_interference_graph(
 
 @dataclass(frozen=True)
 class ColoringState:
-    """A colouring's table, its interference and its held entries: step
-    held_step[e] holds PRB held_prb[e], in colouring order and ascending PRB
-    within a step, which is all that realized_rates prices."""
+    """A colouring's own arrays, in colouring order: step t colours UE
+    ids[t], and table[j, t] is the interference it meets on PRB j. Step
+    held_step[e] holds PRB held_prb[e], ascending PRB within a step; those
+    entries are all that realized_rates prices."""
 
     assoc: PrbAssociation
-    o: np.ndarray  # interference table (radio.interference_table), rows in order
-    order: tuple[int, ...]  # nodes in the sequence they were colored
-    signal: np.ndarray  # per-PRB power times serving gain, in order
-    held_step: np.ndarray  # per held entry, the step (row of o) that holds it
+    table: np.ndarray  # (K, n) interference table, PRB-major, steps as columns
+    ids: np.ndarray  # int64, the UE coloured at each step
+    signal: np.ndarray  # per-PRB power times serving gain, per step
+    held_step: np.ndarray  # per held entry, the step (column of table) that holds it
     held_prb: np.ndarray  # per held entry, its PRB
 
 
@@ -102,9 +103,12 @@ def color(graph: InterferenceGraph, radio: RadioParams) -> ColoringState:
     rates are left out: they add the same constant to every color, and
     adding it only rounds away differences between colors. Colors held by
     others are fair game (reuse); ties go to the lowest color index. After
-    the batch the table rows of all other nodes gain nb's per-PRB leakage
-    on the taken colors. The graph holds every input but the band; each
-    quota lies in 1..K (normalize_prbs), so the row sums are the quotas.
+    the batch the table rows of the taken colors gain nb's per-PRB leakage
+    into every other node: as one slice when they form one run, else by a
+    gather and scatter, with the same adds either way. The state keeps
+    this PRB-major table and the UE of each step. The graph holds every
+    input but the band; each quota lies in 1..K (normalize_prbs), so the
+    row sums are the quotas.
 
     Fill phase: while each earlier node took the lowest free colors and
     quota-many are still free, a node takes the next quota-many unscored
@@ -122,7 +126,7 @@ def color(graph: InterferenceGraph, radio: RadioParams) -> ColoringState:
 
     # order key is static: most in-edge weight, then least quota, then UE
     # id (nodes are sorted, and lexsort is stable; its last key is first)
-    ids = np.array(graph.nodes)
+    ids = np.array(graph.nodes, dtype=np.int64)
     perm = np.lexsort((graph.quota, -graph.in_weight[ids]))
 
     # From here on a node is its coloring step t, the UE ids[t].
@@ -183,7 +187,11 @@ def color(graph: InterferenceGraph, radio: RadioParams) -> ColoringState:
         scores = own + np.bincount(prb, pert - base, minlength=k)
         take = (-scores).argsort(kind="stable")[:q]
         take.sort()
-        ot[take] += leak[t]
+        lo = int(take[0])
+        if take[-1] - lo == q - 1:  # one run of PRBs: the same adds, as a slice
+            ot[lo:lo + q] += leak[t]
+        else:
+            ot[take] += leak[t]
         held_prb[n_held:n_held + q] = take
         n_held += q
 
@@ -191,8 +199,8 @@ def color(graph: InterferenceGraph, radio: RadioParams) -> ColoringState:
     c[ids[held_step], held_prb] = 1
     return ColoringState(
         assoc=PrbAssociation(c=c),
-        o=np.ascontiguousarray(ot.T),
-        order=tuple(ids.tolist()),
+        table=ot,
+        ids=ids,
         signal=snr_self,
         held_step=held_step,
         held_prb=held_prb,
@@ -207,8 +215,7 @@ def realized_rates(state: ColoringState, radio: RadioParams) -> np.ndarray:
     priced, each at its table entry, so agreement with a from-scratch rate
     computation doubles as a consistency check on the incremental updates.
     """
-    step, prb = state.held_step, state.held_prb
-    ids = np.array(state.order, dtype=np.int64)
+    step, prb, ids = state.held_step, state.held_prb, state.ids
     rates = np.zeros(state.assoc.c.shape[0])
-    rates[ids] = held_rate(step, prb, state.signal[step], state.o[step, prb], ids.size, radio)
+    rates[ids] = held_rate(step, prb, state.signal[step], state.table[prb, step], ids.size, radio)
     return rates

@@ -301,17 +301,20 @@ def assert_matches_dense_color(state, graph, m, h, powers, radio):
     Compares the graph's quotas and leakage block with m and the per-PRB
     powers times the gains, then the order, the association and the final
     interference table (dense_color's rows of the colored nodes, in
-    coloring order), and returns dense_color's (order, steps) for
-    replay_coloring.
+    coloring order, against the rows of the state's PRB-major table), and
+    returns dense_color's (order, steps) for replay_coloring.
     """
     ids = list(graph.nodes)
     leak = (powers[ids] / m[ids])[:, None] * h[ids][:, ids]
     assert graph.quota.tobytes() == m[ids].tobytes(), "graph quotas differ from m"
     assert graph.leak.tobytes() == leak.tobytes(), "graph leakage differs from P/M * h"
     c, o, order, steps = dense_color(graph, m, h, powers, radio)
-    assert state.order == order, "coloring order differs from dense_color"
+    assert state.ids.dtype == np.int64
+    assert tuple(state.ids.tolist()) == order, "coloring order differs from dense_color"
     assert np.array_equal(state.assoc.c, c), "colors differ from dense_color"
-    assert state.o.tobytes() == o[list(order)].tobytes(), "table differs from dense_color"
+    # the state's table is PRB-major; its transpose is one row per step
+    assert state.table.shape == (radio.num_prbs, len(order))
+    assert state.table.T.tobytes() == o[list(order)].tobytes(), "table differs from dense_color"
     return order, steps
 
 

@@ -5,9 +5,15 @@ it is a behaviour change: it updates the expectation here together with a
 golden regeneration (see tests/test_golden.py) and says why in CHANGES.md.
 """
 
+import linecache
+import warnings
+
+import numpy as np
 import pytest
 
 from mecoffload import (
+    SCHEME_NAMES,
+    ChannelGains,
     OffloadDecision,
     PrbAssociation,
     ScenarioConfig,
@@ -291,3 +297,40 @@ def test_best_offload_set_refuses_a_large_search():
     assert estimate_loads(s, gains).offloadable.sum() == 12
     with pytest.raises(ValueError, match="12 candidates"):
         best_offload_set(s, gains, "minsum")
+
+
+def test_an_infinite_held_snr_scores_nan_in_the_colouring():
+    """A serving gain past the link budget (the CLI's scenarios never reach
+    one: the gain check rejects it) overflows every SNR of UE 0 to inf. When
+    the scorer prices a later node against a PRB that UE 0 holds, that
+    entry's pert - base is inf - inf, so the PRB's score is a silent nan,
+    which argsort ranks last. Across the five schemes numpy flags it six
+    times, all at that line of prb_coloring.py; the decisions are the ones
+    test_decision_engine's test_an_infinite_snr_rates_inf_not_nan pins, and
+    no outcome array holds a nan.
+
+    A fix (a held entry whose SNR is inf changes no score) updates this
+    expectation.
+    """
+    s = build_scenario(ScenarioConfig(n_cells=3), 0)
+    h = channel_gains(s).h.copy()
+    h[0, 0] = 1e300
+    gains = ChannelGains(h=h)
+    with warnings.catch_warnings(record=True) as caught, np.errstate(over="ignore"):
+        warnings.simplefilter("always")
+        outs = {name: run_scheme(name, s, gains) for name in SCHEME_NAMES}
+    invalid = [w for w in caught if "invalid value encountered in subtract" in str(w.message)]
+    assert len(invalid) == 6
+    for w in invalid:
+        assert w.filename.endswith("prb_coloring.py")
+        assert "pert - base" in linecache.getline(w.filename, w.lineno)
+    assert {name: out.decision.a for name, out in outs.items()} == {
+        "all_local": (0, 0, 0),
+        "all_offload_orth": (1, 1, 1),
+        "proposed_minmax": (0, 1, 1),
+        "proposed_minsum": (0, 1, 1),
+        "equal_cpu": (0, 1, 1),
+    }
+    for out in outs.values():
+        for array in (out.rates_bps, out.t_off_s, out.e_off_j, out.per_ue_overhead):
+            assert not np.isnan(array).any()

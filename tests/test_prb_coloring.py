@@ -311,7 +311,7 @@ class TestColor:
             state = color(g, r)
             assert_matches_dense_color(state, g, m, h, powers, r)
             lo = 0
-            for node in state.order:
+            for node in state.ids.tolist():
                 want = list(range(lo, lo + int(m[node])))
                 assert state.assoc.c[node].nonzero()[0].tolist() == want
                 lo += int(m[node])
@@ -327,7 +327,7 @@ class TestColor:
         g = build_interference_graph(ChannelGains(h=h), m, powers, [0, 1, 2], 0.0)
         state = color(g, r)
         assert_matches_dense_color(state, g, m, h, powers, r)
-        assert state.order[:2] == (0, 1)
+        assert state.ids[:2].tolist() == [0, 1]
         assert state.assoc.c[:2].tolist() == [[1, 0, 0], [1, 0, 0]]
 
     def test_a_gap_inside_the_slack_is_left_to_the_scorer(self):
@@ -336,7 +336,7 @@ class TestColor:
         graph, m, gains, powers, r = near_gap_inside_the_slack()
         state = color(graph, r)
         assert_matches_dense_color(state, graph, m, gains.h, powers, r)
-        first, second = state.order
+        first, second = state.ids.tolist()
         bpp, noise = r.prb_bandwidth_hz, r.noise_per_prb_w
         free = bpp * np.log2(1.0 + state.signal / noise)
         held = bpp * np.log2(1.0 + state.signal[1] / (noise + graph.leak[first, second]))
@@ -362,11 +362,30 @@ class TestColor:
             g = build_interference_graph(ChannelGains(h=h), m, powers, ids, math.inf)
             state = color(g, r)
             assert_matches_dense_color(state, g, m, h, powers, r)
-            assert state.order == tuple(ids)
+            assert state.ids.tolist() == ids
             held = [state.assoc.c[node].nonzero()[0].tolist() for node in ids]
             for node in range(t):
                 assert held[node] == list(range(node * q, node * q + q))
             assert held[t] == held[s]
+
+    def test_scored_takes_of_one_run_and_of_two_runs(self):
+        # no edges (theta inf), so the quota-1 UEs 0-2 go first and fill
+        # PRBs 0-2; then the scorer gives UE 3, which hears only UE 1 and
+        # is heard only by it, PRBs 0 and 2 (two runs: a gather and
+        # scatter), and UE 4, which does the same with UE 2, PRBs 0 and 1
+        # (one run: a slice)
+        h = np.full((5, 5), 1e-14)
+        h[np.arange(5), np.arange(5)] = 1e-10
+        h[1, 3] = h[3, 1] = h[2, 4] = h[4, 2] = 1e-11
+        m = np.array([1, 1, 1, 2, 2])
+        powers, r = np.full(5, 0.1), radio(3)
+        g = build_interference_graph(ChannelGains(h=h), m, powers, range(5), math.inf)
+        state = color(g, r)
+        assert_matches_dense_color(state, g, m, h, powers, r)
+        assert state.ids.tolist() == [0, 1, 2, 3, 4]
+        assert state.assoc.c.tolist() == [
+            [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [1, 1, 0],
+        ]
 
     def test_a_first_block_that_leaves_no_room_goes_to_the_scorer(self):
         # the first node's 3 colors leave 1 of 4 free and the second needs
@@ -380,7 +399,7 @@ class TestColor:
             g = build_interference_graph(ChannelGains(h=h), m, powers, [0, 1], math.inf)
             state = color(g, r)
             assert_matches_dense_color(state, g, m, h, powers, r)
-            assert state.order == (0, 1)
+            assert state.ids.tolist() == [0, 1]
             assert state.assoc.c[0].tolist() == [1, 1, 1, 0]
             assert state.assoc.c[1, 3] == 1
 
@@ -400,7 +419,7 @@ class TestColor:
         assert_matches_dense_color(state, g, m, gains.h, s.tx_power_w, s.radio)
         assert (len(ids), s.radio.num_prbs) == (44, 100)
         lo = 0
-        for node in state.order[:20]:
+        for node in state.ids[:20].tolist():
             hi = lo + int(m[node])
             assert state.assoc.c[node].nonzero()[0].tolist() == list(range(lo, hi))
             lo = hi
@@ -419,7 +438,7 @@ class TestColor:
         h, powers, m, ids = random_setup(rng, 7, 10, 2.0)
         g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.1)
         state = color(g, radio(10))
-        keys = [g.in_weight[n] for n in state.order]
+        keys = g.in_weight[state.ids].tolist()
         assert all(a >= b for a, b in zip(keys, keys[1:]))
 
     def test_final_table_consistent(self):
@@ -429,25 +448,27 @@ class TestColor:
         state = color(g, radio(8))
         rebuilt = interference_table(state.assoc, ChannelGains(h=h), powers)
         np.testing.assert_allclose(
-            state.o, rebuilt[list(state.order)], rtol=1e-12, atol=1e-300
+            state.table.T, rebuilt[state.ids], rtol=1e-12, atol=1e-300
         )
 
-    def test_table_is_ue_major_and_c_contiguous(self):
-        # 7 UEs on 12 PRBs, UEs 1 and 4 local: the kernel works PRB-major
-        # and hands back o[t, prb], one row per colored UE in coloring order
+    def test_table_is_prb_major_and_c_contiguous(self):
+        # 7 UEs on 12 PRBs, UEs 1 and 4 local: the kernel hands back its own
+        # PRB-major table[prb, t], one column per colored UE in coloring
+        # order, and the int64 UE ids of those columns
         rng = np.random.default_rng(21)
         h, powers, _, _ = random_setup(rng, 7, 12, 2.0)
         ids = [0, 2, 3, 5, 6]
         m = normalize_prbs(np.arange(1, 8), ids, 12, 2.0)
         g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.1)
         state = color(g, radio(12))
-        assert sorted(state.order) == ids
-        assert state.o.shape == (5, 12)
-        assert state.o.dtype == np.float64
-        assert state.o.flags.c_contiguous
+        assert sorted(state.ids.tolist()) == ids
+        assert state.ids.dtype == np.int64
+        assert state.table.shape == (12, 5)
+        assert state.table.dtype == np.float64
+        assert state.table.flags.c_contiguous
         rebuilt = interference_table(state.assoc, ChannelGains(h=h), powers)
         np.testing.assert_allclose(
-            state.o, rebuilt[list(state.order)], rtol=1e-12, atol=1e-300
+            state.table.T, rebuilt[state.ids], rtol=1e-12, atol=1e-300
         )
 
     def test_deterministic(self):
@@ -458,7 +479,8 @@ class TestColor:
         a = color(g, radio(10))
         b = color(g, radio(10))
         assert np.array_equal(a.assoc.c, b.assoc.c)
-        assert np.array_equal(a.o, b.o)
+        assert np.array_equal(a.ids, b.ids)
+        assert np.array_equal(a.table, b.table)
         # color gathers its own step-ordered copy of the leakage block
         assert g.leak.tobytes() == leak
 
@@ -483,11 +505,11 @@ class TestColor:
             graph = build_interference_graph(g, m, s.tx_power_w, ids, s.edge_threshold)
             states.append(color(graph, s.radio))
         a, b = states
-        assert a.order == b.order
+        assert a.ids.tolist() == b.ids.tolist()
         assert a.assoc.c.tobytes() == b.assoc.c.tobytes()
-        assert a.o.tobytes() == b.o.tobytes()
-        assert a.o.shape == (len(ids), s.radio.num_prbs)
-        assert a.o.dtype == np.float64 and a.o.flags.c_contiguous
+        assert a.table.tobytes() == b.table.tobytes()
+        assert a.table.shape == (s.radio.num_prbs, len(ids))
+        assert a.table.dtype == np.float64 and a.table.flags.c_contiguous
 
 
 @pytest.mark.parametrize("quota, k", [((2, 2, 2), 4), ((1, 3, 2), 4), ((3, 1, 1), 3)])
@@ -614,8 +636,8 @@ def test_realized_rates_equal_per_row_held_rate(inputs):
     state = color(graph, r)
     want = np.zeros(h.shape[0])
     bpp, noise = r.prb_bandwidth_hz, r.noise_per_prb_w
-    for t, i in enumerate(state.order):
-        snr = powers[i] / m[i] * h[i, i] / (noise + state.o[t])
+    for t, i in enumerate(state.ids.tolist()):
+        snr = powers[i] / m[i] * h[i, i] / (noise + state.table[:, t])
         want[i] = (state.assoc.c[i] * bpp * np.log2(1 + snr)).sum()
     assert _bits(realized_rates(state, r)) == _bits(want)
 
@@ -625,7 +647,7 @@ def test_realized_rates_equal_per_row_held_rate(inputs):
 def test_signal_is_per_prb_power_times_serving_gain_in_order(inputs):
     graph, m, gains, powers, r = inputs
     state = color(graph, r)
-    order = list(state.order)
+    order = state.ids
     want = (powers[order] / m[order]) * gains.h[order, order]
     assert _bits(state.signal) == _bits(want)
 
@@ -638,9 +660,9 @@ def test_first_node_takes_the_lowest_colors_and_m_counts_the_held(inputs):
     # counts the held colors from the table
     graph, m, gains, powers, r = inputs
     state = color(graph, r)
-    first = state.order[0]
+    first = state.ids[0]
     assert state.assoc.c[first].nonzero()[0].tolist() == list(range(m[first]))
     assert state.assoc.m.dtype == np.int64
     assert _bits(state.assoc.m) == _bits(state.assoc.c.sum(axis=1))
-    order = list(state.order)
+    order = state.ids
     assert state.assoc.m[order].tolist() == m[order].tolist()
