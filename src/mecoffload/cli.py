@@ -63,8 +63,9 @@ def _detail_lines(seed: int, scheme: str, outcome: AllocationOutcome) -> list[st
     """Per-cell PRB listing, '#'-prefixed so CSV consumers skip it."""
     lines = [f"# prb_allocation seed={seed} scheme={scheme}"]
     c = outcome.assoc.c
+    offs = set(outcome.decision.offload_set)
     for n in range(c.shape[0]):
-        if outcome.decision.a[n] == 0:
+        if n not in offs:
             lines.append(f"# cell {n}: local")
         else:
             held = " ".join(str(k) for k in c[n].nonzero()[0])

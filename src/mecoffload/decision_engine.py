@@ -252,7 +252,8 @@ def greedy_reallocate(
         decision = decision.flip_off(drop)
         best = evaluate(decision, s, gains, cpu_mode, estimates)
 
-    unchecked = [i for i in report if decision.a[i] == 0]
+    offs = set(decision.offload_set)
+    unchecked = [i for i in report if i not in offs]
     for i in sorted(unchecked, key=report.__getitem__):
         trial = decision.flip_on(i)
         candidate = evaluate(trial, s, gains, cpu_mode, estimates)

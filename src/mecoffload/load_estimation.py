@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .radio import shannon
-from .scenario import ChannelGains, RadioParams, Scenario, _read_only_state
+from .scenario import ChannelGains, RadioParams, Scenario, _check_link_budget, _read_only_state
 
 # entries per block of the min_prbs table (512 KB): beside its n-entry result,
 # a call holds one block's table and flags, so its peak does not grow with n
@@ -111,6 +111,8 @@ def estimate_loads(s: Scenario, gains: ChannelGains) -> Loads:
     Local cost: time D/F_l, energy v*D, weighted sum. Offloading must beat
     the local time at an even server split, so the rate target is the
     input size over the slack D/F_l - D/(F/N); no slack pins the UE local.
+    Gains not made by channel_gains(s) must meet s's link budget before a
+    UE is sized on them, else InvalidConfig, so no later SNR overflows.
     """
     cycles, power = s.cycles, s.tx_power_w
     # a Python float division overflows to inf without a warning; so do these
@@ -125,6 +127,8 @@ def estimate_loads(s: Scenario, gains: ChannelGains) -> Loads:
         local_overhead = s.w_t * local_time + s.w_e * local_energy
     w = np.zeros(len(cycles), dtype=np.int64)
     if sized.any():  # a forced-local cell builds no empty table
+        if gains._scenario is not s:  # channel_gains(s) checked its own fill
+            _check_link_budget(s, gains.h)
         w[sized] = min_prbs(power[sized], gains.h.diagonal()[sized], s.radio, rate[sized])
     # min_prbs finds at least one PRB or none, and only sized UEs have a w
     offloadable = w > 0

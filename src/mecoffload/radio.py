@@ -5,9 +5,10 @@ uplink_rate sums its own Shannon rate, so it calls neither."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from operator import index, lt
 
 import numpy as np
 
@@ -23,49 +24,69 @@ def check_ids(first, last, n: int) -> None:
 
 @dataclass(frozen=True)
 class OffloadDecision:
-    """Binary per-UE offload flags; index n offloads iff a[n] == 1."""
+    """Which of the n UEs offload: the ascending tuple offload_set of their
+    ids, each once, in 0..n-1. Equal decisions have equal n and sets."""
 
-    a: tuple[int, ...]
+    n: int
+    offload_set: tuple[int, ...]
 
     def __post_init__(self):
-        # tuple.count compares like `in`, without hashing an entry
-        if self.a.count(0) + self.a.count(1) != len(self.a):
-            raise ValueError("decision entries must be 0 or 1")
+        ids = self.offload_set
+        if type(ids) is not tuple:
+            raise TypeError("the offload set must be a tuple of UE ids")
+        if ids:
+            check_ids(ids[0], ids[-1], self.n)
+            if not all(map(lt, ids, ids[1:])):
+                raise ValueError(f"UE ids {list(ids)} are not ascending and unique")
 
     @classmethod
     def all_local(cls, n: int) -> "OffloadDecision":
-        return cls(a=(0,) * n)
+        return cls(n, ())
 
     @classmethod
     def from_set(cls, offload, n: int) -> "OffloadDecision":
-        members = set(offload)
-        if members and not (0 <= min(members) and max(members) < n):
-            outside = sorted(members.difference(range(n)))
+        """The decision offloading the UE ids in any iterable, numpy ints
+        too, stored as Python ints; repeats count once."""
+        ids = sorted(set(map(index, offload)))
+        if ids and not (0 <= ids[0] and ids[-1] < n):
+            outside = [i for i in ids if not 0 <= i < n]
             raise ValueError(f"UE ids {outside} lie outside 0..{n - 1}")
-        a = [0] * n
-        for i in members:
-            a[i] = 1
-        return cls(a=tuple(a))
+        return cls(n, tuple(ids))
 
-    def flip_on(self, n: int) -> "OffloadDecision":
-        return self._flip(n, 1)
+    def flip_on(self, i: int) -> "OffloadDecision":
+        """The decision with UE i offloading too."""
+        i, at = self._find(i)
+        ids = self.offload_set
+        if ids[at : at + 1] == (i,):
+            return self
+        return OffloadDecision(self.n, ids[:at] + (i,) + ids[at:])
 
-    def flip_off(self, n: int) -> "OffloadDecision":
-        return self._flip(n, 0)
+    def flip_off(self, i: int) -> "OffloadDecision":
+        """The decision with UE i local."""
+        i, at = self._find(i)
+        ids = self.offload_set
+        if ids[at : at + 1] != (i,):
+            return self
+        return OffloadDecision(self.n, ids[:at] + ids[at + 1 :])
 
-    def _flip(self, n: int, flag: int) -> "OffloadDecision":
-        check_ids(n, n, len(self.a))
-        a = list(self.a)
-        a[n] = flag
-        return OffloadDecision(a=tuple(a))
+    def _find(self, i: int) -> tuple[int, int]:
+        """UE i as a Python int, checked, and where it sits in offload_set."""
+        i = index(i)
+        check_ids(i, i, self.n)
+        return i, bisect_left(self.offload_set, i)
 
     @cached_property
-    def offload_set(self) -> tuple[int, ...]:
-        return tuple(compress(range(len(self.a)), self.a))
+    def a(self) -> tuple[int, ...]:
+        """The 0/1 flag of every UE, a[i] == 1 iff UE i offloads; built on
+        first read, for the readers that want a row."""
+        a = [0] * self.n
+        for i in self.offload_set:
+            a[i] = 1
+        return tuple(a)
 
     @property
     def n_offload(self) -> int:
-        return sum(self.a)
+        return len(self.offload_set)
 
 
 @dataclass(frozen=True)

@@ -206,7 +206,8 @@ class ChannelGains:
     h is read-only: a hand-built ChannelGains keeps a read-only copy of its
     array, so a caller's array is never frozen. Gains made by
     channel_gains(s) have no h until it is first read, which fills it with
-    gain_matrix(s) and checks it (_check_link_budget). One gains object is
+    gain_matrix(s) and checks it (_check_link_budget); estimate_loads checks
+    any other gains against its scenario. One gains object is
     shared by every scheme of a cell, and it carries that cell's sizing
     pass (decision_engine.cell_plan) in a private slot, which a pickle
     leaves out: the plan is rebuilt on first use.

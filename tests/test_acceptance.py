@@ -234,7 +234,8 @@ def test_criterion_08_greedy_stays_near_exhaustive_best(capsys):
             estimates = estimate_loads(s, gains)
             best = math.inf
             for bits in product((0, 1), repeat=3):
-                out = evaluate(OffloadDecision(a=bits), s, gains, "minsum", estimates)
+                decision = OffloadDecision.from_set(np.flatnonzero(bits), 3)
+                out = evaluate(decision, s, gains, "minsum", estimates)
                 best = min(best, out.system_overhead)
             got = run_proposed(s, gains, "minsum").system_overhead
             assert got <= 1.25 * best

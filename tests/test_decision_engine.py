@@ -3,6 +3,7 @@ greedy refinement, and the reference schemes."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mecoffload.decision_engine import (
     run_proposed,
     run_scheme,
 )
+from mecoffload.errors import InvalidConfig
 from mecoffload.load_estimation import Loads, estimate_loads, prb_rate
 from mecoffload.radio import OffloadDecision, PrbAssociation, interference_table
 from mecoffload.scenario import (
@@ -331,30 +333,22 @@ class TestBaselines:
                 fits.add(bool(want.any()))
         assert fits == ({True, False} if overrides else {True})
 
-    def test_an_infinite_snr_rates_inf_not_nan(self):
+    def test_a_hand_built_gain_past_the_link_budget_is_refused(self):
         # a serving gain past the link budget (the CLI's scenarios never
-        # reach one) makes every SNR of UE 0 overflow to inf: its held
-        # blocks rate inf, and its unheld ones add +0.0, not 0 * inf = nan
+        # reach one) would overflow every SNR of UE 0 to inf, and the
+        # colouring's scorer would meet inf - inf; the load estimate checks
+        # the matrix first, so every scheme raises before anything is sized
         s, gains = built(n=3, seed=0)
         h = gains.h.copy()
         h[0, 0] = 1e300
         gains = ChannelGains(h=h)
-        # the colouring's scorer meets inf - inf on such an entry too
-        with np.errstate(over="ignore", invalid="ignore"):
-            outs = {name: run_scheme(name, s, gains) for name in SCHEME_NAMES}
-        orth = outs["all_offload_orth"]
-        assert orth.rates_bps[0] == math.inf
-        assert math.isinf(orth.per_ue_overhead[0]) and math.isinf(orth.system_overhead)
-        assert {name: out.decision.a for name, out in outs.items()} == {
-            "all_local": (0, 0, 0),
-            "all_offload_orth": (1, 1, 1),
-            "proposed_minmax": (0, 1, 1),
-            "proposed_minsum": (0, 1, 1),
-            "equal_cpu": (0, 1, 1),
-        }
-        for out in outs.values():
-            for array in (out.rates_bps, out.t_off_s, out.e_off_j, out.per_ue_overhead):
-                assert not np.isnan(array).any()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for name in SCHEME_NAMES:
+                with pytest.raises(InvalidConfig, match="received SNR"):
+                    run_scheme(name, s, gains)
+        assert not caught
+        assert gains._plan is None
 
     def test_equal_cpu_splits_server_evenly(self):
         s, gains = built()
@@ -450,6 +444,23 @@ class TestRunScheme:
         assert not cell_plan(*slow).report
         assert main("sweep --scheme all --vary cells --values 3,9 --seeds 0..2".split()) == 0
         assert capsys.readouterr().out.count("all_offload_orth") == 6
+
+    def test_schemes_and_cli_never_read_the_decision_row(self, monkeypatch, capsys):
+        # a decision is its offload set; the 0/1 row a is derived for the
+        # checkers and the bench, and no scheme or CLI path reads it
+        def refuse(self):
+            raise AssertionError("a scheme or CLI path read the decision row")
+
+        monkeypatch.setattr(OffloadDecision, "a", property(refuse))
+        cells = [built(n=n, seed=seed) for n in (3, 9) for seed in range(3)]
+        cells += [built(n=160, mec_ghz=100.0 * 160 / 9), built(n=160)]
+        for s, gains in cells:
+            for name in SCHEME_NAMES:
+                run_scheme(name, s, gains)
+        assert run_proposed(*cells[-2], "minsum").decision.n_offload
+        assert main("sweep --scheme all --vary cells --values 3,9 --seeds 0..2".split()) == 0
+        assert main("run --seed 0 --scheme all --detail".split()) == 0
+        assert "# cell 0: " in capsys.readouterr().out
 
     def test_forced_local_cells_never_build_the_gain_matrix(self, monkeypatch, capsys):
         # with no candidate no stage reads a gain: the load estimate sizes

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from mecoffload import load_estimation
 from mecoffload.decision_engine import SCHEME_NAMES, cell_plan, run_scheme
+from mecoffload.errors import InvalidConfig
 from mecoffload.load_estimation import (
     LoadEstimate,
     Loads,
@@ -20,6 +21,7 @@ from mecoffload.load_estimation import (
     prb_rate,
 )
 from mecoffload.scenario import (
+    ChannelGains,
     RadioParams,
     ScenarioConfig,
     build_scenario,
@@ -300,6 +302,30 @@ class TestEstimateLoads:
         with pytest.raises(ValueError, match="read-only"):
             loads.local_overhead[:] = 0.0
         assert loads.w[0] >= 1
+
+    def test_gains_meet_the_link_budget_before_sizing(self, monkeypatch):
+        # gains that channel_gains(s) made were checked when h was filled;
+        # any other matrix (hand-built, or made for another scenario) is
+        # checked once the cell has a UE to size, and one past the budget
+        # raises instead of scoring a silent nan in the colouring
+        checks = []
+        check = load_estimation._check_link_budget
+        monkeypatch.setattr(load_estimation, "_check_link_budget",
+                            lambda s, h: checks.append(s) or check(s, h))
+        s = build_scenario(ScenarioConfig(n_cells=3), seed=0)
+        own = channel_gains(s)
+        estimate_loads(s, own)
+        assert checks == []
+        h = own.h.copy()
+        h[0, 0] = 1e300
+        with pytest.raises(InvalidConfig, match="received SNR"):
+            estimate_loads(s, ChannelGains(h=h))
+        other = replace(s, reuse_lambda=2.0)
+        assert estimate_loads(other, own).w.tolist() == estimate_loads(s, own).w.tolist()
+        assert checks == [s, other]
+        forced = build_scenario(ScenarioConfig(n_cells=3, mec_ghz=1.0), seed=0)
+        assert estimate_loads(forced, ChannelGains(h=h)).forced_local.all()
+        assert checks == [s, other]
 
 
 # the regimes the property draws, as the even server share over the handset

@@ -511,6 +511,36 @@ class TestColor:
         assert a.table.shape == (s.radio.num_prbs, len(ids))
         assert a.table.dtype == np.float64 and a.table.flags.c_contiguous
 
+    def test_theta_acts_through_the_colouring_order_alone(self):
+        # the edges only set each node's in-weight, which orders the
+        # colouring, and the scorer prices every leak, edge or not. On the
+        # 9-cell scenario at seed 4 with all 9 UEs offloading, every
+        # threshold up to 0.2 gives other in-weights but the default order,
+        # and colours bit for bit alike; 0.5 reorders the nodes, and the
+        # table changes
+        s = build_scenario(ScenarioConfig(n_cells=9), 4)
+        gains = channel_gains(s)
+        estimates = estimate_loads(s, gains)
+        ids = list(range(9))
+        assert estimates.offloadable.all()
+        m = normalize_prbs(estimates.w, ids, s.radio.num_prbs, s.reuse_lambda)
+
+        def colour(theta):
+            graph = build_interference_graph(gains, m, s.tx_power_w, ids, theta)
+            return graph.in_weight, color(graph, s.radio)
+
+        weight, want = colour(s.edge_threshold)
+        for theta in (1e-9, 0.01, 0.05, 0.2):
+            other, got = colour(theta)
+            assert other.tobytes() != weight.tobytes()
+            assert got.ids.tolist() == want.ids.tolist()
+            assert got.assoc.c.tobytes() == want.assoc.c.tobytes()
+            for name in ("table", "signal", "held_step", "held_prb"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        _, moved = colour(0.5)
+        assert moved.ids.tolist() != want.ids.tolist()
+        assert moved.assoc.c.tobytes() != want.assoc.c.tobytes()
+
 
 @pytest.mark.parametrize("quota, k", [((2, 2, 2), 4), ((1, 3, 2), 4), ((3, 1, 1), 3)])
 def test_region_tables_cover_every_table_of_the_quotas(quota, k):

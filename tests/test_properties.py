@@ -422,6 +422,40 @@ def test_orthogonal_baseline_rates_equal_the_table_oracle(
     assert out.rates_bps.tobytes() == np.array(checked).tobytes()
     assert out.assoc.m.tobytes() == out.assoc.c.sum(axis=1).tobytes()
 
+
+@st.composite
+def decision_pairs(draw):
+    """(n, ids) twice: the second a copy of the first, or it with its n or
+    a few of its ids changed, so that equal and unequal pairs both occur."""
+    n = draw(st.integers(0, 40))
+    ids = draw(st.sets(st.integers(0, n - 1), max_size=n)) if n else set()
+    other_n = draw(st.sampled_from((n, n, n + 1)))
+    toggled = draw(st.sets(st.integers(0, other_n - 1), max_size=2)) if other_n else set()
+    return (n, ids), (other_n, ids ^ toggled)
+
+
+@settings(max_examples=300)
+@given(decision_pairs(), st.data())
+def test_a_decision_is_its_n_and_offload_set(pair, data):
+    # the set is the one representation: equality and hash follow it, the
+    # 0/1 row a is derived from it, and the flips are edits of it
+    (n, ids), (other_n, other_ids) = pair
+    d = OffloadDecision(n, tuple(sorted(ids)))
+    other = OffloadDecision.from_set(other_ids, other_n)
+    same = (n, ids) == (other_n, other_ids)
+    assert (d == other) == same
+    if same:
+        assert hash(d) == hash(other)
+    # the row as a flag tuple, the way the decision stored it before
+    row = tuple(1 if i in ids else 0 for i in range(n))
+    assert d.a == row and all(type(x) is int for x in d.a)
+    assert OffloadDecision.from_set(np.flatnonzero(d.a), d.n) == d
+    assert d.n_offload == len(ids)
+    if n:
+        i = data.draw(st.integers(0, n - 1))
+        assert d.flip_on(i) == OffloadDecision.from_set(ids | {i}, n)
+        assert d.flip_off(i) == OffloadDecision.from_set(ids - {i}, n)
+
 _EXTREMES = (
     5e-324, -5e-324, 1e-308, -1e-308, 1e300, -1e300, 1e308, -1e308, 0, 1, -1,
     10**400, -(10**400),  # integers too large for a float
