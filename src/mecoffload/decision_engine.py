@@ -7,8 +7,10 @@ runs demand normalization, graph coloring, realized rates, and the convex
 server split, and prices the system by the weighted time/energy overhead
 summed over all UEs. Candidates that break feasibility price at +inf and
 are never kept. The sizing and the initial guess do not depend on the
-server-split rule, so every scheme of a cell shares them (cell_plan), and
-so does the all-local outcome, priced once per cell.
+server-split rule, so every scheme of a cell shares them (cell_plan). The
+all-local outcome depends on the config alone, so it is priced once per
+config and shared by every scheme of every cell build_scenario makes from
+that config (once per cell for a scenario built any other way).
 """
 
 from __future__ import annotations
@@ -285,6 +287,9 @@ def cell_plan(s: Scenario, gains: ChannelGains) -> CellPlan:
 
     gains.h is read-only and so is every input on s, so the plan cannot go
     stale; a different scenario object with the same gains gets its own.
+    The all-local outcome reads only the local overheads, N and K, which
+    the config decides: a scenario from build_scenario takes it from its
+    config's sizing slot, priced by the config's first cell.
     """
     slot = gains._plan
     if slot is not None and slot[0] is s:
@@ -293,12 +298,18 @@ def cell_plan(s: Scenario, gains: ChannelGains) -> CellPlan:
     candidates = tuple(estimates.offloadable.nonzero()[0].tolist())
     report = orthogonal_estimate(estimates, candidates, s, gains) if candidates else {}
     a0 = initial_decision(estimates, report)
-    # with no offloader no server split is made, so any rule prices it
-    all_local = OffloadDecision.all_local(s.n_cells) if a0.offload_set else a0
-    local = price(all_local, uplink(all_local, s, gains, estimates), s, estimates, "equal")
-    # the empty association is read-only already
-    for array in (local.rates_bps, local.t_off_s, local.e_off_j, local.per_ue_overhead):
-        array.flags.writeable = False
+    sizing = {} if s._sizing is None else s._sizing
+    local = sizing.get("local")
+    if local is None:
+        # with no offloader no server split is made, so any rule prices it
+        all_local = OffloadDecision.all_local(s.n_cells) if a0.offload_set else a0
+        local = price(all_local, uplink(all_local, s, gains, estimates), s, estimates, "equal")
+        # the empty association is read-only already
+        for array in (local.rates_bps, local.t_off_s, local.e_off_j, local.per_ue_overhead):
+            array.flags.writeable = False
+        sizing["local"] = local
+    if not a0.offload_set:
+        a0 = local.decision  # equal to it; one object, so plan.a0 is plan.local.decision
     plan = CellPlan(estimates, MappingProxyType(report), a0, local)
     object.__setattr__(gains, "_plan", (s, plan))
     return plan

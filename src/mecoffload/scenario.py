@@ -80,6 +80,13 @@ def _read_only_state(self, state: dict) -> None:
     self.__dict__.update(state)
 
 
+def _state_without(slot: str):
+    """A __getstate__ that leaves out a private slot, rebuilt on first use."""
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k != slot}
+    return __getstate__
+
+
 # Scenario's per-UE columns: finite and positive, and the weights in [0,1]
 _POSITIVE = ("tx_power_w", "input_bits", "cycles", "local_speed_hz", "energy_coeff")
 _WEIGHTS = ("w_t", "w_e")
@@ -87,11 +94,39 @@ _COLUMNS = _POSITIVE + _WEIGHTS
 _POSITIONS = ("cell_xy", "ue_xy")
 
 
+def _check_inputs(table: np.ndarray, x) -> np.ndarray:
+    """Check the (len(_COLUMNS), N) column table and the scalars of x (a
+    Scenario or a ScenarioConfig), and return the table read-only."""
+    # a row passes when its extremes do; a nan is its row's min and max
+    lows, highs = table.min(axis=1).tolist(), table.max(axis=1).tolist()
+    for name, low, high in zip(_COLUMNS, lows, highs):
+        if name in _WEIGHTS:
+            if not (0 <= low and high <= 1):
+                raise InvalidConfig(f"UE weight {name} must lie in [0,1]")
+        elif not (0 < low and high < math.inf):
+            raise InvalidConfig(f"UE {name} must be finite and positive")
+    # the bounds ScenarioConfig.validate sets; a nan fails each of them
+    for name, in_range, bound in (
+        ("mec_capacity_hz", 0 < x.mec_capacity_hz < math.inf, "positive"),
+        ("reuse_lambda", 1 <= x.reuse_lambda < math.inf, ">= 1"),
+        # normalize_prbs scales the quotas by it
+        ("reuse_lambda * num_prbs", x.reuse_lambda * x.radio.num_prbs < math.inf, "positive"),
+        ("edge_threshold", 0 < x.edge_threshold < math.inf, "positive"),
+        ("shadowing_db", 0 <= x.shadowing_db < math.inf, ">= 0"),
+    ):
+        if not in_range:
+            raise InvalidConfig(f"{name} must be finite and {bound}")
+    table.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Immutable snapshot of one deployment: UE n is served by cell n, and
     the UE inputs are read-only numpy columns indexed by UE id. A scenario
-    from build_scenario draws its positions on their first read."""
+    from build_scenario draws its positions on their first read, and
+    shares its config's sizing slot (ScenarioConfig._sizing), which
+    replace, a hand-built scenario and a pickle go without."""
 
     cell_xy: np.ndarray  # (N, 2) SeNB positions, m
     ue_xy: np.ndarray  # (N, 2) UE positions, m
@@ -113,6 +148,8 @@ class Scenario:
 
     # build_scenario's draw_positions arguments (area_m, ue_radius_m, seed, n_cells)
     _geometry: tuple | None = field(default=None, init=False, repr=False)
+    # build_scenario's config._sizing, or None: every cell computes its own
+    _sizing: dict | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = np.shape(self.cell_xy)[:1]  # one UE per cell
@@ -126,7 +163,7 @@ class Scenario:
             if column.shape != n:
                 raise InvalidConfig(f"{name} has shape {column.shape}, expected {n}")
             row[...] = column
-        self._set_inputs(table)
+        self.__dict__.update(zip(_COLUMNS, _check_inputs(table, self)))
 
     def __getattr__(self, name):
         # reached only for an attribute the instance lacks: a position of a
@@ -137,6 +174,7 @@ class Scenario:
         self._set_positions(*draw_positions(*self._geometry), (self._geometry[-1],))
         return self.__dict__[name]
 
+    __getstate__ = _state_without("_sizing")
     __setstate__ = _read_only_state
 
     def _set_positions(self, cell_xy, ue_xy, n: tuple[int]) -> None:
@@ -153,33 +191,6 @@ class Scenario:
             checked.append(xy)
         for name, xy in zip(_POSITIONS, checked):
             object.__setattr__(self, name, xy)
-
-    def _set_inputs(self, table: np.ndarray) -> None:
-        """Check the (len(_COLUMNS), N) column table and the scalars, and
-        keep the table's rows as the read-only per-UE columns."""
-        # a row passes when its extremes do; a nan is its row's min and max
-        lows, highs = table.min(axis=1).tolist(), table.max(axis=1).tolist()
-        for name, low, high in zip(_COLUMNS, lows, highs):
-            if name in _WEIGHTS:
-                if not (0 <= low and high <= 1):
-                    raise InvalidConfig(f"UE weight {name} must lie in [0,1]")
-            elif not (0 < low and high < math.inf):
-                raise InvalidConfig(f"UE {name} must be finite and positive")
-        table.setflags(write=False)
-        for row, name in zip(table, _COLUMNS):
-            object.__setattr__(self, name, row)
-        # the bounds ScenarioConfig.validate sets; a nan fails each of them
-        for name, in_range, bound in (
-            ("mec_capacity_hz", 0 < self.mec_capacity_hz < math.inf, "positive"),
-            ("reuse_lambda", 1 <= self.reuse_lambda < math.inf, ">= 1"),
-            # normalize_prbs scales the quotas by it
-            ("reuse_lambda * num_prbs", self.reuse_lambda * self.radio.num_prbs < math.inf,
-             "positive"),
-            ("edge_threshold", 0 < self.edge_threshold < math.inf, "positive"),
-            ("shadowing_db", 0 <= self.shadowing_db < math.inf, ">= 0"),
-        ):
-            if not in_range:
-                raise InvalidConfig(f"{name} must be finite and {bound}")
 
     @property
     def n_cells(self) -> int:
@@ -231,9 +242,7 @@ class ChannelGains:
         object.__setattr__(self, "h", h)
         return h
 
-    def __getstate__(self):
-        return {k: v for k, v in vars(self).items() if k != "_plan"}
-
+    __getstate__ = _state_without("_plan")
     __setstate__ = _read_only_state
 
 
@@ -370,7 +379,8 @@ class ScenarioConfig:
 
     # Read once per config by build_scenario, and immutable. A cached value
     # sits in the instance dict: == and hash (over the fields) ignore it,
-    # replace starts without it, and a pickle carries it.
+    # replace starts without it, and a pickle carries it (read-only again),
+    # all but the _sizing slot.
     @cached_property
     def radio(self) -> RadioParams:
         """The band: one frozen RadioParams for every scenario of this config."""
@@ -381,12 +391,28 @@ class ScenarioConfig:
         )
 
     @cached_property
-    def ue_columns(self) -> tuple[float, ...]:
-        """Every UE's value of each per-UE column, in Scenario's column order."""
-        return tuple(map(float, (
+    def ue_table(self) -> np.ndarray:
+        """The (len(_COLUMNS), N) per-UE column table, each row one config
+        value, checked with the scalars as a hand-built Scenario is and
+        read-only: every scenario of this config takes its rows as columns."""
+        table = np.empty((len(_COLUMNS), self.n_cells))
+        table.T[...] = tuple(map(float, (
             self.tx_power_w, self.input_bits, self.task_cycles, self.local_speed_hz,
             self.energy_coeff, self.gamma_t, self.gamma_e,
         )))
+        return _check_inputs(table, self)
+
+    @cached_property
+    def _sizing(self) -> dict:
+        """What this config alone decides of a cell's sizing, filled on
+        first use and shared by every scenario build_scenario makes from
+        it: "loads", the Loads of a config whose UEs are all forced local
+        (load_estimation.estimate_loads), and "local", the all-local
+        outcome (decision_engine.cell_plan)."""
+        return {}
+
+    __getstate__ = _state_without("_sizing")
+    __setstate__ = _read_only_state
 
     def with_overrides(self, **kwargs) -> "ScenarioConfig":
         return replace(self, **kwargs)
@@ -424,9 +450,10 @@ def build_scenario(config: ScenarioConfig, seed: int | None = None) -> Scenario:
     positions are draw_positions(area_m, ue_radius_m, seed, n_cells).
 
     `seed` falls back to config.seed, so equal inputs give equal scenarios.
-    The per-UE columns and the scalars are checked here; the positions are
-    drawn, and checked, on the first read of cell_xy or ue_xy, so a cell
-    that never reads its gain matrix draws none.
+    The per-UE columns are the rows of config.ue_table, checked with the
+    scalars once per config; the positions are drawn, and checked, on the
+    first read of cell_xy or ue_xy, so a cell that never reads its gain
+    matrix draws none.
     """
     if seed is None:
         seed = config.seed
@@ -435,15 +462,14 @@ def build_scenario(config: ScenarioConfig, seed: int | None = None) -> Scenario:
     n = config.n_cells
     s = object.__new__(Scenario)  # no positions yet: __getattr__ draws them
     s.__dict__.update(
+        zip(_COLUMNS, config.ue_table),  # checked once per config
         radio=config.radio, mec_capacity_hz=config.mec_capacity_hz,
         reuse_lambda=config.reuse_lambda, edge_threshold=config.edge_threshold,
         seed=seed, pl0_db=config.pl0_db, pl_exponent=config.pl_exponent,
         shadowing_db=config.shadowing_db,
         _geometry=(config.area_m, config.ue_radius_m, seed, n),
+        _sizing=config._sizing,
     )
-    table = np.empty((len(_COLUMNS), n))
-    table.T[...] = config.ue_columns  # each row one config value
-    s._set_inputs(table)
     return s
 
 

@@ -550,12 +550,19 @@ class TestCellPlan:
 
     def test_a_cell_prices_its_all_local_outcome_once(self, monkeypatch):
         calls = counting(monkeypatch, "price")
-        s, gains = built(n=160, mec_ghz=25.0)  # every UE forced local
+        cfg = ScenarioConfig(n_cells=160, mec_ghz=25.0)  # every UE forced local
+        s = scenario.build_scenario(cfg, seed=0)
+        gains = scenario.channel_gains(s)
         outs = [run_scheme(name, s, gains) for name in SCHEME_NAMES]
         plan = cell_plan(s, gains)
         assert not plan.report
         assert len(calls) == 1
         assert all(out is plan.local for out in outs)
+        # a later cell of the config prices nothing: it shares the outcome
+        s = scenario.build_scenario(cfg, seed=1)
+        gains = scenario.channel_gains(s)
+        assert all(run_scheme(name, s, gains) is plan.local for name in SCHEME_NAMES)
+        assert len(calls) == 1 and cell_plan(s, gains).a0 is plan.local.decision
         # with candidates, all_local reads what the plan priced
         calls.clear()
         s, gains = built()

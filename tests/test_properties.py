@@ -156,13 +156,14 @@ def assert_same_outcome(a, b):
 )
 def test_schemes_sharing_a_cell_match_fresh_runs(n_cells, reuse_lambda, mec_ghz, seed):
     # the five schemes of a cell share one (s, gains) pair and its sizing
-    # pass; each must still give what it gives on a cell of its own
+    # pass; each must still give what it gives on a cell of its own, made
+    # from a copy of the config, so that no per-config value is shared
     cfg = ScenarioConfig(n_cells=n_cells, reuse_lambda=reuse_lambda, mec_ghz=mec_ghz)
     s = build_scenario(cfg, seed=seed)
     gains = channel_gains(s)
     shared = {name: run_scheme(name, s, gains) for name in SCHEME_NAMES}
     for name in SCHEME_NAMES:
-        fresh_s = build_scenario(cfg, seed=seed)
+        fresh_s = build_scenario(dataclasses.replace(cfg), seed=seed)
         assert_same_outcome(shared[name], run_scheme(name, fresh_s, channel_gains(fresh_s)))
 
 
@@ -208,6 +209,52 @@ def test_a_pickled_cell_stays_read_only_and_runs_the_same(cell, n_cells, stage, 
     for name in SCHEME_NAMES:
         assert_same_outcome(run_scheme(name, copy_s, copy_gains), run_scheme(name, s, gains))
     assert_read_only(copy_s, copy_gains)
+
+
+# the cells above and a 3-PRB band
+_CONFIG_CELLS = {**_CELLS, "narrow_band": {"num_prbs": 3}}
+
+
+@settings(max_examples=40)
+@given(
+    cell=st.sampled_from(sorted(_CONFIG_CELLS)),
+    n_cells=st.integers(1, 12),
+    seeds=st.lists(st.integers(0, 10_000), min_size=3, max_size=3, unique=True),
+)
+@example(cell="forced_local", n_cells=12, seeds=[0, 1, 2])
+@example(cell="narrow_band", n_cells=9, seeds=[0, 1, 2])
+def test_cells_sharing_a_config_match_cells_of_fresh_configs(cell, n_cells, seeds):
+    # the cells build_scenario makes from one config share its checked
+    # column table, its all-local outcome and, when every UE is forced
+    # local, its Loads; each must give what a cell of a fresh copy of the
+    # config gives
+    cfg = ScenarioConfig(n_cells=n_cells, **_CONFIG_CELLS[cell])
+    plans = []
+    for seed in seeds:
+        s = build_scenario(cfg, seed=seed)
+        gains = channel_gains(s)
+        outs = {name: run_scheme(name, s, gains) for name in SCHEME_NAMES}
+        fresh_s = build_scenario(dataclasses.replace(cfg), seed=seed)
+        fresh_gains = channel_gains(fresh_s)
+        for name in SCHEME_NAMES:
+            assert_same_outcome(outs[name], run_scheme(name, fresh_s, fresh_gains))
+        plan = cell_plan(s, gains)
+        assert (plan.a0 is plan.local.decision) == (not plan.a0.offload_set)
+        assert_read_only(s, plan.estimates, plan.local)
+        assert all(getattr(s, name).base is cfg.ue_table for name in ("cycles", "w_e"))
+        plans.append(plan)
+    assert not cfg.ue_table.flags.writeable
+    assert all(plan.local is plans[0].local for plan in plans)
+    forced = cell == "forced_local"
+    assert plans[0].estimates.forced_local.all() == forced
+    assert (plans[1].estimates is plans[0].estimates) == forced
+    if forced:
+        # replace makes a scenario of no config: it sizes its own UEs
+        fast = dataclasses.replace(s, mec_capacity_hz=1e11)
+        loads = estimate_loads(fast, channel_gains(fast))
+        assert fast._sizing is None and loads is not plan.estimates
+        assert (loads.w > 0).all()
+        assert cell_plan(fast, channel_gains(fast)).local is not plan.local
 
 
 @settings(max_examples=60)

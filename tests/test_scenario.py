@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mecoffload.decision_engine import run_scheme
 from mecoffload.errors import InvalidConfig
 from mecoffload.scenario import (
     ChannelGains,
@@ -440,6 +441,11 @@ _EDGE_VALUES = (
     1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 0.5,
 )
 _TABLE_ROWS = POSITIVE_COLUMNS + WEIGHT_COLUMNS
+# the ScenarioConfig value behind each row of its ue_table
+_CONFIG_VALUES = (
+    "tx_power_w", "input_bits", "task_cycles", "local_speed_hz", "energy_coeff",
+    "gamma_t", "gamma_e",
+)
 
 
 @st.composite
@@ -481,13 +487,16 @@ class TestColumnCheck:
         assert raised(
             lambda: manual_scenario([(0.0, 0.0)] * n, ues=ues)
         ) == twelve_op_column_check(table)
-        # build_scenario fills every UE's row from the config's cached column
-        # values; set them past validate, which rejects bad values first
+        # build_scenario takes every UE's row from the config's checked
+        # table, filled from the config's values; they are set past
+        # validate, which rejects bad values first
         for col in table.T.tolist():
             cfg = ScenarioConfig(n_cells=n)
-            vars(cfg)["ue_columns"] = tuple(col)
             want = twelve_op_column_check(np.repeat(np.array(col)[:, None], n, axis=1))
-            assert raised(lambda: build_scenario(cfg, 0)) == want
+            with pytest.MonkeyPatch.context() as patch:
+                for name, value in zip(_CONFIG_VALUES, col):
+                    patch.setattr(ScenarioConfig, name, property(lambda _, v=value: v))
+                assert raised(lambda: build_scenario(cfg, 0)) == want
 
 
 class TestConfigValues:
@@ -508,31 +517,45 @@ class TestConfigValues:
         ):
             s = build_scenario(other, 0)
             assert s.radio is other.radio is not cfg.radio
-            assert s.radio.num_prbs == 50 and other.ue_columns[0] == 0.01
+            assert s.radio.num_prbs == 50 and (other.ue_table[0] == 0.01).all()
             assert (s.tx_power_w == 0.01).all()
+            assert s.tx_power_w.base is other.ue_table is not cfg.ue_table
         assert replace(cfg).radio is not cfg.radio
 
     @pytest.mark.parametrize("built_first", [False, True])
     def test_a_pickled_config_builds_the_same_scenario(self, built_first):
+        # pickle drops numpy's read-only flag, and the sizing slot is left
+        # out, as ChannelGains leaves out its plan
         cfg = ScenarioConfig(n_cells=12, shadowing_db=8.0, gamma_t=1, gamma_e=0)
         if built_first:
-            build_scenario(cfg, 3)
+            s = build_scenario(cfg, 3)
+            run_scheme("all_local", s, channel_gains(s))  # fills the slot
+            assert cfg._sizing
+            pickled = pickle.loads(pickle.dumps(s))
+            assert "_sizing" not in vars(pickled) and pickled._sizing is None
+            for name in COLUMNS[2:]:
+                assert not getattr(pickled, name).flags.writeable, name
         copy = pickle.loads(pickle.dumps(cfg))
-        assert ("radio" in vars(copy)) == ("ue_columns" in vars(copy)) == built_first
+        assert ("radio" in vars(copy)) == ("ue_table" in vars(copy)) == built_first
+        assert "_sizing" not in vars(copy)
+        if built_first:
+            assert not copy.ue_table.flags.writeable
         want, got = build_scenario(cfg, 3), build_scenario(copy, 3)
+        assert got._sizing is copy._sizing == {}
         for f in fields(Scenario):
             a, b = getattr(got, f.name), getattr(want, f.name)
             if isinstance(b, np.ndarray):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
-            else:
+                assert not a.flags.writeable, f.name
+            elif f.name != "_sizing":
                 assert a == b, f.name
         assert channel_gains(got).h.tobytes() == channel_gains(want).h.tobytes()
 
     def test_equality_and_hash_ignore_the_cache(self):
         used, fresh = ScenarioConfig(seed=4), ScenarioConfig(seed=4)
         build_scenario(used)
-        assert {"radio", "ue_columns"} <= set(vars(used))
-        assert not {"radio", "ue_columns"} & set(vars(fresh))
+        assert {"radio", "ue_table", "_sizing"} <= set(vars(used))
+        assert not {"radio", "ue_table", "_sizing"} & set(vars(fresh))
         assert used == fresh and hash(used) == hash(fresh)
         assert used != ScenarioConfig(seed=5)
 
