@@ -7,10 +7,11 @@ runs demand normalization, graph coloring, realized rates, and the convex
 server split, and prices the system by the weighted time/energy overhead
 summed over all UEs. Candidates that break feasibility price at +inf and
 are never kept. The sizing and the initial guess do not depend on the
-server-split rule, so every scheme of a cell shares them (cell_plan). The
-all-local outcome depends on the config alone, so it is priced once per
-config and shared by every scheme of every cell build_scenario makes from
-that config (once per cell for a scenario built any other way).
+server-split rule, so every scheme of a cell shares them (cell_plan). What
+depends on the config alone is shared by every cell build_scenario makes
+from that config, through the plan of its first cell: the all-local
+outcome, and, when every UE is forced local, the whole plan (a scenario
+built any other way plans each cell alone).
 """
 
 from __future__ import annotations
@@ -267,7 +268,8 @@ def greedy_reallocate(
 
 @dataclass(frozen=True, eq=False)
 class CellPlan:
-    """The sizing pass of one cell, shared by all of its schemes.
+    """The sizing pass of one cell, shared by all of its schemes, and by
+    every later cell of its config when all its UEs are forced local.
 
     Nothing here depends on the server-split rule: the Loads, the
     orthogonal report of every candidate (read-only, keyed by the
@@ -287,30 +289,39 @@ def cell_plan(s: Scenario, gains: ChannelGains) -> CellPlan:
 
     gains.h is read-only and so is every input on s, so the plan cannot go
     stale; a different scenario object with the same gains gets its own.
-    The all-local outcome reads only the local overheads, N and K, which
-    the config decides: a scenario from build_scenario takes it from its
-    config's sizing slot, priced by the config's first cell.
+    The first cell of a config (s._config, from build_scenario) keeps its
+    plan on the config, read and written here alone. Forced-local UEs and
+    the all-local outcome (the local overheads, N and K) depend on the
+    config alone: a later cell of a config whose UEs are all forced local
+    takes that plan whole and reads no gain, and any other later cell
+    sizes itself and takes only the plan's all-local outcome.
     """
     slot = gains._plan
     if slot is not None and slot[0] is s:
         return slot[1]
+    config = s._config
+    first = None if config is None else config._plan
+    if first is not None and first.estimates.forced_local.all():
+        object.__setattr__(gains, "_plan", (s, first))
+        return first
     estimates = estimate_loads(s, gains)
     candidates = tuple(estimates.offloadable.nonzero()[0].tolist())
     report = orthogonal_estimate(estimates, candidates, s, gains) if candidates else {}
     a0 = initial_decision(estimates, report)
-    sizing = {} if s._sizing is None else s._sizing
-    local = sizing.get("local")
-    if local is None:
+    if first is not None:
+        local = first.local
+    else:
         # with no offloader no server split is made, so any rule prices it
         all_local = OffloadDecision.all_local(s.n_cells) if a0.offload_set else a0
         local = price(all_local, uplink(all_local, s, gains, estimates), s, estimates, "equal")
         # the empty association is read-only already
         for array in (local.rates_bps, local.t_off_s, local.e_off_j, local.per_ue_overhead):
             array.flags.writeable = False
-        sizing["local"] = local
     if not a0.offload_set:
         a0 = local.decision  # equal to it; one object, so plan.a0 is plan.local.decision
     plan = CellPlan(estimates, MappingProxyType(report), a0, local)
+    if config is not None and first is None:
+        object.__setattr__(config, "_plan", plan)
     object.__setattr__(gains, "_plan", (s, plan))
     return plan
 

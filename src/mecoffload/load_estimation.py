@@ -113,15 +113,8 @@ def estimate_loads(s: Scenario, gains: ChannelGains) -> Loads:
     input size over the slack D/F_l - D/(F/N); no slack pins the UE local.
     Gains not made by channel_gains(s) must meet s's link budget before a
     UE is sized on them, else InvalidConfig, so no later SNR overflows.
-
-    The Loads of a cell with no UE sized read no gain and depend on its
-    config alone, so the first cell of a config built by build_scenario
-    keeps them in the config's sizing slot, and every later cell of that
-    config returns the same read-only object.
+    A cell whose UEs are all forced local reads no gain.
     """
-    sizing = s._sizing
-    if sizing is not None and "loads" in sizing:
-        return sizing["loads"]
     cycles, power = s.cycles, s.tx_power_w
     # a Python float division overflows to inf without a warning; so do these
     with np.errstate(over="ignore"):
@@ -140,11 +133,8 @@ def estimate_loads(s: Scenario, gains: ChannelGains) -> Loads:
         w[sized] = min_prbs(power[sized], gains.h.diagonal()[sized], s.radio, rate[sized])
     # min_prbs finds at least one PRB or none, and only sized UEs have a w
     offloadable = w > 0
-    loads = Loads(
+    return Loads(
         local_time_s=local_time, local_overhead=local_overhead,
         t_exe_est_s=t_exe_est, min_rate_bps=rate, w=w, forced_local=forced,
         infeasible=sized ^ offloadable, offloadable=offloadable,
     )
-    if sizing is not None and not sized.any():
-        sizing["loads"] = loads
-    return loads

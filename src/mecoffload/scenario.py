@@ -80,11 +80,9 @@ def _read_only_state(self, state: dict) -> None:
     self.__dict__.update(state)
 
 
-def _state_without(slot: str):
-    """A __getstate__ that leaves out a private slot, rebuilt on first use."""
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in vars(self).items() if k != slot}
-    return __getstate__
+def _state_without_plan(self) -> dict:
+    """A __getstate__ that leaves out the private _plan, rebuilt on first use."""
+    return {k: v for k, v in vars(self).items() if k != "_plan"}
 
 
 # Scenario's per-UE columns: finite and positive, and the weights in [0,1]
@@ -124,9 +122,10 @@ def _check_inputs(table: np.ndarray, x) -> np.ndarray:
 class Scenario:
     """Immutable snapshot of one deployment: UE n is served by cell n, and
     the UE inputs are read-only numpy columns indexed by UE id. A scenario
-    from build_scenario draws its positions on their first read, and
-    shares its config's sizing slot (ScenarioConfig._sizing), which
-    replace, a hand-built scenario and a pickle go without."""
+    from build_scenario keeps its config in _config, which replace and a
+    hand-built scenario go without: it draws its positions from the
+    config on their first read, and its cells share the config's plan
+    (decision_engine.cell_plan)."""
 
     cell_xy: np.ndarray  # (N, 2) SeNB positions, m
     ue_xy: np.ndarray  # (N, 2) UE positions, m
@@ -146,10 +145,8 @@ class Scenario:
     pl_exponent: float
     shadowing_db: float
 
-    # build_scenario's draw_positions arguments (area_m, ue_radius_m, seed, n_cells)
-    _geometry: tuple | None = field(default=None, init=False, repr=False)
-    # build_scenario's config._sizing, or None: every cell computes its own
-    _sizing: dict | None = field(default=None, init=False, repr=False)
+    # the config build_scenario drew this scenario from, or None
+    _config: ScenarioConfig | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = np.shape(self.cell_xy)[:1]  # one UE per cell
@@ -168,13 +165,15 @@ class Scenario:
     def __getattr__(self, name):
         # reached only for an attribute the instance lacks: a position of a
         # scenario from build_scenario before its first read
-        if name not in _POSITIONS or self._geometry is None:
+        config = self._config
+        if name not in _POSITIONS or config is None:
             raise AttributeError(name)
+        n = config.n_cells
         # draw_positions is a module lookup, so it can be wrapped
-        self._set_positions(*draw_positions(*self._geometry), (self._geometry[-1],))
+        xy = draw_positions(config.area_m, config.ue_radius_m, self.seed, n)
+        self._set_positions(*xy, (n,))
         return self.__dict__[name]
 
-    __getstate__ = _state_without("_sizing")
     __setstate__ = _read_only_state
 
     def _set_positions(self, cell_xy, ue_xy, n: tuple[int]) -> None:
@@ -242,7 +241,7 @@ class ChannelGains:
         object.__setattr__(self, "h", h)
         return h
 
-    __getstate__ = _state_without("_plan")
+    __getstate__ = _state_without_plan
     __setstate__ = _read_only_state
 
 
@@ -253,6 +252,11 @@ class ScenarioConfig:
     420 KB input at 1024 bytes/KB gives 3,440,640 bits; set bytes_per_kb=1000
     for decimal kilobytes. energy_coeff_j_per_cycle overrides the default
     1e-11 * local_ghz^2 J/cycle handset energy model.
+
+    Every scenario build_scenario makes from a config keeps it, and the
+    config keeps the plan of its first cell (decision_engine.cell_plan):
+    no field, so ==, hash, replace and config_from_dict ignore it, and a
+    pickle leaves it out.
     """
 
     n_cells: int = 9
@@ -380,7 +384,7 @@ class ScenarioConfig:
     # Read once per config by build_scenario, and immutable. A cached value
     # sits in the instance dict: == and hash (over the fields) ignore it,
     # replace starts without it, and a pickle carries it (read-only again),
-    # all but the _sizing slot.
+    # all but _plan.
     @cached_property
     def radio(self) -> RadioParams:
         """The band: one frozen RadioParams for every scenario of this config."""
@@ -402,16 +406,9 @@ class ScenarioConfig:
         )))
         return _check_inputs(table, self)
 
-    @cached_property
-    def _sizing(self) -> dict:
-        """What this config alone decides of a cell's sizing, filled on
-        first use and shared by every scenario build_scenario makes from
-        it: "loads", the Loads of a config whose UEs are all forced local
-        (load_estimation.estimate_loads), and "local", the all-local
-        outcome (decision_engine.cell_plan)."""
-        return {}
+    _plan = None  # read and written by decision_engine.cell_plan alone
 
-    __getstate__ = _state_without("_sizing")
+    __getstate__ = _state_without_plan
     __setstate__ = _read_only_state
 
     def with_overrides(self, **kwargs) -> "ScenarioConfig":
@@ -459,16 +456,13 @@ def build_scenario(config: ScenarioConfig, seed: int | None = None) -> Scenario:
         seed = config.seed
     if seed < 0:
         raise InvalidConfig(f"seed must be >= 0, got {seed}")
-    n = config.n_cells
     s = object.__new__(Scenario)  # no positions yet: __getattr__ draws them
     s.__dict__.update(
         zip(_COLUMNS, config.ue_table),  # checked once per config
         radio=config.radio, mec_capacity_hz=config.mec_capacity_hz,
         reuse_lambda=config.reuse_lambda, edge_threshold=config.edge_threshold,
         seed=seed, pl0_db=config.pl0_db, pl_exponent=config.pl_exponent,
-        shadowing_db=config.shadowing_db,
-        _geometry=(config.area_m, config.ue_radius_m, seed, n),
-        _sizing=config._sizing,
+        shadowing_db=config.shadowing_db, _config=config,
     )
     return s
 

@@ -2,16 +2,17 @@
 
 bench/tracer.py wraps functions where decision_engine looks them up and
 reads some of their arguments by name; bench/checks.py checks every row
-through the package API. This test loads both files as they are (without
-writing into bench/), traces every scheme on a few small cells and asserts
-the tracer's own self-tests, so a renamed function or argument fails here
-rather than only in a benchmark run.
+through the package API. This test loads those files and bench/run.py as
+they are (without writing into bench/), traces every scheme on a few small
+cells and asserts the bench's own self-tests, so a renamed function or
+argument fails here rather than only in a benchmark run.
 """
 
 import dataclasses
 import importlib.util
 import os
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -86,9 +87,17 @@ def test_uplink_layers_run_once_per_colorable_evaluate(traced):
 
 
 def test_schemes_of_a_cell_share_one_sizing_pass(traced):
+    # every cell sizes itself once, but a later cell of a config whose UEs
+    # are all forced local takes its first cell's plan and sizes nothing
     _, snap, cells = traced
+    configs, sized = set(), 0
+    for s, g, _ in cells:
+        later = id(s._config) in configs
+        configs.add(id(s._config))
+        sized += not (later and mecoffload.estimate_loads(s, g).forced_local.all())
+    assert sized == len(cells) - 1  # the 5 GHz config's second seed
     for label in ("load_estimation.estimate_loads", "decision_engine.initial_decision"):
-        assert snap[f"{label}.calls"] == len(cells), label
+        assert snap[f"{label}.calls"] == sized, label
     with_candidates = sum(bool(mecoffload.estimate_loads(s, g).offloadable.any())
                           for s, g, _ in cells)
     assert snap["decision_engine.orthogonal_estimate.calls"] == with_candidates
@@ -111,6 +120,22 @@ def test_one_paper_cell_sizes_once_under_the_tracer():
                   "decision_engine.initial_decision"):
         assert snap[f"{label}.calls"] == 1, label
     assert snap["prb_coloring.color.calls"] == snap["evaluate.colorable"] > 0
+
+
+def test_the_bench_self_test_finds_no_problem(traced):
+    # bench/run.py imports its sibling modules by their bare names, so
+    # bench/ is on sys.path only while it loads, and they leave sys.modules
+    # after; it also pins the BLAS threads in os.environ, restored after
+    _, snap, cells = traced
+    sys.path.insert(0, BENCH)
+    try:
+        with mock.patch.dict(os.environ):
+            run = load("run")
+    finally:
+        sys.path.remove(BENCH)
+        for name in ("speed", "checks", "sweep", "tracer"):
+            sys.modules.pop(name, None)
+    assert run.tracer_problems(snap, len(cells), len(SCHEME_NAMES)) == []
 
 
 def test_every_evaluate_is_a_greedy_step(traced):

@@ -303,6 +303,18 @@ class TestEstimateLoads:
             loads.local_overhead[:] = 0.0
         assert loads.w[0] >= 1
 
+    def test_a_forced_local_cell_is_sized_afresh_on_each_call(self):
+        # estimate_loads keeps nothing: only cell_plan shares a config's sizing
+        cfg = ScenarioConfig(n_cells=160, mec_ghz=25.0)
+        s = build_scenario(cfg, seed=0)
+        gains = channel_gains(s)
+        a, b = estimate_loads(s, gains), estimate_loads(s, gains)
+        assert a is not b and a.forced_local.all()
+        for name, column in vars(a).items():
+            other = getattr(b, name)
+            assert column is not other and column.tobytes() == other.tobytes(), name
+        assert cfg._plan is None and gains._plan is None
+
     def test_gains_meet_the_link_budget_before_sizing(self, monkeypatch):
         # gains that channel_gains(s) made were checked when h was filled;
         # any other matrix (hand-built, or made for another scenario) is

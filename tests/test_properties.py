@@ -4,14 +4,17 @@ orthogonal estimate on random configurations, and the exit code of `run`
 on arbitrary config files.
 Examples are derandomized, so every run checks the same cases."""
 
+import collections
 import contextlib
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
 import pickle
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -225,36 +228,69 @@ _CONFIG_CELLS = {**_CELLS, "narrow_band": {"num_prbs": 3}}
 @example(cell="narrow_band", n_cells=9, seeds=[0, 1, 2])
 def test_cells_sharing_a_config_match_cells_of_fresh_configs(cell, n_cells, seeds):
     # the cells build_scenario makes from one config share its checked
-    # column table, its all-local outcome and, when every UE is forced
-    # local, its Loads; each must give what a cell of a fresh copy of the
-    # config gives
+    # column table and its first cell's plan: a later cell takes that plan
+    # whole when every UE is forced local, and else sizes itself and takes
+    # only the all-local outcome; each must give what a cell of a fresh
+    # copy of the config gives, and no cell outlives its run
     cfg = ScenarioConfig(n_cells=n_cells, **_CONFIG_CELLS[cell])
-    plans = []
+    forced = cell == "forced_local"
+    plans, cells = [], []
     for seed in seeds:
         s = build_scenario(cfg, seed=seed)
         gains = channel_gains(s)
-        outs = {name: run_scheme(name, s, gains) for name in SCHEME_NAMES}
+        with sizing_calls() as calls:
+            outs = {name: run_scheme(name, s, gains) for name in SCHEME_NAMES}
         fresh_s = build_scenario(dataclasses.replace(cfg), seed=seed)
         fresh_gains = channel_gains(fresh_s)
         for name in SCHEME_NAMES:
             assert_same_outcome(outs[name], run_scheme(name, fresh_s, fresh_gains))
         plan = cell_plan(s, gains)
+        if forced and plans:
+            assert plan is plans[0] and not calls
+        elif forced:
+            # the all-local guess is priced once, and greedy returns it
+            assert calls == {"estimate_loads": 1, "initial_decision": 1, "price": 1}
+        else:
+            assert calls["estimate_loads"] == calls["initial_decision"] == 1
+            assert calls["orthogonal_estimate"] == bool(plan.report)
+            assert all(plan.estimates is not other.estimates for other in plans)
         assert (plan.a0 is plan.local.decision) == (not plan.a0.offload_set)
         assert_read_only(s, plan.estimates, plan.local)
         assert all(getattr(s, name).base is cfg.ue_table for name in ("cycles", "w_e"))
         plans.append(plan)
+        cells.append((s, gains))
     assert not cfg.ue_table.flags.writeable
     assert all(plan.local is plans[0].local for plan in plans)
-    forced = cell == "forced_local"
     assert plans[0].estimates.forced_local.all() == forced
-    assert (plans[1].estimates is plans[0].estimates) == forced
     if forced:
         # replace makes a scenario of no config: it sizes its own UEs
         fast = dataclasses.replace(s, mec_capacity_hz=1e11)
         loads = estimate_loads(fast, channel_gains(fast))
-        assert fast._sizing is None and loads is not plan.estimates
+        assert fast._config is None and loads is not plan.estimates
         assert (loads.w > 0).all()
         assert cell_plan(fast, channel_gains(fast)).local is not plan.local
+        del fast
+    # the config keeps its first cell's plan, which holds no cell
+    refs = [weakref.ref(x) for pair in cells for x in pair]
+    del cells, s, gains, fresh_s, fresh_gains
+    gc.collect()
+    assert cfg._plan is plans[0] and not any(ref() for ref in refs)
+
+
+@contextlib.contextmanager
+def sizing_calls():
+    """decision_engine's sizing and pricing steps, wrapped where it looks
+    them up. Yields a Counter of their calls by name."""
+    calls = collections.Counter()
+
+    def counted(name):
+        fn = getattr(decision_engine, name)
+        return lambda *args: calls.update([name]) or fn(*args)
+
+    with contextlib.ExitStack() as stack:
+        for name in ("estimate_loads", "initial_decision", "orthogonal_estimate", "price"):
+            stack.enter_context(mock.patch.object(decision_engine, name, counted(name)))
+        yield calls
 
 
 @settings(max_examples=60)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mecoffload.decision_engine import run_scheme
+from mecoffload.decision_engine import SCHEME_NAMES, run_scheme
 from mecoffload.errors import InvalidConfig
 from mecoffload.scenario import (
     ChannelGains,
@@ -524,40 +524,53 @@ class TestConfigValues:
 
     @pytest.mark.parametrize("built_first", [False, True])
     def test_a_pickled_config_builds_the_same_scenario(self, built_first):
-        # pickle drops numpy's read-only flag, and the sizing slot is left
-        # out, as ChannelGains leaves out its plan
+        # pickle drops numpy's read-only flag, and the config's plan is left
+        # out, as ChannelGains leaves out its own
         cfg = ScenarioConfig(n_cells=12, shadowing_db=8.0, gamma_t=1, gamma_e=0)
         if built_first:
             s = build_scenario(cfg, 3)
-            run_scheme("all_local", s, channel_gains(s))  # fills the slot
-            assert cfg._sizing
+            run_scheme("all_local", s, channel_gains(s))  # fills the plan
+            plan = cfg._plan
+            assert plan is not None
             pickled = pickle.loads(pickle.dumps(s))
-            assert "_sizing" not in vars(pickled) and pickled._sizing is None
+            assert pickled._config == cfg and pickled._config is not cfg
+            assert "_plan" not in vars(pickled._config) and pickled._config._plan is None
             for name in COLUMNS[2:]:
                 assert not getattr(pickled, name).flags.writeable, name
+            assert not pickled._config.ue_table.flags.writeable
+            # the copy's cells plan on the copy's config
+            for name in SCHEME_NAMES:
+                run_scheme(name, pickled, channel_gains(pickled))
+            assert pickled._config._plan is not None and cfg._plan is plan
         copy = pickle.loads(pickle.dumps(cfg))
         assert ("radio" in vars(copy)) == ("ue_table" in vars(copy)) == built_first
-        assert "_sizing" not in vars(copy)
+        assert "_plan" not in vars(copy)
         if built_first:
             assert not copy.ue_table.flags.writeable
         want, got = build_scenario(cfg, 3), build_scenario(copy, 3)
-        assert got._sizing is copy._sizing == {}
+        assert got._config is copy and copy._plan is None
         for f in fields(Scenario):
             a, b = getattr(got, f.name), getattr(want, f.name)
             if isinstance(b, np.ndarray):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
                 assert not a.flags.writeable, f.name
-            elif f.name != "_sizing":
+            else:
                 assert a == b, f.name
         assert channel_gains(got).h.tobytes() == channel_gains(want).h.tobytes()
 
     def test_equality_and_hash_ignore_the_cache(self):
         used, fresh = ScenarioConfig(seed=4), ScenarioConfig(seed=4)
-        build_scenario(used)
-        assert {"radio", "ue_table", "_sizing"} <= set(vars(used))
-        assert not {"radio", "ue_table", "_sizing"} & set(vars(fresh))
+        s = build_scenario(used)
+        run_scheme("all_local", s, channel_gains(s))  # plans the first cell
+        assert {"radio", "ue_table", "_plan"} <= set(vars(used))
+        assert not {"radio", "ue_table", "_plan"} & set(vars(fresh))
         assert used == fresh and hash(used) == hash(fresh)
         assert used != ScenarioConfig(seed=5)
+        # the plan is no field: replace and config_from_dict know it not
+        assert "_plan" not in {f.name for f in fields(ScenarioConfig)}
+        assert replace(used)._plan is None
+        with pytest.raises(InvalidConfig, match="unknown config keys"):
+            config_from_dict({"_plan": None})
 
 
 @st.composite
