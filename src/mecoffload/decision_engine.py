@@ -312,13 +312,11 @@ def cell_plan(s: Scenario, gains: ChannelGains) -> CellPlan:
         local = first.local
     else:
         # with no offloader no server split is made, so any rule prices it
-        all_local = OffloadDecision.all_local(s.n_cells) if a0.offload_set else a0
+        all_local = OffloadDecision.all_local(s.n_cells)
         local = price(all_local, uplink(all_local, s, gains, estimates), s, estimates, "equal")
         # the empty association is read-only already
         for array in (local.rates_bps, local.t_off_s, local.e_off_j, local.per_ue_overhead):
             array.flags.writeable = False
-    if not a0.offload_set:
-        a0 = local.decision  # equal to it; one object, so plan.a0 is plan.local.decision
     plan = CellPlan(estimates, MappingProxyType(report), a0, local)
     if config is not None and first is None:
         object.__setattr__(config, "_plan", plan)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .radio import shannon
-from .scenario import ChannelGains, RadioParams, Scenario, _check_link_budget, _read_only_state
+from .scenario import ChannelGains, RadioParams, Scenario, _check_link_budget, _reduce_to_fields
 
 # entries per block of the min_prbs table (512 KB): beside its n-entry result,
 # a call holds one block's table and flags, so its peak does not grow with n
@@ -57,7 +57,7 @@ class Loads:
         for column in vars(self).values():
             column.setflags(write=False)
 
-    __setstate__ = _read_only_state
+    __reduce__ = _reduce_to_fields
 
     def __len__(self) -> int:
         return len(self.w)

@@ -72,17 +72,11 @@ class Ue:
     energy_coeff_j_per_cycle: float
 
 
-def _read_only_state(self, state: dict) -> None:
-    # a __setstate__: pickle does not keep numpy's read-only flag
-    for value in state.values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-    self.__dict__.update(state)
-
-
-def _state_without_plan(self) -> dict:
-    """A __getstate__ that leaves out the private _plan, rebuilt on first use."""
-    return {k: v for k, v in vars(self).items() if k != "_plan"}
+def _reduce_to_fields(self):
+    """A __reduce__: the value pickles as its class called on its init
+    fields, so unpickling runs the constructor, which checks and freezes
+    the arrays again, and no cache travels with the value."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 # Scenario's per-UE columns: finite and positive, and the weights in [0,1]
@@ -124,8 +118,8 @@ class Scenario:
     the UE inputs are read-only numpy columns indexed by UE id. A scenario
     from build_scenario keeps its config in _config, which replace and a
     hand-built scenario go without: it draws its positions from the
-    config on their first read, and its cells share the config's plan
-    (decision_engine.cell_plan)."""
+    config on their first read, its cells share the config's plan
+    (decision_engine.cell_plan), and it pickles as build_scenario(config, seed)."""
 
     cell_xy: np.ndarray  # (N, 2) SeNB positions, m
     ue_xy: np.ndarray  # (N, 2) UE positions, m
@@ -174,7 +168,10 @@ class Scenario:
         self._set_positions(*xy, (n,))
         return self.__dict__[name]
 
-    __setstate__ = _read_only_state
+    def __reduce__(self):
+        if self._config is not None:
+            return build_scenario, (self._config, self.seed)
+        return _reduce_to_fields(self)
 
     def _set_positions(self, cell_xy, ue_xy, n: tuple[int]) -> None:
         """Check the positions' shape and finiteness and keep them read-only."""
@@ -219,8 +216,8 @@ class ChannelGains:
     gain_matrix(s) and checks it (_check_link_budget); estimate_loads checks
     any other gains against its scenario. One gains object is
     shared by every scheme of a cell, and it carries that cell's sizing
-    pass (decision_engine.cell_plan) in a private slot, which a pickle
-    leaves out: the plan is rebuilt on first use.
+    pass (decision_engine.cell_plan) in a private slot; gains pickle as
+    the call that builds them, channel_gains(s) or ChannelGains(h).
     """
 
     h: np.ndarray
@@ -241,8 +238,10 @@ class ChannelGains:
         object.__setattr__(self, "h", h)
         return h
 
-    __getstate__ = _state_without_plan
-    __setstate__ = _read_only_state
+    def __reduce__(self):
+        if self._scenario is not None:
+            return channel_gains, (self._scenario,)
+        return _reduce_to_fields(self)
 
 
 @dataclass(frozen=True)
@@ -255,8 +254,8 @@ class ScenarioConfig:
 
     Every scenario build_scenario makes from a config keeps it, and the
     config keeps the plan of its first cell (decision_engine.cell_plan):
-    no field, so ==, hash, replace and config_from_dict ignore it, and a
-    pickle leaves it out.
+    no field, so ==, hash, replace, config_from_dict and a pickle (a call
+    of ScenarioConfig on the fields) ignore it.
     """
 
     n_cells: int = 9
@@ -383,8 +382,7 @@ class ScenarioConfig:
 
     # Read once per config by build_scenario, and immutable. A cached value
     # sits in the instance dict: == and hash (over the fields) ignore it,
-    # replace starts without it, and a pickle carries it (read-only again),
-    # all but _plan.
+    # and replace and a pickle (both calls on the fields) start without it.
     @cached_property
     def radio(self) -> RadioParams:
         """The band: one frozen RadioParams for every scenario of this config."""
@@ -408,8 +406,7 @@ class ScenarioConfig:
 
     _plan = None  # read and written by decision_engine.cell_plan alone
 
-    __getstate__ = _state_without_plan
-    __setstate__ = _read_only_state
+    __reduce__ = _reduce_to_fields
 
     def with_overrides(self, **kwargs) -> "ScenarioConfig":
         return replace(self, **kwargs)
@@ -543,14 +540,16 @@ def gain_matrix(s: Scenario) -> np.ndarray:
 
 
 def _check_link_budget(s: Scenario, h: np.ndarray) -> None:
-    """Raise InvalidConfig unless every received SNR tx_power_w * h /
-    noise_per_prb_w is finite, and so is n_cells * bandwidth_hz *
-    log2(1 + max SNR), which bounds every uplink rate and their sum.
+    """Raise InvalidConfig unless h is (n_cells, n_cells), every received
+    SNR tx_power_w * h / noise_per_prb_w is finite, and so is n_cells *
+    bandwidth_hz * log2(1 + max SNR), which bounds every uplink rate sum.
 
     Only each UE's largest gain is priced: fl(P * x / noise) is monotone in
     x for finite P > 0 and noise > 0, so it gives the row's largest SNR bit
     for bit, and a nan gain makes the row's maximum nan.
     """
+    if h.shape != (s.n_cells,) * 2:
+        raise InvalidConfig(f"h has shape {h.shape}, expected {(s.n_cells,) * 2}")
     with np.errstate(over="ignore", invalid="ignore"):
         # every SNR is >= 0 or nan, so the largest is finite iff all are
         snr = (s.tx_power_w * h.max(axis=1) / s.radio.noise_per_prb_w).max()

@@ -562,7 +562,7 @@ class TestCellPlan:
         s = scenario.build_scenario(cfg, seed=1)
         gains = scenario.channel_gains(s)
         assert all(run_scheme(name, s, gains) is plan.local for name in SCHEME_NAMES)
-        assert len(calls) == 1 and cell_plan(s, gains).a0 is plan.local.decision
+        assert len(calls) == 1 and cell_plan(s, gains).a0 == plan.local.decision
         # with candidates, all_local reads what the plan priced
         calls.clear()
         s, gains = built()

@@ -2,6 +2,7 @@
 and infeasible verdicts, and the Loads arrays against a per-UE loop."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -338,6 +339,21 @@ class TestEstimateLoads:
         forced = build_scenario(ScenarioConfig(n_cells=3, mec_ghz=1.0), seed=0)
         assert estimate_loads(forced, ChannelGains(h=h)).forced_local.all()
         assert checks == [s, other]
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 2), (4, 4), (3,)])
+    def test_gains_of_another_shape_are_rejected(self, shape):
+        # h must be (n_cells, n_cells): no scheme prices some of its rows
+        # or stops on a numpy error; a cell whose UEs are all forced local
+        # still reads no gain
+        s = build_scenario(ScenarioConfig(n_cells=3), seed=0)
+        gains = ChannelGains(h=np.full(shape, 1e-9))
+        expected = re.escape(f"h has shape {shape}, expected (3, 3)")
+        for name in SCHEME_NAMES:
+            with pytest.raises(InvalidConfig, match=expected):
+                run_scheme(name, s, gains)
+        forced = build_scenario(ScenarioConfig(n_cells=3, mec_ghz=1.0), seed=0)
+        for name in SCHEME_NAMES:
+            assert not run_scheme(name, forced, gains).decision.offload_set
 
 
 # the regimes the property draws, as the even server share over the handset

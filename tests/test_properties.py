@@ -39,9 +39,18 @@ from mecoffload.decision_engine import (
 )
 from mecoffload.load_estimation import estimate_loads, prb_rate
 from mecoffload.radio import OffloadDecision, PrbAssociation, uplink_rate
-from mecoffload.scenario import ScenarioConfig, build_scenario, channel_gains, tx_powers
+from mecoffload.scenario import (
+    ChannelGains,
+    ScenarioConfig,
+    build_scenario,
+    channel_gains,
+    draw_positions,
+    gain_matrix,
+    tx_powers,
+)
 
 from _oracles import loop_orthogonal_rates, masked_price, ue_offload_cost
+from test_scenario import manual_scenario
 
 REL = 1e-9
 
@@ -191,9 +200,9 @@ _CELLS = {"forced_local": {"mec_ghz": 0.5}, "candidate": {}, "shadowed": {"shado
 )
 @example(cell="candidate", n_cells=9, stage="run", seed=0)
 def test_a_pickled_cell_stays_read_only_and_runs_the_same(cell, n_cells, stage, seed):
-    # pickle drops numpy's read-only flag, and the cell's plan holds a
-    # mappingproxy, which does not pickle: the copies freeze their arrays
-    # again and rebuild the plan
+    # a config's cell pickles as build_scenario(config, seed) and
+    # channel_gains(s): the copies build their arrays read-only again and
+    # carry no plan
     s = build_scenario(ScenarioConfig(n_cells=n_cells, **_CELLS[cell]), seed=seed)
     gains = channel_gains(s)
     if stage != "built":
@@ -209,6 +218,39 @@ def test_a_pickled_cell_stays_read_only_and_runs_the_same(cell, n_cells, stage, 
     loads = estimate_loads(copy_s, copy_gains)
     assert loads.forced_local.all() == (cell == "forced_local")
     assert_read_only(copy_s, copy_gains, loads, pickle.loads(pickle.dumps(loads)))
+    for name in SCHEME_NAMES:
+        assert_same_outcome(run_scheme(name, copy_s, copy_gains), run_scheme(name, s, gains))
+    assert_read_only(copy_s, copy_gains)
+
+
+@settings(max_examples=30)
+@given(
+    n_cells=st.integers(1, 12),
+    mec_hz=st.sampled_from((5e8, 1e11)),  # every UE forced local, or candidates
+    run=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+@example(n_cells=9, mec_hz=1e11, run=True, seed=0)
+def test_a_pickled_hand_built_cell_stays_read_only_and_runs_the_same(n_cells, mec_hz, run, seed):
+    # a hand-built scenario and gains pickle as their classes called on
+    # their fields: the copies hold the same bytes read-only, and no plan
+    s = manual_scenario(*draw_positions(120.0, 20.0, seed, n_cells), mec_capacity_hz=mec_hz)
+    gains = ChannelGains(h=gain_matrix(s))
+    if run:
+        for name in SCHEME_NAMES:
+            run_scheme(name, s, gains)
+    copy_s, copy_gains = pickle.loads(pickle.dumps((s, gains)))
+    assert copy_s._config is None and copy_gains._scenario is None
+    assert copy_gains._plan is None
+    assert_read_only(copy_s, copy_gains)
+    for obj, copy in ((s, copy_s), (gains, copy_gains)):
+        for f in filter(lambda f: f.init, dataclasses.fields(obj)):
+            a, b = getattr(copy, f.name), getattr(obj, f.name)
+            if isinstance(b, np.ndarray):
+                assert a is not b and a.dtype == b.dtype and a.shape == b.shape, f.name
+                assert a.tobytes() == b.tobytes(), f.name
+            else:
+                assert a == b, f.name
     for name in SCHEME_NAMES:
         assert_same_outcome(run_scheme(name, copy_s, copy_gains), run_scheme(name, s, gains))
     assert_read_only(copy_s, copy_gains)
@@ -254,7 +296,7 @@ def test_cells_sharing_a_config_match_cells_of_fresh_configs(cell, n_cells, seed
             assert calls["estimate_loads"] == calls["initial_decision"] == 1
             assert calls["orthogonal_estimate"] == bool(plan.report)
             assert all(plan.estimates is not other.estimates for other in plans)
-        assert (plan.a0 is plan.local.decision) == (not plan.a0.offload_set)
+        assert (plan.a0 == plan.local.decision) == (not plan.a0.offload_set)
         assert_read_only(s, plan.estimates, plan.local)
         assert all(getattr(s, name).base is cfg.ue_table for name in ("cycles", "w_e"))
         plans.append(plan)
@@ -324,10 +366,10 @@ def test_every_all_local_outcome_is_one_fresh_price_shared_read_only(
     plan = cell_plan(s, gains)
     local = plan.local
     assert outs["all_local"] is local
-    # priced on the initial guess when it offloads no one, and on a
-    # decision of its own when it does
+    # priced on an all-local decision of its own, which equals the
+    # initial guess when that offloads no one
     assert not local.decision.offload_set
-    assert (plan.a0 is local.decision) == (not plan.a0.offload_set)
+    assert (plan.a0 == local.decision) == (not plan.a0.offload_set)
     # the empty association holds no N x K table: its c repeats one zero
     c, m = local.assoc.c, local.assoc.m
     assert (c.dtype, c.shape, c.any()) == (np.int64, (n_cells, num_prbs), False)

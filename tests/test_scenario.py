@@ -524,8 +524,8 @@ class TestConfigValues:
 
     @pytest.mark.parametrize("built_first", [False, True])
     def test_a_pickled_config_builds_the_same_scenario(self, built_first):
-        # pickle drops numpy's read-only flag, and the config's plan is left
-        # out, as ChannelGains leaves out its own
+        # a config pickles as ScenarioConfig called on its fields, so the
+        # copy carries no cache, and its arrays are built read-only again
         cfg = ScenarioConfig(n_cells=12, shadowing_db=8.0, gamma_t=1, gamma_e=0)
         if built_first:
             s = build_scenario(cfg, 3)
@@ -543,10 +543,8 @@ class TestConfigValues:
                 run_scheme(name, pickled, channel_gains(pickled))
             assert pickled._config._plan is not None and cfg._plan is plan
         copy = pickle.loads(pickle.dumps(cfg))
-        assert ("radio" in vars(copy)) == ("ue_table" in vars(copy)) == built_first
-        assert "_plan" not in vars(copy)
-        if built_first:
-            assert not copy.ue_table.flags.writeable
+        assert not {"radio", "ue_table", "_plan"} & set(vars(copy))
+        assert not copy.ue_table.flags.writeable
         want, got = build_scenario(cfg, 3), build_scenario(copy, 3)
         assert got._config is copy and copy._plan is None
         for f in fields(Scenario):
@@ -624,6 +622,21 @@ class TestDeferredPositions:
                     assert same_bits(xy, ref), name
                     assert xy.flags.f_contiguous, name
             assert copy.seed == s.seed and np.array_equal(copy.cycles, s.cycles)
+
+    def test_a_run_cell_pickles_as_its_build_whatever_its_size(self):
+        # a config's scenario pickles as build_scenario(config, seed) and
+        # its gains as channel_gains(s): no column, position, gain or plan
+        # travels, so the pickles stay small and the same size at any n_cells
+        sizes = []
+        for n_cells in (9, 160):
+            s = build_scenario(ScenarioConfig(n_cells=n_cells), seed=0)
+            built = len(pickle.dumps(s))
+            gains = channel_gains(s)
+            s.ue_xy, gains.h  # read, so that a copy would carry them
+            for name in SCHEME_NAMES:
+                run_scheme(name, s, gains)
+            sizes.append((built, len(pickle.dumps((s, gains)))))
+        assert max(max(sizes)) < 1024 and sizes[1] == sizes[0]
 
     def test_a_pickled_scenario_carries_no_positions_before_the_draw(self):
         s = build_scenario(ScenarioConfig(n_cells=50), seed=4)
