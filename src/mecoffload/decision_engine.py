@@ -73,10 +73,11 @@ def orthogonal_estimate(
     or +inf is a dead uplink, as in price: it prices at +inf, so the
     initial guess keeps it local.
     """
-    members = np.array(sorted(offload_set), dtype=np.int64)
-    if not members.size:
+    members = sorted(offload_set)
+    if not members:
         raise ValueError("cannot estimate over an empty offload set")
-    check_ids(members[0], members[-1], len(estimates))
+    check_ids(members, len(estimates))
+    members = np.array(members, dtype=np.int64)
     offloadable = estimates.offloadable[members]
     if not offloadable.all():
         outside = members[~offloadable][0]
@@ -148,10 +149,25 @@ def uplink(
     n, k = s.n_cells, s.radio.num_prbs
     if not offs or not all(map(estimates.offloadable.__getitem__, offs)):
         return PrbAssociation.empty(n, k), np.zeros(n)
-    m = normalize_prbs(estimates.w, offs, k, s.reuse_lambda)
+    m = normalize_prbs(estimates.w.take(offs), k, s.reuse_lambda)
     graph = build_interference_graph(gains, m, tx_powers(s), offs, s.edge_threshold)
     state = color(graph, s.radio)
-    return state.assoc, realized_rates(state, s.radio)
+    # the colouring is per offloader: step t is UE state.ids[t]
+    ues = state.ids
+    c = np.zeros((n, k), dtype=np.int64)
+    c[ues[state.held_step], state.held_prb] = 1
+    rates = np.zeros(n)
+    rates[ues] = realized_rates(state, s.radio)
+    return PrbAssociation(c=c), rates
+
+
+def _check_decision(decision: OffloadDecision, s: Scenario, cpu_mode: str) -> None:
+    """Reject a decision sized for another scenario and an unknown CPU rule,
+    even where no offloader would reach them."""
+    if decision.n != s.n_cells:
+        raise ValueError(f"a decision over {decision.n} UEs for a scenario of {s.n_cells}")
+    if cpu_mode not in _CPU_SOLVERS:
+        raise ValueError(f"unknown cpu_mode {cpu_mode!r}")
 
 
 def price(
@@ -170,6 +186,7 @@ def price(
     each has a rate. Unmasked when all are live, the arrays have the bits of
     the masked form (tests/_oracles.masked_price).
     """
+    _check_decision(decision, s, cpu_mode)
     assoc, rates = uplink
     offs = decision.offload_set
     n = s.n_cells
@@ -219,6 +236,7 @@ def evaluate(
     """Full pipeline for one decision: its uplink, then its price. Decisions
     with no offloaders cost the plain sum of local overheads; sized by their
     cell's plan, they are its shared all-local outcome."""
+    _check_decision(decision, s, cpu_mode)
     slot = gains._plan
     if not decision.offload_set and slot and slot[0] is s and slot[1].estimates is estimates:
         return slot[1].local

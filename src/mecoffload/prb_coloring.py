@@ -1,14 +1,17 @@
 """PRB allocation for offloading UEs via weighted greedy graph coloring.
 
-Colors are PRBs, vertices are the offloading UEs' serving cells. Demands
-are scaled into quotas that may oversubscribe the band (reuse); a directed
-interference graph holds them, the per-PRB leakage and the order key, and
+Colors are PRBs, vertices are the offloading UEs' serving cells, and
+everything here is per offloader: the caller maps the held PRBs and rates
+back to UE ids. Demands are scaled into quotas that may oversubscribe the
+band (reuse). A directed interference graph holds the quotas, the per-PRB
+signals and leakage, with its nodes already in coloring order: the edges
+decide only that order, through each node's in-edge weight. In that order
 each node grabs the quota-many colors that maximize the hypothetical system
 sum rate given everything assigned so far: its own rate plus the change in
 the colored nodes' rates. Their current rates, the same for every color,
 are left out, since adding them only rounds away differences between
 colors. The interference table is maintained incrementally and must stay
-consistent with the association matrix.
+consistent with the held colors.
 """
 
 from __future__ import annotations
@@ -19,38 +22,37 @@ from itertools import accumulate
 
 import numpy as np
 
-from .radio import PrbAssociation, check_ids, held_rate, shannon
+from .radio import check_ids, held_rate, shannon
 from .scenario import ChannelGains, RadioParams
 
 
-def normalize_prbs(demands, offload_ids, num_prbs: int, reuse_lambda: float) -> np.ndarray:
-    """Scale raw PRB demands into per-UE quotas, full length N.
+def normalize_prbs(demands, num_prbs: int, reuse_lambda: float) -> np.ndarray:
+    """Scale the offloaders' raw PRB demands into their quotas, one each.
 
     Quota = round-half-even(lambda * K * w_n / sum w) capped at K and
-    floored at 1; entries outside the offload set stay 0. lambda > 1
-    oversubscribes the band on purpose so that colors get reused. The bits
-    are those of lambda * ((K * w_n) / sum w), with K * w_n an integer.
+    floored at 1. lambda > 1 oversubscribes the band on purpose so that
+    colors get reused. The bits are those of lambda * ((K * w_n) / sum w),
+    with K * w_n an integer.
     """
-    ids = np.array(sorted(offload_ids), dtype=np.int64)
-    if not ids.size:
+    d = np.asarray(demands)
+    if not d.size:
         raise ValueError("no offloading UEs, nothing to allocate")
-    check_ids(ids[0], ids[-1], len(demands))
-    d = np.asarray(demands)[ids]
-    m = np.zeros(len(demands), dtype=np.int64)
     # np.clip, in two cheaper calls
-    m[ids] = np.minimum(np.maximum(np.rint(reuse_lambda * (num_prbs * d / d.sum())), 1), num_prbs)
-    return m
+    m = np.minimum(np.maximum(np.rint(reuse_lambda * (num_prbs * d / d.sum())), 1), num_prbs)
+    return m.astype(np.int64)
 
 
 @dataclass(frozen=True)
 class InterferenceGraph:
-    """Directed graph over offloading UEs: edge a->b when a's uplink leaks
-    noticeably into b's serving cell (gain ratio above the threshold)."""
+    """Directed graph over the offloading UEs, its nodes in coloring order:
+    edge a->b when a's uplink leaks noticeably into b's serving cell (gain
+    ratio above the threshold). Every field is per node and read-only."""
 
-    nodes: tuple[int, ...]
-    in_weight: np.ndarray  # per UE, per-PRB power over in-edges; 0 off the nodes; read-only
-    quota: np.ndarray  # per node, its PRB quota; read-only
-    leak: np.ndarray  # [a, b]: per-PRB power node a puts into b's cell; read-only
+    nodes: np.ndarray  # int64, the UE of each node
+    quota: np.ndarray  # its PRB quota
+    in_weight: np.ndarray  # its per-PRB received power over in-edges: the order key
+    signal: np.ndarray  # its per-PRB power times serving gain, fl(fl(P/M) * g)
+    leak: np.ndarray  # [a, b]: per-PRB power node a puts into b's cell; 0 when a == b
 
 
 def build_interference_graph(
@@ -60,22 +62,38 @@ def build_interference_graph(
     offload_ids,
     theta: float,
 ) -> InterferenceGraph:
-    nodes = tuple(sorted(offload_ids))
+    """The graph of the UEs offload_ids, each once, whose quotas m holds in
+    ascending id order (normalize_prbs of their demands in that order).
+
+    The nodes go by most in-edge weight, then least quota, then UE id. The
+    per-PRB leakage (P/m)[:, None] * h is formed once, in ascending id
+    order, and gathered into coloring order.
+    """
+    nodes = sorted(offload_ids)
     if not nodes:
         raise ValueError("no offloading UEs, nothing to allocate")
-    check_ids(nodes[0], nodes[-1], len(m))
-    ids = np.array(nodes)
+    check_ids(nodes, gains.h.shape[0])
+    if len(m) != len(nodes):
+        raise ValueError(f"{len(m)} quotas for {len(nodes)} offloading UEs")
+    ids = np.array(nodes, dtype=np.int64)
     h = gains.h.take(ids, 0).take(ids, 1)
     ratio = h / h.diagonal()  # h[a, b] / h[b, b]
     ratio.flat[:: ids.size + 1] = 0.0  # the diagonal: no self edge
-    quota = m[ids]
+    quota = np.asarray(m)
     leak = (powers[ids] / quota)[:, None] * h
     # per-PRB received interference power on edge a -> b, else 0
-    in_weight = np.zeros(gains.h.shape[0])
-    in_weight[ids] = np.where(ratio > theta, leak, 0.0).sum(axis=0)
-    for a in (in_weight, quota, leak):
+    in_weight = np.where(ratio > theta, leak, 0.0).sum(axis=0)
+    # ids ascend and lexsort is stable; its last key is first
+    order = np.lexsort((quota, -in_weight))
+    leak = leak.take(order, 0).take(order, 1)
+    # fl(fl(P/M) * g): held_rate's signal, since each node ends up holding
+    # exactly its quota M
+    signal = leak.diagonal().copy()
+    leak.flat[:: ids.size + 1] = 0.0  # a cell does not interfere with itself
+    graph = InterferenceGraph(ids[order], quota[order], in_weight[order], signal, leak)
+    for a in vars(graph).values():
         a.setflags(write=False)
-    return InterferenceGraph(nodes=nodes, in_weight=in_weight, quota=quota, leak=leak)
+    return graph
 
 
 @dataclass(frozen=True)
@@ -85,10 +103,9 @@ class ColoringState:
     held_step[e] holds PRB held_prb[e], ascending PRB within a step; those
     entries are all that realized_rates prices."""
 
-    assoc: PrbAssociation
     table: np.ndarray  # (K, n) interference table, PRB-major, steps as columns
-    ids: np.ndarray  # int64, the UE coloured at each step
-    signal: np.ndarray  # per-PRB power times serving gain, per step
+    ids: np.ndarray  # int64, the UE coloured at each step: the graph's nodes
+    signal: np.ndarray  # per-PRB power times serving gain, per step: the graph's
     held_step: np.ndarray  # per held entry, the step (column of table) that holds it
     held_prb: np.ndarray  # per held entry, its PRB
 
@@ -106,9 +123,9 @@ def color(graph: InterferenceGraph, radio: RadioParams) -> ColoringState:
     the batch the table rows of the taken colors gain nb's per-PRB leakage
     into every other node: as one slice when they form one run, else by a
     gather and scatter, with the same adds either way. The state keeps
-    this PRB-major table and the UE of each step. The graph holds every
-    input but the band; each quota lies in 1..K (normalize_prbs), so the
-    row sums are the quotas.
+    this PRB-major table and the held entries. The graph holds every
+    input but the band, in coloring order; each quota lies in 1..K
+    (normalize_prbs), so each step holds its quota.
 
     Fill phase: while each earlier node took the lowest free colors and
     quota-many are still free, a node takes the next quota-many unscored
@@ -124,19 +141,10 @@ def color(graph: InterferenceGraph, radio: RadioParams) -> ColoringState:
     bpp = radio.prb_bandwidth_hz
     noise = radio.noise_per_prb_w
 
-    # order key is static: most in-edge weight, then least quota, then UE
-    # id (nodes are sorted, and lexsort is stable; its last key is first)
-    ids = np.array(graph.nodes, dtype=np.int64)
-    perm = np.lexsort((graph.quota, -graph.in_weight[ids]))
-
-    # From here on a node is its coloring step t, the UE ids[t].
-    ids, qa = ids[perm], graph.quota[perm]
+    # node t is coloring step t
+    qa, snr_self, leak = graph.quota, graph.signal, graph.leak
     quota = qa.tolist()
-    leak = graph.leak.take(perm, 0).take(perm, 1)  # a copy, in step order
-    # per-PRB power times serving gain, fl(fl(P/M) * g): held_rate's
-    # signal, since each node ends up holding exactly its quota M
-    snr_self = leak.diagonal().copy()
-    leak.flat[:: ids.size + 1] = 0.0  # a cell does not interfere with itself
+    n = qa.size
 
     # Held (step, PRB) entries of the colored nodes and their serving SNRs,
     # in coloring order and ascending PRB within a node: a score moves
@@ -145,7 +153,7 @@ def color(graph: InterferenceGraph, radio: RadioParams) -> ColoringState:
     # ends[t-1]..ends[t]-1, so the quotas fix held_step and held_snr; the
     # fill holds PRBs 0..n_held-1, so held_prb starts as that range.
     ends = list(accumulate(quota))
-    held_step = np.arange(ids.size).repeat(qa)
+    held_step = np.arange(n).repeat(qa)
     held_snr = snr_self.repeat(qa)
     held_prb = np.arange(ends[-1])
 
@@ -169,10 +177,10 @@ def color(graph: InterferenceGraph, radio: RadioParams) -> ColoringState:
         f = 1 + (fits.index(False) if False in fits else len(fits))
     n_held = ends[f - 1]
 
-    ot = np.zeros((k, ids.size))  # the table PRB-major: a step adds whole rows
+    ot = np.zeros((k, n))  # the table PRB-major: a step adds whole rows
     ot[:n_held] += leak.take(held_step[:n_held], 0)  # each filled PRB's one holder
     x = np.empty(k + 2 * ends[-1])  # one step's SNRs, then its rates
-    for t in range(f, ids.size):
+    for t in range(f, n):
         q = quota[t]
         step, prb, snr = held_step[:n_held], held_prb[:n_held], held_snr[:n_held]
         # own on every color, base and pert on the held entries: one log2
@@ -195,12 +203,9 @@ def color(graph: InterferenceGraph, radio: RadioParams) -> ColoringState:
         held_prb[n_held:n_held + q] = take
         n_held += q
 
-    c = np.zeros((graph.in_weight.size, k), dtype=np.int64)
-    c[ids[held_step], held_prb] = 1
     return ColoringState(
-        assoc=PrbAssociation(c=c),
         table=ot,
-        ids=ids,
+        ids=graph.nodes,
         signal=snr_self,
         held_step=held_step,
         held_prb=held_prb,
@@ -208,14 +213,12 @@ def color(graph: InterferenceGraph, radio: RadioParams) -> ColoringState:
 
 
 def realized_rates(state: ColoringState, radio: RadioParams) -> np.ndarray:
-    """Per-UE uplink rate from the held entries, the interference table and
-    the received signals.
+    """The uplink rate of each coloring step, from its held entries, the
+    interference table and the received signals.
 
-    Full-length N vector; UEs without PRBs get 0. Only the held entries are
-    priced, each at its table entry, so agreement with a from-scratch rate
-    computation doubles as a consistency check on the incremental updates.
+    Only the held entries are priced, each at its table entry, so agreement
+    with a from-scratch rate computation doubles as a consistency check on
+    the incremental updates.
     """
-    step, prb, ids = state.held_step, state.held_prb, state.ids
-    rates = np.zeros(state.assoc.c.shape[0])
-    rates[ids] = held_rate(step, prb, state.signal[step], state.table[prb, step], ids.size, radio)
-    return rates
+    step, prb = state.held_step, state.held_prb
+    return held_rate(step, prb, state.signal[step], state.table[prb, step], state.ids.size, radio)

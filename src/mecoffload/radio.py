@@ -15,11 +15,22 @@ import numpy as np
 from .scenario import ChannelGains, RadioParams
 
 
-def check_ids(first, last, n: int) -> None:
-    """Reject sorted UE ids first..last that leave 0..n-1: a negative id
-    would index from the end and stand for another UE."""
-    if first < 0 or last >= n:
-        raise ValueError(f"UE id {first if first < 0 else last} lies outside 0..{n - 1}")
+def check_ids(ids, n: int) -> None:
+    """Reject a sequence of UE ids that leaves 0..n-1 or does not ascend
+    strictly: a negative id would index from the end and stand for another
+    UE, and a repeated one would count its UE twice."""
+    if ids and (ids[0] < 0 or ids[-1] >= n):
+        raise ValueError(f"UE id {ids[0] if ids[0] < 0 else ids[-1]} lies outside 0..{n - 1}")
+    if not all(map(lt, ids, ids[1:])):
+        raise ValueError(f"UE ids {list(ids)} are not ascending and unique")
+
+
+def _ue_id(i) -> int:
+    """A UE id as a Python int. A bool is no id, though index() takes it
+    (numpy's bool it already rejects)."""
+    if isinstance(i, bool):
+        raise TypeError(f"UE id {i!r} is a bool, not an integer")
+    return index(i)
 
 
 @dataclass(frozen=True)
@@ -34,10 +45,7 @@ class OffloadDecision:
         ids = self.offload_set
         if type(ids) is not tuple:
             raise TypeError("the offload set must be a tuple of UE ids")
-        if ids:
-            check_ids(ids[0], ids[-1], self.n)
-            if not all(map(lt, ids, ids[1:])):
-                raise ValueError(f"UE ids {list(ids)} are not ascending and unique")
+        check_ids(ids, self.n)
 
     @classmethod
     def all_local(cls, n: int) -> "OffloadDecision":
@@ -47,7 +55,7 @@ class OffloadDecision:
     def from_set(cls, offload, n: int) -> "OffloadDecision":
         """The decision offloading the UE ids in any iterable, numpy ints
         too, stored as Python ints; repeats count once."""
-        ids = sorted(set(map(index, offload)))
+        ids = sorted(set(map(_ue_id, offload)))
         if ids and not (0 <= ids[0] and ids[-1] < n):
             outside = [i for i in ids if not 0 <= i < n]
             raise ValueError(f"UE ids {outside} lie outside 0..{n - 1}")
@@ -71,8 +79,8 @@ class OffloadDecision:
 
     def _find(self, i: int) -> tuple[int, int]:
         """UE i as a Python int, checked, and where it sits in offload_set."""
-        i = index(i)
-        check_ids(i, i, self.n)
+        i = _ue_id(i)
+        check_ids((i,), self.n)
         return i, bisect_left(self.offload_set, i)
 
     @cached_property

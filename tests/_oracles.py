@@ -247,25 +247,38 @@ def loop_interference_weight(h, m, powers, ids, theta) -> np.ndarray:
     return weight
 
 
-def dense_color(graph, m, h, powers, radio):
-    """The greedy coloring, scoring every colored row on every PRB.
+def by_ue(ids, quota, n) -> np.ndarray:
+    """Quotas of the UEs ids, given in ascending id order, as the oracles
+    read them: an int64 array indexed by UE id, 0 off the offloaders."""
+    m = np.zeros(n, dtype=np.int64)
+    m[sorted(ids)] = quota
+    return m
 
-    The same arithmetic as prb_coloring.color, but each step recomputes the
-    base and perturbed rates of all colored rows on all K PRBs and masks
-    them with the held flags, so it should agree with color bit for bit.
-    A score is the node's own rate plus the change in the colored rows'
-    rates: their current rates are the same for every color, so the sum of
-    them is left out.
-    Returns (c, o, order, steps), steps a list of (node, colors,
-    table_after) per colored node.
+
+def dense_color(ids, m, h, powers, radio, theta):
+    """The greedy coloring of the UEs ids, scoring every colored row on
+    every PRB. m holds the quotas by UE id.
+
+    The order is derived here from loop_interference_weight's in-edge
+    sums: most in-edge weight, then least quota, then UE id. Then the same
+    arithmetic as prb_coloring.color, but each step recomputes the base and
+    perturbed rates of all colored rows on all K PRBs and masks them with
+    the held flags, so it should agree with color bit for bit. A score is
+    the node's own rate plus the change in the colored rows' rates: their
+    current rates are the same for every color, so the sum of them is left
+    out.
+    Returns (c, o, order, steps), c and o N x K, steps a list of (node,
+    colors, table_after) per colored node.
     """
     n_ues = h.shape[0]
     k = radio.num_prbs
     bpp = radio.prb_bandwidth_hz
     noise = radio.noise_per_prb_w
-    order = sorted(graph.nodes, key=lambda i: (-graph.in_weight[i], m[i], i))
+    nodes = sorted(ids)
+    in_weight = loop_interference_weight(h, m, powers, nodes, theta).sum(axis=0)
+    order = sorted(nodes, key=lambda i: (-in_weight[i], m[i], i))
 
-    nodes = np.array(graph.nodes, dtype=np.int64)
+    nodes = np.array(nodes, dtype=np.int64)
     p = np.zeros(n_ues)
     p[nodes] = powers[nodes] / m[nodes]
 
@@ -295,26 +308,46 @@ def dense_color(graph, m, h, powers, radio):
     return c, o, tuple(int(x) for x in order), steps
 
 
-def assert_matches_dense_color(state, graph, m, h, powers, radio):
-    """Assert that a ColoringState equals dense_color's bit for bit.
+def state_assoc(state, n, k) -> PrbAssociation:
+    """The N x K table of a ColoringState's held entries: step t's PRBs in
+    the row of its UE state.ids[t]."""
+    c = np.zeros((n, k), dtype=np.int64)
+    c[state.ids[state.held_step], state.held_prb] = 1
+    return PrbAssociation(c=c)
 
-    Compares the graph's quotas and leakage block with m and the per-PRB
-    powers times the gains, then the order, the association and the final
-    interference table (dense_color's rows of the colored nodes, in
-    coloring order, against the rows of the state's PRB-major table), and
-    returns dense_color's (order, steps) for replay_coloring.
+
+def assert_matches_dense_color(state, graph, ids, m, h, powers, radio, theta):
+    """Assert that a graph and its ColoringState equal dense_color's bit for
+    bit. m holds the quotas by UE id.
+
+    Compares the graph's nodes with dense_color's order, and its in-edge
+    weights, quotas, signals and zero-diagonal leakage block with those
+    formulas in that order. Then the state's UEs, its held entries (the
+    PRBs of each step, ascending, as dense_color's rows hold them in
+    coloring order) and its final interference table (dense_color's rows
+    of the colored nodes, in coloring order, against the rows of the
+    state's PRB-major table). Returns dense_color's (order, steps) for
+    replay_coloring.
     """
-    ids = list(graph.nodes)
-    leak = (powers[ids] / m[ids])[:, None] * h[ids][:, ids]
-    assert graph.quota.tobytes() == m[ids].tobytes(), "graph quotas differ from m"
+    c, o, order, steps = dense_color(ids, m, h, powers, radio, theta)
+    rows = list(order)
+    weight = loop_interference_weight(h, m, powers, sorted(ids), theta).sum(axis=0)
+    leak = (powers[rows] / m[rows])[:, None] * h[rows][:, rows]
+    signal = leak.diagonal().copy()
+    np.fill_diagonal(leak, 0.0)
+    assert graph.nodes.dtype == np.int64
+    assert tuple(graph.nodes.tolist()) == order, "graph order differs from dense_color"
+    assert graph.in_weight.tobytes() == weight[rows].tobytes(), "graph in-weights differ"
+    assert graph.quota.tobytes() == m[rows].tobytes(), "graph quotas differ from m"
+    assert graph.signal.tobytes() == signal.tobytes(), "graph signals differ from P/M * g"
     assert graph.leak.tobytes() == leak.tobytes(), "graph leakage differs from P/M * h"
-    c, o, order, steps = dense_color(graph, m, h, powers, radio)
-    assert state.ids.dtype == np.int64
-    assert tuple(state.ids.tolist()) == order, "coloring order differs from dense_color"
-    assert np.array_equal(state.assoc.c, c), "colors differ from dense_color"
+    assert state.ids.tobytes() == graph.nodes.tobytes(), "state UEs differ from the graph's"
+    step, prb = c[rows].nonzero()
+    assert state.held_step.tolist() == step.tolist(), "held steps differ from dense_color"
+    assert state.held_prb.tolist() == prb.tolist(), "colors differ from dense_color"
     # the state's table is PRB-major; its transpose is one row per step
     assert state.table.shape == (radio.num_prbs, len(order))
-    assert state.table.T.tobytes() == o[list(order)].tobytes(), "table differs from dense_color"
+    assert state.table.T.tobytes() == o[rows].tobytes(), "table differs from dense_color"
     return order, steps
 
 
@@ -438,7 +471,7 @@ def region_uplinks(s, gains, estimates):
     assert s.n_cells == 3, "the regions are those of three nodes"
     decision = OffloadDecision.from_set(range(3), 3)
     r = s.radio
-    quota = normalize_prbs(estimates.w, decision.offload_set, r.num_prbs, s.reuse_lambda)
+    quota = normalize_prbs(estimates.w.take(decision.offload_set), r.num_prbs, s.reuse_lambda)
     uplinks = {}
     for counts, c in region_tables(quota.tolist(), r.num_prbs):
         rates = np.array([

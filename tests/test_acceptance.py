@@ -21,13 +21,13 @@ from mecoffload.decision_engine import (
     orthogonal_estimate,
     run_proposed,
     run_scheme,
+    uplink,
 )
 from mecoffload.load_estimation import estimate_loads, min_prbs
 from mecoffload.prb_coloring import (
     build_interference_graph,
     color,
     normalize_prbs,
-    realized_rates,
 )
 from mecoffload.radio import (
     OffloadDecision,
@@ -45,9 +45,11 @@ from mecoffload.scenario import (
 
 from _oracles import (
     assert_matches_dense_color,
+    by_ue,
     grid_cpu_oracle,
     replay_coloring,
     scan_min_prbs,
+    state_assoc,
 )
 from test_cpu_allocation import min_shares, random_instance, reqs
 from test_scenario import make_ue
@@ -69,14 +71,13 @@ def _announce(capsys, num, label, passed):
 
 
 def _loads_and_quotas(s, gains):
+    """The loads, every candidate, the powers, and the candidates' quotas
+    in ascending id order and by UE id."""
     estimates = estimate_loads(s, gains)
     offs = tuple(e.ue for e in estimates if e.offloadable)
-    demands = [0] * len(s.ues)
-    for i in offs:
-        demands[i] = estimates[i].w
     powers = tx_powers(s)
-    m = normalize_prbs(demands, offs, s.radio.num_prbs, s.reuse_lambda)
-    return estimates, offs, powers, m
+    q = normalize_prbs([estimates[i].w for i in offs], s.radio.num_prbs, s.reuse_lambda)
+    return estimates, offs, powers, q, by_ue(offs, q, len(s.ues))
 
 
 def test_criterion_01_min_prb_search_matches_linear_scan(capsys):
@@ -137,14 +138,14 @@ def test_criterion_04_coloring_replays_from_scratch(capsys):
                 cfg = ScenarioConfig(n_cells=9, num_prbs=25, reuse_lambda=lam)
                 s = build_scenario(cfg, seed=seed)
                 gains = channel_gains(s)
-                estimates, offs, powers, m = _loads_and_quotas(s, gains)
+                estimates, offs, powers, q, m = _loads_and_quotas(s, gains)
                 assert offs
                 graph = build_interference_graph(
-                    gains, m, powers, offs, s.edge_threshold
+                    gains, q, powers, offs, s.edge_threshold
                 )
                 state = color(graph, s.radio)
                 order, steps = assert_matches_dense_color(
-                    state, graph, m, gains.h, powers, s.radio
+                    state, graph, offs, m, gains.h, powers, s.radio, s.edge_threshold
                 )
                 replay_coloring(
                     order, steps, offs, m, gains.h, powers,
@@ -206,12 +207,12 @@ def test_criterion_07_reuse_oversubscribes_but_separates_interferers(capsys):
             cfg = ScenarioConfig(n_cells=9, num_prbs=25, reuse_lambda=2.0)
             s = build_scenario(cfg, seed=seed)
             gains = channel_gains(s)
-            estimates, offs, powers, m = _loads_and_quotas(s, gains)
-            if int(m.sum()) > s.radio.num_prbs:
+            estimates, offs, powers, q, m = _loads_and_quotas(s, gains)
+            if int(q.sum()) > s.radio.num_prbs:
                 oversubscribed += 1
-            graph = build_interference_graph(gains, m, powers, offs, s.edge_threshold)
+            graph = build_interference_graph(gains, q, powers, offs, s.edge_threshold)
             state = color(graph, s.radio)
-            c = state.assoc.c
+            c = state_assoc(state, len(s.ues), s.radio.num_prbs).c
             for a_ue in offs:
                 for b_ue in offs:
                     if a_ue == b_ue:
@@ -260,14 +261,14 @@ def test_criterion_10_maintained_rates_match_reference_formula(capsys):
         for seed in range(50):
             s = build_scenario(ScenarioConfig(), seed=seed)
             gains = channel_gains(s)
-            estimates, offs, powers, m = _loads_and_quotas(s, gains)
-            assert offs
-            graph = build_interference_graph(gains, m, powers, offs, s.edge_threshold)
-            state = color(graph, s.radio)
-            rates = realized_rates(state, s.radio)
+            estimates = estimate_loads(s, gains)
+            offs = estimates.offloadable.nonzero()[0]
+            assert offs.size
             decision = OffloadDecision.from_set(offs, len(s.ues))
+            assoc, rates = uplink(decision, s, gains, estimates)
+            powers = tx_powers(s)
             for n in range(len(s.ues)):
-                ref = uplink_rate(n, decision, state.assoc, gains, powers, s.radio)
+                ref = uplink_rate(n, decision, assoc, gains, powers, s.radio)
                 if ref == 0.0:
                     assert rates[n] == 0.0
                 else:

@@ -149,6 +149,13 @@ class TestOrthogonalEstimate:
         with pytest.raises(ValueError, match=rf"UE id {bad} lies outside 0\.\.2"):
             orthogonal_estimate(estimates, ids, s, gains)
 
+    def test_repeated_ids_rejected(self):
+        # a repeat would count its UE's demand twice and misprice it
+        s, gains = built(n=3)
+        estimates = estimate_loads(s, gains)
+        with pytest.raises(ValueError, match=r"UE ids \[0, 0, 1\] are not ascending and unique"):
+            orthogonal_estimate(estimates, [0, 0, 1], s, gains)
+
 
 class TestInitialDecision:
     def test_strict_improvement_offloads_tie_stays_local(self):
@@ -227,6 +234,31 @@ class TestEvaluate:
         assert np.isinf(out.t_off_s[1:]).all() and np.isinf(out.e_off_j[1:]).all()
         assert np.isinf(out.per_ue_overhead).all()
         assert out.cpu is None
+
+    @pytest.mark.parametrize("offs", [(), (0,), (4,)])
+    def test_a_decision_sized_for_another_scenario_rejected(self, offs):
+        # a 5-UE decision on 3 cells would price 3-entry arrays, or index
+        # past them, or return the 3-cell all-local outcome
+        s, gains = built(n=3)
+        estimates = cell_plan(s, gains).estimates
+        decision = OffloadDecision.from_set(offs, 5)
+        uplink = (PrbAssociation.empty(3, s.radio.num_prbs), np.zeros(3))
+        with pytest.raises(ValueError, match="a decision over 5 UEs for a scenario of 3"):
+            evaluate(decision, s, gains, "minsum", estimates)
+        with pytest.raises(ValueError, match="a decision over 5 UEs for a scenario of 3"):
+            decision_engine.price(decision, uplink, s, estimates, "minsum")
+
+    @pytest.mark.parametrize("offs", [(), (0,)])
+    def test_an_unknown_cpu_mode_rejected(self, offs):
+        # whether or not anyone offloads, and on the plan's all-local outcome
+        s, gains = built(n=3)
+        estimates = cell_plan(s, gains).estimates
+        decision = OffloadDecision.from_set(offs, 3)
+        uplink = (PrbAssociation.empty(3, s.radio.num_prbs), np.full(3, 1e6))
+        with pytest.raises(ValueError, match="unknown cpu_mode 'fast'"):
+            evaluate(decision, s, gains, "fast", estimates)
+        with pytest.raises(ValueError, match="unknown cpu_mode 'fast'"):
+            decision_engine.price(decision, uplink, s, estimates, "fast")
 
     def test_offloading_a_non_candidate_prices_infinite(self):
         # server so slow the even-split estimate kills every candidate

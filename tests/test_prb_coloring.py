@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mecoffload import (
@@ -15,6 +15,7 @@ from mecoffload import (
     channel_gains,
     estimate_loads,
     run_scheme,
+    uplink,
 )
 from mecoffload.prb_coloring import (
     build_interference_graph,
@@ -33,11 +34,15 @@ from mecoffload.scenario import ChannelGains, RadioParams
 from _oracles import (
     REGIONS,
     assert_matches_dense_color,
+    by_ue,
+    dense_color,
+    dense_held_rate,
     loop_interference_weight,
     loop_quotas,
     region_counts,
     region_tables,
     replay_coloring,
+    state_assoc,
 )
 
 
@@ -53,7 +58,7 @@ def random_setup(rng, n, k, lam, near_gain_db=(-80, -70), cross_gain_db=(-125, -
     powers = np.full(n, 0.1)
     demands = rng.integers(1, 6, size=n)
     ids = list(range(n))
-    m = normalize_prbs(demands, ids, k, lam)
+    m = normalize_prbs(demands, k, lam)  # every UE offloads: by UE id too
     # the gains are in dB: each UE's rate on a PRB that every other UE
     # shares is still nonzero, so the colors do not all tie
     leak = (powers / m)[:, None] * h
@@ -64,39 +69,40 @@ def random_setup(rng, n, k, lam, near_gain_db=(-80, -70), cross_gain_db=(-125, -
     return h, powers, m, ids
 
 
+def held(state) -> dict[int, list[int]]:
+    """The PRBs each coloured UE holds, ascending, keyed in coloring order."""
+    out = {i: [] for i in state.ids.tolist()}
+    for t, j in zip(state.held_step.tolist(), state.held_prb.tolist()):
+        out[int(state.ids[t])].append(j)
+    return out
+
+
 class TestNormalizePrbs:
     def test_symmetric_split(self):
-        assert normalize_prbs([1, 1], [0, 1], 10, 1.0).tolist() == [5, 5]
+        assert normalize_prbs([1, 1], 10, 1.0).tolist() == [5, 5]
 
     def test_hand_values_with_cap(self):
-        assert normalize_prbs([1, 3], [0, 1], 8, 1.0).tolist() == [2, 6]
-        assert normalize_prbs([1, 3], [0, 1], 8, 2.0).tolist() == [4, 8]
+        assert normalize_prbs([1, 3], 8, 1.0).tolist() == [2, 6]
+        assert normalize_prbs([1, 3], 8, 2.0).tolist() == [4, 8]
 
     def test_round_half_even(self):
         # shares 2.5 and 7.5 round to 2 and 8
-        assert normalize_prbs([1, 3], [0, 1], 10, 1.0).tolist() == [2, 8]
+        assert normalize_prbs([1, 3], 10, 1.0).tolist() == [2, 8]
 
     def test_clamp_to_one(self):
-        got = normalize_prbs([1, 99], [0, 1], 10, 1.0)
+        got = normalize_prbs([1, 99], 10, 1.0)
         assert got.tolist() == [1, 10]
 
     def test_offload_subset_only(self):
-        got = normalize_prbs([4, 7, 4], [0, 2], 10, 1.0)
-        assert got[0] == 5 and got[2] == 5
-        assert got[1] == 0
+        # the offloaders' demands alone set their quotas: a local UE's
+        # demand takes no share of the band
+        got = normalize_prbs([4, 4], 10, 1.0)
+        assert got.tolist() == [5, 5]
+        assert loop_quotas([4, 7, 4], [0, 2], 10, 1.0).tolist() == [5, 0, 5]
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="no offloading UEs, nothing to allocate"):
-            normalize_prbs([1, 2], [], 10, 1.0)
-
-    @pytest.mark.parametrize("ids", [[-1], [3], [-1, 1], [0, 3]])
-    def test_ids_outside_the_cells_rejected(self, ids):
-        # a negative id must not index from the end and size UE N-1
-        s = build_scenario(ScenarioConfig(n_cells=3), seed=0)
-        est = estimate_loads(s, channel_gains(s))
-        bad = min(ids) if min(ids) < 0 else max(ids)
-        with pytest.raises(ValueError, match=rf"UE id {bad} lies outside 0\.\.2"):
-            normalize_prbs(est.w, ids, 100, 2.0)
+            normalize_prbs([], 10, 1.0)
 
 
 @st.composite
@@ -129,8 +135,9 @@ def quota_inputs(draw):
 @example(([1, 50, 50], [0, 1, 2], 4, 1.0))  # 0.04 floored at 1
 def test_quotas_equal_the_per_element_loop(inputs):
     demands, ids, k, lam = inputs
-    got = normalize_prbs(demands, ids, k, lam)
-    want = loop_quotas(demands, ids, k, lam)
+    own = demands[ids] if isinstance(demands, np.ndarray) else [demands[i] for i in ids]
+    got = normalize_prbs(own, k, lam)
+    want = loop_quotas(demands, ids, k, lam)[ids]
     assert got.dtype == want.dtype == np.int64
     assert _bits(got) == _bits(want)
 
@@ -143,6 +150,7 @@ class TestInterferenceGraph:
         )
         w = 0.1 / 1 * 1e-10  # every ordered pair is an edge
         assert g.in_weight.tolist() == [w + w] * 3
+        assert g.nodes.tolist() == [0, 1, 2]  # tied weights and quotas: by UE id
 
     def test_infinite_threshold_empty(self):
         h = np.full((3, 3), 1e-10)
@@ -153,13 +161,15 @@ class TestInterferenceGraph:
 
     def test_ratio_rule_and_weight(self):
         # cross/serving = 0.2 > 0.1: edge 0 -> 1 with per-PRB leakage (P/M)*H;
-        # 0.001 < 0.1: no edge 1 -> 0
+        # 0.001 < 0.1: no edge 1 -> 0. UE 1, the one with an in-edge, goes first
         h = np.array([[1e-10, 2e-11], [1e-13, 1e-10]])
         m = np.array([2, 1])
         g = build_interference_graph(
             ChannelGains(h=h), m, np.full(2, 0.1), [0, 1], 0.1
         )
-        assert g.in_weight.tolist() == [0.0, (0.1 / 2) * 2e-11]
+        assert g.nodes.tolist() == [1, 0]
+        assert g.in_weight.tolist() == [(0.1 / 2) * 2e-11, 0.0]
+        assert g.quota.tolist() == [1, 2]
 
     def test_weight_equals_pair_loop(self):
         # same elementwise arithmetic as the per-pair loop, so bit-identical
@@ -168,39 +178,58 @@ class TestInterferenceGraph:
             h, powers, m, ids = random_setup(rng, n, 10, 2.0)
             sub = ids[::2] if n > 2 else ids
             for theta in (0.0, 1e-3, 0.1):
-                g = build_interference_graph(ChannelGains(h=h), m, powers, sub, theta)
-                want = loop_interference_weight(h, m, powers, sub, theta)
-                assert _bits(g.in_weight) == _bits(want.sum(axis=0))
-                assert g.nodes == tuple(sub)
+                g = build_interference_graph(ChannelGains(h=h), m[sub], powers, sub, theta)
+                want = loop_interference_weight(h, m, powers, sub, theta).sum(axis=0)
+                assert sorted(g.nodes.tolist()) == sub
+                assert _bits(g.in_weight) == _bits(want[g.nodes])
+                keys = g.in_weight.tolist()
+                assert all(a >= b for a, b in zip(keys, keys[1:]))
 
-    def test_quota_and_leak_are_read_only(self):
-        # and the order key in_weight, which color reads too
+    def test_fields_are_per_node_in_coloring_order_and_read_only(self):
+        # UE 0 hears UE 2 louder than UE 2 hears UE 0, so it goes first;
+        # UE 1 stays local and is no node
         h = np.full((3, 3), 1e-10)
         g = build_interference_graph(
-            ChannelGains(h=h), np.array([2, 0, 1]), np.full(3, 0.1), [0, 2], 0.0
+            ChannelGains(h=h), np.array([2, 1]), np.full(3, 0.1), [0, 2], 0.0
         )
+        assert g.nodes.tolist() == [0, 2] and g.nodes.dtype == np.int64
         assert g.quota.tolist() == [2, 1]
-        assert g.leak.tolist() == [[0.05 * 1e-10] * 2, [0.1 * 1e-10] * 2]
-        assert g.in_weight.tolist() == [0.1 * 1e-10, 0.0, 0.05 * 1e-10]
-        for a in (g.in_weight, g.quota, g.leak):
+        assert g.in_weight.tolist() == [0.1 * 1e-10, 0.05 * 1e-10]
+        assert g.signal.tolist() == [0.05 * 1e-10, 0.1 * 1e-10]
+        assert g.leak.tolist() == [[0.0, 0.05 * 1e-10], [0.1 * 1e-10, 0.0]]
+        for a in (g.nodes, g.quota, g.in_weight, g.signal, g.leak):
             with pytest.raises(ValueError):
                 a[0] = 0
 
     def test_non_offloaders_excluded(self):
         h = np.full((3, 3), 1e-10)
         g = build_interference_graph(
-            ChannelGains(h=h), np.array([1, 0, 1]), np.full(3, 0.1), [0, 2], 0.0
+            ChannelGains(h=h), np.array([1, 1]), np.full(3, 0.1), [0, 2], 0.0
         )
-        assert g.in_weight.tolist() == [0.1 / 1 * 1e-10, 0.0, 0.1 / 1 * 1e-10]
+        assert g.nodes.tolist() == [0, 2]
+        assert g.in_weight.tolist() == [0.1 / 1 * 1e-10] * 2
+        assert g.leak.shape == (2, 2)
 
     @pytest.mark.parametrize("ids", [[-1], [3], [-1, 1], [0, 3]])
     def test_ids_outside_the_cells_rejected(self, ids):
         # a negative id must not index from the end and stand for UE N-1
         s = build_scenario(ScenarioConfig(n_cells=3), seed=0)
-        m = np.array([10, 10, 10])
+        m = np.full(len(ids), 10)
         bad = min(ids) if min(ids) < 0 else max(ids)
         with pytest.raises(ValueError, match=rf"UE id {bad} lies outside 0\.\.2"):
             build_interference_graph(channel_gains(s), m, s.tx_power_w, ids, 0.1)
+
+    def test_repeated_ids_rejected(self):
+        # a repeat would colour its UE twice: 6 PRBs against a quota of 3
+        s = build_scenario(ScenarioConfig(n_cells=3), seed=0)
+        with pytest.raises(ValueError, match=r"UE ids \[0, 0, 1\] are not ascending and unique"):
+            build_interference_graph(channel_gains(s), np.full(3, 3), s.tx_power_w, [0, 0, 1], 0.1)
+
+    def test_one_quota_per_offloader(self):
+        # one quota would broadcast over every offloader
+        s = build_scenario(ScenarioConfig(n_cells=3), seed=0)
+        with pytest.raises(ValueError, match="1 quotas for 2 offloading UEs"):
+            build_interference_graph(channel_gains(s), np.array([3]), s.tx_power_w, [0, 1], 0.1)
 
 
 class TestColor:
@@ -212,16 +241,14 @@ class TestColor:
         m = np.array([1, 1])
         g = build_interference_graph(ChannelGains(h=h), m, np.full(2, 0.1), [0, 1], 0.1)
         state = color(g, radio(2))
-        assert tuple(np.flatnonzero(state.assoc.c[0])) == (0,)
-        assert tuple(np.flatnonzero(state.assoc.c[1])) == (0,)
+        assert held(state) == {0: [0], 1: [0]}
 
     def test_single_node_saturates_band(self):
         h = np.array([[1e-10]])
         m = np.array([4])
         g = build_interference_graph(ChannelGains(h=h), m, np.array([0.1]), [0], 0.1)
         state = color(g, radio(4))
-        assert state.assoc.m[0] == 4
-        assert tuple(np.flatnonzero(state.assoc.c[0])) == (0, 1, 2, 3)
+        assert held(state) == {0: [0, 1, 2, 3]}
 
     def test_strong_coupling_goes_disjoint_when_band_suffices(self):
         # quotas sum to K and every cross link is loud: reuse never pays
@@ -231,11 +258,11 @@ class TestColor:
             h = 10.0 ** rng.uniform(-10.5, -9.5, size=(n, n))
             h[np.arange(n), np.arange(n)] = 10.0 ** rng.uniform(-9.2, -9.0, size=n)
             powers = np.full(n, 0.1)
-            m = normalize_prbs([1, 1, 1], [0, 1, 2], k, 1.0)
+            m = normalize_prbs([1, 1, 1], k, 1.0)
             assert m.sum() == k
             g = build_interference_graph(ChannelGains(h=h), m, powers, [0, 1, 2], 0.01)
             state = color(g, radio(k))
-            assert (state.assoc.c.sum(axis=0) <= 1).all()
+            assert sorted(state.held_prb.tolist()) == list(range(k))
 
     def test_three_node_trajectory_matches_replay(self):
         rng = np.random.default_rng(11)
@@ -246,7 +273,7 @@ class TestColor:
         r = radio(3)
         g = build_interference_graph(ChannelGains(h=h), m, powers, [0, 1, 2], 0.1)
         state = color(g, r)
-        order, steps = assert_matches_dense_color(state, g, m, h, powers, r)
+        order, steps = assert_matches_dense_color(state, g, [0, 1, 2], m, h, powers, r, 0.1)
         replay_coloring(
             order, steps, [0, 1, 2], m, h, powers, 20e6, 3, 1e-13, 0.1,
             lambda c: interference_table(
@@ -268,13 +295,13 @@ class TestColor:
         )
         powers = np.full(n, 0.1)
         ids = list(range(n))
-        m = normalize_prbs([1] * n, ids, k, 1.0)
+        m = normalize_prbs([1] * n, k, 1.0)
         r = radio(k)
         g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.0)
         state = color(g, r)
-        order, steps = assert_matches_dense_color(state, g, m, h, powers, r)
+        order, steps = assert_matches_dense_color(state, g, ids, m, h, powers, r, 0.0)
         assert (n, k, order) == (7, 4, (6, 2, 3, 4, 1, 0, 5))
-        assert tuple(np.flatnonzero(state.assoc.c[1])) == (1,)
+        assert held(state)[1] == [1]
 
         t = order.index(1)
         o = steps[t - 1][2]  # the table before node 1 is colored
@@ -309,11 +336,10 @@ class TestColor:
             theta = float(rng.choice([0.0, 0.1, math.inf]))
             g = build_interference_graph(ChannelGains(h=h), m, powers, ids, theta)
             state = color(g, r)
-            assert_matches_dense_color(state, g, m, h, powers, r)
+            assert_matches_dense_color(state, g, ids, m, h, powers, r, theta)
             lo = 0
-            for node in state.ids.tolist():
-                want = list(range(lo, lo + int(m[node])))
-                assert state.assoc.c[node].nonzero()[0].tolist() == want
+            for node, prbs in held(state).items():
+                assert prbs == list(range(lo, lo + int(m[node])))
                 lo += int(m[node])
 
     def test_a_zero_cross_gain_is_a_tie_the_scorer_settles(self):
@@ -326,20 +352,19 @@ class TestColor:
         r = radio(3)
         g = build_interference_graph(ChannelGains(h=h), m, powers, [0, 1, 2], 0.0)
         state = color(g, r)
-        assert_matches_dense_color(state, g, m, h, powers, r)
+        assert_matches_dense_color(state, g, [0, 1, 2], m, h, powers, r, 0.0)
         assert state.ids[:2].tolist() == [0, 1]
-        assert state.assoc.c[:2].tolist() == [[1, 0, 0], [1, 0, 0]]
+        assert held(state)[0] == held(state)[1] == [0]
 
     def test_a_gap_inside_the_slack_is_left_to_the_scorer(self):
         # the second node's rate on the held PRB 0 lies below its free rate,
         # but by less than the fill phase's slack: the scorer decides
-        graph, m, gains, powers, r = near_gap_inside_the_slack()
+        graph, ids, m, gains, powers, r, theta = near_gap_inside_the_slack()
         state = color(graph, r)
-        assert_matches_dense_color(state, graph, m, gains.h, powers, r)
-        first, second = state.ids.tolist()
+        assert_matches_dense_color(state, graph, ids, m, gains.h, powers, r, theta)
         bpp, noise = r.prb_bandwidth_hz, r.noise_per_prb_w
         free = bpp * np.log2(1.0 + state.signal / noise)
-        held = bpp * np.log2(1.0 + state.signal[1] / (noise + graph.leak[first, second]))
+        held = bpp * np.log2(1.0 + state.signal[1] / (noise + graph.leak[0, 1]))
         assert 0 < free[1] - held < free.max() * 2.0**-32
 
     def test_a_zero_cross_gain_ends_the_fill_at_a_later_step(self):
@@ -361,12 +386,12 @@ class TestColor:
             r = radio(n * q + int(rng.integers(0, 3)))
             g = build_interference_graph(ChannelGains(h=h), m, powers, ids, math.inf)
             state = color(g, r)
-            assert_matches_dense_color(state, g, m, h, powers, r)
+            assert_matches_dense_color(state, g, ids, m, h, powers, r, math.inf)
             assert state.ids.tolist() == ids
-            held = [state.assoc.c[node].nonzero()[0].tolist() for node in ids]
+            prbs = held(state)
             for node in range(t):
-                assert held[node] == list(range(node * q, node * q + q))
-            assert held[t] == held[s]
+                assert prbs[node] == list(range(node * q, node * q + q))
+            assert prbs[t] == prbs[s]
 
     def test_scored_takes_of_one_run_and_of_two_runs(self):
         # no edges (theta inf), so the quota-1 UEs 0-2 go first and fill
@@ -381,11 +406,9 @@ class TestColor:
         powers, r = np.full(5, 0.1), radio(3)
         g = build_interference_graph(ChannelGains(h=h), m, powers, range(5), math.inf)
         state = color(g, r)
-        assert_matches_dense_color(state, g, m, h, powers, r)
+        assert_matches_dense_color(state, g, range(5), m, h, powers, r, math.inf)
         assert state.ids.tolist() == [0, 1, 2, 3, 4]
-        assert state.assoc.c.tolist() == [
-            [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [1, 1, 0],
-        ]
+        assert held(state) == {0: [0], 1: [1], 2: [2], 3: [0, 2], 4: [0, 1]}
 
     def test_a_first_block_that_leaves_no_room_goes_to_the_scorer(self):
         # the first node's 3 colors leave 1 of 4 free and the second needs
@@ -398,10 +421,11 @@ class TestColor:
             m, powers, r = np.array([3, 3]), np.full(2, 0.1), radio(4)
             g = build_interference_graph(ChannelGains(h=h), m, powers, [0, 1], math.inf)
             state = color(g, r)
-            assert_matches_dense_color(state, g, m, h, powers, r)
+            assert_matches_dense_color(state, g, [0, 1], m, h, powers, r, math.inf)
             assert state.ids.tolist() == [0, 1]
-            assert state.assoc.c[0].tolist() == [1, 1, 1, 0]
-            assert state.assoc.c[1, 3] == 1
+            prbs = held(state)
+            assert prbs[0] == [0, 1, 2]
+            assert 3 in prbs[1]
 
     def test_a_dense_repair_cell_matches_the_dense_oracle(self):
         # the 160-cell cell with the server scaled to it, colored for the
@@ -413,15 +437,19 @@ class TestColor:
         gains = channel_gains(s)
         ids = list(run_scheme("proposed_minsum", s, gains).decision.offload_set)
         w = estimate_loads(s, gains).w
-        m = normalize_prbs(w, ids, s.radio.num_prbs, s.reuse_lambda)
-        g = build_interference_graph(gains, m, s.tx_power_w, ids, s.edge_threshold)
+        q = normalize_prbs(w[ids], s.radio.num_prbs, s.reuse_lambda)
+        g = build_interference_graph(gains, q, s.tx_power_w, ids, s.edge_threshold)
         state = color(g, s.radio)
-        assert_matches_dense_color(state, g, m, gains.h, s.tx_power_w, s.radio)
+        m = by_ue(ids, q, s.n_cells)
+        assert_matches_dense_color(
+            state, g, ids, m, gains.h, s.tx_power_w, s.radio, s.edge_threshold
+        )
         assert (len(ids), s.radio.num_prbs) == (44, 100)
         lo = 0
+        prbs = held(state)
         for node in state.ids[:20].tolist():
             hi = lo + int(m[node])
-            assert state.assoc.c[node].nonzero()[0].tolist() == list(range(lo, hi))
+            assert prbs[node] == list(range(lo, hi))
             lo = hi
         assert lo == 100
 
@@ -431,14 +459,16 @@ class TestColor:
             h, powers, m, ids = random_setup(rng, 6, 12, lam)
             g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.1)
             state = color(g, radio(12))
-            assert np.array_equal(state.assoc.m, m)
+            assert np.array_equal(state_assoc(state, 6, 12).m, m)
+            assert np.bincount(state.held_step).tolist() == g.quota.tolist()
 
     def test_order_key_non_increasing(self):
         rng = np.random.default_rng(4)
         h, powers, m, ids = random_setup(rng, 7, 10, 2.0)
         g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.1)
         state = color(g, radio(10))
-        keys = g.in_weight[state.ids].tolist()
+        assert state.ids is g.nodes
+        keys = g.in_weight.tolist()
         assert all(a >= b for a, b in zip(keys, keys[1:]))
 
     def test_final_table_consistent(self):
@@ -446,7 +476,7 @@ class TestColor:
         h, powers, m, ids = random_setup(rng, 5, 8, 2.0)
         g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.1)
         state = color(g, radio(8))
-        rebuilt = interference_table(state.assoc, ChannelGains(h=h), powers)
+        rebuilt = interference_table(state_assoc(state, 5, 8), ChannelGains(h=h), powers)
         np.testing.assert_allclose(
             state.table.T, rebuilt[state.ids], rtol=1e-12, atol=1e-300
         )
@@ -458,7 +488,7 @@ class TestColor:
         rng = np.random.default_rng(21)
         h, powers, _, _ = random_setup(rng, 7, 12, 2.0)
         ids = [0, 2, 3, 5, 6]
-        m = normalize_prbs(np.arange(1, 8), ids, 12, 2.0)
+        m = normalize_prbs(np.arange(1, 8)[ids], 12, 2.0)
         g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.1)
         state = color(g, radio(12))
         assert sorted(state.ids.tolist()) == ids
@@ -466,7 +496,7 @@ class TestColor:
         assert state.table.shape == (12, 5)
         assert state.table.dtype == np.float64
         assert state.table.flags.c_contiguous
-        rebuilt = interference_table(state.assoc, ChannelGains(h=h), powers)
+        rebuilt = interference_table(state_assoc(state, 7, 12), ChannelGains(h=h), powers)
         np.testing.assert_allclose(
             state.table.T, rebuilt[state.ids], rtol=1e-12, atol=1e-300
         )
@@ -475,14 +505,13 @@ class TestColor:
         rng = np.random.default_rng(15)
         h, powers, m, ids = random_setup(rng, 6, 10, 2.0)
         g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.1)
-        leak = g.leak.tobytes()
+        fields = [a.tobytes() for a in vars(g).values()]
         a = color(g, radio(10))
         b = color(g, radio(10))
-        assert np.array_equal(a.assoc.c, b.assoc.c)
-        assert np.array_equal(a.ids, b.ids)
-        assert np.array_equal(a.table, b.table)
-        # color gathers its own step-ordered copy of the leakage block
-        assert g.leak.tobytes() == leak
+        for name in ("ids", "table", "held_step", "held_prb"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        # color reads the graph and writes none of it
+        assert [a.tobytes() for a in vars(g).values()] == fields
 
     def test_local_cells_do_not_move_the_coloring(self):
         # The 160-cell cell with the server scaled to it, colored for the
@@ -496,7 +525,7 @@ class TestColor:
         ids = list(run_scheme("proposed_minsum", s, gains).decision.offload_set)
         local = np.setdiff1d(np.arange(s.n_cells), ids)
         assert 0 < len(ids) < len(local)
-        m = normalize_prbs(estimates.w, ids, s.radio.num_prbs, s.reuse_lambda)
+        m = normalize_prbs(estimates.w[ids], s.radio.num_prbs, s.reuse_lambda)
         h = gains.h.copy()
         h[local] *= 3.0
         h[:, local] *= 7.0
@@ -505,9 +534,8 @@ class TestColor:
             graph = build_interference_graph(g, m, s.tx_power_w, ids, s.edge_threshold)
             states.append(color(graph, s.radio))
         a, b = states
-        assert a.ids.tolist() == b.ids.tolist()
-        assert a.assoc.c.tobytes() == b.assoc.c.tobytes()
-        assert a.table.tobytes() == b.table.tobytes()
+        for name in ("ids", "table", "held_step", "held_prb"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert a.table.shape == (s.radio.num_prbs, len(ids))
         assert a.table.dtype == np.float64 and a.table.flags.c_contiguous
 
@@ -523,7 +551,7 @@ class TestColor:
         estimates = estimate_loads(s, gains)
         ids = list(range(9))
         assert estimates.offloadable.all()
-        m = normalize_prbs(estimates.w, ids, s.radio.num_prbs, s.reuse_lambda)
+        m = normalize_prbs(estimates.w, s.radio.num_prbs, s.reuse_lambda)
 
         def colour(theta):
             graph = build_interference_graph(gains, m, s.tx_power_w, ids, theta)
@@ -533,13 +561,12 @@ class TestColor:
         for theta in (1e-9, 0.01, 0.05, 0.2):
             other, got = colour(theta)
             assert other.tobytes() != weight.tobytes()
-            assert got.ids.tolist() == want.ids.tolist()
-            assert got.assoc.c.tobytes() == want.assoc.c.tobytes()
-            for name in ("table", "signal", "held_step", "held_prb"):
+            for name in ("ids", "table", "signal", "held_step", "held_prb"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         _, moved = colour(0.5)
         assert moved.ids.tolist() != want.ids.tolist()
-        assert moved.assoc.c.tobytes() != want.assoc.c.tobytes()
+        k = s.radio.num_prbs
+        assert state_assoc(moved, 9, k).c.tobytes() != state_assoc(want, 9, k).c.tobytes()
 
 
 @pytest.mark.parametrize("quota, k", [((2, 2, 2), 4), ((1, 3, 2), 4), ((3, 1, 1), 3)])
@@ -567,6 +594,7 @@ class TestRealizedRates:
         g = build_interference_graph(ChannelGains(h=h), m, powers, [0, 1], 100.0)
         state = color(g, r)
         rates = realized_rates(state, r)
+        assert rates.shape == (2,) and state.ids.tolist() == [0, 1]
         lone = r.prb_bandwidth_hz * math.log2(1 + 0.1 * 1e-10 / 1e-13)
         assert rates[0] == pytest.approx(lone, rel=1e-12)
 
@@ -578,7 +606,7 @@ class TestRealizedRates:
         g = build_interference_graph(ChannelGains(h=h), m, powers, [0, 1], 0.01)
         state = color(g, r)
         rates = realized_rates(state, r)
-        assert state.assoc.m.tolist() == [2, 2]
+        assert held(state) == {0: [0, 1], 1: [0, 1]}
         assert rates[0] == pytest.approx(rates[1], rel=1e-12)
 
     def test_agrees_with_direct_rate_formula(self):
@@ -589,13 +617,12 @@ class TestRealizedRates:
             g = build_interference_graph(ChannelGains(h=h), m, powers, ids, 0.1)
             state = color(g, r)
             rates = realized_rates(state, r)
-            assert (rates > 0).all()
+            assert (rates > 0).all() and rates.shape == (6,)
             decision = OffloadDecision.from_set(ids, 6)
-            for i in ids:
-                direct = uplink_rate(
-                    i, decision, state.assoc, ChannelGains(h=h), powers, r
-                )
-                assert rates[i] == pytest.approx(direct, rel=1e-12)
+            assoc = state_assoc(state, 6, 9)
+            for t, i in enumerate(state.ids.tolist()):
+                direct = uplink_rate(i, decision, assoc, ChannelGains(h=h), powers, r)
+                assert rates[t] == pytest.approx(direct, rel=1e-12)
 
 
 def _bits(a) -> bytes:
@@ -608,7 +635,9 @@ def coloring_inputs(draw):
     at K. Tied cases draw gains from a three-value palette, so scores and
     order keys tie exactly; near cases nudge the palette by up to 3 ulps,
     so two colors' scores can differ by less than an ulp of the system sum
-    rate; every kind includes zero cross gains."""
+    rate; every kind includes zero cross gains. Returns the graph, the
+    offload set, the quotas by UE id (the oracles' form), the gains, the
+    powers, the band and theta."""
     n = draw(st.integers(1, 30))
     k = draw(st.integers(1, 120))
     lam = draw(st.floats(1.0, 3.0))
@@ -630,10 +659,10 @@ def coloring_inputs(draw):
     h[np.arange(n), np.arange(n)] = serving
     powers = np.full(n, 0.1)
     ids = [i for i in range(n) if i not in local]
-    m = normalize_prbs(demands, ids, k, lam)
+    q = normalize_prbs([demands[i] for i in ids], k, lam)
     gains = ChannelGains(h=h)
-    graph = build_interference_graph(gains, m, powers, ids, theta)
-    return graph, m, gains, powers, radio(k)
+    graph = build_interference_graph(gains, q, powers, ids, theta)
+    return graph, ids, by_ue(ids, q, n), gains, powers, radio(k), theta
 
 
 def near_gap_inside_the_slack():
@@ -646,36 +675,37 @@ def near_gap_inside_the_slack():
     powers = np.full(2, 0.1)
     gains = ChannelGains(h=h)
     graph = build_interference_graph(gains, m, powers, [0, 1], 0.0)
-    return graph, m, gains, powers, radio(2)
+    return graph, [0, 1], m, gains, powers, radio(2), 0.0
 
 
 @settings(max_examples=150)
 @given(coloring_inputs())
 @example(near_gap_inside_the_slack())
 def test_color_matches_dense_oracle_bit_for_bit(inputs):
-    graph, m, gains, powers, r = inputs
+    graph, ids, m, gains, powers, r, theta = inputs
     state = color(graph, r)
-    assert_matches_dense_color(state, graph, m, gains.h, powers, r)
+    assert_matches_dense_color(state, graph, ids, m, gains.h, powers, r, theta)
 
 
 @settings(max_examples=150)
 @given(coloring_inputs())
 def test_realized_rates_equal_per_row_held_rate(inputs):
-    graph, m, gains, powers, r = inputs
+    graph, _, m, gains, powers, r, _ = inputs
     h = gains.h
     state = color(graph, r)
-    want = np.zeros(h.shape[0])
+    c = state_assoc(state, h.shape[0], r.num_prbs).c
+    want = np.zeros(state.ids.size)
     bpp, noise = r.prb_bandwidth_hz, r.noise_per_prb_w
     for t, i in enumerate(state.ids.tolist()):
         snr = powers[i] / m[i] * h[i, i] / (noise + state.table[:, t])
-        want[i] = (state.assoc.c[i] * bpp * np.log2(1 + snr)).sum()
+        want[t] = (c[i] * bpp * np.log2(1 + snr)).sum()
     assert _bits(realized_rates(state, r)) == _bits(want)
 
 
 @settings(max_examples=150)
 @given(coloring_inputs())
 def test_signal_is_per_prb_power_times_serving_gain_in_order(inputs):
-    graph, m, gains, powers, r = inputs
+    graph, _, m, gains, powers, r, _ = inputs
     state = color(graph, r)
     order = state.ids
     want = (powers[order] / m[order]) * gains.h[order, order]
@@ -684,15 +714,58 @@ def test_signal_is_per_prb_power_times_serving_gain_in_order(inputs):
 
 @settings(max_examples=150)
 @given(coloring_inputs())
-def test_first_node_takes_the_lowest_colors_and_m_counts_the_held(inputs):
+def test_first_node_takes_the_lowest_colors_and_each_step_holds_its_quota(inputs):
     # nothing is coloured before the first node, so every color ties and it
-    # takes colors 0..q-1; each node holds exactly its quota, and assoc.m
-    # counts the held colors from the table
-    graph, m, gains, powers, r = inputs
+    # takes colors 0..q-1; each step holds exactly its quota, on distinct
+    # colors in ascending order
+    graph, _, m, gains, powers, r, _ = inputs
     state = color(graph, r)
-    first = state.ids[0]
-    assert state.assoc.c[first].nonzero()[0].tolist() == list(range(m[first]))
-    assert state.assoc.m.dtype == np.int64
-    assert _bits(state.assoc.m) == _bits(state.assoc.c.sum(axis=1))
-    order = state.ids
-    assert state.assoc.m[order].tolist() == m[order].tolist()
+    first = int(state.ids[0])
+    prbs = held(state)
+    assert prbs[first] == list(range(m[first]))
+    order = state.ids.tolist()
+    assert [len(prbs[i]) for i in order] == m[order].tolist()
+    assert all(p == sorted(set(p)) for p in prbs.values())
+    assert state.held_step.tolist() == sorted(state.held_step.tolist())
+
+
+@st.composite
+def offloading_cells(draw):
+    """A cell of 1-20 UEs on 1-100 PRBs at lambda 1-3, at the default or a
+    larger server, and a nonempty offload set drawn from its candidates."""
+    cfg = ScenarioConfig(
+        n_cells=draw(st.integers(1, 20)),
+        num_prbs=draw(st.integers(1, 100)),
+        reuse_lambda=draw(st.floats(1.0, 3.0)),
+        mec_ghz=draw(st.sampled_from((100.0, 300.0))),
+    )
+    s = build_scenario(cfg, draw(st.integers(0, 10_000)))
+    gains = channel_gains(s)
+    estimates = estimate_loads(s, gains)
+    candidates = estimates.offloadable.nonzero()[0].tolist()
+    assume(candidates)
+    offs = draw(st.sets(st.sampled_from(candidates), min_size=1))
+    return s, gains, estimates, OffloadDecision.from_set(offs, s.n_cells)
+
+
+@settings(max_examples=60)
+@given(offloading_cells())
+def test_uplink_equals_the_dense_oracle_padded_to_n(cell):
+    # uplink maps the per-offloader colouring back to UE ids: its N x K
+    # association and N rates are dense_color's table and dense_held_rate
+    # of its rows, bit for bit, at the per-element loop's quotas; every
+    # local UE's row and rate are exactly 0
+    s, gains, estimates, decision = cell
+    offs = list(decision.offload_set)
+    assoc, rates = uplink(decision, s, gains, estimates)
+    r, powers = s.radio, s.tx_power_w
+    m = loop_quotas(estimates.w, offs, r.num_prbs, s.reuse_lambda)
+    c, o, _, _ = dense_color(offs, m, gains.h, powers, r, s.edge_threshold)
+    want = np.zeros(s.n_cells)
+    for i in offs:
+        want[i] = dense_held_rate(c[i], powers[i] / m[i] * gains.h[i, i], o[i], r)
+    assert assoc.c.dtype == np.int64 and assoc.c.tobytes() == c.tobytes()
+    assert rates.tobytes() == want.tobytes()
+    local = np.setdiff1d(np.arange(s.n_cells), offs)
+    assert not assoc.c[local].any() and not assoc.m[local].any()
+    assert rates[local].tobytes() == np.zeros(local.size).tobytes()

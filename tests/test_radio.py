@@ -75,6 +75,18 @@ class TestOffloadDecision:
         with pytest.raises(ValueError, match=r"lie outside 0\.\.-1"):
             OffloadDecision.from_set([0], 0)
 
+    def test_bool_ids_rejected(self):
+        # index() takes True for 1, so a bool would stand for UE 0 or 1;
+        # numpy's bool index() already refuses
+        with pytest.raises(TypeError, match="UE id True is a bool"):
+            OffloadDecision.from_set([True, 2], 3)
+        with pytest.raises(TypeError):
+            OffloadDecision.from_set([np.True_], 3)
+        d = OffloadDecision(3, (1,))
+        for flip in (d.flip_on, d.flip_off):
+            with pytest.raises(TypeError, match="UE id False is a bool"):
+                flip(False)
+
     @pytest.mark.parametrize("flip", ["flip_on", "flip_off"])
     @pytest.mark.parametrize("ue", [-1, -3, 3])
     def test_flips_reject_ids_outside_the_cells(self, flip, ue):
