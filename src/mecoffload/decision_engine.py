@@ -76,7 +76,7 @@ def orthogonal_estimate(
     members = sorted(offload_set)
     if not members:
         raise ValueError("cannot estimate over an empty offload set")
-    check_ids(members, len(estimates))
+    check_ids(members, len(estimates), numpy=True)
     members = np.array(members, dtype=np.int64)
     offloadable = estimates.offloadable[members]
     if not offloadable.all():
@@ -107,7 +107,7 @@ def initial_decision(estimates: Loads, report: dict[int, float]) -> OffloadDecis
     infeasible) stay local regardless.
     """
     wins = [i for i, overhead in report.items() if estimates.local_overhead[i] > overhead]
-    return OffloadDecision.from_set(wins, len(estimates))
+    return OffloadDecision(len(estimates), tuple(sorted(wins)))
 
 
 @dataclass(frozen=True)
@@ -361,7 +361,7 @@ def run_baseline(kind: str, s: Scenario, gains: ChannelGains) -> AllocationOutco
         return plan.local
     estimates, candidates = plan.estimates, tuple(plan.report)
     n, k = s.n_cells, s.radio.num_prbs
-    decision = OffloadDecision.from_set(candidates, n)
+    decision = OffloadDecision(n, candidates)
     c, rates = np.zeros((n, k), dtype=np.int64), np.zeros(n)
     w = estimates.w.tolist()
     total_w = sum(w[i] for i in candidates)

@@ -72,7 +72,7 @@ def build_interference_graph(
     nodes = sorted(offload_ids)
     if not nodes:
         raise ValueError("no offloading UEs, nothing to allocate")
-    check_ids(nodes, gains.h.shape[0])
+    check_ids(nodes, gains.h.shape[0], numpy=True)
     if len(m) != len(nodes):
         raise ValueError(f"{len(m)} quotas for {len(nodes)} offloading UEs")
     ids = np.array(nodes, dtype=np.int64)

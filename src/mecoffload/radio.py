@@ -8,58 +8,51 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from operator import index, lt
+from operator import lt
 
 import numpy as np
 
 from .scenario import ChannelGains, RadioParams
 
 
-def check_ids(ids, n: int) -> None:
-    """Reject a sequence of UE ids that leaves 0..n-1 or does not ascend
-    strictly: a negative id would index from the end and stand for another
-    UE, and a repeated one would count its UE twice."""
+def check_ids(ids, n: int, numpy: bool = False) -> None:
+    """Reject a sequence of UE ids that are not ints, leave 0..n-1 or do not
+    ascend strictly. An id is a Python int, or, where numpy is set, a numpy
+    integer; a bool is none, though Python counts it an int. A negative id
+    would index from the end and stand for another UE, and a repeated one
+    would count its UE twice."""
+    if [*map(type, ids)].count(int) < len(ids):  # one C pass when all are ints
+        for i in ids:
+            if type(i) is not int and not (numpy and isinstance(i, np.integer)):
+                raise TypeError(f"UE id {i!r} has type {type(i).__name__}, not int")
     if ids and (ids[0] < 0 or ids[-1] >= n):
         raise ValueError(f"UE id {ids[0] if ids[0] < 0 else ids[-1]} lies outside 0..{n - 1}")
     if not all(map(lt, ids, ids[1:])):
         raise ValueError(f"UE ids {list(ids)} are not ascending and unique")
 
 
-def _ue_id(i) -> int:
-    """A UE id as a Python int. A bool is no id, though index() takes it
-    (numpy's bool it already rejects)."""
-    if isinstance(i, bool):
-        raise TypeError(f"UE id {i!r} is a bool, not an integer")
-    return index(i)
-
-
 @dataclass(frozen=True)
 class OffloadDecision:
     """Which of the n UEs offload: the ascending tuple offload_set of their
-    ids, each once, in 0..n-1. Equal decisions have equal n and sets."""
+    ids, each once, in 0..n-1. n and every id are Python ints, no bool.
+    Equal decisions have equal n and sets."""
 
     n: int
     offload_set: tuple[int, ...]
 
     def __post_init__(self):
-        ids = self.offload_set
+        n, ids = self.n, self.offload_set
+        if type(n) is not int:
+            raise TypeError(f"UE count {n!r} has type {type(n).__name__}, not int")
         if type(ids) is not tuple:
             raise TypeError("the offload set must be a tuple of UE ids")
-        check_ids(ids, self.n)
+        check_ids(ids, n)
+        if n < 0:
+            raise ValueError(f"UE count {n} is negative")
 
     @classmethod
     def all_local(cls, n: int) -> "OffloadDecision":
         return cls(n, ())
-
-    @classmethod
-    def from_set(cls, offload, n: int) -> "OffloadDecision":
-        """The decision offloading the UE ids in any iterable, numpy ints
-        too, stored as Python ints; repeats count once."""
-        ids = sorted(set(map(_ue_id, offload)))
-        if ids and not (0 <= ids[0] and ids[-1] < n):
-            outside = [i for i in ids if not 0 <= i < n]
-            raise ValueError(f"UE ids {outside} lie outside 0..{n - 1}")
-        return cls(n, tuple(ids))
 
     def flip_on(self, i: int) -> "OffloadDecision":
         """The decision with UE i offloading too."""
@@ -78,9 +71,10 @@ class OffloadDecision:
         return OffloadDecision(self.n, ids[:at] + ids[at + 1 :])
 
     def _find(self, i: int) -> tuple[int, int]:
-        """UE i as a Python int, checked, and where it sits in offload_set."""
-        i = _ue_id(i)
-        check_ids((i,), self.n)
+        """UE i, checked (a numpy integer too), as a Python int, and where it
+        sits in offload_set."""
+        check_ids((i,), self.n, numpy=True)
+        i = int(i)
         return i, bisect_left(self.offload_set, i)
 
     @cached_property

@@ -214,7 +214,7 @@ def best_offload_set(s, gains, cpu_mode):
     best = None
     for size in range(len(candidates) + 1):
         for subset in itertools.combinations(candidates, size):
-            decision = OffloadDecision.from_set(subset, s.n_cells)
+            decision = OffloadDecision(s.n_cells, subset)
             cost = evaluate(decision, s, gains, cpu_mode, estimates).system_overhead
             if best is None or cost < best[1]:
                 best = (subset, cost)
@@ -469,7 +469,7 @@ def region_uplinks(s, gains, estimates):
     all-offload decision at normalize_prbs's quotas: each region_tables
     table with its rates from brute_uplink_rate."""
     assert s.n_cells == 3, "the regions are those of three nodes"
-    decision = OffloadDecision.from_set(range(3), 3)
+    decision = OffloadDecision(3, (0, 1, 2))
     r = s.radio
     quota = normalize_prbs(estimates.w.take(decision.offload_set), r.num_prbs, s.reuse_lambda)
     uplinks = {}
@@ -486,7 +486,7 @@ def region_uplinks(s, gains, estimates):
 def region_costs(s, gains, estimates, cpu_mode):
     """{counts: cost} of every region_uplinks colouring, priced with price
     under the CPU rule."""
-    decision = OffloadDecision.from_set(range(3), 3)
+    decision = OffloadDecision(3, (0, 1, 2))
     return {
         counts: price(decision, (PrbAssociation(c=c), rates), s, estimates,
                       cpu_mode).system_overhead

@@ -235,7 +235,7 @@ def test_criterion_08_greedy_stays_near_exhaustive_best(capsys):
             estimates = estimate_loads(s, gains)
             best = math.inf
             for bits in product((0, 1), repeat=3):
-                decision = OffloadDecision.from_set(np.flatnonzero(bits), 3)
+                decision = OffloadDecision(3, tuple(np.flatnonzero(bits).tolist()))
                 out = evaluate(decision, s, gains, "minsum", estimates)
                 best = min(best, out.system_overhead)
             got = run_proposed(s, gains, "minsum").system_overhead
@@ -264,7 +264,7 @@ def test_criterion_10_maintained_rates_match_reference_formula(capsys):
             estimates = estimate_loads(s, gains)
             offs = estimates.offloadable.nonzero()[0]
             assert offs.size
-            decision = OffloadDecision.from_set(offs, len(s.ues))
+            decision = OffloadDecision(len(s.ues), tuple(offs.tolist()))
             assoc, rates = uplink(decision, s, gains, estimates)
             powers = tx_powers(s)
             for n in range(len(s.ues)):

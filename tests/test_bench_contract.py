@@ -207,7 +207,7 @@ def test_checks_report_a_local_ue_holding_a_block():
     check_cell = load("checks").check_cell
     s = mecoffload.scenario.build_scenario(ScenarioConfig().with_overrides(n_cells=3), seed=0)
     g = mecoffload.scenario.channel_gains(s)
-    decision = mecoffload.OffloadDecision.from_set([0, 1], 3)
+    decision = mecoffload.OffloadDecision(3, (0, 1))
     out = mecoffload.evaluate(decision, s, g, "equal", mecoffload.estimate_loads(s, g))
     assert out.feasible
     assert check_cell(mecoffload, s, g, {"equal_cpu": out}) == {"equal_cpu": []}

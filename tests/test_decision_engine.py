@@ -156,6 +156,17 @@ class TestOrthogonalEstimate:
         with pytest.raises(ValueError, match=r"UE ids \[0, 0, 1\] are not ascending and unique"):
             orthogonal_estimate(estimates, [0, 0, 1], s, gains)
 
+    def test_bool_ids_rejected_and_numpy_ids_taken(self):
+        # True would sort as UE 1 and price it
+        s, gains = built(n=3)
+        estimates = estimate_loads(s, gains)
+        for ids, bad in (([True, 2], "True"), ([2, np.True_], "np.True_"), ([1.0, 2], "1.0")):
+            with pytest.raises(TypeError, match=rf"UE id {bad} has type"):
+                orthogonal_estimate(estimates, ids, s, gains)
+        got = orthogonal_estimate(estimates, np.array([2, 1]), s, gains)
+        assert got == orthogonal_estimate(estimates, [1, 2], s, gains)
+        assert [type(i) for i in got] == [int, int]
+
 
 class TestInitialDecision:
     def test_strict_improvement_offloads_tie_stays_local(self):
@@ -186,7 +197,7 @@ class TestEvaluate:
         s = manual_scenario([(0.0, 0.0)], [(100.0, 0.0)])
         gains = channel_gains(s)
         estimates = estimate_loads(s, gains)
-        out = evaluate(OffloadDecision.from_set([0], 1), s, gains, "minsum", estimates)
+        out = evaluate(OffloadDecision(1, (0,)), s, gains, "minsum", estimates)
 
         # demand doubles under the reuse factor and clamps to the full band
         assert out.assoc.m[0] == 100
@@ -213,7 +224,7 @@ class TestEvaluate:
         gains = channel_gains(s)
         estimates = estimate_loads(s, gains)
         assert all(est.offloadable for est in estimates)
-        out = evaluate(OffloadDecision.from_set([0, 1], 2), s, gains, "minsum", estimates)
+        out = evaluate(OffloadDecision(2, (0, 1)), s, gains, "minsum", estimates)
         assert out.rates_bps[1] > 0  # alive but hopeless
         assert out.t_off_s[1] > estimates.local_time_s[1]
         assert out.cpu is None
@@ -225,7 +236,7 @@ class TestEvaluate:
         # made, and only the live uplinks are priced
         s, gains = built(n=4)
         estimates = estimate_loads(s, gains)
-        decision = OffloadDecision.from_set(range(4), 4)
+        decision = OffloadDecision(4, (0, 1, 2, 3))
         rates = np.array([2e6, math.nan, 0.0, math.inf])
         empty = PrbAssociation.empty(4, s.radio.num_prbs)
         out = decision_engine.price(decision, (empty, rates), s, estimates, "minsum")
@@ -241,7 +252,7 @@ class TestEvaluate:
         # past them, or return the 3-cell all-local outcome
         s, gains = built(n=3)
         estimates = cell_plan(s, gains).estimates
-        decision = OffloadDecision.from_set(offs, 5)
+        decision = OffloadDecision(5, offs)
         uplink = (PrbAssociation.empty(3, s.radio.num_prbs), np.zeros(3))
         with pytest.raises(ValueError, match="a decision over 5 UEs for a scenario of 3"):
             evaluate(decision, s, gains, "minsum", estimates)
@@ -253,7 +264,7 @@ class TestEvaluate:
         # whether or not anyone offloads, and on the plan's all-local outcome
         s, gains = built(n=3)
         estimates = cell_plan(s, gains).estimates
-        decision = OffloadDecision.from_set(offs, 3)
+        decision = OffloadDecision(3, offs)
         uplink = (PrbAssociation.empty(3, s.radio.num_prbs), np.full(3, 1e6))
         with pytest.raises(ValueError, match="unknown cpu_mode 'fast'"):
             evaluate(decision, s, gains, "fast", estimates)
@@ -265,7 +276,7 @@ class TestEvaluate:
         s, gains = built(mec_ghz=1.0)
         estimates = estimate_loads(s, gains)
         assert not any(est.offloadable for est in estimates)
-        out = evaluate(OffloadDecision.from_set([0], 9), s, gains, "minsum", estimates)
+        out = evaluate(OffloadDecision(9, (0,)), s, gains, "minsum", estimates)
         assert math.isinf(out.system_overhead)
         assert out.cpu is None
 
@@ -285,7 +296,7 @@ class TestGreedy:
     def test_repairs_hopeless_start_back_to_local(self):
         s, gains = built(mec_ghz=1.0)  # nobody can offload
         estimates = estimate_loads(s, gains)
-        a_init = OffloadDecision.from_set(range(9), 9)
+        a_init = OffloadDecision(9, tuple(range(9)))
         # no offloadable UE, so the orthogonal estimate prices nobody
         out = greedy_reallocate(a_init, s, gains, "minsum", estimates, {})
         assert out.feasible

@@ -99,7 +99,7 @@ def test_greedy_coloring_misses_the_cheapest_coloring_at_its_quotas():
         s = build_scenario(ScenarioConfig(n_cells=3, num_prbs=12), seed)
         gains = channel_gains(s)
         estimates = estimate_loads(s, gains)
-        out = evaluate(OffloadDecision.from_set(range(3), 3), s, gains, "minsum", estimates)
+        out = evaluate(OffloadDecision(3, (0, 1, 2)), s, gains, "minsum", estimates)
         costs = region_costs(s, gains, estimates, "minsum")
         mine = region_counts(out.assoc.c)
         best = min(costs, key=costs.get)
@@ -129,7 +129,7 @@ def test_greedy_coloring_has_the_highest_sum_rate_on_most_seeds():
     from the rule, and a better sum-rate colouring could close at most 9
     of the 26 misses.
     """
-    decision = OffloadDecision.from_set(range(3), 3)
+    decision = OffloadDecision(3, (0, 1, 2))
     top, misses = [], []
     for seed in range(50):
         s = build_scenario(ScenarioConfig(n_cells=3, num_prbs=12), seed)

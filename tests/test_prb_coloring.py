@@ -225,6 +225,18 @@ class TestInterferenceGraph:
         with pytest.raises(ValueError, match=r"UE ids \[0, 0, 1\] are not ascending and unique"):
             build_interference_graph(channel_gains(s), np.full(3, 3), s.tx_power_w, [0, 0, 1], 0.1)
 
+    def test_bool_ids_rejected_and_numpy_ids_taken(self):
+        # True would sort as UE 1 and colour it; numpy ids are UE ids
+        s = build_scenario(ScenarioConfig(n_cells=3), seed=0)
+        gains, m = channel_gains(s), np.full(2, 3)
+        for ids, bad in (([True, 2], "True"), ([2, np.True_], "np.True_"), ([1.0, 2], "1.0")):
+            with pytest.raises(TypeError, match=rf"UE id {bad} has type"):
+                build_interference_graph(gains, m, s.tx_power_w, ids, 0.1)
+        got = build_interference_graph(gains, m, s.tx_power_w, np.array([2, 1]), 0.1)
+        want = build_interference_graph(gains, m, s.tx_power_w, (1, 2), 0.1)
+        for a, b in zip(vars(got).values(), vars(want).values()):
+            assert a.tobytes() == b.tobytes()
+
     def test_one_quota_per_offloader(self):
         # one quota would broadcast over every offloader
         s = build_scenario(ScenarioConfig(n_cells=3), seed=0)
@@ -618,7 +630,7 @@ class TestRealizedRates:
             state = color(g, r)
             rates = realized_rates(state, r)
             assert (rates > 0).all() and rates.shape == (6,)
-            decision = OffloadDecision.from_set(ids, 6)
+            decision = OffloadDecision(6, tuple(ids))
             assoc = state_assoc(state, 6, 9)
             for t, i in enumerate(state.ids.tolist()):
                 direct = uplink_rate(i, decision, assoc, ChannelGains(h=h), powers, r)
@@ -745,7 +757,7 @@ def offloading_cells(draw):
     candidates = estimates.offloadable.nonzero()[0].tolist()
     assume(candidates)
     offs = draw(st.sets(st.sampled_from(candidates), min_size=1))
-    return s, gains, estimates, OffloadDecision.from_set(offs, s.n_cells)
+    return s, gains, estimates, OffloadDecision(s.n_cells, tuple(sorted(offs)))
 
 
 @settings(max_examples=60)

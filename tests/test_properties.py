@@ -38,6 +38,7 @@ from mecoffload.decision_engine import (
     run_scheme,
 )
 from mecoffload.load_estimation import estimate_loads, prb_rate
+from mecoffload.prb_coloring import build_interference_graph
 from mecoffload.radio import OffloadDecision, PrbAssociation, uplink_rate
 from mecoffload.scenario import (
     ChannelGains,
@@ -453,7 +454,7 @@ def price_instances(draw):
         else:
             local_time[i] = t + s.cycles[i] / (s.mec_capacity_hz * w * fill)
     estimates = dataclasses.replace(estimates, local_time_s=local_time)
-    return OffloadDecision.from_set(offs, n), rates, s, estimates
+    return OffloadDecision(n, tuple(offs)), rates, s, estimates
 
 
 @settings(max_examples=300)
@@ -566,7 +567,7 @@ def test_a_decision_is_its_n_and_offload_set(pair, data):
     # 0/1 row a is derived from it, and the flips are edits of it
     (n, ids), (other_n, other_ids) = pair
     d = OffloadDecision(n, tuple(sorted(ids)))
-    other = OffloadDecision.from_set(other_ids, other_n)
+    other = OffloadDecision(other_n, tuple(sorted(other_ids)))
     same = (n, ids) == (other_n, other_ids)
     assert (d == other) == same
     if same:
@@ -574,12 +575,110 @@ def test_a_decision_is_its_n_and_offload_set(pair, data):
     # the row as a flag tuple, the way the decision stored it before
     row = tuple(1 if i in ids else 0 for i in range(n))
     assert d.a == row and all(type(x) is int for x in d.a)
-    assert OffloadDecision.from_set(np.flatnonzero(d.a), d.n) == d
+    assert OffloadDecision(d.n, tuple(np.flatnonzero(d.a).tolist())) == d
     assert d.n_offload == len(ids)
     if n:
         i = data.draw(st.integers(0, n - 1))
-        assert d.flip_on(i) == OffloadDecision.from_set(ids | {i}, n)
-        assert d.flip_off(i) == OffloadDecision.from_set(ids - {i}, n)
+        assert d.flip_on(i) == OffloadDecision(n, tuple(sorted(ids | {i})))
+        assert d.flip_off(i) == OffloadDecision(n, tuple(sorted(ids - {i})))
+
+
+def _ue_ids(lo, hi):
+    """A UE id in lo..hi as any kind a caller might pass: a Python or numpy
+    int, a Python or numpy bool, or an integral float."""
+    return st.one_of(
+        st.integers(lo, hi),
+        st.integers(lo, hi).map(np.int64),
+        st.integers(lo, hi).map(np.int32),
+        st.booleans(),
+        st.booleans().map(np.bool_),
+        st.integers(lo, hi).map(float),
+    )
+
+
+def _id_lists(n):
+    """Up to 5 UE ids for n UEs: of mixed kinds in -1..n, Python ints in
+    -1..n in any order, repeats too, or ascending unique ones in 0..n-1."""
+    return st.one_of(
+        st.lists(_ue_ids(-1, n), max_size=5),
+        st.lists(st.integers(-1, n), max_size=5),
+        st.lists(st.integers(0, max(n - 1, 0)), max_size=min(n, 5), unique=True).map(sorted),
+    )
+
+
+def _rule_error(ids, n, numpy):
+    """What the decision rule makes of ids as given, for n UEs: None where
+    it holds (ints, numpy integers only where numpy is set, never a bool,
+    ascending, unique and in 0..n-1), TypeError where an id or n has the
+    wrong type, else ValueError."""
+    kinds = (int, np.integer) if numpy else int
+    if not all(isinstance(i, kinds) and not isinstance(i, (bool, np.bool_)) for i in ids):
+        return TypeError
+    if any(i < 0 or i >= n for i in ids) or list(ids) != sorted(set(ids)):
+        return ValueError
+    return None
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (TypeError, ValueError) as e:
+        return type(e)
+
+
+@settings(max_examples=400)
+@given(st.one_of(st.integers(-2, 6), st.sampled_from((True, False, 3.0, 0.0, -1.0))), st.data())
+def test_the_constructor_takes_exactly_the_decisions_the_rule_allows(n, data):
+    # n is a Python int at least 0, and the ids as given keep the rule
+    ids = data.draw(_id_lists(max(int(n), 0)))
+    if not isinstance(n, int) or isinstance(n, bool):
+        want = TypeError
+    else:
+        want = _rule_error(ids, n, numpy=False) or (ValueError if n < 0 else None)
+    got = _outcome(lambda: OffloadDecision(n, tuple(ids)))
+    if want is None:
+        assert got.offload_set == tuple(ids) and got.n == n
+        assert all(type(i) is int for i in (n, *got.offload_set))
+    else:
+        assert got is want
+
+
+@settings(max_examples=400)
+@given(st.integers(0, 6), st.data())
+def test_the_flips_take_exactly_the_ids_the_rule_allows(n, data):
+    # a flip takes one id, a numpy integer too, and stores it as a Python int
+    base = data.draw(st.sets(st.integers(0, n - 1))) if n else set()
+    d = OffloadDecision(n, tuple(sorted(base)))
+    i = data.draw(_ue_ids(-2, 7))
+    want = _rule_error([i], n, numpy=True)
+    for flip, edit in ((d.flip_on, base.union), (d.flip_off, base.difference)):
+        got = _outcome(lambda: flip(i))
+        if want is None:
+            assert got == OffloadDecision(n, tuple(sorted(edit({int(i)}))))
+            assert all(type(x) is int for x in got.offload_set)
+        else:
+            assert got is want
+
+
+@settings(max_examples=400)
+@given(_id_lists(4))
+def test_the_graph_and_the_estimate_take_exactly_the_ids_the_rule_allows(ids):
+    # each sorts its ids and takes numpy integers; neither takes an empty
+    # set, and every UE of this cell is a candidate the estimate can price
+    s = build_scenario(ScenarioConfig(n_cells=4), seed=0)
+    gains = channel_gains(s)
+    estimates = estimate_loads(s, gains)
+    assert estimates.offloadable.all()
+    want = _rule_error(sorted(ids), s.n_cells, numpy=True) or (None if ids else ValueError)
+    graph = _outcome(
+        lambda: build_interference_graph(gains, np.full(len(ids), 2), s.tx_power_w, ids, 0.1))
+    report = _outcome(lambda: orthogonal_estimate(estimates, ids, s, gains))
+    if want is None:
+        assert sorted(graph.nodes.tolist()) == sorted(ids) and graph.nodes.dtype == np.int64
+        assert list(report) == sorted(ids) and all(type(i) is int for i in report)
+    else:
+        assert graph is want and report is want
+
 
 _EXTREMES = (
     5e-324, -5e-324, 1e-308, -1e-308, 1e300, -1e300, 1e308, -1e308, 0, 1, -1,

@@ -41,7 +41,7 @@ class TestOffloadDecision:
             OffloadDecision(3, [0, 2])
 
     def test_helpers(self):
-        d = OffloadDecision.from_set([0, 2], 4)
+        d = OffloadDecision(4, (0, 2))
         assert d.a == (1, 0, 1, 0)
         assert d.offload_set == (0, 2)
         assert d.n_offload == 2
@@ -49,43 +49,58 @@ class TestOffloadDecision:
         assert d.flip_off(0).a == (0, 0, 1, 0)
         assert OffloadDecision.all_local(3) == OffloadDecision(3, ())
         assert OffloadDecision.all_local(3).a == (0, 0, 0)
+        assert OffloadDecision.all_local(0).a == ()
         assert d == OffloadDecision(4, (0, 2)) and d.flip_on(0) is d and d.flip_off(1) is d
 
-    def test_from_set_rejects_ids_outside_the_cells(self):
+    def test_constructor_rejects_ids_outside_the_cells(self):
         # an id past the cells is a caller's bug, never a UE left local
-        with pytest.raises(ValueError, match=r"UE ids \[-1, 7\] lie outside 0\.\.2"):
-            OffloadDecision.from_set([1, 7, -1], 3)
-        with pytest.raises(ValueError, match=r"\[3\]"):
-            OffloadDecision.from_set(range(4), 3)
+        with pytest.raises(ValueError, match=r"UE id 7 lies outside 0\.\.2"):
+            OffloadDecision(3, (1, 7))
+        with pytest.raises(ValueError, match=r"UE id 3 lies outside 0\.\.2"):
+            OffloadDecision(3, (0, 1, 2, 3))
+        with pytest.raises(ValueError, match=r"UE id 0 lies outside 0\.\.-1"):
+            OffloadDecision(0, (0,))
 
-    def test_from_set_takes_numpy_ids_and_rejects_them_outside_the_cells(self):
-        ids = np.array([2, 0, 2])
-        d = OffloadDecision.from_set(ids, 4)
-        assert d.a == (1, 0, 1, 0)
-        assert d.offload_set == (0, 2)
-        assert all(type(i) is int for i in d.offload_set)
-        assert np.array(d.offload_set).dtype == np.int64
-        assert OffloadDecision.from_set(ids.astype(np.int32), 3).a == (1, 0, 1)
-        assert OffloadDecision.from_set([np.int64(1)], 2).a == (0, 1)
-        assert OffloadDecision.from_set(np.array([], dtype=np.int64), 2).a == (0, 0)
-        with pytest.raises(ValueError, match=r"lie outside 0\.\.2"):
-            OffloadDecision.from_set(np.array([0, -1]), 3)
-        with pytest.raises(ValueError, match=r"lie outside 0\.\.2"):
-            OffloadDecision.from_set([np.int64(3)], 3)
-        with pytest.raises(ValueError, match=r"lie outside 0\.\.-1"):
-            OffloadDecision.from_set([0], 0)
+    @pytest.mark.parametrize(
+        "ids, bad",
+        [
+            ((True, 2), "True has type bool"),
+            ((0, False), "False has type bool"),
+            ((np.True_,), "np.True_ has type bool"),
+            ((np.int64(1), 2), "np.int64\\(1\\) has type int64"),
+            ((0, np.int32(2)), "np.int32\\(2\\) has type int32"),
+            ((1.0,), "1.0 has type float"),
+        ],
+    )
+    def test_constructor_takes_python_int_ids_only(self, ids, bad):
+        # index() takes True for 1, so a bool would stand for UE 0 or 1; a
+        # numpy id is no Python int, and every decision holds one kind of id
+        with pytest.raises(TypeError, match=f"UE id {bad}, not int"):
+            OffloadDecision(3, ids)
 
-    def test_bool_ids_rejected(self):
-        # index() takes True for 1, so a bool would stand for UE 0 or 1;
-        # numpy's bool index() already refuses
-        with pytest.raises(TypeError, match="UE id True is a bool"):
-            OffloadDecision.from_set([True, 2], 3)
-        with pytest.raises(TypeError):
-            OffloadDecision.from_set([np.True_], 3)
+    @pytest.mark.parametrize(
+        "n, error, match",
+        [
+            (True, TypeError, "UE count True has type bool, not int"),
+            (2.0, TypeError, r"UE count 2\.0 has type float, not int"),
+            (np.int64(3), TypeError, r"UE count np\.int64\(3\) has type int64, not int"),
+            (-1, ValueError, "UE count -1 is negative"),
+        ],
+    )
+    def test_constructor_takes_a_python_int_count_at_least_zero(self, n, error, match):
+        with pytest.raises(error, match=match):
+            OffloadDecision(n, ())
+
+    def test_flips_take_numpy_ids_as_python_ints_and_reject_bools(self):
+        # numpy's bool index() already refuses; Python's would pass as 0 or 1
         d = OffloadDecision(3, (1,))
+        on = d.flip_on(np.int64(2))
+        assert on == OffloadDecision(3, (1, 2)) and type(on.offload_set[1]) is int
+        assert d.flip_off(np.int32(1)) == OffloadDecision(3, ())
         for flip in (d.flip_on, d.flip_off):
-            with pytest.raises(TypeError, match="UE id False is a bool"):
-                flip(False)
+            for bad in (False, np.True_, 1.0):
+                with pytest.raises(TypeError, match=rf"UE id {bad!r} has type"):
+                    flip(bad)
 
     @pytest.mark.parametrize("flip", ["flip_on", "flip_off"])
     @pytest.mark.parametrize("ue", [-1, -3, 3])
@@ -269,7 +284,7 @@ class TestUplinkRate:
             h = 10.0 ** rng.uniform(-13, -7, size=(n, n))
             powers = rng.uniform(0.01, 0.5, size=n)
             radio = RadioParams(bandwidth_hz=20e6, num_prbs=k, noise_per_prb_w=1e-13)
-            decision = OffloadDecision.from_set(np.flatnonzero(a), n)
+            decision = OffloadDecision(n, tuple(np.flatnonzero(a).tolist()))
             assoc = PrbAssociation(c=c_mat)
             p_prb = per_prb_power(assoc, powers)
             for i in range(n):
