@@ -68,16 +68,15 @@ def orthogonal_estimate(
     Real-valued PRB shares proportional to demand, no co-channel
     interference, and an even server split, priced by the same array calls
     as price. Deliberately optimistic; used only to rank candidates,
-    never as the acceptance metric. Every member must be offloadable: the
-    others have no PRB demand to share by. A share whose float rate is 0
-    or +inf is a dead uplink, as in price: it prices at +inf, so the
-    initial guess keeps it local.
+    never as the acceptance metric. The members, ids under check_ids, must
+    each be offloadable: the others have no PRB demand to share by. A share
+    whose float rate is 0 or +inf is a dead uplink, as in price: it prices
+    at +inf, so the initial guess keeps it local.
     """
-    members = sorted(offload_set)
-    if not members:
+    if not len(offload_set):
         raise ValueError("cannot estimate over an empty offload set")
-    check_ids(members, len(estimates), numpy=True)
-    members = np.array(members, dtype=np.int64)
+    check_ids(offload_set, len(estimates))
+    members = np.array(offload_set, dtype=np.int64)
     offloadable = estimates.offloadable[members]
     if not offloadable.all():
         outside = members[~offloadable][0]
@@ -270,13 +269,13 @@ def greedy_reallocate(
             bound = math.inf if t_cap <= 0 else s.cycles[i] / t_cap
             ranked.append((-bound, i))
         drop = min(ranked)[1]
-        decision = decision.flip_off(drop)
+        decision = OffloadDecision(decision.n, tuple(i for i in decision.offload_set if i != drop))
         best = evaluate(decision, s, gains, cpu_mode, estimates)
 
     offs = set(decision.offload_set)
     unchecked = [i for i in report if i not in offs]
     for i in sorted(unchecked, key=report.__getitem__):
-        trial = decision.flip_on(i)
+        trial = OffloadDecision(decision.n, tuple(sorted((*decision.offload_set, i))))
         candidate = evaluate(trial, s, gains, cpu_mode, estimates)
         if candidate.system_overhead < best.system_overhead:
             best = candidate

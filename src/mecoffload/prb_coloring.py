@@ -62,20 +62,19 @@ def build_interference_graph(
     offload_ids,
     theta: float,
 ) -> InterferenceGraph:
-    """The graph of the UEs offload_ids, each once, whose quotas m holds in
-    ascending id order (normalize_prbs of their demands in that order).
+    """The graph of the UEs offload_ids, ids under radio.check_ids, whose
+    quotas m holds in that order (normalize_prbs of their demands in it).
 
     The nodes go by most in-edge weight, then least quota, then UE id. The
     per-PRB leakage (P/m)[:, None] * h is formed once, in ascending id
     order, and gathered into coloring order.
     """
-    nodes = sorted(offload_ids)
-    if not nodes:
+    if not len(offload_ids):
         raise ValueError("no offloading UEs, nothing to allocate")
-    check_ids(nodes, gains.h.shape[0], numpy=True)
-    if len(m) != len(nodes):
-        raise ValueError(f"{len(m)} quotas for {len(nodes)} offloading UEs")
-    ids = np.array(nodes, dtype=np.int64)
+    check_ids(offload_ids, gains.h.shape[0])
+    if len(m) != len(offload_ids):
+        raise ValueError(f"{len(m)} quotas for {len(offload_ids)} offloading UEs")
+    ids = np.array(offload_ids, dtype=np.int64)
     h = gains.h.take(ids, 0).take(ids, 1)
     ratio = h / h.diagonal()  # h[a, b] / h[b, b]
     ratio.flat[:: ids.size + 1] = 0.0  # the diagonal: no self edge

@@ -5,7 +5,6 @@ uplink_rate sums its own Shannon rate, so it calls neither."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import lt
@@ -15,15 +14,14 @@ import numpy as np
 from .scenario import ChannelGains, RadioParams
 
 
-def check_ids(ids, n: int, numpy: bool = False) -> None:
-    """Reject a sequence of UE ids that are not ints, leave 0..n-1 or do not
-    ascend strictly. An id is a Python int, or, where numpy is set, a numpy
-    integer; a bool is none, though Python counts it an int. A negative id
-    would index from the end and stand for another UE, and a repeated one
-    would count its UE twice."""
+def check_ids(ids, n: int) -> None:
+    """The one rule for UE ids, in a decision, a graph and an estimate:
+    reject ids that are not Python ints (no bool, no numpy integer), leave
+    0..n-1 or do not ascend strictly. A negative id would index from the
+    end and stand for another UE, and a repeated one would count it twice."""
     if [*map(type, ids)].count(int) < len(ids):  # one C pass when all are ints
         for i in ids:
-            if type(i) is not int and not (numpy and isinstance(i, np.integer)):
+            if type(i) is not int:
                 raise TypeError(f"UE id {i!r} has type {type(i).__name__}, not int")
     if ids and (ids[0] < 0 or ids[-1] >= n):
         raise ValueError(f"UE id {ids[0] if ids[0] < 0 else ids[-1]} lies outside 0..{n - 1}")
@@ -53,29 +51,6 @@ class OffloadDecision:
     @classmethod
     def all_local(cls, n: int) -> "OffloadDecision":
         return cls(n, ())
-
-    def flip_on(self, i: int) -> "OffloadDecision":
-        """The decision with UE i offloading too."""
-        i, at = self._find(i)
-        ids = self.offload_set
-        if ids[at : at + 1] == (i,):
-            return self
-        return OffloadDecision(self.n, ids[:at] + (i,) + ids[at:])
-
-    def flip_off(self, i: int) -> "OffloadDecision":
-        """The decision with UE i local."""
-        i, at = self._find(i)
-        ids = self.offload_set
-        if ids[at : at + 1] != (i,):
-            return self
-        return OffloadDecision(self.n, ids[:at] + ids[at + 1 :])
-
-    def _find(self, i: int) -> tuple[int, int]:
-        """UE i, checked (a numpy integer too), as a Python int, and where it
-        sits in offload_set."""
-        check_ids((i,), self.n, numpy=True)
-        i = int(i)
-        return i, bisect_left(self.offload_set, i)
 
     @cached_property
     def a(self) -> tuple[int, ...]:

@@ -86,6 +86,12 @@ _COLUMNS = _POSITIVE + _WEIGHTS
 _POSITIONS = ("cell_xy", "ue_xy")
 
 
+def _check_seed(seed) -> None:
+    """A seed is an int >= 0, no bool, as ScenarioConfig's int fields are."""
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+        raise InvalidConfig(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def _check_inputs(table: np.ndarray, x) -> np.ndarray:
     """Check the (len(_COLUMNS), N) column table and the scalars of x (a
     Scenario or a ScenarioConfig), and return the table read-only."""
@@ -99,15 +105,20 @@ def _check_inputs(table: np.ndarray, x) -> np.ndarray:
             raise InvalidConfig(f"UE {name} must be finite and positive")
     # the bounds ScenarioConfig.validate sets; a nan fails each of them
     for name, in_range, bound in (
-        ("mec_capacity_hz", 0 < x.mec_capacity_hz < math.inf, "positive"),
-        ("reuse_lambda", 1 <= x.reuse_lambda < math.inf, ">= 1"),
+        ("mec_capacity_hz", 0 < x.mec_capacity_hz < math.inf, "finite and positive"),
+        ("reuse_lambda", 1 <= x.reuse_lambda < math.inf, "finite and >= 1"),
         # normalize_prbs scales the quotas by it
-        ("reuse_lambda * num_prbs", x.reuse_lambda * x.radio.num_prbs < math.inf, "positive"),
-        ("edge_threshold", 0 < x.edge_threshold < math.inf, "positive"),
-        ("shadowing_db", 0 <= x.shadowing_db < math.inf, ">= 0"),
+        ("reuse_lambda * num_prbs", x.reuse_lambda * x.radio.num_prbs < math.inf,
+         "finite and positive"),
+        ("edge_threshold", 0 < x.edge_threshold < math.inf, "finite and positive"),
+        ("shadowing_db", 0 <= x.shadowing_db < math.inf, "finite and >= 0"),
+        ("pl0_db", -math.inf < x.pl0_db < math.inf, "finite"),
+        ("pl_exponent", 0 < x.pl_exponent < math.inf, "finite and positive"),
+        # the path-loss slope; inf times log10(1 m) would be a nan path loss
+        ("10 * pl_exponent", 10 * x.pl_exponent < math.inf, "finite and positive"),
     ):
         if not in_range:
-            raise InvalidConfig(f"{name} must be finite and {bound}")
+            raise InvalidConfig(f"{name} must be {bound}")
     table.setflags(write=False)
     return table
 
@@ -143,6 +154,7 @@ class Scenario:
     _config: ScenarioConfig | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        _check_seed(self.seed)
         n = np.shape(self.cell_xy)[:1]  # one UE per cell
         if n == (0,):
             raise InvalidConfig("n_cells must be >= 1")
@@ -451,8 +463,7 @@ def build_scenario(config: ScenarioConfig, seed: int | None = None) -> Scenario:
     """
     if seed is None:
         seed = config.seed
-    if seed < 0:
-        raise InvalidConfig(f"seed must be >= 0, got {seed}")
+    _check_seed(seed)
     s = object.__new__(Scenario)  # no positions yet: __getattr__ draws them
     s.__dict__.update(
         zip(_COLUMNS, config.ue_table),  # checked once per config

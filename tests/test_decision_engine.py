@@ -149,23 +149,27 @@ class TestOrthogonalEstimate:
         with pytest.raises(ValueError, match=rf"UE id {bad} lies outside 0\.\.2"):
             orthogonal_estimate(estimates, ids, s, gains)
 
-    def test_repeated_ids_rejected(self):
-        # a repeat would count its UE's demand twice and misprice it
+    @pytest.mark.parametrize("ids", [[0, 0, 1], [2, 0]])
+    def test_repeated_or_descending_ids_rejected(self, ids):
+        # a repeat would count its UE's demand twice and misprice it; the
+        # estimate takes its ids in the order a decision holds them
         s, gains = built(n=3)
         estimates = estimate_loads(s, gains)
-        with pytest.raises(ValueError, match=r"UE ids \[0, 0, 1\] are not ascending and unique"):
-            orthogonal_estimate(estimates, [0, 0, 1], s, gains)
+        with pytest.raises(ValueError, match=rf"UE ids \{ids} are not ascending and unique"):
+            orthogonal_estimate(estimates, ids, s, gains)
 
-    def test_bool_ids_rejected_and_numpy_ids_taken(self):
-        # True would sort as UE 1 and price it
+    def test_bool_and_numpy_ids_rejected(self):
+        # True would stand for UE 1 and price it; a numpy id is no Python int
         s, gains = built(n=3)
         estimates = estimate_loads(s, gains)
-        for ids, bad in (([True, 2], "True"), ([2, np.True_], "np.True_"), ([1.0, 2], "1.0")):
+        for ids, bad in (
+            ([True, 2], "True"), ([2, np.True_], "np.True_"), ([1.0, 2], "1.0"),
+            (np.array([2, 1]), r"np\.int64\(2\)"),
+        ):
             with pytest.raises(TypeError, match=rf"UE id {bad} has type"):
                 orthogonal_estimate(estimates, ids, s, gains)
-        got = orthogonal_estimate(estimates, np.array([2, 1]), s, gains)
-        assert got == orthogonal_estimate(estimates, [1, 2], s, gains)
-        assert [type(i) for i in got] == [int, int]
+        with pytest.raises(ValueError, match="cannot estimate over an empty offload set"):
+            orthogonal_estimate(estimates, np.array([], dtype=np.int64), s, gains)
 
 
 class TestInitialDecision:

@@ -20,9 +20,8 @@ import os
 import numpy as np
 import pytest
 
-from mecoffload import cli
+from mecoffload import cli, decision_engine
 from mecoffload.decision_engine import run_scheme
-from mecoffload.radio import OffloadDecision
 from mecoffload.scenario import ScenarioConfig, build_scenario, channel_gains
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -125,12 +124,14 @@ REPAIR_DROPS = {0: (2, 2, 2), 1: (0, 0, 0), 2: (0, 0, 0), 3: (1, 1, 1), 4: (0, 0
 
 
 def test_repair_loop_drops_pinned_counts(monkeypatch):
-    # only greedy_reallocate's repair loop calls flip_off: this pins that
-    # the golden cells run it, and how often
-    calls = []
-    flip_off = OffloadDecision.flip_off
+    # a pipeline scheme evaluates only inside greedy_reallocate: its start,
+    # then one set a member smaller per repair drop, then its trials, each a
+    # member larger. This pins that the golden cells repair, and how often
+    sets = []
+    evaluate = decision_engine.evaluate
     monkeypatch.setattr(
-        OffloadDecision, "flip_off", lambda self, n: calls.append(n) or flip_off(self, n)
+        decision_engine, "evaluate",
+        lambda decision, *rest: sets.append(set(decision.offload_set)) or evaluate(decision, *rest),
     )
     cfg = ScenarioConfig(n_cells=80, mec_ghz=888.8888888888889)
     for seed, want in REPAIR_DROPS.items():
@@ -138,9 +139,14 @@ def test_repair_loop_drops_pinned_counts(monkeypatch):
         gains = channel_gains(s)
         got = []
         for scheme in ("proposed_minmax", "proposed_minsum", "equal_cpu"):
-            calls.clear()
+            sets.clear()
             run_scheme(scheme, s, gains)
-            got.append(len(calls))
+            drops = 0
+            for before, after in zip(sets, sets[1:]):
+                if not (after < before and len(before - after) == 1):
+                    break
+                drops += 1
+            got.append(drops)
         assert tuple(got) == want, seed
 
 

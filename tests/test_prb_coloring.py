@@ -219,23 +219,27 @@ class TestInterferenceGraph:
         with pytest.raises(ValueError, match=rf"UE id {bad} lies outside 0\.\.2"):
             build_interference_graph(channel_gains(s), m, s.tx_power_w, ids, 0.1)
 
-    def test_repeated_ids_rejected(self):
-        # a repeat would colour its UE twice: 6 PRBs against a quota of 3
+    @pytest.mark.parametrize("ids, m", [([0, 0, 1], [3, 3, 3]), ([2, 0], [1, 5])])
+    def test_repeated_or_descending_ids_rejected(self, ids, m):
+        # a repeat would colour its UE twice: 6 PRBs against a quota of 3;
+        # m holds the quotas in id order, so a sort of [2, 0] would hand
+        # UE 2 the quota 5 meant for UE 0
         s = build_scenario(ScenarioConfig(n_cells=3), seed=0)
-        with pytest.raises(ValueError, match=r"UE ids \[0, 0, 1\] are not ascending and unique"):
-            build_interference_graph(channel_gains(s), np.full(3, 3), s.tx_power_w, [0, 0, 1], 0.1)
+        with pytest.raises(ValueError, match=rf"UE ids \{ids} are not ascending and unique"):
+            build_interference_graph(channel_gains(s), np.array(m), s.tx_power_w, ids, 0.1)
 
-    def test_bool_ids_rejected_and_numpy_ids_taken(self):
-        # True would sort as UE 1 and colour it; numpy ids are UE ids
+    def test_bool_and_numpy_ids_rejected(self):
+        # True would stand for UE 1 and colour it; a numpy id is no Python int
         s = build_scenario(ScenarioConfig(n_cells=3), seed=0)
         gains, m = channel_gains(s), np.full(2, 3)
-        for ids, bad in (([True, 2], "True"), ([2, np.True_], "np.True_"), ([1.0, 2], "1.0")):
+        for ids, bad in (
+            ([True, 2], "True"), ([2, np.True_], "np.True_"), ([1.0, 2], "1.0"),
+            (np.array([2, 1]), r"np\.int64\(2\)"),
+        ):
             with pytest.raises(TypeError, match=rf"UE id {bad} has type"):
                 build_interference_graph(gains, m, s.tx_power_w, ids, 0.1)
-        got = build_interference_graph(gains, m, s.tx_power_w, np.array([2, 1]), 0.1)
-        want = build_interference_graph(gains, m, s.tx_power_w, (1, 2), 0.1)
-        for a, b in zip(vars(got).values(), vars(want).values()):
-            assert a.tobytes() == b.tobytes()
+        with pytest.raises(ValueError, match="no offloading UEs, nothing to allocate"):
+            build_interference_graph(gains, m[:0], s.tx_power_w, np.array([], dtype=np.int64), 0.1)
 
     def test_one_quota_per_offloader(self):
         # one quota would broadcast over every offloader

@@ -45,12 +45,10 @@ class TestOffloadDecision:
         assert d.a == (1, 0, 1, 0)
         assert d.offload_set == (0, 2)
         assert d.n_offload == 2
-        assert d.flip_on(1).a == (1, 1, 1, 0)
-        assert d.flip_off(0).a == (0, 0, 1, 0)
         assert OffloadDecision.all_local(3) == OffloadDecision(3, ())
         assert OffloadDecision.all_local(3).a == (0, 0, 0)
         assert OffloadDecision.all_local(0).a == ()
-        assert d == OffloadDecision(4, (0, 2)) and d.flip_on(0) is d and d.flip_off(1) is d
+        assert d == OffloadDecision(4, (0, 2))
 
     def test_constructor_rejects_ids_outside_the_cells(self):
         # an id past the cells is a caller's bug, never a UE left local
@@ -90,25 +88,6 @@ class TestOffloadDecision:
     def test_constructor_takes_a_python_int_count_at_least_zero(self, n, error, match):
         with pytest.raises(error, match=match):
             OffloadDecision(n, ())
-
-    def test_flips_take_numpy_ids_as_python_ints_and_reject_bools(self):
-        # numpy's bool index() already refuses; Python's would pass as 0 or 1
-        d = OffloadDecision(3, (1,))
-        on = d.flip_on(np.int64(2))
-        assert on == OffloadDecision(3, (1, 2)) and type(on.offload_set[1]) is int
-        assert d.flip_off(np.int32(1)) == OffloadDecision(3, ())
-        for flip in (d.flip_on, d.flip_off):
-            for bad in (False, np.True_, 1.0):
-                with pytest.raises(TypeError, match=rf"UE id {bad!r} has type"):
-                    flip(bad)
-
-    @pytest.mark.parametrize("flip", ["flip_on", "flip_off"])
-    @pytest.mark.parametrize("ue", [-1, -3, 3])
-    def test_flips_reject_ids_outside_the_cells(self, flip, ue):
-        # a negative id must not index from the end and flip another UE
-        d = OffloadDecision(3, (1,))
-        with pytest.raises(ValueError, match=rf"UE id {ue} lies outside 0\.\.2"):
-            getattr(d, flip)(ue)
 
 
 class TestPrbAssociation:

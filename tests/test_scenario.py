@@ -3,6 +3,7 @@
 import json
 import math
 import pickle
+import re
 import sys
 import tracemalloc
 from dataclasses import fields, replace
@@ -348,17 +349,47 @@ class TestInvariantChecks:
                 RadioParams(**{**good, name: value})
         assert RadioParams(**{**good, "num_prbs": np.int64(100)}).prb_bandwidth_hz == 2e5
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
-        "name", ["mec_capacity_hz", "reuse_lambda", "edge_threshold", "shadowing_db"]
+        "name",
+        ["mec_capacity_hz", "reuse_lambda", "edge_threshold", "shadowing_db", "pl0_db",
+         "pl_exponent"],
     )
     def test_non_finite_scalar_rejected(self, name, value):
         # unchecked, a nan reuse_lambda failed a cast in normalize_prbs, an
         # infinite server budget printed inf CPU, a nan one priced every UE
-        # local, and a nan shadowing_db meant no shadowing
+        # local, a nan shadowing_db meant no shadowing, and an infinite
+        # pl0_db or pl_exponent priced every UE local
         s = build_scenario(ScenarioConfig(), 0)
         with pytest.raises(InvalidConfig, match=f"{name} must be finite"):
             replace(s, **{name: value})
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(-3.7, "pl_exponent"), (0.0, "pl_exponent"), (1e308, r"10 \* pl_exponent")],
+    )
+    def test_path_loss_exponent_rejected_as_the_config_does(self, value, message):
+        # unchecked, a negative or zero exponent ran, and one whose slope
+        # overflows priced every UE local
+        s = build_scenario(ScenarioConfig(), 0)
+        with pytest.raises(InvalidConfig, match=f"{message} must be finite and positive"):
+            replace(s, pl_exponent=value)
+        with pytest.raises(InvalidConfig, match=f"{message} must be"):
+            ScenarioConfig(pl_exponent=value)
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1, np.int64(3)])
+    def test_a_seed_is_taken_only_as_the_config_takes_it(self, seed):
+        # a Python int >= 0, no bool; unchecked, build_scenario returned with
+        # 1.5 and failed at the first position read, ran True as the seed,
+        # and a replaced -1 failed in the shadowing draw with numpy's error
+        message = "seed must be an integer >= 0, got " + re.escape(repr(seed))
+        with pytest.raises(InvalidConfig, match=message):
+            build_scenario(ScenarioConfig(), seed)
+        s = build_scenario(ScenarioConfig(shadowing_db=4), 0)
+        with pytest.raises(InvalidConfig, match=message):
+            replace(s, seed=seed)
+        with pytest.raises(InvalidConfig, match=message):
+            manual_scenario([(0.0, 0.0)], [(1.0, 0.0)], seed=seed)
 
     def test_overflowing_prb_scale_rejected(self):
         # as ScenarioConfig rejects it; unchecked, normalize_prbs overflowed
